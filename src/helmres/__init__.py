@@ -20,9 +20,8 @@ from .lippmann import (FilterReport, LsContext, NoResonatorSupportError,
                        PseudospectrumGrid, apply_kernel, build_ls_context,
                        collocation_matrix, filter_epsilon, pseudospectrum,
                        write_grid_csv)
-from .media import (MediumProfile, PmlConfig, StretchFunction,
-                    air_filled_cavity_profile, bump_profile, critical_angle,
-                    sigma_eval, slab_profile)
+from .media import (MediumProfile, PmlConfig, air_filled_cavity_profile,
+                    bump_profile, critical_angle, sigma_eval, slab_profile)
 from .mesh_fe import (BoundaryCondition, Mesh1D, MeshedSpace, QuadratureRule,
                       build_mesh, build_space, evaluate_basis, evaluate_function)
 from .reference import (DegenerateRelationError, ReferenceSet,
@@ -34,7 +33,7 @@ __all__ = [
     "__version__",
     "BoundaryCondition", "Mesh1D", "MeshedSpace", "QuadratureRule",
     "build_mesh", "build_space", "evaluate_basis", "evaluate_function",
-    "MediumProfile", "PmlConfig", "StretchFunction",
+    "MediumProfile", "PmlConfig",
     "slab_profile", "air_filled_cavity_profile", "bump_profile",
     "sigma_eval", "critical_angle",
     "DtnMatrices", "PmlMatrices", "ResonatorMass",

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .media import MediumProfile, StretchFunction
+from .media import MediumProfile, PmlConfig, sigma_eval
 from .mesh_fe import BoundaryCondition, MeshedSpace, QuadratureRule, evaluate_basis
 
 # Points per ramp cell: 1/alpha is analytic but not polynomial there, and at
@@ -111,7 +111,7 @@ def assemble_dtn(space: MeshedSpace, medium: MediumProfile,
     return DtnMatrices(a=amat, m=mmat, e=emat, space=space, n0=medium.n0)
 
 
-def assemble_pml(space: MeshedSpace, medium: MediumProfile, stretch: StretchFunction,
+def assemble_pml(space: MeshedSpace, medium: MediumProfile, pml: PmlConfig,
                  quad_order: int | None = None, ramp_quad_order: int | None = None) -> PmlMatrices:
     """Assemble the complex pair (At, Mt) over (-ell, ell) with Dirichlet ends.
 
@@ -121,7 +121,7 @@ def assemble_pml(space: MeshedSpace, medium: MediumProfile, stretch: StretchFunc
     """
     if space.boundary_condition is not BoundaryCondition.DIRICHLET_BOTH_ENDS:
         raise ValueError("the PML formulation uses a space with Dirichlet ends")
-    d, x_c = stretch.ramp_interval
+    d, x_c = pml.d, pml.x_c
     _check_alignment(space, tuple(medium.breakpoints) + (-x_c, -d, d, x_c))
 
     p = space.degree
@@ -141,7 +141,7 @@ def assemble_pml(space: MeshedSpace, medium: MediumProfile, stretch: StretchFunc
         xq, wq = rule.mapped(lo, hi)
         vals = tabs[rule.order]
         _, ders = evaluate_basis(space, c, rule.points)
-        alpha = stretch.alpha(xq)
+        alpha = 1.0 + 1j * sigma_eval(pml, xq)
         n2 = medium.n(xq) ** 2
         dofs = space.cell_dofs(c)
         _scatter(amat, dofs, (ders * (wq / alpha)) @ ders.T)
@@ -162,12 +162,3 @@ def assemble_resonator_mass(space: MeshedSpace, quad_order: int | None = None) -
         _scatter(mmat, space.cell_dofs(c), (vals * wq) @ vals.T)
     return ResonatorMass(m=mmat, space=space)
 
-
-def write_matrix_txt(path, mat: np.ndarray) -> None:
-    """Dump a dense matrix as one "row col re im" line per entry."""
-    m = np.asarray(mat)
-    with open(path, "w", encoding="utf-8") as fh:
-        for i in range(m.shape[0]):
-            for j in range(m.shape[1]):
-                z = complex(m[i, j])
-                fh.write(f"{i} {j} {z.real:.17g} {z.imag:.17g}\n")

@@ -1,8 +1,10 @@
 """End-to-end pipelines and the command-line interface.
 
 A run is configured by a :class:`RunConfig`, executed by
-:func:`run_pipeline` (assemble, solve, window, filter, match against
-references), and persisted by :func:`emit_outputs`.  Subcommands:
+:func:`run_pipeline` (discretize, solve, window, filter, match against
+references, optional s_min grid), and persisted by :func:`emit_outputs`.
+:func:`discretize` is the one place a configuration becomes a mesh, matrices
+and a matrix function T(k).  Subcommands:
 
     solve           full pipeline, writes eigenvalues.csv and run.json
     filter          pipeline with the pseudomode filter forced on, prints a
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -29,14 +32,14 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .assembly import assemble_dtn, assemble_pml
-from .eigen import ContourConfig, canonical_fourth_quadrant, solve_contour, \
+from .assembly import DtnMatrices, PmlMatrices, assemble_dtn, assemble_pml
+from .eigen import ContourConfig, EigenPair, canonical_fourth_quadrant, solve_contour, \
     solve_dtn, solve_pml
-from .lippmann import FilterReport, NoResonatorSupportError, \
+from .lippmann import FilterReport, LsContext, NoResonatorSupportError, PseudospectrumGrid, \
     build_ls_context, collocation_matrix, filter_epsilon, pseudospectrum, write_grid_csv
-from .media import MediumProfile, PmlConfig, StretchFunction, air_filled_cavity_profile, \
-    bump_profile, critical_angle, slab_profile
-from .mesh_fe import BoundaryCondition, build_mesh, build_space
+from .media import MediumProfile, PmlConfig, air_filled_cavity_profile, bump_profile, \
+    critical_angle, slab_profile
+from .mesh_fe import BoundaryCondition, MeshedSpace, build_mesh, build_space
 from .reference import ReferenceSet, reference_table, slab_dtn_eigenvalues
 
 _PROBLEMS = ("slab", "air_cavity", "bump")
@@ -97,6 +100,8 @@ class RunConfig:
                 raise ValueError("pseudo_resolution entries must be >= 1")
         if self.epsilon_threshold <= 0:
             raise ValueError("epsilon_threshold must be positive")
+        if self.problem == "bump" and self.eta is not None:
+            raise ValueError("eta must be unset for bump: its profile has no index parameter")
 
     def to_json_dict(self) -> dict:
         raw = dataclasses.asdict(self)
@@ -137,12 +142,13 @@ class RunReport:
     dof_count: int
     pencil_size: int | None
     elapsed_seconds: float
+    grid: PseudospectrumGrid | None
 
 
 def _problem_eta(cfg: RunConfig) -> float:
     if cfg.eta is not None:
         return cfg.eta
-    return {"slab": 2.0, "air_cavity": math.sqrt(2.5), "bump": 1.0}[cfg.problem]
+    return {"slab": 2.0, "air_cavity": math.sqrt(2.5)}[cfg.problem]
 
 
 def medium_for(cfg: RunConfig) -> MediumProfile:
@@ -154,60 +160,114 @@ def medium_for(cfg: RunConfig) -> MediumProfile:
 
 
 def reference_for(cfg: RunConfig, medium: MediumProfile) -> ReferenceSet | None:
-    """The best available reference set: closed form for the slab, tables otherwise."""
+    """The reference set of the medium actually solved, or None when there is none.
+
+    Closed form for the slab; the tables otherwise, the air_cavity one only at
+    the eta = sqrt(2.5) it was computed for.
+    """
     if cfg.problem == "slab":
         eta = _problem_eta(cfg)
         if eta <= 1.0:
             return None  # no closed-form resonances to compare against
         return slab_dtn_eigenvalues(eta, medium.resonator_halfwidth, m_max=40)
+    if cfg.problem == "air_cavity" and abs(_problem_eta(cfg) - math.sqrt(2.5)) > 1e-12:
+        return None
     return reference_table(cfg.problem)
 
 
-def _pml_config(cfg: RunConfig, medium: MediumProfile) -> PmlConfig:
-    return PmlConfig(a=medium.resonator_halfwidth, d=cfg.d, x_c=cfg.x_c,
-                     ell=cfg.ell, sigma0=cfg.sigma0)
+@dataclass(frozen=True, eq=False)
+class Discretization:
+    """One RunConfig as a medium, its reference set, and the matrix function T(k).
+
+    ``mats`` holds the DtN or PML matrices and is None for ls.  The LS context
+    is built on first use, so a run builds it at most once, and only when the
+    contour, the filter or the grid needs it.
+    """
+
+    config: RunConfig
+    medium: MediumProfile
+    pml: PmlConfig | None
+    critical_angle: float | None
+    mats: DtnMatrices | PmlMatrices | None
+    reference: ReferenceSet | None
+
+    @functools.cached_property
+    def ls_context(self) -> LsContext:
+        cfg = self.config
+        return build_ls_context(self.medium, cfg.degree, cfg.initial_cell_size,
+                                cfg.refinements)
+
+    @property
+    def space(self) -> MeshedSpace:
+        return self.ls_context.space if self.mats is None else self.mats.space
+
+    def t(self, k: complex) -> np.ndarray:
+        """T(k), singular exactly at the eigenvalues k.
+
+        ls: I - K(k);  dtn: A + lambda E + lambda^2 M at lambda = -ik;
+        pml: At - k^2 Mt.
+        """
+        if self.mats is None:
+            return collocation_matrix(self.ls_context, k)
+        if self.config.formulation == "dtn":
+            lam = -1j * k
+            return self.mats.a + lam * self.mats.e + lam**2 * self.mats.m
+        return self.mats.a_tilde - k**2 * self.mats.m_tilde
+
+    def solve(self) -> tuple[list[EigenPair], int | None]:
+        """Eigenpairs sorted by Re k, and the pencil size (None for the contour).
+
+        dtn and pml pairs are reduced to the fourth quadrant; ls solves on the
+        ellipse inscribed in the window with a probe seeded by ``seed``.
+        """
+        cfg = self.config
+        if self.mats is not None:
+            solver = solve_dtn if cfg.formulation == "dtn" else solve_pml
+            pairs, diag = solver(self.mats)
+            return canonical_fourth_quadrant(pairs), diag.pencil_size
+        if cfg.window is None:
+            raise ValueError("the ls formulation needs --window to place its contour")
+        space = self.ls_context.space
+        re_min, re_max, im_min, im_max = cfg.window
+        contour = ContourConfig(
+            center=complex(0.5 * (re_min + re_max), 0.5 * (im_min + im_max)),
+            radius=0.5 * (re_max - re_min),
+            radius_im=0.5 * (im_max - im_min),
+            quadrature_nodes=64,
+            probe_columns=min(24, space.dof_count),
+        )
+        rng = np.random.default_rng(cfg.seed)
+        return solve_contour(self.t, contour, rng, formulation="ls", space=space), None
 
 
-def _interior_breakpoints(medium: MediumProfile, lo: float, hi: float) -> list[float]:
-    return [b for b in medium.breakpoints if lo < b < hi]
-
-
-def _solve_stage(cfg: RunConfig, medium: MediumProfile):
-    """Assemble and solve; returns (pairs sorted fourth-quadrant, dofs, pencil size)."""
-    if cfg.formulation == "dtn":
-        mesh = build_mesh((-cfg.d, cfg.d), _interior_breakpoints(medium, -cfg.d, cfg.d),
-                          cfg.initial_cell_size, cfg.refinements)
-        space = build_space(mesh, cfg.degree, BoundaryCondition.NONE)
-        mats = assemble_dtn(space, medium)
-        pairs, diag = solve_dtn(mats, return_diagnostics=True)
-        return canonical_fourth_quadrant(pairs), space.dof_count, diag.pencil_size
-
+def discretize(cfg: RunConfig) -> Discretization:
+    """The medium, reference set and, for dtn and pml, the mesh and matrices of a run."""
+    medium = medium_for(cfg)
+    reference = reference_for(cfg, medium)
+    if cfg.formulation == "ls":
+        return Discretization(cfg, medium, None, None, None, reference)
     if cfg.formulation == "pml":
-        pml = _pml_config(cfg, medium)
-        extra = [-cfg.x_c, -cfg.d, cfg.d, cfg.x_c]
-        bps = sorted(set(_interior_breakpoints(medium, -cfg.ell, cfg.ell) + extra))
-        mesh = build_mesh((-cfg.ell, cfg.ell), bps, cfg.initial_cell_size, cfg.refinements)
-        space = build_space(mesh, cfg.degree, BoundaryCondition.DIRICHLET_BOTH_ENDS)
-        mats = assemble_pml(space, medium, StretchFunction(pml))
-        pairs, diag = solve_pml(mats, return_diagnostics=True)
-        return canonical_fourth_quadrant(pairs), space.dof_count, diag.pencil_size
+        pml = PmlConfig(a=medium.resonator_halfwidth, d=cfg.d, x_c=cfg.x_c,
+                        ell=cfg.ell, sigma0=cfg.sigma0)
+        half, bc = cfg.ell, BoundaryCondition.DIRICHLET_BOTH_ENDS
+        extra = (-cfg.x_c, -cfg.d, cfg.d, cfg.x_c)
+    else:
+        pml, half, bc, extra = None, cfg.d, BoundaryCondition.NONE, ()
+    bps = [b for b in medium.breakpoints + extra if -half < b < half]
+    mesh = build_mesh((-half, half), bps, cfg.initial_cell_size, cfg.refinements)
+    space = build_space(mesh, cfg.degree, bc)
+    if pml is None:
+        return Discretization(cfg, medium, None, None, assemble_dtn(space, medium), reference)
+    return Discretization(cfg, medium, pml, critical_angle(pml),
+                          assemble_pml(space, medium, pml), reference)
 
-    # ls: contour solve on the ellipse inscribed in the requested window
-    if cfg.window is None:
-        raise ValueError("the ls formulation needs --window to place its contour")
-    ctx = build_ls_context(medium, cfg.degree, cfg.initial_cell_size, cfg.refinements)
-    re_min, re_max, im_min, im_max = cfg.window
-    contour = ContourConfig(
-        center=complex(0.5 * (re_min + re_max), 0.5 * (im_min + im_max)),
-        radius=0.5 * (re_max - re_min),
-        radius_im=0.5 * (im_max - im_min),
-        quadrature_nodes=64,
-        probe_columns=min(24, ctx.space.dof_count),
-    )
-    rng = np.random.default_rng(cfg.seed)
-    pairs = solve_contour(lambda z: collocation_matrix(ctx, z), contour, rng,
-                          formulation="ls", space=ctx.space)
-    return pairs, ctx.space.dof_count, None
+
+def _stage(name: str, fn, *args):
+    """fn(*args), with any failure raised as a PipelineStageError of stage ``name``."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        raise PipelineStageError(name, exc) from exc
 
 
 def _window_stage(cfg: RunConfig, pairs):
@@ -218,9 +278,8 @@ def _window_stage(cfg: RunConfig, pairs):
             if re_min <= p.k.real <= re_max and im_min <= p.k.imag <= im_max]
 
 
-def _filter_stage(cfg: RunConfig, medium: MediumProfile, pairs) -> list[FilterReport]:
-    ctx = build_ls_context(medium, cfg.degree, cfg.initial_cell_size, cfg.refinements)
-    angle = critical_angle(_pml_config(cfg, medium)) if cfg.formulation == "pml" else None
+def _filter_stage(disc: Discretization, pairs) -> list[FilterReport]:
+    ctx, angle = disc.ls_context, disc.critical_angle
     reports = []
     for pair in pairs:
         try:
@@ -233,49 +292,52 @@ def _filter_stage(cfg: RunConfig, medium: MediumProfile, pairs) -> list[FilterRe
     return reports
 
 
+def _report_stage(disc: Discretization, pairs, reports) -> list[ReportRow]:
+    rows = []
+    for j, pair in enumerate(pairs):
+        eps = reports[j].epsilon if reports else None
+        feasible = reports[j].feasible if reports else True
+        if disc.reference is not None:
+            idx, dist = disc.reference.nearest(pair.k)
+        else:
+            idx, dist = None, None
+        rows.append(ReportRow(index=j, k=pair.k, epsilon=eps, feasible=feasible,
+                              ref_index=idx, ref_distance=dist))
+    return rows
+
+
+def _grid_stage(disc: Discretization) -> PseudospectrumGrid:
+    cfg = disc.config
+    if cfg.window is None or cfg.pseudo_resolution is None:
+        raise ValueError("pseudospectrum needs both --window and --pseudo")
+    return pseudospectrum(disc.t, cfg.window, cfg.pseudo_resolution, cfg.formulation)
+
+
 def run_pipeline(cfg: RunConfig) -> RunReport:
-    """assemble -> solve -> window -> filter -> match against references."""
+    """discretize -> solve -> window -> filter -> match references -> s_min grid.
+
+    The grid stage runs only when ``cfg.pseudo_resolution`` is set.
+    """
     start = time.perf_counter()
-    try:
-        medium = medium_for(cfg)
-        reference = reference_for(cfg, medium)
-    except Exception as exc:
-        raise PipelineStageError("setup", exc) from exc
-    try:
-        pairs, dofs, pencil = _solve_stage(cfg, medium)
-    except Exception as exc:
-        raise PipelineStageError("solve", exc) from exc
-    try:
-        pairs = _window_stage(cfg, pairs)
-    except Exception as exc:
-        raise PipelineStageError("window", exc) from exc
-    try:
-        reports = _filter_stage(cfg, medium, pairs) if cfg.apply_filter else None
-    except Exception as exc:
-        raise PipelineStageError("filter", exc) from exc
-    try:
-        rows = []
-        for j, pair in enumerate(pairs):
-            eps = reports[j].epsilon if reports else None
-            feasible = reports[j].feasible if reports else True
-            if reference is not None:
-                idx, dist = reference.nearest(pair.k)
-            else:
-                idx, dist = None, None
-            rows.append(ReportRow(index=j, k=pair.k, epsilon=eps, feasible=feasible,
-                                  ref_index=idx, ref_distance=dist))
-    except Exception as exc:
-        raise PipelineStageError("report", exc) from exc
-    return RunReport(config=cfg, rows=tuple(rows), dof_count=dofs, pencil_size=pencil,
-                     elapsed_seconds=time.perf_counter() - start)
+    disc = _stage("setup", discretize, cfg)
+    pairs, pencil = _stage("solve", disc.solve)
+    pairs = _stage("window", _window_stage, cfg, pairs)
+    reports = _stage("filter", _filter_stage, disc, pairs) if cfg.apply_filter else None
+    rows = _stage("report", _report_stage, disc, pairs, reports)
+    grid = (_stage("pseudospectrum", _grid_stage, disc)
+            if cfg.pseudo_resolution is not None else None)
+    return RunReport(config=cfg, rows=tuple(rows), dof_count=disc.space.dof_count,
+                     pencil_size=pencil, elapsed_seconds=time.perf_counter() - start,
+                     grid=grid)
 
 
 def _fmt(value) -> str:
-    return "" if value is None else f"{value:.12g}"
+    # adding 0.0 turns -0.0 into 0.0, so a signed zero is written as 0
+    return "" if value is None else f"{value + 0.0:.12g}"
 
 
-def emit_outputs(report: RunReport, grid=None) -> list[str]:
-    """Write eigenvalues.csv, run.json, and optionally pseudospectrum.csv.
+def emit_outputs(report: RunReport) -> list[str]:
+    """Write eigenvalues.csv, run.json, and pseudospectrum.csv when the report has a grid.
 
     CSV content is a pure function of config + seed, byte-identical across
     runs; timing stays out of every emitted file for that reason.
@@ -312,9 +374,9 @@ def emit_outputs(report: RunReport, grid=None) -> list[str]:
         fh.write("\n")
     written.append(path)
 
-    if grid is not None:
+    if report.grid is not None:
         path = os.path.join(cfg.out_dir, "pseudospectrum.csv")
-        write_grid_csv(grid, path, parameters=cfg.to_json_dict())
+        write_grid_csv(report.grid, path, parameters=cfg.to_json_dict())
         written.append(path)
     return written
 
@@ -325,29 +387,6 @@ def load_config(path: str) -> RunConfig:
     if "config" in data and isinstance(data["config"], dict):
         data = data["config"]  # accept a previously emitted run.json
     return RunConfig.from_json_dict(data)
-
-
-def _compute_grid(cfg: RunConfig):
-    """Pseudospectrum grid for the configured formulation over cfg.window."""
-    if cfg.window is None or cfg.pseudo_resolution is None:
-        raise ValueError("pseudospectrum needs both --window and --pseudo")
-    medium = medium_for(cfg)
-    if cfg.formulation == "ls":
-        ctx = build_ls_context(medium, cfg.degree, cfg.initial_cell_size, cfg.refinements)
-        return pseudospectrum("ls", cfg.window, cfg.pseudo_resolution, ls_ctx=ctx)
-    if cfg.formulation == "dtn":
-        mesh = build_mesh((-cfg.d, cfg.d), _interior_breakpoints(medium, -cfg.d, cfg.d),
-                          cfg.initial_cell_size, cfg.refinements)
-        space = build_space(mesh, cfg.degree, BoundaryCondition.NONE)
-        return pseudospectrum("dtn", cfg.window, cfg.pseudo_resolution,
-                              dtn_mats=assemble_dtn(space, medium))
-    pml = _pml_config(cfg, medium)
-    extra = [-cfg.x_c, -cfg.d, cfg.d, cfg.x_c]
-    bps = sorted(set(_interior_breakpoints(medium, -cfg.ell, cfg.ell) + extra))
-    mesh = build_mesh((-cfg.ell, cfg.ell), bps, cfg.initial_cell_size, cfg.refinements)
-    space = build_space(mesh, cfg.degree, BoundaryCondition.DIRICHLET_BOTH_ENDS)
-    return pseudospectrum("pml", cfg.window, cfg.pseudo_resolution,
-                          pml_mats=assemble_pml(space, medium, StretchFunction(pml)))
 
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
@@ -417,10 +456,8 @@ def _print_report(report: RunReport, threshold: float | None = None) -> None:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    cfg = build_config(args)
-    report = run_pipeline(cfg)
-    grid = _compute_grid(cfg) if cfg.pseudo_resolution is not None else None
-    for path in emit_outputs(report, grid):
+    report = run_pipeline(build_config(args))
+    for path in emit_outputs(report):
         print(f"wrote {path}")
     _print_report(report)
     return 0
@@ -438,7 +475,8 @@ def _cmd_pseudospectrum(args: argparse.Namespace) -> int:
     import os
 
     cfg = build_config(args)
-    grid = _compute_grid(cfg)
+    disc = _stage("setup", discretize, cfg)
+    grid = _stage("pseudospectrum", _grid_stage, disc)
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "pseudospectrum.csv")
     write_grid_csv(grid, path, parameters=cfg.to_json_dict())
@@ -487,7 +525,7 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
 
     def error_at(degree: int, refinements: int) -> float:
         sub = dataclasses.replace(cfg, degree=degree, refinements=refinements,
-                                  apply_filter=False)
+                                  apply_filter=False, pseudo_resolution=None)
         report = run_pipeline(sub)
         if not report.rows:
             return float("nan")

@@ -98,7 +98,7 @@ class SolveDiagnostics:
     dropped_huge: int
 
 
-def solve_dtn(mats, return_diagnostics: bool = False):
+def solve_dtn(mats) -> tuple[list[EigenPair], SolveDiagnostics]:
     """All finite eigenpairs of the companion pencil of the quadratic problem.
 
     The pencil is [[A, E], [0, I]] z = lambda [[0, -M], [I, 0]] z, whose first
@@ -106,7 +106,8 @@ def solve_dtn(mats, return_diagnostics: bool = False):
     (A + lambda E + lambda^2 M) xi = 0.  The parameter is lambda = -ik, so
     eigenvalues map back through k = i lambda; the xi block of each eigenvector
     is kept.  Both members of every {k, -conj k} pair are returned; see
-    ``canonical_fourth_quadrant`` for the reduction.
+    ``canonical_fourth_quadrant`` for the reduction.  Returned with the
+    pencil's :class:`SolveDiagnostics`.
     """
     n = mats.a.shape[0]
     zero = np.zeros((n, n))
@@ -126,17 +127,16 @@ def solve_dtn(mats, return_diagnostics: bool = False):
         pairs.append(EigenPair(k=complex(1j * lam_j), vector=xi, formulation="dtn",
                                lambda_raw=complex(lam_j), space=mats.space))
     pairs.sort(key=lambda pr: (pr.k.real, pr.k.imag))
-    if return_diagnostics:
-        return pairs, SolveDiagnostics(pencil_size=2 * n, dropped_huge=int(np.sum(~finite)))
-    return pairs
+    return pairs, SolveDiagnostics(pencil_size=2 * n, dropped_huge=int(np.sum(~finite)))
 
 
-def solve_pml(mats, return_diagnostics: bool = False):
+def solve_pml(mats) -> tuple[list[EigenPair], SolveDiagnostics]:
     """All eigenpairs of At xi = lambda Mt xi with k the principal sqrt of lambda.
 
     Principal square roots land in the closed right half plane; roots with
     Im k > 0 are replaced by conj(sqrt(lambda)) so every reported k lies in the
     closed fourth quadrant, while ``lambda_raw`` keeps the pencil eigenvalue.
+    Returned with the pencil's :class:`SolveDiagnostics`.
     """
     try:
         lam, vecs = scipy.linalg.eig(mats.a_tilde, mats.m_tilde)
@@ -152,10 +152,8 @@ def solve_pml(mats, return_diagnostics: bool = False):
         pairs.append(EigenPair(k=complex(k), vector=vec, formulation="pml",
                                lambda_raw=complex(lam_j), space=mats.space))
     pairs.sort(key=lambda pr: (pr.k.real, pr.k.imag))
-    if return_diagnostics:
-        return pairs, SolveDiagnostics(pencil_size=mats.a_tilde.shape[0],
-                                       dropped_huge=int(np.sum(~finite)))
-    return pairs
+    return pairs, SolveDiagnostics(pencil_size=mats.a_tilde.shape[0],
+                                   dropped_huge=int(np.sum(~finite)))
 
 
 def canonical_fourth_quadrant(pairs, merge_tol: float = 1e-9):

@@ -208,38 +208,22 @@ def filter_epsilon(ctx: LsContext, pair: EigenPair,
     return FilterReport(k=pair.k, epsilon=eps, feasible=feasible, formulation=pair.formulation)
 
 
-def pseudospectrum(formulation: str, region: tuple[float, float, float, float],
-                   resolution: tuple[int, int], *, ls_ctx: LsContext | None = None,
-                   dtn_mats=None, pml_mats=None) -> PseudospectrumGrid:
-    """s_min of the formulation's matrix function on a rectangular k-grid.
+def pseudospectrum(t, region: tuple[float, float, float, float],
+                   resolution: tuple[int, int], formulation: str) -> PseudospectrumGrid:
+    """s_min(t(k)) on a rectangular k-grid for a matrix function ``t``.
 
-    ls:  s_min(T(z));  dtn: s_min(A + lambda E + lambda^2 M) at lambda = -iz;
-    pml: s_min(At - z^2 Mt).  Values are absolute (no relative rescaling);
-    grid traversal is row-major over (ny, nx) and bit-reproducible.
+    ``formulation`` names the origin of ``t`` for the grid's record.  Values
+    are absolute (no relative rescaling); grid traversal is row-major over
+    (ny, nx) and bit-reproducible.
     """
     re_min, re_max, im_min, im_max = map(float, region)
     nx, ny = map(int, resolution)
     if nx < 1 or ny < 1:
         raise ValueError("resolution must be positive")
-    if formulation == "ls":
-        if ls_ctx is None:
-            raise ValueError("ls pseudospectrum needs ls_ctx")
-        matrix_at = lambda z: collocation_matrix(ls_ctx, z)
-    elif formulation == "dtn":
-        if dtn_mats is None:
-            raise ValueError("dtn pseudospectrum needs dtn_mats")
-        matrix_at = lambda z: (dtn_mats.a + (-1j * z) * dtn_mats.e
-                               + (-1j * z) ** 2 * dtn_mats.m)
-    elif formulation == "pml":
-        if pml_mats is None:
-            raise ValueError("pml pseudospectrum needs pml_mats")
-        matrix_at = lambda z: pml_mats.a_tilde - z**2 * pml_mats.m_tilde
-    else:
-        raise ValueError(f"unknown formulation {formulation!r}")
     values = np.empty((ny, nx))
     for iy, im in enumerate(np.linspace(im_min, im_max, ny)):
         for ix, re in enumerate(np.linspace(re_min, re_max, nx)):
-            values[iy, ix] = smallest_singular_value(matrix_at(complex(re, im)))
+            values[iy, ix] = smallest_singular_value(t(complex(re, im)))
     return PseudospectrumGrid(re_min=re_min, re_max=re_max, im_min=im_min, im_max=im_max,
                               nx=nx, ny=ny, values=values, formulation=formulation)
 

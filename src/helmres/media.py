@@ -156,20 +156,3 @@ def critical_angle(cfg: PmlConfig, n0: float = 1.0) -> float:
     del n0
     return -math.atan(cfg.sigma_ell)
 
-
-@dataclass(frozen=True, eq=False)
-class StretchFunction:
-    """sigma(x) and alpha(x) = 1 + i sigma(x) for a given PML configuration."""
-
-    cfg: PmlConfig
-
-    def sigma(self, x) -> np.ndarray:
-        return sigma_eval(self.cfg, x)
-
-    def alpha(self, x) -> np.ndarray:
-        return 1.0 + 1j * np.asarray(self.sigma(x))
-
-    @property
-    def ramp_interval(self) -> tuple[float, float]:
-        """The |x| interval (d, x_c) where sigma varies."""
-        return (self.cfg.d, self.cfg.x_c)

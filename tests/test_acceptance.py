@@ -11,13 +11,12 @@ import warnings
 
 import numpy as np
 
-from helmres import (BoundaryCondition, ContourConfig, PmlConfig,
-                     StretchFunction, air_filled_cavity_profile, assemble_dtn,
-                     assemble_pml, build_ls_context, build_mesh, build_space,
-                     bump_profile, canonical_fourth_quadrant, collocation_matrix,
-                     critical_angle, filter_epsilon, pseudospectrum,
+from helmres import (BoundaryCondition, ContourConfig, air_filled_cavity_profile,
+                     assemble_dtn, build_ls_context, build_mesh, build_space,
+                     collocation_matrix, filter_epsilon, pseudospectrum,
                      reference_table, slab_dtn_eigenvalues, slab_pml_eigenvalues,
-                     slab_profile, solve_contour, solve_dtn, solve_pml)
+                     slab_profile, solve_contour, solve_dtn)
+from helmres.cli import RunConfig, discretize
 
 _CAVITY = air_filled_cavity_profile(1.5, math.sqrt(3.5), math.sqrt(2.5))
 _CAVITY_TABLE = reference_table("air_cavity").values
@@ -30,24 +29,11 @@ def _verdict(num: int, label: str, ok: bool, detail: str) -> None:
     assert ok, f"{label}: {detail}"
 
 
-def _dtn_pairs(medium, degree, h, d, refinements=0):
-    bps = [b for b in medium.breakpoints if -d < b < d]
-    mesh = build_mesh((-d, d), bps, h, refinements)
-    space = build_space(mesh, degree, BoundaryCondition.NONE)
-    return canonical_fourth_quadrant(solve_dtn(assemble_dtn(space, medium))), space
-
-
-def _pml_pairs(medium, cfg, degree, h):
-    bps = sorted(set(list(medium.breakpoints) + [-cfg.x_c, -cfg.d, cfg.d, cfg.x_c]))
-    mesh = build_mesh((-cfg.ell, cfg.ell), [b for b in bps if -cfg.ell < b < cfg.ell], h)
-    space = build_space(mesh, degree, BoundaryCondition.DIRICHLET_BOTH_ENDS)
-    return canonical_fourth_quadrant(
-        solve_pml(assemble_pml(space, medium, StretchFunction(cfg)))), space
-
-
 def test_1_cavity_spectrum_recovered_after_filtering():
-    pairs, space = _dtn_pairs(_CAVITY, 20, 0.125, 2.0)
-    assert space.dof_count == 641
+    disc = discretize(RunConfig(problem="air_cavity", formulation="dtn", degree=20,
+                                initial_cell_size=0.125, d=2.0))
+    pairs, _ = disc.solve()
+    assert disc.space.dof_count == 641
     windowed = [p for p in pairs if 0 <= p.k.real <= 13.5 and -2 <= p.k.imag <= 0]
     ctx = build_ls_context(_CAVITY, 20, 0.125)
     kept = np.array([p.k for p in windowed
@@ -58,8 +44,10 @@ def test_1_cavity_spectrum_recovered_after_filtering():
 
 
 def test_2_bump_spectrum_recovered():
-    pairs, space = _dtn_pairs(bump_profile(), 20, 0.125, 1.5)
-    assert space.dof_count == 481
+    disc = discretize(RunConfig(problem="bump", formulation="dtn", degree=20,
+                                initial_cell_size=0.125, d=1.5))
+    pairs, _ = disc.solve()
+    assert disc.space.dof_count == 481
     ks = np.array([p.k for p in pairs])
     worst = max(np.abs(ks - t).min() for t in reference_table("bump").values)
     _verdict(2, "bump eigenvalues within 1e-7 of the reference set",
@@ -69,7 +57,9 @@ def test_2_bump_spectrum_recovered():
 def test_3_slab_error_decays_under_p_refinement():
     errors = {m: [] for m in range(6)}
     for degree in range(2, 13):
-        ks = np.array([p.k for p in _dtn_pairs(_SLAB, degree, 0.5, 1.0)[0]])
+        pairs, _ = discretize(RunConfig(problem="slab", formulation="dtn", degree=degree,
+                                        initial_cell_size=0.5, d=1.0)).solve()
+        ks = np.array([p.k for p in pairs])
         for m in range(6):
             errors[m].append(np.abs(ks - _SLAB_REFS[m]).min())
     factors = []
@@ -91,8 +81,10 @@ def test_4_slab_h_refinement_order_is_twice_the_degree():
     for degree in (1, 2, 3):
         errs = []
         for level in range(4):
-            ks = np.array([p.k for p in
-                           _dtn_pairs(_SLAB, degree, 0.5, 1.0, refinements=level)[0]])
+            pairs, _ = discretize(RunConfig(problem="slab", formulation="dtn",
+                                            degree=degree, initial_cell_size=0.5, d=1.0,
+                                            refinements=level)).solve()
+            ks = np.array([p.k for p in pairs])
             errs.append(np.abs(ks - _SLAB_REFS[1]).min())
         orders[degree] = math.log2(errs[0] / errs[3]) / 3.0
     ok = all(abs(orders[p] - 2 * p) <= 0.3 for p in orders)
@@ -101,10 +93,11 @@ def test_4_slab_h_refinement_order_is_twice_the_degree():
 
 
 def test_5_absorbing_layer_artifacts_found_flagged_and_absent_from_dtn():
-    cfg = PmlConfig(a=1.0, d=2.0, x_c=3.0, ell=5.0, sigma0=5.0)
-    medium = slab_profile(1.0, 1.0)
-    family = slab_pml_eigenvalues(1.0, cfg, m_max=3).values
-    pml_pairs, _ = _pml_pairs(medium, cfg, 10, 0.5)
+    common = dict(problem="slab", eta=1.0, degree=10, initial_cell_size=0.5, d=2.0)
+    disc = discretize(RunConfig(formulation="pml", x_c=3.0, ell=5.0, sigma0=5.0, **common))
+    medium = disc.medium
+    family = slab_pml_eigenvalues(1.0, disc.pml, m_max=3).values
+    pml_pairs, _ = disc.solve()
 
     matches = []
     for target in family:
@@ -115,7 +108,7 @@ def test_5_absorbing_layer_artifacts_found_flagged_and_absent_from_dtn():
     ctx = build_ls_context(medium, 10, 0.5)
     eps_min = min(filter_epsilon(ctx, pair).epsilon for _, pair in matches)
 
-    dtn_pairs, _ = _dtn_pairs(medium, 10, 0.5, 2.0)
+    dtn_pairs, _ = discretize(RunConfig(formulation="dtn", **common)).solve()
     nontrivial = np.array([p.k for p in dtn_pairs if abs(p.k) > 1e-8])
     gap = min(np.abs(nontrivial - target).min() for target in family)
 
@@ -126,9 +119,11 @@ def test_5_absorbing_layer_artifacts_found_flagged_and_absent_from_dtn():
 
 
 def test_6_filter_separates_true_modes_from_spurious_by_an_order_of_magnitude():
-    cfg = PmlConfig(a=1.5, d=2.0, x_c=3.0, ell=5.0, sigma0=5.0)
-    pairs, _ = _pml_pairs(_CAVITY, cfg, 10, 0.5)
-    angle = critical_angle(cfg)
+    disc = discretize(RunConfig(problem="air_cavity", formulation="pml", degree=10,
+                                initial_cell_size=0.5, d=2.0, x_c=3.0, ell=5.0,
+                                sigma0=5.0))
+    pairs, _ = disc.solve()
+    angle = disc.critical_angle
     ctx = build_ls_context(_CAVITY, 10, 0.5)
     near, far = [], []
     for pair in pairs:
@@ -172,8 +167,9 @@ def test_7_contour_solver_returns_exact_eigenvalue_counts():
 
 
 def test_8_resolvent_grid_dips_only_at_eigenvalues():
-    ctx = build_ls_context(_CAVITY, 8, 0.25)
-    grid = pseudospectrum("ls", (0.0, 8.0, -1.2, 0.0), (81, 60), ls_ctx=ctx)
+    disc = discretize(RunConfig(problem="air_cavity", formulation="ls", degree=8,
+                                initial_cell_size=0.25))
+    grid = pseudospectrum(disc.t, (0.0, 8.0, -1.2, 0.0), (81, 60), "ls")
     re, im = np.meshgrid(grid.re_points, grid.im_points)
     dist = np.min(np.abs((re + 1j * im)[..., None] - _CAVITY_TABLE[None, None, :]),
                   axis=2)
@@ -197,7 +193,7 @@ def test_9_property_suites_run_in_under_a_minute(tmp_path):
     mats = assemble_dtn(space, _SLAB)
     scale = (np.linalg.norm(mats.a) + np.linalg.norm(mats.e) + np.linalg.norm(mats.m))
     residual_ok = True
-    for pair in solve_dtn(mats):
+    for pair in solve_dtn(mats)[0]:
         lam = pair.lambda_raw
         r = (mats.a + lam * mats.e + lam**2 * mats.m) @ pair.vector
         bound = 1e-10 * (np.linalg.norm(mats.a) + abs(lam) * np.linalg.norm(mats.e)

@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helmres import (BoundaryCondition, PmlConfig, StretchFunction,
-                     air_filled_cavity_profile, assemble_dtn, assemble_pml,
-                     assemble_resonator_mass, build_mesh, build_space,
-                     bump_profile, slab_profile)
-from helmres.assembly import write_matrix_txt
+from helmres import (BoundaryCondition, PmlConfig, air_filled_cavity_profile,
+                     assemble_dtn, assemble_pml, assemble_resonator_mass,
+                     build_mesh, build_space, bump_profile, slab_profile)
 
 
 def _space(domain, breakpoints, h, p, bc=BoundaryCondition.NONE):
@@ -86,7 +84,7 @@ _PML_BPS = [-3.0, -2.0, -1.0, 1.0, 2.0, 3.0]
 def test_pml_matrices_complex_symmetric():
     med = slab_profile(2.0, 1.0)
     space = _space((-5, 5), _PML_BPS, 0.5, 3, BoundaryCondition.DIRICHLET_BOTH_ENDS)
-    mats = assemble_pml(space, med, StretchFunction(_PML))
+    mats = assemble_pml(space, med, _PML)
     np.testing.assert_allclose(mats.a_tilde, mats.a_tilde.T, atol=1e-14)
     np.testing.assert_allclose(mats.m_tilde, mats.m_tilde.T, atol=1e-14)
 
@@ -95,7 +93,7 @@ def test_pml_reduces_to_laplacian_for_vanishing_absorption():
     weak = PmlConfig(a=1.0, d=2.0, x_c=3.0, ell=5.0, sigma0=1e-300)
     med = slab_profile(1.0, 1.0)
     space = _space((-5, 5), _PML_BPS, 0.5, 4, BoundaryCondition.DIRICHLET_BOTH_ENDS)
-    mats = assemble_pml(space, med, StretchFunction(weak))
+    mats = assemble_pml(space, med, weak)
     assert np.abs(mats.a_tilde.imag).max() <= 1e-250
     assert np.abs(mats.m_tilde.imag).max() <= 1e-250
     lam = np.sort(scipy.linalg.eigvals(mats.a_tilde.real, mats.m_tilde.real).real)
@@ -109,8 +107,8 @@ def test_pml_plateau_scaling():
     med = slab_profile(1.0, 1.0)
     space = _space((-5, 5), _PML_BPS, 0.5, 4, BoundaryCondition.DIRICHLET_BOTH_ENDS)
     flat = PmlConfig(a=1.0, d=2.0, x_c=3.0, ell=5.0, sigma0=1e-300)
-    stretched = assemble_pml(space, med, StretchFunction(_PML))
-    plain = assemble_pml(space, med, StretchFunction(flat))
+    stretched = assemble_pml(space, med, _PML)
+    plain = assemble_pml(space, med, flat)
     last = space.mesh.n_cells - 1  # (4.5, 5), fully beyond x_c
     interior = space.cell_dofs(last)[1:-1]
     ix = np.ix_(interior, interior)
@@ -124,10 +122,10 @@ def test_pml_plateau_scaling():
 def test_pml_rejections():
     med = slab_profile(2.0, 1.0)
     with pytest.raises(ValueError, match="Dirichlet"):
-        assemble_pml(_space((-5, 5), _PML_BPS, 0.5, 2), med, StretchFunction(_PML))
+        assemble_pml(_space((-5, 5), _PML_BPS, 0.5, 2), med, _PML)
     with pytest.raises(ValueError, match="aligned"):
         bad = _space((-5, 5), [-1.0, 1.0], 0.4, 2, BoundaryCondition.DIRICHLET_BOTH_ENDS)
-        assemble_pml(bad, med, StretchFunction(_PML))
+        assemble_pml(bad, med, _PML)
 
 
 def test_resonator_mass_single_element():
@@ -143,15 +141,3 @@ def test_resonator_mass_spd_and_total():
     assert mass.m.sum() == pytest.approx(3.0, rel=1e-13)
     np.linalg.cholesky(mass.m)  # SPD witness
 
-
-def test_matrix_dump_format(tmp_path):
-    space = _space((-0.5, 0.5), [], 1.0, 1)
-    mats = assemble_dtn(space, slab_profile(1.0, 0.5))
-    path = tmp_path / "a.txt"
-    write_matrix_txt(path, mats.a)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == 4
-    row, col, re, im = lines[1].split()
-    assert (int(row), int(col)) == (0, 1)
-    assert float(re) == pytest.approx(-1.0)
-    assert float(im) == 0.0

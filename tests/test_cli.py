@@ -32,6 +32,8 @@ def test_config_validation():
         RunConfig(problem="slab", formulation="dtn", pseudo_resolution=(0, 2))
     with pytest.raises(ValueError, match="epsilon_threshold"):
         RunConfig(problem="slab", formulation="dtn", epsilon_threshold=0.0)
+    with pytest.raises(ValueError, match="eta"):
+        RunConfig(problem="bump", formulation="dtn", eta=3.0)
 
 
 def test_config_json_round_trip():
@@ -75,6 +77,26 @@ def test_cavity_pipeline_matches_reference():
     assert all(row.epsilon < 1e-2 for row in report.rows)
 
 
+def test_air_cavity_reference_only_at_the_tabulated_eta():
+    cfg = RunConfig(problem="air_cavity", formulation="dtn", degree=4, initial_cell_size=0.5,
+                    d=2.0, eta=2.0, window=(0.0, 4.0, -2.0, 0.0), apply_filter=False)
+    report = run_pipeline(cfg)
+    assert report.rows
+    assert all(row.ref_index is None and row.ref_distance is None for row in report.rows)
+
+
+def test_signed_zero_is_written_as_zero(tmp_path):
+    # the purely imaginary resonance comes out of the pencil with Re k = -0.0
+    cfg = RunConfig(problem="air_cavity", formulation="dtn", degree=4, initial_cell_size=0.5,
+                    d=2.0, window=(0.0, 4.0, -2.0, 0.0), apply_filter=False,
+                    out_dir=str(tmp_path))
+    emit_outputs(run_pipeline(cfg))
+    lines = (tmp_path / "eigenvalues.csv").read_text().strip().splitlines()
+    fields = [f for line in lines[1:] for f in line.split(",")]
+    assert "0" in fields[1::7]
+    assert "-0" not in fields
+
+
 def test_outputs_are_deterministic(tmp_path):
     base = RunConfig(problem="slab", formulation="ls", degree=6,
                      initial_cell_size=0.25, window=(0.4, 1.2, -0.5, -0.05),
@@ -82,9 +104,7 @@ def test_outputs_are_deterministic(tmp_path):
     texts = []
     for sub in ("a", "b"):
         cfg = dataclasses.replace(base, out_dir=str(tmp_path / sub))
-        report = run_pipeline(cfg)
-        from helmres.cli import _compute_grid
-        emit_outputs(report, _compute_grid(cfg))
+        emit_outputs(run_pipeline(cfg))
         texts.append(((tmp_path / sub / "eigenvalues.csv").read_bytes(),
                       (tmp_path / sub / "pseudospectrum.csv").read_bytes()))
     assert texts[0] == texts[1]
@@ -173,6 +193,14 @@ def test_main_reference_emits_tables(tmp_path, capsys):
     assert len(payload["entries"]) == 16
 
 
+def test_main_reference_rejects_eta_without_reference(tmp_path):
+    with pytest.raises(SystemExit) as info:
+        main(["reference", "--problem", "air_cavity", "--formulation", "dtn",
+              "--eta", "2", "--out", str(tmp_path)])
+    assert info.value.code not in (0, None)
+    assert not (tmp_path / "reference.csv").exists()
+
+
 def test_main_pseudospectrum_writes_grid(tmp_path):
     rc = main(["pseudospectrum", "--problem", "slab", "--formulation", "dtn",
                "--p", "2", "--h", "0.5", "--d", "1",
@@ -199,6 +227,17 @@ def test_main_rejects_ls_without_window(capsys):
                "--p", "3", "--h", "0.5"])
     assert rc == 1
     assert "pipeline stage 'solve' failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, grid_flags", [
+    ("solve", ["--pseudo", "3", "3"]),   # a grid without --window
+    ("pseudospectrum", []),              # a grid without --window or --pseudo
+])
+def test_main_grid_errors_are_stage_errors(tmp_path, capsys, command, grid_flags):
+    rc = main([command, "--problem", "slab", "--formulation", "dtn", "--p", "2",
+               "--h", "0.5", "--d", "1", *grid_flags, "--out", str(tmp_path)])
+    assert rc == 1
+    assert "pipeline stage 'pseudospectrum' failed" in capsys.readouterr().err
 
 
 def test_main_requires_problem_and_formulation():

@@ -9,7 +9,7 @@ import scipy.linalg
 
 from helmres import (BoundaryCondition, ContourConfig, EigenPair,
                      NewtonConvergenceError, PmlConfig, ProbeTooSmallError,
-                     StretchFunction, assemble_dtn, assemble_pml, build_ls_context,
+                     assemble_dtn, assemble_pml, build_ls_context,
                      build_mesh, build_space, canonical_fourth_quadrant,
                      collocation_matrix, newton_root, slab_dtn_eigenvalues,
                      slab_profile, smallest_singular_value, solve_contour,
@@ -48,7 +48,7 @@ def test_contour_config_validation():
 
 def test_quadratic_pencil_residuals():
     mats = _slab_dtn_mats(4, 0.5)
-    pairs = solve_dtn(mats)
+    pairs, _ = solve_dtn(mats)
     assert pairs
     na = np.linalg.norm(mats.a, 2)
     ne = np.linalg.norm(mats.e, 2)
@@ -61,14 +61,14 @@ def test_quadratic_pencil_residuals():
 
 def test_pencil_eigenvalue_count():
     mats = _slab_dtn_mats(3, 0.5)
-    pairs, diag = solve_dtn(mats, return_diagnostics=True)
+    pairs, diag = solve_dtn(mats)
     n = mats.a.shape[0]
     assert diag.pencil_size == 2 * n
     assert len(pairs) + diag.dropped_huge == 2 * n
 
 
 def test_spectrum_symmetric_about_imaginary_axis():
-    pairs = solve_dtn(_slab_dtn_mats(4, 0.5))
+    pairs, _ = solve_dtn(_slab_dtn_mats(4, 0.5))
     ks = np.array([pr.k for pr in pairs])
     for k in ks:
         if abs(k.real) < 1e-6:
@@ -78,14 +78,14 @@ def test_spectrum_symmetric_about_imaginary_axis():
 
 
 def test_slab_eigenvalue_high_order():
-    pairs = canonical_fourth_quadrant(solve_dtn(_slab_dtn_mats(10, 0.125)))
+    pairs = canonical_fourth_quadrant(solve_dtn(_slab_dtn_mats(10, 0.125))[0])
     ks = np.array([pr.k for pr in pairs])
     assert np.min(np.abs(ks - K1)) < 1e-8
 
 
 def test_canonical_fourth_quadrant():
     mats = _slab_dtn_mats(3, 0.5)
-    pairs = solve_dtn(mats)
+    pairs, _ = solve_dtn(mats)
     canon = canonical_fourth_quadrant(pairs)
     assert all(pr.k.real >= 0 for pr in canon)
     # reflection preserves the quadratic residual
@@ -103,8 +103,8 @@ def test_pml_pencil_residuals_and_count():
     cfg = PmlConfig(a=1.0, d=2.0, x_c=3.0, ell=5.0, sigma0=5.0)
     mesh = build_mesh((-5, 5), [-3, -2, -1, 1, 2, 3], 0.5)
     space = build_space(mesh, 3, BoundaryCondition.DIRICHLET_BOTH_ENDS)
-    mats = assemble_pml(space, med, StretchFunction(cfg))
-    pairs, diag = solve_pml(mats, return_diagnostics=True)
+    mats = assemble_pml(space, med, cfg)
+    pairs, diag = solve_pml(mats)
     assert diag.pencil_size == space.dof_count
     assert len(pairs) + diag.dropped_huge == space.dof_count
     na = np.linalg.norm(mats.a_tilde, 2)
@@ -121,7 +121,7 @@ def test_pml_weak_absorption_gives_dirichlet_laplacian():
     cfg = PmlConfig(a=1.0, d=2.0, x_c=3.0, ell=5.0, sigma0=1e-300)
     mesh = build_mesh((-5, 5), [-3, -2, -1, 1, 2, 3], 0.5)
     space = build_space(mesh, 4, BoundaryCondition.DIRICHLET_BOTH_ENDS)
-    pairs = solve_pml(assemble_pml(space, med, StretchFunction(cfg)))
+    pairs, _ = solve_pml(assemble_pml(space, med, cfg))
     ks = np.sort_complex(np.array([pr.k for pr in pairs]))
     exact = np.arange(1, 4) * np.pi / 10.0
     np.testing.assert_allclose(ks[:3].real, exact, rtol=1e-6)

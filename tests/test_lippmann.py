@@ -12,6 +12,7 @@ from helmres import (BoundaryCondition, ContourConfig, EigenPair, LsContext,
                      build_space, collocation_matrix, filter_epsilon,
                      pseudospectrum, slab_dtn_eigenvalues, slab_profile,
                      smallest_singular_value, solve_contour, write_grid_csv)
+from helmres.cli import RunConfig, discretize
 
 K1 = math.pi / 4 - 1j * math.log(3.0) / 4
 
@@ -133,7 +134,7 @@ def test_filter_interpolates_from_other_spaces():
     space = build_space(build_mesh((-2, 2), [-1, 1], 0.25), 6, BoundaryCondition.NONE)
     mats = assemble_dtn(space, med)
     from helmres import canonical_fourth_quadrant, solve_dtn
-    pairs = canonical_fourth_quadrant(solve_dtn(mats))
+    pairs = canonical_fourth_quadrant(solve_dtn(mats)[0])
     best = min(pairs, key=lambda pr: abs(pr.k - K1))
     ctx = build_ls_context(med, 6, 0.25)
     rep = filter_epsilon(ctx, best)
@@ -163,18 +164,17 @@ def test_filter_feasibility_side():
 
 def test_pseudospectrum_identity_for_vanishing_contrast():
     ctx = build_ls_context(slab_profile(1.0, 1.0), 3, 0.5)
-    grid = pseudospectrum("ls", (0.5, 1.5, -1.0, -0.1), (3, 3), ls_ctx=ctx)
+    grid = pseudospectrum(lambda z: collocation_matrix(ctx, z), (0.5, 1.5, -1.0, -0.1),
+                          (3, 3), "ls")
     np.testing.assert_allclose(grid.values, 1.0, rtol=1e-12)
     np.testing.assert_allclose(grid.re_points, [0.5, 1.0, 1.5])
     np.testing.assert_allclose(grid.im_points, [-1.0, -0.55, -0.1])
 
 
 def test_pseudospectrum_resolvent_grows_into_lower_half_plane():
-    med = air_filled_cavity_profile(1.5, math.sqrt(3.5), math.sqrt(2.5))
-    space = build_space(build_mesh((-2, 2), [-1.5, -1, 1, 1.5], 0.5), 6,
-                        BoundaryCondition.NONE)
-    mats = assemble_dtn(space, med)
-    grid = pseudospectrum("dtn", (2.0, 2.0, -3.0, -0.5), (1, 8), dtn_mats=mats)
+    disc = discretize(RunConfig(problem="air_cavity", formulation="dtn", degree=6,
+                                initial_cell_size=0.5, d=2.0))
+    grid = pseudospectrum(disc.t, (2.0, 2.0, -3.0, -0.5), (1, 8), "dtn")
     col = grid.values[:, 0]
     assert np.all(np.diff(col) > 0)  # s_min shrinks as Im k decreases
 
@@ -182,18 +182,13 @@ def test_pseudospectrum_resolvent_grows_into_lower_half_plane():
 def test_pseudospectrum_validation():
     ctx = build_ls_context(slab_profile(2.0, 1.0), 3, 0.5)
     with pytest.raises(ValueError):
-        pseudospectrum("ls", (0, 1, -1, 0), (0, 3), ls_ctx=ctx)
-    with pytest.raises(ValueError):
-        pseudospectrum("ls", (0, 1, -1, 0), (3, 3))
-    with pytest.raises(ValueError):
-        pseudospectrum("dtn", (0, 1, -1, 0), (3, 3))
-    with pytest.raises(ValueError):
-        pseudospectrum("bogus", (0, 1, -1, 0), (3, 3), ls_ctx=ctx)
+        pseudospectrum(lambda z: collocation_matrix(ctx, z), (0, 1, -1, 0), (0, 3), "ls")
 
 
 def test_grid_csv_and_sidecar(tmp_path):
     ctx = build_ls_context(slab_profile(2.0, 1.0), 3, 0.5)
-    grid = pseudospectrum("ls", (0.0, 1.0, -0.5, 0.0), (3, 2), ls_ctx=ctx)
+    grid = pseudospectrum(lambda z: collocation_matrix(ctx, z), (0.0, 1.0, -0.5, 0.0),
+                          (3, 2), "ls")
     path = tmp_path / "grid.csv"
     write_grid_csv(grid, path, parameters={"p": 3})
     lines = path.read_text().strip().splitlines()

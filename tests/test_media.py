@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from helmres import (PmlConfig, StretchFunction, air_filled_cavity_profile,
-                     bump_profile, critical_angle, sigma_eval, slab_profile)
+from helmres import (PmlConfig, air_filled_cavity_profile, bump_profile,
+                     critical_angle, sigma_eval, slab_profile)
 
 
 def test_slab_values():
@@ -126,10 +126,3 @@ def test_critical_angle():
     weak = PmlConfig(a=1.0, d=2.0, x_c=3.0, ell=5.0, sigma0=1e-12)
     assert abs(critical_angle(weak)) < 1e-12
 
-
-def test_stretch_function():
-    st = StretchFunction(_CFG)
-    assert st.ramp_interval == (2.0, 3.0)
-    x = np.array([0.0, 2.5, 4.0])
-    np.testing.assert_allclose(st.alpha(x), 1.0 + 1j * st.sigma(x))
-    np.testing.assert_allclose(st.alpha(0.0), 1.0)

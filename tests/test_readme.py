@@ -1,0 +1,14 @@
+"""The README's library example runs as written."""
+
+import pathlib
+import re
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_python_example_runs(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines and all(line.startswith("k = ") for line in lines)
