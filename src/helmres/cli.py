@@ -422,10 +422,13 @@ _FLAG_TO_FIELD = {
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """File values (if any) overlaid by explicit flags, on top of defaults."""
+    """File values (if any) overlaid by explicit flags, on top of defaults.
+
+    An unreadable file or an invalid configuration fails as stage ``config``.
+    """
     values: dict = {}
     if args.config is not None:
-        values.update(load_config(args.config).to_json_dict())
+        values.update(_stage("config", load_config, args.config).to_json_dict())
     for flag, field_name in _FLAG_TO_FIELD.items():
         given = getattr(args, flag, None)
         if given is not None:
@@ -433,7 +436,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if "problem" not in values or "formulation" not in values:
         raise SystemExit("error: --problem and --formulation are required "
                          "(directly or via --config)")
-    return RunConfig.from_json_dict(values)
+    return _stage("config", RunConfig.from_json_dict, values)
 
 
 def _print_report(report: RunReport, threshold: float | None = None) -> None:
@@ -519,6 +522,9 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
     refs = reference_for(cfg, medium)
     if refs is None:
         raise SystemExit("error: convergence study needs a reference set")
+    if not 0 <= args.target < len(refs.values):
+        raise PipelineStageError("config", IndexError(
+            f"--target {args.target} is not an index of the {len(refs.values)} reference values"))
     target = refs.values[args.target]
     print(f"# target k = {target.real:+.12g} {target.imag:+.12g}j "
           f"(reference index {args.target})")

@@ -15,10 +15,19 @@ scalar filter value
 
 for a unit-normalized u, which is small exactly when (u, k) is an approximate
 eigenpair of the integral operator, whatever formulation produced it.
+
+Only exp(i n0 k |x - y|) depends on k.  A :class:`KernelGeometry` holds the
+rest for one set of evaluation points: the distances D to every cell Gauss
+node, the table W of contrast x basis x weight over the DOFs, and, for points
+strictly inside a cell, the two sub-rules split at the kink y = x that stand
+in for that cell's plain rule.  K(k) then costs one exponential of D and one
+product with W.  An :class:`LsContext` builds the geometry once at its
+collocation nodes (T(k)) and once at its cell Gauss points (the filter).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -51,11 +60,42 @@ class LsContext:
         if v[0] > -a + 1e-12 or v[-1] < a - 1e-12:
             raise ValueError("collocation space must cover the resonator support")
 
-    @property
+    @functools.cached_property
     def mass_cholesky(self):
-        if not hasattr(self, "_chol"):
-            object.__setattr__(self, "_chol", scipy.linalg.cho_factor(self.mass.m))
-        return self._chol
+        return scipy.linalg.cho_factor(self.mass.m)
+
+    @functools.cached_property
+    def cell_quadrature(self) -> tuple[np.ndarray, np.ndarray]:
+        """The Gauss nodes y of every cell, cell by cell, and the (nodes x DOFs)
+        table phi_j(y) w(y) of the inner rule.
+
+        The table's transpose is the projection b_i = int phi_i f of values
+        of f at the nodes.
+        """
+        space = self.space
+        rule = QuadratureRule.gauss_legendre(self.quad_order)
+        verts = space.mesh.vertices
+        nodes, weights = rule.mapped(verts[:-1, None], verts[1:, None])
+        vals = evaluate_basis(space, 0, rule.points)[0]
+        table = np.zeros((nodes.size, space.dof_count))
+        rows = np.arange(nodes.size).reshape(nodes.shape)
+        table[rows[:, :, None], _cell_dof_table(space)[:, None, :]] = \
+            weights[:, :, None] * vals.T
+        return nodes.ravel(), table
+
+    @functools.cached_property
+    def kernel_weights(self) -> np.ndarray:
+        """W[g, j] = (n^2 - n0^2)(y_g) phi_j(y_g) w_g, shared by both geometries."""
+        nodes, table = self.cell_quadrature
+        return (self.medium.contrast(nodes)[:, None] * table).astype(complex)
+
+    @functools.cached_property
+    def collocation_geometry(self) -> "KernelGeometry":
+        return _kernel_geometry(self, self.space.node_coords)
+
+    @functools.cached_property
+    def quadrature_geometry(self) -> "KernelGeometry":
+        return _kernel_geometry(self, self.cell_quadrature[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,66 +140,110 @@ def build_ls_context(medium: MediumProfile, degree: int, initial_cell_size: floa
     return LsContext(space=space, medium=medium, mass=mass, quad_order=q)
 
 
-def _kernel_matrix(ctx: LsContext, k: complex, eval_points: np.ndarray) -> np.ndarray:
-    """G[i, j] = (ik/2n0) int exp(i n0 k |x_i - y|) (n^2 - n0^2)(y) phi_j(y) dy.
+@dataclass(frozen=True, eq=False)
+class KernelGeometry:
+    """The k-independent part of K(k) at a fixed set of m evaluation points x.
 
-    Cell-wise Gauss quadrature; the integrand has a kink in y at each x_i, so
-    for evaluation points strictly inside a cell that cell's contribution is
-    recomputed from the two subintervals split at y = x_i.
+    K(k) = pref(k) [(exp(i n0 k D) o keep) @ W + S(k)],  pref(k) = ik / 2n0,
+
+    with D[i, g] = |x_i - y_g| over the cell Gauss nodes y and
+    W[g, j] = (n^2 - n0^2)(y_g) phi_j(y_g) w_g.  The integrand has a kink at
+    y = x_i, so for a point strictly inside a cell ``keep`` drops that cell's
+    plain rule, and S adds the cell's two sub-rules split at x_i in its place:
+    row ``split_rows[r]`` gets exp(i n0 k ``split_dist[r]``) @
+    ``split_weights[r]`` at the cell's DOFs ``split_dofs[r]``.
     """
-    space = ctx.space
-    medium = ctx.medium
-    pts = np.atleast_1d(np.asarray(eval_points, dtype=float))
-    n0 = medium.n0
-    pref = 1j * k / (2.0 * n0)
-    rule = QuadratureRule.gauss_legendre(ctx.quad_order)
-    vals = evaluate_basis(space, 0, rule.points)[0]
+
+    n0: float
+    dist: np.ndarray            # (m, nodes)
+    keep: np.ndarray            # (m, nodes) bool
+    weights: np.ndarray         # (nodes, dofs)
+    split_rows: np.ndarray      # (s,)
+    split_dist: np.ndarray      # (s, 2q)
+    split_weights: np.ndarray   # (s, 2q, p+1)
+    split_dofs: np.ndarray      # (s, p+1)
+
+    def _phases(self, k: complex) -> tuple[np.ndarray, np.ndarray]:
+        ikn = 1j * self.n0 * k
+        plain = np.exp(ikn * self.dist, out=np.zeros(self.dist.shape, dtype=complex),
+                       where=self.keep)
+        return plain, np.exp(ikn * self.split_dist)
+
+    def matrix(self, k: complex) -> np.ndarray:
+        """K(k) as an (m, dofs) matrix."""
+        plain, split = self._phases(k)
+        gmat = plain @ self.weights
+        gmat[self.split_rows[:, None], self.split_dofs] += \
+            np.einsum("rq,rql->rl", split, self.split_weights)
+        return (1j * k / (2.0 * self.n0)) * gmat
+
+    def apply(self, k: complex, coeffs: np.ndarray) -> np.ndarray:
+        """K(k)u at the m points for u given by DOF coefficients, without forming K(k)."""
+        plain, split = self._phases(k)
+        ku = plain @ (self.weights @ coeffs)
+        local = self.split_weights @ coeffs[self.split_dofs][:, :, None]
+        ku[self.split_rows] += np.sum(split * local[:, :, 0], axis=1)
+        return (1j * k / (2.0 * self.n0)) * ku
+
+
+def _cell_dof_table(space: MeshedSpace) -> np.ndarray:
+    return np.stack([space.cell_dofs(c) for c in range(space.mesh.n_cells)])
+
+
+def _kernel_geometry(ctx: LsContext, points) -> KernelGeometry:
+    """The geometry of K(k) at ``points`` for the context's inner rule."""
+    space, medium = ctx.space, ctx.medium
+    pts = np.atleast_1d(np.asarray(points, dtype=float))
+    nodes, _ = ctx.cell_quadrature
+    q = ctx.quad_order
     verts = space.mesh.vertices
-    gmat = np.zeros((pts.size, space.dof_count), dtype=complex)
-
-    cell_tables = []
-    for c in range(space.mesh.n_cells):
-        lo, hi = space.mesh.cell_bounds(c)
-        yq, wq = rule.mapped(lo, hi)
-        weighted = (vals * (wq * medium.contrast(yq))).T   # (q, p+1)
-        cell_tables.append((yq, weighted))
-        dist = np.abs(pts[:, None] - yq[None, :])
-        gmat[:, space.cell_dofs(c)] += np.exp(1j * n0 * k * dist) @ weighted
-
-    inside = (pts > verts[0] + 1e-12) & (pts < verts[-1] - 1e-12)
     cells = np.clip(np.searchsorted(verts, pts, side="right") - 1, 0, space.mesh.n_cells - 1)
-    for i in np.nonzero(inside)[0]:
-        x = pts[i]
-        c = int(cells[i])
-        lo, hi = space.mesh.cell_bounds(c)
-        if min(x - lo, hi - x) <= 1e-12:
-            continue  # kink sits on a cell edge; the plain rule was already smooth
-        dofs = space.cell_dofs(c)
-        yq, weighted = cell_tables[c]
-        gmat[i, dofs] -= np.exp(1j * n0 * k * np.abs(x - yq)) @ weighted
-        for aa, bb in ((lo, x), (x, hi)):
-            ys, ws = rule.mapped(aa, bb)
-            loc = 2.0 * (ys - lo) / (hi - lo) - 1.0
-            sub_vals = evaluate_basis(space, c, loc)[0]
-            contr = ws * medium.contrast(ys)
-            gmat[i, dofs] += np.exp(1j * n0 * k * np.abs(x - ys)) * contr @ sub_vals.T
-    return pref * gmat
+    lo, hi = verts[cells], verts[cells + 1]
+    # a kink on a cell edge (or outside the mesh) leaves the plain rule smooth
+    split = np.minimum(pts - lo, hi - pts) > 1e-12
+    keep = ~(split[:, None] & (np.arange(nodes.size) // q == cells[:, None]))
+
+    rule = QuadratureRule.gauss_legendre(q)
+    x, lo, hi = pts[split, None], lo[split, None], hi[split, None]
+    sub_rules = []
+    for aa, bb in ((lo, x), (x, hi)):
+        ys, ws = rule.mapped(aa, bb)
+        loc = 2.0 * (ys - lo) / (hi - lo) - 1.0
+        vals = evaluate_basis(space, 0, loc.ravel())[0].T.reshape(*ys.shape, -1)
+        sub_rules.append((ys, ws, vals))
+    ys, ws, sub_vals = (np.hstack(parts) for parts in zip(*sub_rules))
+    return KernelGeometry(
+        n0=medium.n0,
+        dist=np.abs(pts[:, None] - nodes[None, :]),
+        keep=keep,
+        weights=ctx.kernel_weights,
+        split_rows=np.nonzero(split)[0],
+        split_dist=np.abs(x - ys),
+        split_weights=(ws * medium.contrast(ys))[:, :, None] * sub_vals,
+        split_dofs=_cell_dof_table(space)[cells[split]],
+    )
 
 
-def apply_kernel(ctx: LsContext, k: complex, u, points) -> np.ndarray:
-    """Values of K(k)u at arbitrary points for u given by DOF coefficients."""
+def _checked_coefficients(ctx: LsContext, u) -> np.ndarray:
     coeffs = np.asarray(u, dtype=complex)
     if coeffs.shape != (ctx.space.dof_count,):
         raise ValueError(f"expected {ctx.space.dof_count} coefficients, got {coeffs.shape}")
     if not np.all(np.isfinite(coeffs)):
         raise ValueError("coefficient vector has non-finite entries")
-    return _kernel_matrix(ctx, k, points) @ coeffs
+    return coeffs
+
+
+def apply_kernel(ctx: LsContext, k: complex, u, points) -> np.ndarray:
+    """Values of K(k)u at arbitrary points for u given by DOF coefficients.
+
+    The geometry of ``points`` is built for this call only.
+    """
+    return _kernel_geometry(ctx, points).apply(k, _checked_coefficients(ctx, u))
 
 
 def collocation_matrix(ctx: LsContext, k: complex) -> np.ndarray:
     """T(k) = I - K(k) collocated at the space's Gauss-Lobatto nodes."""
-    gmat = _kernel_matrix(ctx, k, ctx.space.node_coords)
-    return np.eye(ctx.space.dof_count, dtype=complex) - gmat
+    return np.eye(ctx.space.dof_count, dtype=complex) - ctx.collocation_geometry.matrix(k)
 
 
 def filter_epsilon(ctx: LsContext, pair: EigenPair,
@@ -186,21 +270,9 @@ def filter_epsilon(ctx: LsContext, pair: EigenPair,
             f"eigenvector at k = {pair.k} has no support on the resonator domain")
     xi = xi / np.sqrt(nrm2)
 
-    space = ctx.space
-    rule = QuadratureRule.gauss_legendre(ctx.quad_order)
-    vals = evaluate_basis(space, 0, rule.points)[0]
-    all_pts = []
-    all_w = []
-    for c in range(space.mesh.n_cells):
-        lo, hi = space.mesh.cell_bounds(c)
-        xq, wq = rule.mapped(lo, hi)
-        all_pts.append(xq)
-        all_w.append(wq)
-    ku = apply_kernel(ctx, pair.k, xi, np.concatenate(all_pts))
-    b = np.zeros(space.dof_count, dtype=complex)
-    q = rule.order
-    for c in range(space.mesh.n_cells):
-        b[space.cell_dofs(c)] += vals @ (all_w[c] * ku[c * q:(c + 1) * q])
+    ku = ctx.quadrature_geometry.apply(pair.k, _checked_coefficients(ctx, xi))
+    _, table = ctx.cell_quadrature
+    b = table.T @ ku
     eta = scipy.linalg.cho_solve(ctx.mass_cholesky, b)
     diff = xi - eta
     eps = float(np.sqrt(max(np.real(diff.conj() @ (mr @ diff)), 0.0)))

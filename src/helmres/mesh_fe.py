@@ -40,8 +40,11 @@ class QuadratureRule:
         x, w = npleg.leggauss(order)
         return cls(points=x, weights=w, order=order)
 
-    def mapped(self, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-        """Points and weights transplanted to the physical interval [lo, hi]."""
+    def mapped(self, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+        """Points and weights transplanted to the physical interval [lo, hi].
+
+        Arrays of bounds broadcast against the rule's points along the last axis.
+        """
         half = 0.5 * (hi - lo)
         return lo + half * (self.points + 1.0), half * self.weights
 

@@ -240,6 +240,17 @@ def test_main_grid_errors_are_stage_errors(tmp_path, capsys, command, grid_flags
     assert "pipeline stage 'pseudospectrum' failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--problem", "bump", "--formulation", "dtn", "--eta", "3"],
+    ["solve", "--problem", "slab", "--formulation", "dtn", "--window", "1", "0", "-1", "0"],
+    ["convergence", "--problem", "air_cavity", "--formulation", "dtn", "--target", "99"],
+])
+def test_main_reports_config_errors(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "eigenvalues.csv").exists()
+
+
 def test_main_requires_problem_and_formulation():
     with pytest.raises(SystemExit):
         main(["solve", "--p", "2"])

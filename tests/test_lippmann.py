@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from helmres import (BoundaryCondition, ContourConfig, EigenPair, LsContext,
                      NoResonatorSupportError, air_filled_cavity_profile,
@@ -12,6 +13,7 @@ from helmres import (BoundaryCondition, ContourConfig, EigenPair, LsContext,
                      build_space, collocation_matrix, filter_epsilon,
                      pseudospectrum, slab_dtn_eigenvalues, slab_profile,
                      smallest_singular_value, solve_contour, write_grid_csv)
+from helmres import lippmann
 from helmres.cli import RunConfig, discretize
 
 K1 = math.pi / 4 - 1j * math.log(3.0) / 4
@@ -74,6 +76,64 @@ def test_kernel_respects_profile_symmetry():
     np.testing.assert_allclose(reflected, direct, rtol=1e-12, atol=1e-13)
 
 
+def _fe_function(space, coeffs):
+    """u_h(y) from DOF coefficients by Lagrange interpolation on y's cell."""
+    verts, p = space.mesh.vertices, space.degree
+
+    def u(y):
+        c = min(max(int(np.searchsorted(verts, y, side="right")) - 1, 0), space.mesh.n_cells - 1)
+        nodes = space.node_coords[c * p:c * p + p + 1]
+        total = 0.0
+        for l in range(p + 1):
+            others = np.delete(nodes, l)
+            total += coeffs[c * p + l] * np.prod((y - others) / (nodes[l] - others))
+        return total
+
+    return u
+
+
+def _kernel_oracle(ctx, k, x, density):
+    """(ik/2n0) int exp(i n0 k |x - y|) (n^2 - n0^2)(y) density(y) dy by adaptive
+    quadrature, split at every vertex and at x so that each piece is smooth."""
+    n0 = ctx.medium.n0
+    verts = ctx.space.mesh.vertices
+    cuts = np.unique(np.clip(np.append(verts, x), verts[0], verts[-1]))
+
+    def integrand(y):
+        return np.exp(1j * n0 * k * abs(x - y)) * float(ctx.medium.contrast(y)) * density(y)
+
+    total = 0j
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        for part, unit in ((np.real, 1.0), (np.imag, 1j)):
+            val, _ = quad(lambda y: part(integrand(y)), a, b, epsabs=1e-13, epsrel=1e-13,
+                          limit=200)
+            total += unit * val
+    return 1j * k / (2.0 * n0) * total
+
+
+@pytest.mark.parametrize("k", [2.0 - 0.4j, 1.2 - 1.0j])
+def test_kernel_matches_adaptive_quadrature(k):
+    ctx = build_ls_context(air_filled_cavity_profile(1.5, math.sqrt(3.5), math.sqrt(2.5)),
+                           4, 0.5)
+    space = ctx.space
+    n = space.dof_count
+    assert space.degree == 4 and space.mesh.has_vertex(0.0)
+    gmat = np.eye(n) - collocation_matrix(ctx, k)
+    # node 6 (x = -0.75) lies strictly inside cell 1, node 12 (x = 0) on a vertex
+    for i, columns in ((6, (4, 5, 6, 8, 20)), (12, (8, 11, 12, 13, 16))):
+        x = space.node_coords[i]
+        for j in columns:
+            phi_j = _fe_function(space, np.eye(n)[j])
+            assert gmat[i, j] == pytest.approx(_kernel_oracle(ctx, k, x, phi_j), rel=1e-12)
+
+    rng = np.random.default_rng(3)
+    u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    pts = np.array([0.3141, -1.1, 1.9])  # none of them a collocation node
+    assert np.min(np.abs(space.node_coords[:, None] - pts)) > 1e-3
+    expected = [_kernel_oracle(ctx, k, x, _fe_function(space, u)) for x in pts]
+    np.testing.assert_allclose(apply_kernel(ctx, k, u, pts), expected, rtol=1e-12)
+
+
 def test_apply_kernel_validation():
     ctx = build_ls_context(slab_profile(2.0, 1.0), 3, 0.5)
     good = np.ones(ctx.space.dof_count)
@@ -127,6 +187,35 @@ def test_filter_quadrature_doubling():
         e0 = filter_epsilon(ctx, pair).epsilon
         e1 = filter_epsilon(fine, pair).epsilon
         assert abs(e1 - e0) < 0.01 * e0
+
+
+def test_kernel_geometry_is_built_once_per_context(monkeypatch):
+    ctx = build_ls_context(slab_profile(2.0, 1.0), 6, 0.25)
+    built = []
+    real = lippmann._kernel_geometry
+    monkeypatch.setattr(lippmann, "_kernel_geometry",
+                        lambda c, pts: built.append(c) or real(c, pts))
+    for k in (K1, 0.9 - 0.3j, 2.0 - 1.0j):
+        collocation_matrix(ctx, k)
+        filter_epsilon(ctx, _unit_pair(ctx, k))
+    assert built == [ctx, ctx]
+    colloc, quadrature = ctx.collocation_geometry, ctx.quadrature_geometry
+    collocation_matrix(ctx, 1.5 - 0.2j)
+    filter_epsilon(ctx, _unit_pair(ctx, 1.5 - 0.2j))
+    assert ctx.collocation_geometry is colloc and ctx.quadrature_geometry is quadrature
+    assert len(built) == 2
+
+    # a context with its own quadrature order gets its own geometry; the expected
+    # values are acceptance 9's probe as a per-point quadrature loop computes them
+    fine = LsContext(space=ctx.space, medium=ctx.medium, mass=ctx.mass,
+                     quad_order=2 * ctx.quad_order)
+    rng = np.random.default_rng(5)
+    probe = EigenPair(k=0.9 - 0.3j, vector=rng.standard_normal(ctx.space.dof_count),
+                      formulation="ls", lambda_raw=0.9 - 0.3j, space=ctx.space)
+    assert filter_epsilon(ctx, probe).epsilon == pytest.approx(1.2981181563271973, rel=1e-12)
+    assert filter_epsilon(fine, probe).epsilon == pytest.approx(1.2981181563271988, rel=1e-12)
+    assert built == [ctx, ctx, fine]
+    assert fine.quadrature_geometry.dist.shape == (2 * quadrature.dist.shape[0],) * 2
 
 
 def test_filter_interpolates_from_other_spaces():
