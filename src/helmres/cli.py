@@ -522,10 +522,7 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
     refs = reference_for(cfg, medium)
     if refs is None:
         raise SystemExit("error: convergence study needs a reference set")
-    if not 0 <= args.target < len(refs.values):
-        raise PipelineStageError("config", IndexError(
-            f"--target {args.target} is not an index of the {len(refs.values)} reference values"))
-    target = refs.values[args.target]
+    target = _stage("config", refs.values.__getitem__, args.target)
     print(f"# target k = {target.real:+.12g} {target.imag:+.12g}j "
           f"(reference index {args.target})")
 

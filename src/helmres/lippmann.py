@@ -209,7 +209,7 @@ def _kernel_geometry(ctx: LsContext, points) -> KernelGeometry:
     for aa, bb in ((lo, x), (x, hi)):
         ys, ws = rule.mapped(aa, bb)
         loc = 2.0 * (ys - lo) / (hi - lo) - 1.0
-        vals = evaluate_basis(space, 0, loc.ravel())[0].T.reshape(*ys.shape, -1)
+        vals = evaluate_basis(space, 0, loc.ravel())[0].T.reshape(*ys.shape, space.degree + 1)
         sub_rules.append((ys, ws, vals))
     ys, ws, sub_vals = (np.hstack(parts) for parts in zip(*sub_rules))
     return KernelGeometry(
@@ -238,7 +238,8 @@ def apply_kernel(ctx: LsContext, k: complex, u, points) -> np.ndarray:
 
     The geometry of ``points`` is built for this call only.
     """
-    return _kernel_geometry(ctx, points).apply(k, _checked_coefficients(ctx, u))
+    coeffs = _checked_coefficients(ctx, u)
+    return _kernel_geometry(ctx, points).apply(k, coeffs)
 
 
 def collocation_matrix(ctx: LsContext, k: complex) -> np.ndarray:

@@ -7,7 +7,8 @@ import math
 import pytest
 
 from helmres.cli import (PipelineStageError, RunConfig, emit_outputs,
-                         load_config, main, run_pipeline)
+                         load_config, main, medium_for, reference_for,
+                         run_pipeline)
 
 K1 = math.pi / 4 - 1j * math.log(3.0) / 4
 
@@ -220,6 +221,16 @@ def test_main_convergence_reports_factors(capsys):
     out = capsys.readouterr().out
     assert "# target k" in out
     assert out.count("factor") == 2
+
+
+def test_main_convergence_target_counts_from_the_end_when_negative(capsys):
+    rc = main(["convergence", "--problem", "slab", "--formulation", "dtn",
+               "--h", "0.5", "--d", "1", "--sweep", "p", "--start", "2",
+               "--stop", "3", "--target", "-1"])
+    assert rc == 0
+    cfg = RunConfig(problem="slab", formulation="dtn")
+    last = reference_for(cfg, medium_for(cfg)).values[-1]
+    assert f"# target k = {last.real:+.12g} {last.imag:+.12g}j" in capsys.readouterr().out
 
 
 def test_main_rejects_ls_without_window(capsys):

@@ -134,14 +134,39 @@ def test_kernel_matches_adaptive_quadrature(k):
     np.testing.assert_allclose(apply_kernel(ctx, k, u, pts), expected, rtol=1e-12)
 
 
+@pytest.mark.parametrize("k", [2.0 - 0.4j, 1.2 - 1.0j])
+def test_kernel_without_split_points_matches_adaptive_quadrature(k):
+    # no evaluation point strictly inside a cell: every kernel row uses the plain rule
+    medium = air_filled_cavity_profile(1.5, math.sqrt(3.5), math.sqrt(2.5))
+    ctx = build_ls_context(medium, 1, 0.5)
+    space = ctx.space
+    n = space.dof_count
+    assert np.all([space.mesh.has_vertex(x) for x in space.node_coords])
+    gmat = np.eye(n) - collocation_matrix(ctx, k)
+    for i in (0, 2, n - 1):
+        x = space.node_coords[i]
+        for j in range(n):
+            phi_j = _fe_function(space, np.eye(n)[j])
+            assert gmat[i, j] == pytest.approx(_kernel_oracle(ctx, k, x, phi_j), rel=1e-12)
+
+    ctx = build_ls_context(medium, 4, 0.5)
+    rng = np.random.default_rng(4)
+    u = rng.standard_normal(ctx.space.dof_count) + 1j * rng.standard_normal(ctx.space.dof_count)
+    u_h = _fe_function(ctx.space, u)
+    assert ctx.space.mesh.has_vertex(0.0)
+    for pts in ([0.0], [1.9], [1.9, 0.0]):  # a vertex, outside Omega_r, both
+        expected = [_kernel_oracle(ctx, k, x, u_h) for x in pts]
+        np.testing.assert_allclose(apply_kernel(ctx, k, u, pts), expected, rtol=1e-12)
+
+
 def test_apply_kernel_validation():
     ctx = build_ls_context(slab_profile(2.0, 1.0), 3, 0.5)
     good = np.ones(ctx.space.dof_count)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="expected"):
         apply_kernel(ctx, 1.0, good[:-1], [0.0])
     bad = good.astype(complex)
     bad[0] = np.nan
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-finite"):
         apply_kernel(ctx, 1.0, bad, [0.0])
 
 
