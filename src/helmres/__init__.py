@@ -10,8 +10,8 @@ eigenvalues for validation.
 
 __version__ = "0.1.0"
 
-from .assembly import (DtnMatrices, PmlMatrices, ResonatorMass, assemble_dtn,
-                       assemble_pml, assemble_resonator_mass)
+from .assembly import (DtnMatrices, PmlMatrices, assemble_dtn, assemble_pml,
+                       assemble_resonator_mass)
 from .eigen import (ContourConfig, EigenPair, NewtonConvergenceError,
                     ProbeTooSmallError, SolveDiagnostics, canonical_fourth_quadrant,
                     newton_root, smallest_singular_value, solve_contour, solve_dtn,
@@ -36,7 +36,7 @@ __all__ = [
     "MediumProfile", "PmlConfig",
     "slab_profile", "air_filled_cavity_profile", "bump_profile",
     "sigma_eval", "critical_angle",
-    "DtnMatrices", "PmlMatrices", "ResonatorMass",
+    "DtnMatrices", "PmlMatrices",
     "assemble_dtn", "assemble_pml", "assemble_resonator_mass",
     "EigenPair", "ContourConfig", "SolveDiagnostics",
     "NewtonConvergenceError", "ProbeTooSmallError",

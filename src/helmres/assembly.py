@@ -24,11 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .media import MediumProfile, PmlConfig, sigma_eval
-from .mesh_fe import BoundaryCondition, MeshedSpace, QuadratureRule, evaluate_basis
+from .mesh_fe import BoundaryCondition, MeshedSpace, cell_quadrature
 
-# Points per ramp cell: 1/alpha is analytic but not polynomial there, and at
-# sigma0 = 5 on an h = 0.5 cell about 20 Gauss points reach 1e-13.
-_RAMP_MIN_ORDER = 24
+# Points per PML cell: 1/alpha is analytic but not polynomial on the ramp, and
+# at sigma0 = 5 on an h = 0.5 cell about 20 Gauss points reach 1e-13.
+_PML_MIN_ORDER = 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,19 +37,12 @@ class DtnMatrices:
     m: np.ndarray
     e: np.ndarray
     space: MeshedSpace
-    n0: float
 
 
 @dataclass(frozen=True, eq=False)
 class PmlMatrices:
     a_tilde: np.ndarray
     m_tilde: np.ndarray
-    space: MeshedSpace
-
-
-@dataclass(frozen=True, eq=False)
-class ResonatorMass:
-    m: np.ndarray
     space: MeshedSpace
 
 
@@ -68,10 +61,20 @@ def _check_alignment(space: MeshedSpace, breakpoints, tol: float = 1e-12) -> Non
         raise ValueError(f"mesh is not aligned with material breakpoints {missing}")
 
 
-def _scatter(mat: np.ndarray, dofs: np.ndarray, local: np.ndarray) -> None:
-    keep = dofs >= 0
-    idx = dofs[keep]
-    mat[np.ix_(idx, idx)] += local[np.ix_(keep, keep)]
+def _assemble(space: MeshedSpace, basis: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The (dofs x dofs) sum over cells c of B_c^T diag(w_c) B_c.
+
+    ``basis`` holds the shape functions at each cell's quadrature nodes,
+    (q, p+1) when every cell shares it or (cells, q, p+1); ``weights`` is
+    (cells, q).  A constrained node's DOF index -1 adds into a spare last row
+    and column, which are dropped.
+    """
+    local = (np.swapaxes(basis, -1, -2) * weights[:, None, :]) @ basis
+    n = space.dof_count
+    mat = np.zeros((n + 1, n + 1), dtype=local.dtype)
+    dofs = space.cell_dofs
+    np.add.at(mat, (dofs[:, :, None], dofs[:, None, :]), local)
+    return mat[:n, :n].copy()
 
 
 def assemble_dtn(space: MeshedSpace, medium: MediumProfile,
@@ -88,77 +91,33 @@ def assemble_dtn(space: MeshedSpace, medium: MediumProfile,
     _check_alignment(space, medium.breakpoints)
 
     q = quad_order if quad_order is not None else default_quadrature_order(space.degree)
-    rule = QuadratureRule.gauss_legendre(q)
-    n = space.dof_count
-    amat = np.zeros((n, n))
-    mmat = np.zeros((n, n))
-    vals, _ = evaluate_basis(space, 0, rule.points)
-    for c in range(space.mesh.n_cells):
-        lo, hi = space.mesh.cell_bounds(c)
-        xq, wq = rule.mapped(lo, hi)
-        _, ders = evaluate_basis(space, c, rule.points)
-        n2 = medium.n(xq) ** 2
-        dofs = space.cell_dofs(c)
-        amat[np.ix_(dofs, dofs)] += (ders * wq) @ ders.T
-        mmat[np.ix_(dofs, dofs)] += (vals * (wq * n2)) @ vals.T
-
-    emat = np.zeros((n, n))
-    for c, ref in ((0, -1.0), (space.mesh.n_cells - 1, 1.0)):
-        bvals, _ = evaluate_basis(space, c, [ref])
-        vec = np.zeros(n)
-        vec[space.cell_dofs(c)] = bvals[:, 0]
-        emat += medium.n0 * np.outer(vec, vec)
-    return DtnMatrices(a=amat, m=mmat, e=emat, space=space, n0=medium.n0)
+    xq, wq, vals, ders = cell_quadrature(space, q)
+    # the Lobatto end nodes are the first and last DOF, so E only has two entries
+    emat = np.zeros((space.dof_count, space.dof_count))
+    emat[0, 0] = emat[-1, -1] = medium.n0
+    return DtnMatrices(a=_assemble(space, ders, wq),
+                       m=_assemble(space, vals, wq * medium.n(xq) ** 2),
+                       e=emat, space=space)
 
 
-def assemble_pml(space: MeshedSpace, medium: MediumProfile, pml: PmlConfig,
-                 quad_order: int | None = None, ramp_quad_order: int | None = None) -> PmlMatrices:
+def assemble_pml(space: MeshedSpace, medium: MediumProfile, pml: PmlConfig) -> PmlMatrices:
     """Assemble the complex pair (At, Mt) over (-ell, ell) with Dirichlet ends.
 
-    Cells meeting the ramp |x| in (d, x_c) get a higher-order rule because the
-    1/alpha weight is not polynomial there; elsewhere alpha is constant per
-    cell and the base rule is already exact.
+    One rule of max(p+4, 24) points serves every cell: 1/alpha is not
+    polynomial on the ramp d < |x| < x_c, and elsewhere the rule is exact.
     """
     if space.boundary_condition is not BoundaryCondition.DIRICHLET_BOTH_ENDS:
         raise ValueError("the PML formulation uses a space with Dirichlet ends")
-    d, x_c = pml.d, pml.x_c
-    _check_alignment(space, tuple(medium.breakpoints) + (-x_c, -d, d, x_c))
+    _check_alignment(space, tuple(medium.breakpoints) + (-pml.x_c, -pml.d, pml.d, pml.x_c))
 
-    p = space.degree
-    q_base = quad_order if quad_order is not None else default_quadrature_order(p)
-    q_ramp = ramp_quad_order if ramp_quad_order is not None else max(p + 4, _RAMP_MIN_ORDER)
-    rules = {q: QuadratureRule.gauss_legendre(q) for q in {q_base, q_ramp}}
-    tabs = {q: evaluate_basis(space, 0, r.points)[0] for q, r in rules.items()}
-
-    n = space.dof_count
-    amat = np.zeros((n, n), dtype=complex)
-    mmat = np.zeros((n, n), dtype=complex)
-    for c in range(space.mesh.n_cells):
-        lo, hi = space.mesh.cell_bounds(c)
-        mid = abs(0.5 * (lo + hi))
-        in_ramp = d < mid < x_c
-        rule = rules[q_ramp if in_ramp else q_base]
-        xq, wq = rule.mapped(lo, hi)
-        vals = tabs[rule.order]
-        _, ders = evaluate_basis(space, c, rule.points)
-        alpha = 1.0 + 1j * sigma_eval(pml, xq)
-        n2 = medium.n(xq) ** 2
-        dofs = space.cell_dofs(c)
-        _scatter(amat, dofs, (ders * (wq / alpha)) @ ders.T)
-        _scatter(mmat, dofs, (vals * (wq * n2 * alpha)) @ vals.T)
-    return PmlMatrices(a_tilde=amat, m_tilde=mmat, space=space)
+    xq, wq, vals, ders = cell_quadrature(space, max(space.degree + 4, _PML_MIN_ORDER))
+    alpha = 1.0 + 1j * sigma_eval(pml, xq)
+    return PmlMatrices(a_tilde=_assemble(space, ders, wq / alpha),
+                       m_tilde=_assemble(space, vals, wq * medium.n(xq) ** 2 * alpha),
+                       space=space)
 
 
-def assemble_resonator_mass(space: MeshedSpace, quad_order: int | None = None) -> ResonatorMass:
+def assemble_resonator_mass(space: MeshedSpace) -> np.ndarray:
     """Plain mass matrix M^r_ij = int phi_j phi_i dx over the space's mesh."""
-    q = quad_order if quad_order is not None else default_quadrature_order(space.degree)
-    rule = QuadratureRule.gauss_legendre(q)
-    n = space.dof_count
-    mmat = np.zeros((n, n))
-    vals, _ = evaluate_basis(space, 0, rule.points)
-    for c in range(space.mesh.n_cells):
-        lo, hi = space.mesh.cell_bounds(c)
-        _, wq = rule.mapped(lo, hi)
-        _scatter(mmat, space.cell_dofs(c), (vals * wq) @ vals.T)
-    return ResonatorMass(m=mmat, space=space)
-
+    _, wq, vals, _ = cell_quadrature(space, default_quadrature_order(space.degree))
+    return _assemble(space, vals, wq)

@@ -390,35 +390,30 @@ def load_config(path: str) -> RunConfig:
 
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
+    """--config, and one flag per RunConfig field, stored under the field's name."""
     sub.add_argument("--config", default=None, help="JSON config file; flags override it")
     sub.add_argument("--problem", choices=_PROBLEMS, default=None)
     sub.add_argument("--formulation", choices=_FORMULATIONS, default=None)
-    sub.add_argument("--p", type=int, default=None, help="polynomial degree")
-    sub.add_argument("--h", type=float, default=None, help="initial cell size")
-    sub.add_argument("--ref", type=int, default=None, help="uniform refinements")
+    sub.add_argument("--p", dest="degree", type=int, default=None, help="polynomial degree")
+    sub.add_argument("--h", dest="initial_cell_size", type=float, default=None,
+                     help="initial cell size")
+    sub.add_argument("--ref", dest="refinements", type=int, default=None,
+                     help="uniform refinements")
     sub.add_argument("--sigma0", type=float, default=None, help="absorption strength")
     sub.add_argument("--d", type=float, default=None, help="truncation half width")
-    sub.add_argument("--xc", type=float, default=None, help="absorption onset")
+    sub.add_argument("--xc", dest="x_c", type=float, default=None, help="absorption onset")
     sub.add_argument("--ell", type=float, default=None, help="outer half width")
     sub.add_argument("--eta", type=float, default=None, help="refractive index parameter")
     sub.add_argument("--window", type=float, nargs=4, default=None,
                      metavar=("RE_MIN", "RE_MAX", "IM_MIN", "IM_MAX"))
-    sub.add_argument("--filter", action=argparse.BooleanOptionalAction, default=None,
-                     help="apply the pseudomode filter")
-    sub.add_argument("--threshold", type=float, default=None,
+    sub.add_argument("--filter", dest="apply_filter", action=argparse.BooleanOptionalAction,
+                     default=None, help="apply the pseudomode filter")
+    sub.add_argument("--threshold", dest="epsilon_threshold", type=float, default=None,
                      help="epsilon classification threshold (reporting only)")
-    sub.add_argument("--pseudo", type=int, nargs=2, default=None, metavar=("NX", "NY"))
-    sub.add_argument("--out", default=None, help="output directory")
+    sub.add_argument("--pseudo", dest="pseudo_resolution", type=int, nargs=2, default=None,
+                     metavar=("NX", "NY"))
+    sub.add_argument("--out", dest="out_dir", default=None, help="output directory")
     sub.add_argument("--seed", type=int, default=None, help="probe RNG seed")
-
-
-_FLAG_TO_FIELD = {
-    "problem": "problem", "formulation": "formulation", "p": "degree",
-    "h": "initial_cell_size", "ref": "refinements", "sigma0": "sigma0", "d": "d",
-    "xc": "x_c", "ell": "ell", "eta": "eta", "window": "window", "filter": "apply_filter",
-    "threshold": "epsilon_threshold", "pseudo": "pseudo_resolution", "out": "out_dir",
-    "seed": "seed",
-}
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -429,10 +424,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     values: dict = {}
     if args.config is not None:
         values.update(_stage("config", load_config, args.config).to_json_dict())
-    for flag, field_name in _FLAG_TO_FIELD.items():
-        given = getattr(args, flag, None)
+    for field in dataclasses.fields(RunConfig):
+        given = getattr(args, field.name, None)
         if given is not None:
-            values[field_name] = tuple(given) if isinstance(given, list) else given
+            values[field.name] = tuple(given) if isinstance(given, list) else given
     if "problem" not in values or "formulation" not in values:
         raise SystemExit("error: --problem and --formulation are required "
                          "(directly or via --config)")
@@ -487,15 +482,21 @@ def _cmd_pseudospectrum(args: argparse.Namespace) -> int:
     return 0
 
 
+def _required_reference(cfg: RunConfig) -> ReferenceSet:
+    """The reference set of the configured medium; an invalid medium fails as stage
+    ``setup``, and a medium without a reference set exits."""
+    refs = _stage("setup", lambda: reference_for(cfg, medium_for(cfg)))
+    if refs is None:
+        raise SystemExit(f"error: no reference set for problem {cfg.problem!r} "
+                         f"with eta = {_problem_eta(cfg)}")
+    return refs
+
+
 def _cmd_reference(args: argparse.Namespace) -> int:
     import os
 
     cfg = build_config(args)
-    medium = medium_for(cfg)
-    refs = reference_for(cfg, medium)
-    if refs is None:
-        raise SystemExit(f"error: no reference set for problem {cfg.problem!r} "
-                         f"with eta = {_problem_eta(cfg)}")
+    refs = _required_reference(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     csv_path = os.path.join(cfg.out_dir, "reference.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:
@@ -518,10 +519,7 @@ def _cmd_reference(args: argparse.Namespace) -> int:
 
 def _cmd_convergence(args: argparse.Namespace) -> int:
     cfg = build_config(args)
-    medium = medium_for(cfg)
-    refs = reference_for(cfg, medium)
-    if refs is None:
-        raise SystemExit("error: convergence study needs a reference set")
+    refs = _required_reference(cfg)
     target = _stage("config", refs.values.__getitem__, args.target)
     print(f"# target k = {target.real:+.12g} {target.imag:+.12g}j "
           f"(reference index {args.target})")

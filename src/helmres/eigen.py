@@ -5,6 +5,11 @@
 * a complex Newton scalar root finder,
 * a Beyn-style contour-integral solver for matrix-valued analytic T(k),
 * smallest singular values for pseudospectrum maps.
+
+The per-node solves of the contour method and the s_min SVD go through numpy's
+LAPACK, the library that forms T(k): numpy's and scipy's wheels each bundle an
+OpenBLAS with its own thread pool, and alternating the two makes the pools
+contend for the same cores.
 """
 
 from __future__ import annotations
@@ -235,7 +240,7 @@ def solve_contour(t_fun, cfg: ContourConfig, rng=None, formulation: str = "ls",
     a0_half = np.zeros_like(a0)
     for j, (z, w) in enumerate(zip(zs, dz)):
         tz = t0 if j == 0 else np.asarray(t_fun(z))
-        sol = scipy.linalg.solve(tz, probe)
+        sol = np.linalg.solve(tz, probe)
         a0 += w * sol
         a1 += (w * z) * sol
         if j % 2 == 0:
@@ -278,4 +283,4 @@ def smallest_singular_value(t: np.ndarray) -> float:
         raise ValueError("matrix is empty")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError("matrix has non-finite entries")
-    return float(scipy.linalg.svdvals(m)[-1])
+    return float(np.linalg.svd(m, compute_uv=False)[-1])

@@ -34,11 +34,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .assembly import ResonatorMass, assemble_resonator_mass
+from .assembly import assemble_resonator_mass
 from .eigen import EigenPair, smallest_singular_value
 from .media import MediumProfile
 from .mesh_fe import (BoundaryCondition, MeshedSpace, QuadratureRule, build_mesh,
-                      build_space, evaluate_basis, evaluate_function)
+                      build_space, cell_quadrature, evaluate_basis, evaluate_function,
+                      locate)
 
 
 class NoResonatorSupportError(ValueError):
@@ -47,11 +48,10 @@ class NoResonatorSupportError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class LsContext:
-    """Collocation space on Omega_r with its mass matrix and inner quadrature order."""
+    """Collocation space on Omega_r and the order of its inner quadrature."""
 
     space: MeshedSpace
     medium: MediumProfile
-    mass: ResonatorMass
     quad_order: int
 
     def __post_init__(self):
@@ -61,8 +61,13 @@ class LsContext:
             raise ValueError("collocation space must cover the resonator support")
 
     @functools.cached_property
+    def mass(self) -> np.ndarray:
+        """The resonator mass matrix M^r of the space."""
+        return assemble_resonator_mass(self.space)
+
+    @functools.cached_property
     def mass_cholesky(self):
-        return scipy.linalg.cho_factor(self.mass.m)
+        return scipy.linalg.cho_factor(self.mass)
 
     @functools.cached_property
     def cell_quadrature(self) -> tuple[np.ndarray, np.ndarray]:
@@ -72,15 +77,10 @@ class LsContext:
         The table's transpose is the projection b_i = int phi_i f of values
         of f at the nodes.
         """
-        space = self.space
-        rule = QuadratureRule.gauss_legendre(self.quad_order)
-        verts = space.mesh.vertices
-        nodes, weights = rule.mapped(verts[:-1, None], verts[1:, None])
-        vals = evaluate_basis(space, 0, rule.points)[0]
-        table = np.zeros((nodes.size, space.dof_count))
+        nodes, weights, vals, _ = cell_quadrature(self.space, self.quad_order)
+        table = np.zeros((nodes.size, self.space.dof_count))
         rows = np.arange(nodes.size).reshape(nodes.shape)
-        table[rows[:, :, None], _cell_dof_table(space)[:, None, :]] = \
-            weights[:, :, None] * vals.T
+        table[rows[:, :, None], self.space.cell_dofs[:, None, :]] = weights[:, :, None] * vals
         return nodes.ravel(), table
 
     @functools.cached_property
@@ -135,9 +135,8 @@ def build_ls_context(medium: MediumProfile, degree: int, initial_cell_size: floa
     interior = [b for b in medium.breakpoints if -a < b < a]
     mesh = build_mesh((-a, a), interior, initial_cell_size, refinements)
     space = build_space(mesh, degree, BoundaryCondition.NONE)
-    mass = assemble_resonator_mass(space)
     q = quad_order if quad_order is not None else degree + 6
-    return LsContext(space=space, medium=medium, mass=mass, quad_order=q)
+    return LsContext(space=space, medium=medium, quad_order=q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,10 +185,6 @@ class KernelGeometry:
         return (1j * k / (2.0 * self.n0)) * ku
 
 
-def _cell_dof_table(space: MeshedSpace) -> np.ndarray:
-    return np.stack([space.cell_dofs(c) for c in range(space.mesh.n_cells)])
-
-
 def _kernel_geometry(ctx: LsContext, points) -> KernelGeometry:
     """The geometry of K(k) at ``points`` for the context's inner rule."""
     space, medium = ctx.space, ctx.medium
@@ -197,7 +192,7 @@ def _kernel_geometry(ctx: LsContext, points) -> KernelGeometry:
     nodes, _ = ctx.cell_quadrature
     q = ctx.quad_order
     verts = space.mesh.vertices
-    cells = np.clip(np.searchsorted(verts, pts, side="right") - 1, 0, space.mesh.n_cells - 1)
+    cells = locate(space.mesh, pts)
     lo, hi = verts[cells], verts[cells + 1]
     # a kink on a cell edge (or outside the mesh) leaves the plain rule smooth
     split = np.minimum(pts - lo, hi - pts) > 1e-12
@@ -220,7 +215,7 @@ def _kernel_geometry(ctx: LsContext, points) -> KernelGeometry:
         split_rows=np.nonzero(split)[0],
         split_dist=np.abs(x - ys),
         split_weights=(ws * medium.contrast(ys))[:, :, None] * sub_vals,
-        split_dofs=_cell_dof_table(space)[cells[split]],
+        split_dofs=space.cell_dofs[cells[split]],
     )
 
 
@@ -264,7 +259,7 @@ def filter_epsilon(ctx: LsContext, pair: EigenPair,
         xi = pair.vector.astype(complex)
     else:
         xi = evaluate_function(pair.space, pair.vector, ctx.space.node_coords)
-    mr = ctx.mass.m
+    mr = ctx.mass
     nrm2 = float(np.real(xi.conj() @ (mr @ xi)))
     if nrm2 <= 0 or np.sqrt(nrm2) < 1e-12:
         raise NoResonatorSupportError(

@@ -95,11 +95,6 @@ class PmlConfig:
         x_hat   = (d + x_c) / 2
         sigma_l = sigma0 (ell - x_hat) / (ell - a)
         beta    = n0 (ell - a)(1 + i sigma_l)
-
-    ``variant`` selects the length scale in sigma_l and beta: "as_printed"
-    uses (ell - a) as above, "ramp_based" replaces it with (ell - d).  The
-    product (ell - a) sigma_l = sigma0 (ell - x_hat) is the same either way,
-    so Im(beta)/n0 is variant independent; only Re(beta) and sigma_l differ.
     """
 
     a: float
@@ -107,7 +102,6 @@ class PmlConfig:
     x_c: float
     ell: float
     sigma0: float
-    variant: str = "as_printed"
 
     def __post_init__(self):
         if not (self.a <= self.d < self.x_c < self.ell):
@@ -115,23 +109,17 @@ class PmlConfig:
                 f"need a <= d < x_c < ell, got a={self.a}, d={self.d}, x_c={self.x_c}, ell={self.ell}")
         if self.sigma0 <= 0:
             raise ValueError(f"sigma0 must be positive, got {self.sigma0}")
-        if self.variant not in ("as_printed", "ramp_based"):
-            raise ValueError(f"unknown variant {self.variant!r}")
 
     @property
     def x_hat(self) -> float:
         return 0.5 * (self.d + self.x_c)
 
     @property
-    def _length(self) -> float:
-        return self.ell - (self.a if self.variant == "as_printed" else self.d)
-
-    @property
     def sigma_ell(self) -> float:
-        return self.sigma0 * (self.ell - self.x_hat) / self._length
+        return self.sigma0 * (self.ell - self.x_hat) / (self.ell - self.a)
 
     def beta(self, n0: float = 1.0) -> complex:
-        return n0 * self._length * (1.0 + 1j * self.sigma_ell)
+        return n0 * (self.ell - self.a) * (1.0 + 1j * self.sigma_ell)
 
 
 def sigma_eval(cfg: PmlConfig, x) -> np.ndarray:
@@ -146,13 +134,11 @@ def sigma_eval(cfg: PmlConfig, x) -> np.ndarray:
     return out if out.ndim else float(out)
 
 
-def critical_angle(cfg: PmlConfig, n0: float = 1.0) -> float:
+def critical_angle(cfg: PmlConfig) -> float:
     """Angle arg(1/(1 + i sigma_l)) = -atan(sigma_l) of the critical line.
 
     Points k in the fourth quadrant with arg k above this angle form the
-    feasible search region.  The angle does not depend on n0; the parameter is
-    accepted for uniformity with ``PmlConfig.beta``.
+    feasible search region; the angle does not depend on n0.
     """
-    del n0
     return -math.atan(cfg.sigma_ell)
 

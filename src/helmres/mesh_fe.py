@@ -104,14 +104,12 @@ def _lagrange_eval(nodes: np.ndarray, bw: np.ndarray, pts: np.ndarray) -> tuple[
     t = (bw[:, None] / safe**2).sum(axis=0)
     vals = c / s
     ders = vals * (t / s - 1.0 / safe)
-    hit = exact.any(axis=0)
-    if hit.any():
-        dmat = _differentiation_matrix(nodes, bw)
-        for i in np.nonzero(hit)[0]:
-            j = int(np.nonzero(exact[:, i])[0][0])
-            vals[:, i] = 0.0
-            vals[j, i] = 1.0
-            ders[:, i] = dmat[j, :]
+    hit = np.nonzero(exact.any(axis=0))[0]
+    if hit.size:
+        node = np.argmax(exact[:, hit], axis=0)
+        vals[:, hit] = 0.0
+        vals[node, hit] = 1.0
+        ders[:, hit] = _differentiation_matrix(nodes, bw)[node].T
     return vals, ders
 
 
@@ -179,7 +177,9 @@ class MeshedSpace:
 
     Global node numbering is cell*p + local over the full node set; with the
     Dirichlet condition the two endpoint nodes are removed from the DOF set.
-    ``node_coords`` lists the coordinates of the unconstrained DOFs.
+    ``node_coords`` lists the coordinates of the unconstrained DOFs, and
+    ``cell_dofs[c]`` the global DOF of each local node on cell c, -1 where
+    constrained.
     """
 
     mesh: Mesh1D
@@ -189,41 +189,25 @@ class MeshedSpace:
     node_coords: np.ndarray
     ref_nodes: np.ndarray
     bary_weights: np.ndarray
-
-    @property
-    def n_full_nodes(self) -> int:
-        return self.degree * self.mesh.n_cells + 1
-
-    def cell_dofs(self, cell: int) -> np.ndarray:
-        """Global DOF index of each local node on ``cell``; -1 when constrained."""
-        if not 0 <= cell < self.mesh.n_cells:
-            raise IndexError(f"cell {cell} out of range [0, {self.mesh.n_cells})")
-        ids = cell * self.degree + np.arange(self.degree + 1)
-        if self.boundary_condition is BoundaryCondition.DIRICHLET_BOTH_ENDS:
-            ids = ids - 1
-            ids[ids < 0] = -1
-            ids[ids >= self.dof_count] = -1
-        return ids
+    cell_dofs: np.ndarray       # (cells, p+1)
 
 
 def build_space(mesh: Mesh1D, p: int, bc: BoundaryCondition = BoundaryCondition.NONE) -> MeshedSpace:
     if p < 1:
         raise ValueError(f"polynomial degree must be >= 1, got {p}")
     ref = gauss_lobatto_nodes(p)
-    bw = _barycentric_weights(ref)
-    n_full = p * mesh.n_cells + 1
-    coords = np.empty(n_full)
-    for c in range(mesh.n_cells):
-        lo, hi = mesh.cell_bounds(c)
-        coords[c * p:(c + 1) * p + 1] = lo + 0.5 * (ref + 1.0) * (hi - lo)
+    v = mesh.vertices
+    local = v[:-1, None] + 0.5 * (ref + 1.0) * np.diff(v)[:, None]
+    # each cell owns its first p nodes; the last cell also owns the right end
+    coords = np.append(local[:, :-1], local[-1, -1])
+    dofs = p * np.arange(mesh.n_cells)[:, None] + np.arange(p + 1)
     if bc is BoundaryCondition.DIRICHLET_BOTH_ENDS:
-        dof_count = n_full - 2
-        node_coords = coords[1:-1].copy()
-    else:
-        dof_count = n_full
-        node_coords = coords
-    return MeshedSpace(mesh=mesh, degree=p, boundary_condition=bc, dof_count=dof_count,
-                       node_coords=node_coords, ref_nodes=ref, bary_weights=bw)
+        coords = coords[1:-1]
+        dofs -= 1
+        dofs[-1, -1] = -1
+    return MeshedSpace(mesh=mesh, degree=p, boundary_condition=bc, dof_count=coords.size,
+                       node_coords=coords, ref_nodes=ref, bary_weights=_barycentric_weights(ref),
+                       cell_dofs=dofs)
 
 
 def evaluate_basis(space: MeshedSpace, cell: int, local_points) -> tuple[np.ndarray, np.ndarray]:
@@ -240,31 +224,41 @@ def evaluate_basis(space: MeshedSpace, cell: int, local_points) -> tuple[np.ndar
     return vals, ders * (2.0 / (hi - lo))
 
 
-def _full_coefficients(space: MeshedSpace, coeffs: np.ndarray) -> np.ndarray:
-    coeffs = np.asarray(coeffs)
-    if coeffs.shape != (space.dof_count,):
-        raise ValueError(f"expected {space.dof_count} coefficients, got shape {coeffs.shape}")
-    if space.boundary_condition is BoundaryCondition.DIRICHLET_BOTH_ENDS:
-        full = np.zeros(space.n_full_nodes, dtype=coeffs.dtype)
-        full[1:-1] = coeffs
-        return full
-    return coeffs
+def cell_quadrature(space: MeshedSpace, order: int):
+    """The ``order``-point Gauss rule on every cell with the shape functions at its nodes.
+
+    Returns the nodes and weights, (cells, q); the shape-function values,
+    (q, p+1), the same on every cell; and their physical derivatives,
+    (cells, q, p+1).
+    """
+    rule = QuadratureRule.gauss_legendre(order)
+    v = space.mesh.vertices
+    nodes, weights = rule.mapped(v[:-1, None], v[1:, None])
+    vals, ders = _lagrange_eval(space.ref_nodes, space.bary_weights, rule.points)
+    ders = ders * (2.0 / np.diff(v))[:, None, None]
+    return nodes, weights, vals.T, ders.transpose(0, 2, 1)
+
+
+def locate(mesh: Mesh1D, points) -> np.ndarray:
+    """Index of the cell holding each point; a vertex belongs to the cell on its
+    right, the last vertex and points beyond the ends to the nearest cell."""
+    cells = np.searchsorted(mesh.vertices, points, side="right") - 1
+    return np.clip(cells, 0, mesh.n_cells - 1)
 
 
 def evaluate_function(space: MeshedSpace, coeffs, points) -> np.ndarray:
     """Evaluate the FE function with the given DOF coefficients at physical points."""
-    full = _full_coefficients(space, np.asarray(coeffs))
+    coeffs = np.asarray(coeffs)
+    if coeffs.shape != (space.dof_count,):
+        raise ValueError(f"expected {space.dof_count} coefficients, got shape {coeffs.shape}")
     pts = np.atleast_1d(np.asarray(points, dtype=float))
     v = space.mesh.vertices
     if pts.size and (pts.min() < v[0] - 1e-12 or pts.max() > v[-1] + 1e-12):
         raise ValueError("evaluation point outside the mesh")
-    cells = np.clip(np.searchsorted(v, pts, side="right") - 1, 0, space.mesh.n_cells - 1)
-    out = np.zeros(pts.shape, dtype=full.dtype if np.iscomplexobj(full) else float)
-    p = space.degree
-    for c in np.unique(cells):
-        sel = cells == c
-        lo, hi = space.mesh.cell_bounds(int(c))
-        loc = 2.0 * (pts[sel] - lo) / (hi - lo) - 1.0
-        vals, _ = _lagrange_eval(space.ref_nodes, space.bary_weights, np.clip(loc, -1.0, 1.0))
-        out[sel] = vals.T @ full[int(c) * p:int(c) * p + p + 1]
-    return out
+    cells = locate(space.mesh, pts)
+    lo, hi = v[cells], v[cells + 1]
+    loc = np.clip(2.0 * (pts - lo) / (hi - lo) - 1.0, -1.0, 1.0)
+    vals, _ = _lagrange_eval(space.ref_nodes, space.bary_weights, loc)
+    # a constrained node's DOF index -1 reads the appended zero
+    local = np.append(coeffs, 0)[space.cell_dofs[cells]]
+    return np.sum(vals.T * local, axis=1)

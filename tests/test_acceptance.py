@@ -209,7 +209,7 @@ def test_9_property_suites_run_in_under_a_minute(tmp_path):
     rng = np.random.default_rng(5)
     probe = EigenPair(k=0.9 - 0.3j, vector=rng.standard_normal(ctx.space.dof_count),
                       formulation="ls", lambda_raw=0.9 - 0.3j, space=ctx.space)
-    fine_ctx = LsContext(space=ctx.space, medium=ctx.medium, mass=ctx.mass,
+    fine_ctx = LsContext(space=ctx.space, medium=ctx.medium,
                          quad_order=2 * ctx.quad_order)
     e0 = filter_epsilon(ctx, probe).epsilon
     e1 = filter_epsilon(fine_ctx, probe).epsilon

@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
 
-from helmres import (BoundaryCondition, PmlConfig, air_filled_cavity_profile,
-                     assemble_dtn, assemble_pml, assemble_resonator_mass,
-                     build_mesh, build_space, bump_profile, slab_profile)
+from helmres import (BoundaryCondition, PmlConfig, QuadratureRule,
+                     air_filled_cavity_profile, assemble_dtn, assemble_pml,
+                     assemble_resonator_mass, build_mesh, build_space, bump_profile,
+                     evaluate_basis, sigma_eval, slab_profile)
 
 
 def _space(domain, breakpoints, h, p, bc=BoundaryCondition.NONE):
@@ -110,13 +112,86 @@ def test_pml_plateau_scaling():
     stretched = assemble_pml(space, med, _PML)
     plain = assemble_pml(space, med, flat)
     last = space.mesh.n_cells - 1  # (4.5, 5), fully beyond x_c
-    interior = space.cell_dofs(last)[1:-1]
+    interior = space.cell_dofs[last][1:-1]
     ix = np.ix_(interior, interior)
     alpha = 1.0 + 5.0j
     np.testing.assert_allclose(stretched.a_tilde[ix], plain.a_tilde[ix] / alpha,
                                rtol=1e-12)
     np.testing.assert_allclose(stretched.m_tilde[ix], plain.m_tilde[ix] * alpha,
                                rtol=1e-12)
+
+
+@pytest.mark.parametrize("lo", [2.0, 2.5, -3.0])
+def test_pml_ramp_cell_entries_match_adaptive_quadrature(lo):
+    # entries between nodes interior to one ramp cell come from that cell alone;
+    # 1/alpha is not polynomial there, so they witness the accuracy of the rule
+    med = slab_profile(2.0, 1.0)
+    space = _space((-5, 5), _PML_BPS, 0.5, 3, BoundaryCondition.DIRICHLET_BOTH_ENDS)
+    mats = assemble_pml(space, med, _PML)
+    cell = int(np.argmin(np.abs(space.mesh.vertices - lo)))
+    hi = space.mesh.vertices[cell + 1]
+    i, j = space.cell_dofs[cell][1:3]
+
+    def basis(x):
+        vals, ders = evaluate_basis(space, cell, [2.0 * (x - lo) / (hi - lo) - 1.0])
+        return vals[1:3, 0], ders[1:3, 0]
+
+    def alpha(x):
+        return 1.0 + 1j * sigma_eval(_PML, x)
+
+    def stiffness(x, a, b):
+        _, ders = basis(x)
+        return ders[a] * ders[b] / alpha(x)
+
+    def mass(x, a, b):
+        vals, _ = basis(x)
+        return med.n(x) ** 2 * alpha(x) * vals[a] * vals[b]
+
+    for (a, b), (r, c) in zip(((0, 0), (0, 1), (1, 1)), ((i, i), (i, j), (j, j))):
+        for integrand, mat in ((stiffness, mats.a_tilde), (mass, mats.m_tilde)):
+            exact = scipy.integrate.quad(integrand, lo, hi, args=(a, b), epsabs=0.0,
+                                         epsrel=1e-13, limit=200, complex_func=True)[0]
+            assert abs(mat[r, c] - exact) <= 1e-12 * abs(exact)
+
+
+def _cell_loop(space, order, weight):
+    """Reference assembly: one cell at a time, into the full node set."""
+    rule = QuadratureRule.gauss_legendre(order)
+    n, p = space.degree * space.mesh.n_cells + 1, space.degree
+    stiff, mass = np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)
+    for c in range(space.mesh.n_cells):
+        xq, wq = rule.mapped(*space.mesh.cell_bounds(c))
+        vals, ders = evaluate_basis(space, c, rule.points)
+        a_w, m_w = weight(xq, wq)
+        nodes = np.arange(c * p, c * p + p + 1)
+        stiff[np.ix_(nodes, nodes)] += (ders * a_w) @ ders.T
+        mass[np.ix_(nodes, nodes)] += (vals * m_w) @ vals.T
+    keep = slice(1, -1) if space.boundary_condition is BoundaryCondition.DIRICHLET_BOTH_ENDS \
+        else slice(None)
+    return stiff[keep, keep], mass[keep, keep]
+
+
+def test_batched_assembly_matches_cell_loop():
+    cavity = air_filled_cavity_profile(1.5, math.sqrt(3.5), math.sqrt(2.5))
+    space = _space((-2, 2), [-1.5, -1, 1, 1.5], 0.5, 5)
+    mats = assemble_dtn(space, cavity)
+    stiff, mass = _cell_loop(space, 8, lambda x, w: (w, w * cavity.n(x) ** 2))
+    np.testing.assert_array_equal(mats.a, stiff.real)
+    np.testing.assert_array_equal(mats.m, mass.real)
+    np.testing.assert_array_equal(assemble_resonator_mass(space),
+                                  _cell_loop(space, 8, lambda x, w: (w, w))[1].real)
+
+    pml_space = _space((-5, 5), [-1.5, -1, 1, 1.5] + _PML_BPS, 0.5, 4,
+                       BoundaryCondition.DIRICHLET_BOTH_ENDS)
+    pml = assemble_pml(pml_space, cavity, _PML)
+
+    def pml_weights(x, w):
+        alpha = 1.0 + 1j * sigma_eval(_PML, x)
+        return w / alpha, w * cavity.n(x) ** 2 * alpha
+
+    stiff, mass = _cell_loop(pml_space, 24, pml_weights)
+    np.testing.assert_array_equal(pml.a_tilde, stiff)
+    np.testing.assert_array_equal(pml.m_tilde, mass)
 
 
 def test_pml_rejections():
@@ -131,13 +206,19 @@ def test_pml_rejections():
 def test_resonator_mass_single_element():
     space = _space((0.0, 0.7), [], 0.7, 1)
     mass = assemble_resonator_mass(space)
-    np.testing.assert_allclose(mass.m, (0.7 / 6) * np.array([[2, 1], [1, 2]]),
+    np.testing.assert_allclose(mass, (0.7 / 6) * np.array([[2, 1], [1, 2]]),
                                atol=1e-15)
 
 
 def test_resonator_mass_spd_and_total():
     space = _space((-1.5, 1.5), [-1, 1], 0.25, 5)
     mass = assemble_resonator_mass(space)
-    assert mass.m.sum() == pytest.approx(3.0, rel=1e-13)
-    np.linalg.cholesky(mass.m)  # SPD witness
+    assert mass.sum() == pytest.approx(3.0, rel=1e-13)
+    np.linalg.cholesky(mass)  # SPD witness
 
+
+def test_resonator_mass_on_dirichlet_space_drops_the_ends():
+    mesh = build_mesh((-1.5, 1.5), [-1, 1], 0.5)
+    free = assemble_resonator_mass(build_space(mesh, 4))
+    pinned = assemble_resonator_mass(build_space(mesh, 4, BoundaryCondition.DIRICHLET_BOTH_ENDS))
+    np.testing.assert_array_equal(pinned, free[1:-1, 1:-1])

@@ -255,6 +255,8 @@ def test_main_grid_errors_are_stage_errors(tmp_path, capsys, command, grid_flags
     ["solve", "--problem", "bump", "--formulation", "dtn", "--eta", "3"],
     ["solve", "--problem", "slab", "--formulation", "dtn", "--window", "1", "0", "-1", "0"],
     ["convergence", "--problem", "air_cavity", "--formulation", "dtn", "--target", "99"],
+    ["reference", "--problem", "slab", "--formulation", "dtn", "--eta", "0.5"],
+    ["convergence", "--problem", "slab", "--formulation", "dtn", "--eta", "0.5"],
 ])
 def test_main_reports_config_errors(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path)]) == 1

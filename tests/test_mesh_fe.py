@@ -73,12 +73,12 @@ def test_degree_validation():
 def test_cell_dofs_shared_and_constrained():
     mesh = build_mesh((0.0, 1.0), [], 0.25)
     space = build_space(mesh, 3)
-    assert space.cell_dofs(0)[-1] == space.cell_dofs(1)[0]
+    assert space.cell_dofs[0][-1] == space.cell_dofs[1][0]
     dspace = build_space(mesh, 3, BoundaryCondition.DIRICHLET_BOTH_ENDS)
-    assert dspace.cell_dofs(0)[0] == -1
-    assert dspace.cell_dofs(3)[-1] == -1
+    assert dspace.cell_dofs[0][0] == -1
+    assert dspace.cell_dofs[3][-1] == -1
     with pytest.raises(IndexError):
-        space.cell_dofs(4)
+        space.cell_dofs[4]
 
 
 def test_gauss_lobatto_nodes():
@@ -144,6 +144,18 @@ def test_evaluate_function_complex_and_bounds():
         evaluate_function(space, coeffs, [1.2])
     with pytest.raises(ValueError):
         evaluate_function(space, coeffs[:-1], [0.3])
+
+
+def test_evaluate_function_on_dirichlet_space_has_zero_ends():
+    rng = np.random.default_rng(5)
+    mesh = build_mesh((-1.0, 2.0), [0.5], 0.5)
+    free = build_space(mesh, 3)
+    pinned = build_space(mesh, 3, BoundaryCondition.DIRICHLET_BOTH_ENDS)
+    coeffs = rng.standard_normal(pinned.dof_count) + 1j * rng.standard_normal(pinned.dof_count)
+    pts = np.concatenate(([-1.0, 2.0], mesh.vertices, rng.uniform(-1.0, 2.0, 30)))
+    np.testing.assert_array_equal(evaluate_function(pinned, coeffs, pts),
+                                  evaluate_function(free, np.pad(coeffs, 1), pts))
+    np.testing.assert_array_equal(evaluate_function(pinned, coeffs, [-1.0, 2.0]), 0.0)
 
 
 def test_quadrature_moments():
