@@ -18,8 +18,7 @@ from .eigen import (ContourConfig, EigenPair, NewtonConvergenceError,
                     solve_pml)
 from .lippmann import (FilterReport, LsContext, NoResonatorSupportError,
                        PseudospectrumGrid, apply_kernel, build_ls_context,
-                       collocation_matrix, filter_epsilon, pseudospectrum,
-                       write_grid_csv)
+                       collocation_matrix, filter_epsilon, pseudospectrum)
 from .media import (MediumProfile, PmlConfig, air_filled_cavity_profile,
                     bump_profile, critical_angle, sigma_eval, slab_profile)
 from .mesh_fe import (BoundaryCondition, Mesh1D, MeshedSpace, QuadratureRule,
@@ -44,7 +43,7 @@ __all__ = [
     "solve_contour", "smallest_singular_value",
     "LsContext", "FilterReport", "PseudospectrumGrid", "NoResonatorSupportError",
     "build_ls_context", "apply_kernel", "collocation_matrix", "filter_epsilon",
-    "pseudospectrum", "write_grid_csv",
+    "pseudospectrum",
     "ReferenceSet", "DegenerateRelationError",
     "slab_dtn_eigenvalues", "slab_pml_eigenvalues", "cavity_relation_residual",
     "general_dtn_relation_residual", "layered_solutions", "reference_table",

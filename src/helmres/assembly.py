@@ -108,7 +108,7 @@ def assemble_pml(space: MeshedSpace, medium: MediumProfile, pml: PmlConfig) -> P
     """
     if space.boundary_condition is not BoundaryCondition.DIRICHLET_BOTH_ENDS:
         raise ValueError("the PML formulation uses a space with Dirichlet ends")
-    _check_alignment(space, tuple(medium.breakpoints) + (-pml.x_c, -pml.d, pml.d, pml.x_c))
+    _check_alignment(space, medium.breakpoints + pml.breakpoints)
 
     xq, wq, vals, ders = cell_quadrature(space, max(space.degree + 4, _PML_MIN_ORDER))
     alpha = 1.0 + 1j * sigma_eval(pml, xq)

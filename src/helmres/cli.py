@@ -4,7 +4,12 @@ A run is configured by a :class:`RunConfig`, executed by
 :func:`run_pipeline` (discretize, solve, window, filter, match against
 references, optional s_min grid), and persisted by :func:`emit_outputs`.
 :func:`discretize` is the one place a configuration becomes a mesh, matrices
-and a matrix function T(k).  Subcommands:
+and a matrix function T(k).
+
+This module owns the output format: every file a command writes goes through
+one CSV writer, which prints each number with 12 significant digits and a
+signed zero as 0, and one JSON writer (indented, sorted keys).  A failed write
+is reported as pipeline stage ``output``.  Subcommands:
 
     solve           full pipeline, writes eigenvalues.csv and run.json
     filter          pipeline with the pseudomode filter forced on, prints a
@@ -24,6 +29,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -36,7 +42,7 @@ from .assembly import DtnMatrices, PmlMatrices, assemble_dtn, assemble_pml
 from .eigen import ContourConfig, EigenPair, canonical_fourth_quadrant, solve_contour, \
     solve_dtn, solve_pml
 from .lippmann import FilterReport, LsContext, NoResonatorSupportError, PseudospectrumGrid, \
-    build_ls_context, collocation_matrix, filter_epsilon, pseudospectrum, write_grid_csv
+    build_ls_context, collocation_matrix, filter_epsilon, pseudospectrum
 from .media import MediumProfile, PmlConfig, air_filled_cavity_profile, bump_profile, \
     critical_angle, slab_profile
 from .mesh_fe import BoundaryCondition, MeshedSpace, build_mesh, build_space
@@ -104,23 +110,14 @@ class RunConfig:
             raise ValueError("eta must be unset for bump: its profile has no index parameter")
 
     def to_json_dict(self) -> dict:
-        raw = dataclasses.asdict(self)
-        for key in ("window", "pseudo_resolution"):
-            if raw[key] is not None:
-                raw[key] = list(raw[key])
-        return raw
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        extra = set(data) - known
+        extra = set(data) - {f.name for f in dataclasses.fields(cls)}
         if extra:
             raise ValueError(f"unknown config keys: {sorted(extra)}")
-        kwargs = dict(data)
-        for key in ("window", "pseudo_resolution"):
-            if kwargs.get(key) is not None:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+        return cls(**data)
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,7 +234,7 @@ class Discretization:
             probe_columns=min(24, space.dof_count),
         )
         rng = np.random.default_rng(cfg.seed)
-        return solve_contour(self.t, contour, rng, formulation="ls", space=space), None
+        return solve_contour(self.t, contour, rng, space=space), None
 
 
 def discretize(cfg: RunConfig) -> Discretization:
@@ -249,8 +246,7 @@ def discretize(cfg: RunConfig) -> Discretization:
     if cfg.formulation == "pml":
         pml = PmlConfig(a=medium.resonator_halfwidth, d=cfg.d, x_c=cfg.x_c,
                         ell=cfg.ell, sigma0=cfg.sigma0)
-        half, bc = cfg.ell, BoundaryCondition.DIRICHLET_BOTH_ENDS
-        extra = (-cfg.x_c, -cfg.d, cfg.d, cfg.x_c)
+        half, bc, extra = cfg.ell, BoundaryCondition.DIRICHLET_BOTH_ENDS, pml.breakpoints
     else:
         pml, half, bc, extra = None, cfg.d, BoundaryCondition.NONE, ()
     bps = [b for b in medium.breakpoints + extra if -half < b < half]
@@ -336,31 +332,52 @@ def _fmt(value) -> str:
     return "" if value is None else f"{value + 0.0:.12g}"
 
 
+def _write_csv(path: str, header: str, rows) -> None:
+    """``header`` and one line per row, creating the directory; strings are
+    written as given, numbers and None through :func:`_fmt`."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(v if isinstance(v, str) else _fmt(v) for v in row) + "\n")
+
+
+def _write_json(path: str, payload: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_grid_csv(grid: PseudospectrumGrid, path, parameters: dict | None = None) -> None:
+    """Grid as "re_k,im_k,smin" rows (row-major, Re k fastest) plus a JSON sidecar."""
+    path = str(path)
+    _write_csv(path, "re_k,im_k,smin",
+               ((re, im, grid.values[iy, ix]) for iy, im in enumerate(grid.im_points)
+                for ix, re in enumerate(grid.re_points)))
+    _write_json(path + ".json", {
+        "region": [grid.re_min, grid.re_max, grid.im_min, grid.im_max],
+        "resolution": [grid.nx, grid.ny],
+        "formulation": grid.formulation,
+        "parameters": parameters or {},
+    })
+
+
 def emit_outputs(report: RunReport) -> list[str]:
     """Write eigenvalues.csv, run.json, and pseudospectrum.csv when the report has a grid.
 
     CSV content is a pure function of config + seed, byte-identical across
     runs; timing stays out of every emitted file for that reason.
     """
-    import os
-
     cfg = report.config
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    written = []
-
     path = os.path.join(cfg.out_dir, "eigenvalues.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("j,re_k,im_k,epsilon,feasible,ref_match,ref_dist\n")
-        for row in report.rows:
-            feasible = "true" if row.feasible else "false"
-            ref_match = "" if row.ref_index is None else str(row.ref_index)
-            fh.write(f"{row.index},{_fmt(row.k.real)},{_fmt(row.k.imag)},"
-                     f"{_fmt(row.epsilon)},{feasible},{ref_match},"
-                     f"{_fmt(row.ref_distance)}\n")
-    written.append(path)
+    _write_csv(path, "j,re_k,im_k,epsilon,feasible,ref_match,ref_dist",
+               ((row.index, row.k.real, row.k.imag, row.epsilon,
+                 "true" if row.feasible else "false", row.ref_index, row.ref_distance)
+                for row in report.rows))
+    written = [path]
 
     path = os.path.join(cfg.out_dir, "run.json")
-    payload = {
+    _write_json(path, {
         "config": cfg.to_json_dict(),
         "versions": {
             "helmres": __version__,
@@ -368,10 +385,7 @@ def emit_outputs(report: RunReport) -> list[str]:
             "scipy": scipy.__version__,
             "python": ".".join(map(str, sys.version_info[:3])),
         },
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
     written.append(path)
 
     if report.grid is not None:
@@ -427,7 +441,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     for field in dataclasses.fields(RunConfig):
         given = getattr(args, field.name, None)
         if given is not None:
-            values[field.name] = tuple(given) if isinstance(given, list) else given
+            values[field.name] = given
     if "problem" not in values or "formulation" not in values:
         raise SystemExit("error: --problem and --formulation are required "
                          "(directly or via --config)")
@@ -455,7 +469,7 @@ def _print_report(report: RunReport, threshold: float | None = None) -> None:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     report = run_pipeline(build_config(args))
-    for path in emit_outputs(report):
+    for path in _stage("output", emit_outputs, report):
         print(f"wrote {path}")
     _print_report(report)
     return 0
@@ -464,20 +478,17 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_filter(args: argparse.Namespace) -> int:
     cfg = dataclasses.replace(build_config(args), apply_filter=True)
     report = run_pipeline(cfg)
-    emit_outputs(report)
+    _stage("output", emit_outputs, report)
     _print_report(report, threshold=cfg.epsilon_threshold)
     return 0
 
 
 def _cmd_pseudospectrum(args: argparse.Namespace) -> int:
-    import os
-
     cfg = build_config(args)
     disc = _stage("setup", discretize, cfg)
     grid = _stage("pseudospectrum", _grid_stage, disc)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "pseudospectrum.csv")
-    write_grid_csv(grid, path, parameters=cfg.to_json_dict())
+    _stage("output", write_grid_csv, grid, path, cfg.to_json_dict())
     print(f"wrote {path} ({grid.nx} x {grid.ny}, min smin = {grid.values.min():.3e})")
     return 0
 
@@ -493,25 +504,14 @@ def _required_reference(cfg: RunConfig) -> ReferenceSet:
 
 
 def _cmd_reference(args: argparse.Namespace) -> int:
-    import os
-
     cfg = build_config(args)
     refs = _required_reference(cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    entries = [(j, k.real, k.imag) for j, k in refs.entries]
     csv_path = os.path.join(cfg.out_dir, "reference.csv")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("j,re_k,im_k\n")
-        for j, k in refs.entries:
-            fh.write(f"{j},{k.real:.12g},{k.imag:.12g}\n")
+    _stage("output", _write_csv, csv_path, "j,re_k,im_k", entries)
     json_path = os.path.join(cfg.out_dir, "reference.json")
-    payload = {
-        "problem": refs.problem,
-        "provenance": refs.provenance,
-        "entries": [[j, k.real, k.imag] for j, k in refs.entries],
-    }
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _stage("output", _write_json, json_path, {
+        "problem": refs.problem, "provenance": refs.provenance, "entries": entries})
     print(f"wrote {csv_path} and {json_path} ({len(refs.entries)} values, "
           f"{refs.provenance})")
     return 0
@@ -524,33 +524,23 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
     print(f"# target k = {target.real:+.12g} {target.imag:+.12g}j "
           f"(reference index {args.target})")
 
-    def error_at(degree: int, refinements: int) -> float:
+    # (label, degree, refinements) per step, and how successive errors compare
+    if args.sweep == "p":
+        steps = [(f"p = {p:2d}", p, cfg.refinements) for p in range(args.start, args.stop + 1)]
+        rate_name, rate = "factor", lambda ratio: ratio
+    else:
+        steps = [(f"h = {cfg.initial_cell_size / 2 ** r:.6g}", cfg.degree, r)
+                 for r in range(cfg.refinements, cfg.refinements + args.levels)]
+        rate_name, rate = "order", math.log2
+    previous = math.nan  # compares false, so the first step has no rate
+    for label, degree, refinements in steps:
         sub = dataclasses.replace(cfg, degree=degree, refinements=refinements,
                                   apply_filter=False, pseudo_resolution=None)
-        report = run_pipeline(sub)
-        if not report.rows:
-            return float("nan")
-        return min(abs(row.k - target) for row in report.rows)
-
-    if args.sweep == "p":
-        errors = []
-        for degree in range(args.start, args.stop + 1):
-            err = error_at(degree, cfg.refinements)
-            note = ""
-            if errors and errors[-1] > 0 and err > 0:
-                note = f"  factor = {errors[-1] / err:.2f}"
-            print(f"p = {degree:2d}  err = {err:.6e}{note}")
-            errors.append(err)
-    else:
-        errors = []
-        for level in range(args.levels):
-            err = error_at(cfg.degree, cfg.refinements + level)
-            note = ""
-            if errors and errors[-1] > 0 and err > 0:
-                note = f"  order = {math.log2(errors[-1] / err):.2f}"
-            h_eff = cfg.initial_cell_size / 2 ** (cfg.refinements + level)
-            print(f"h = {h_eff:.6g}  err = {err:.6e}{note}")
-            errors.append(err)
+        rows = run_pipeline(sub).rows
+        err = min((abs(row.k - target) for row in rows), default=math.nan)
+        note = f"  {rate_name} = {rate(previous / err):.2f}" if previous > 0 and err > 0 else ""
+        print(f"{label}  err = {err:.6e}{note}")
+        previous = err
     return 0
 
 

@@ -23,6 +23,11 @@ import scipy.linalg
 from .mesh_fe import MeshedSpace
 
 _HUGE_EIGENVALUE = 1e12
+# A0 has rank 0 when its largest singular value is at most this, and otherwise
+# the rank counts the singular values above this times the largest
+_RANK_TOLERANCE = 1e-10
+# eigenvalues closer than this, relative to 1 + |k|, are one eigenvalue
+_MERGE_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,7 +66,6 @@ class ContourConfig:
     radius: float
     quadrature_nodes: int = 32
     probe_columns: int = 16
-    rank_tolerance: float = 1e-10
     radius_im: float | None = None
 
     def __post_init__(self):
@@ -161,7 +165,7 @@ def solve_pml(mats) -> tuple[list[EigenPair], SolveDiagnostics]:
                                    dropped_huge=int(np.sum(~finite)))
 
 
-def canonical_fourth_quadrant(pairs, merge_tol: float = 1e-9):
+def canonical_fourth_quadrant(pairs):
     """One representative with Re k >= 0 per {k, -conj k} symmetric pair.
 
     Members with Re k < 0 are reflected (k -> -conj k, vector conjugated,
@@ -178,7 +182,7 @@ def canonical_fourth_quadrant(pairs, merge_tol: float = 1e-9):
     canon.sort(key=lambda pr: (pr.k.real, pr.k.imag))
     out = []
     for pr in canon:
-        if out and abs(pr.k - out[-1].k) <= merge_tol * (1.0 + abs(pr.k)):
+        if out and abs(pr.k - out[-1].k) <= _MERGE_TOLERANCE * (1.0 + abs(pr.k)):
             continue
         out.append(pr)
     return out
@@ -209,19 +213,19 @@ def newton_root(f, guess: complex, tol: float = 1e-12, max_iter: int = 60) -> co
     raise NewtonConvergenceError(f"no convergence in {max_iter} iterations", z, abs(fz))
 
 
-def solve_contour(t_fun, cfg: ContourConfig, rng=None, formulation: str = "ls",
-                  space: MeshedSpace | None = None):
+def solve_contour(t_fun, cfg: ContourConfig, rng=None, space: MeshedSpace | None = None):
     """Beyn contour-integral eigensolver for analytic matrix functions T(z).
 
     Trapezoid moments on the ellipse with random probe V,
 
         A0 = (1/2 pi i) oint T(z)^-1 V dz,   A1 = (1/2 pi i) oint z T(z)^-1 V dz,
 
-    then an SVD rank truncation of A0 at ``rank_tolerance`` reduces A1 to a
+    then an SVD rank truncation of A0 at a relative 1e-10 reduces A1 to a
     small matrix whose eigenvalues are the T-eigenvalues inside the contour.
-    Eigenvalues outside are discarded.  The trapezoid rule on a closed contour
-    converges exponentially for analytic integrands; a comparison against the
-    half-node rule triggers a warning when the moments look unresolved.
+    Eigenvalues outside are discarded; the pairs carry formulation "ls".  The
+    trapezoid rule on a closed contour converges exponentially for analytic
+    integrands; a comparison against the half-node rule triggers a warning
+    when the moments look unresolved.
     """
     rng = np.random.default_rng(rng)
     rx, ry = cfg.semi_axes
@@ -256,9 +260,9 @@ def solve_contour(t_fun, cfg: ContourConfig, rng=None, formulation: str = "ls",
                           "was halved; increase quadrature_nodes", RuntimeWarning, stacklevel=2)
 
     u, s, wh = scipy.linalg.svd(a0, full_matrices=False)
-    if s[0] <= cfg.rank_tolerance:
+    if s[0] <= _RANK_TOLERANCE:
         return []
-    rank = int(np.sum(s > cfg.rank_tolerance * s[0]))
+    rank = int(np.sum(s > _RANK_TOLERANCE * s[0]))
     if rank == cols:
         raise ProbeTooSmallError(
             f"numerical rank {rank} saturated the probe width; raise probe_columns")
@@ -270,7 +274,7 @@ def solve_contour(t_fun, cfg: ContourConfig, rng=None, formulation: str = "ls",
         if not cfg.contains(complex(lam_j), tol=1e-12):
             continue
         vec = ur @ svec
-        out.append(EigenPair(k=complex(lam_j), vector=vec, formulation=formulation,
+        out.append(EigenPair(k=complex(lam_j), vector=vec, formulation="ls",
                              lambda_raw=complex(lam_j), space=space))
     out.sort(key=lambda pr: (pr.k.real, pr.k.imag))
     return out

@@ -28,7 +28,6 @@ collocation nodes (T(k)) and once at its cell Gauss points (the filter).
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -295,21 +294,3 @@ def pseudospectrum(t, region: tuple[float, float, float, float],
     return PseudospectrumGrid(re_min=re_min, re_max=re_max, im_min=im_min, im_max=im_max,
                               nx=nx, ny=ny, values=values, formulation=formulation)
 
-
-def write_grid_csv(grid: PseudospectrumGrid, path, parameters: dict | None = None) -> None:
-    """Grid as "re_k,im_k,smin" rows (row-major, Re k fastest) plus a JSON sidecar."""
-    path = str(path)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("re_k,im_k,smin\n")
-        for iy, im in enumerate(grid.im_points):
-            for ix, re in enumerate(grid.re_points):
-                fh.write(f"{re:.12g},{im:.12g},{grid.values[iy, ix]:.12g}\n")
-    sidecar = {
-        "region": [grid.re_min, grid.re_max, grid.im_min, grid.im_max],
-        "resolution": [grid.nx, grid.ny],
-        "formulation": grid.formulation,
-        "parameters": parameters or {},
-    }
-    with open(path + ".json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -28,7 +28,6 @@ class MediumProfile:
     n0: float
     resonator_halfwidth: float
     breakpoints: tuple[float, ...]
-    name: str = "custom"
 
     @property
     def resonator_support(self) -> tuple[float, float]:
@@ -52,7 +51,7 @@ def slab_profile(eta: float, a: float) -> MediumProfile:
         return np.where(np.abs(xv) <= a, eta, 1.0)
 
     return MediumProfile(n=n, n0=1.0, resonator_halfwidth=a,
-                         breakpoints=(-a, a), name="slab")
+                         breakpoints=(-a, a))
 
 
 def air_filled_cavity_profile(b: float, gamma: float, eta: float) -> MediumProfile:
@@ -69,7 +68,7 @@ def air_filled_cavity_profile(b: float, gamma: float, eta: float) -> MediumProfi
         return np.where(xv <= 1.0, 1.0, np.where(xv <= b, gamma, eta))
 
     return MediumProfile(n=n, n0=float(eta), resonator_halfwidth=b,
-                         breakpoints=(-b, -1.0, 1.0, b), name="air_cavity")
+                         breakpoints=(-b, -1.0, 1.0, b))
 
 
 def bump_profile() -> MediumProfile:
@@ -83,7 +82,7 @@ def bump_profile() -> MediumProfile:
         return np.where(np.abs(xv) <= 1.0, 2.0 - xv**2, 1.0)
 
     return MediumProfile(n=n, n0=1.0, resonator_halfwidth=1.0,
-                         breakpoints=(-1.0, 1.0), name="bump")
+                         breakpoints=(-1.0, 1.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,6 +108,11 @@ class PmlConfig:
                 f"need a <= d < x_c < ell, got a={self.a}, d={self.d}, x_c={self.x_c}, ell={self.ell}")
         if self.sigma0 <= 0:
             raise ValueError(f"sigma0 must be positive, got {self.sigma0}")
+
+    @property
+    def breakpoints(self) -> tuple[float, float, float, float]:
+        """The vertices a mesh of the layer must have: where the ramp starts and ends."""
+        return (-self.x_c, -self.d, self.d, self.x_c)
 
     @property
     def x_hat(self) -> float:

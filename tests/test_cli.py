@@ -98,6 +98,16 @@ def test_signed_zero_is_written_as_zero(tmp_path):
     assert "-0" not in fields
 
 
+def test_grid_signed_zero_is_written_as_zero(tmp_path):
+    assert main(["pseudospectrum", "--problem", "slab", "--formulation", "dtn", "--p", "2",
+                 "--h", "0.5", "--d", "1", "--window", "-0", "1", "-1", "-0",
+                 "--pseudo", "2", "2", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "pseudospectrum.csv").read_text().strip().splitlines()
+    fields = [f for line in lines[1:] for f in line.split(",")]
+    assert fields[0::3] == ["0", "1", "0", "1"]
+    assert fields[1::3] == ["-1", "-1", "0", "0"]
+
+
 def test_outputs_are_deterministic(tmp_path):
     base = RunConfig(problem="slab", formulation="ls", degree=6,
                      initial_cell_size=0.25, window=(0.4, 1.2, -0.5, -0.05),
@@ -249,6 +259,17 @@ def test_main_grid_errors_are_stage_errors(tmp_path, capsys, command, grid_flags
                "--h", "0.5", "--d", "1", *grid_flags, "--out", str(tmp_path)])
     assert rc == 1
     assert "pipeline stage 'pseudospectrum' failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "filter", "pseudospectrum", "reference"])
+def test_main_output_errors_are_stage_errors(tmp_path, capsys, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    rc = main([command, "--problem", "slab", "--formulation", "dtn", "--p", "2",
+               "--h", "0.5", "--d", "1", "--window", "0", "4", "-2", "0",
+               "--pseudo", "2", "2", "--out", str(blocker / "out")])
+    assert rc == 1
+    assert "pipeline stage 'output' failed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

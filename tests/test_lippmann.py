@@ -12,9 +12,9 @@ from helmres import (BoundaryCondition, ContourConfig, EigenPair, LsContext,
                      apply_kernel, assemble_dtn, build_ls_context, build_mesh,
                      build_space, collocation_matrix, filter_epsilon,
                      pseudospectrum, slab_dtn_eigenvalues, slab_profile,
-                     smallest_singular_value, solve_contour, write_grid_csv)
+                     smallest_singular_value, solve_contour)
 from helmres import lippmann
-from helmres.cli import RunConfig, discretize
+from helmres.cli import RunConfig, discretize, write_grid_csv
 
 K1 = math.pi / 4 - 1j * math.log(3.0) / 4
 
