@@ -13,8 +13,8 @@ PML pair on Omega_ell = (-ell, ell) with Dirichlet ends, alpha = 1 + i sigma:
 both complex symmetric.  The resonator mass M^r is the plain L^2 mass on the
 space over Omega_r used by the spurious-solution filter.
 
-All matrices are dense; the 1D problems stay small enough that the dense QZ
-downstream wants them dense anyway.
+All matrices are dense; the 1D problems stay small enough that the dense
+eigensolves downstream want them dense anyway.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """Eigenvalue machinery shared by the three formulations.
 
-* dense companion solve of the quadratic problem (lambda^2 M + lambda E + A) xi = 0,
-* dense generalized solve of the PML pencil At xi = lambda Mt xi,
+* dense solve of the quadratic problem (lambda^2 M + lambda E + A) xi = 0 as a
+  standard eigenproblem of its companion form reduced by M = L L^T,
+* dense solve of the PML pencil At xi = lambda Mt xi as that of Mt^-1 At,
 * a complex Newton scalar root finder,
 * a Beyn-style contour-integral solver for matrix-valued analytic T(k),
 * smallest singular values for pseudospectrum maps.
@@ -22,7 +23,6 @@ import scipy.linalg
 
 from .mesh_fe import MeshedSpace
 
-_HUGE_EIGENVALUE = 1e12
 # A0 has rank 0 when its largest singular value is at most this, and otherwise
 # the rank counts the singular values above this times the largest
 _RANK_TOLERANCE = 1e-10
@@ -103,66 +103,66 @@ class ProbeTooSmallError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class SolveDiagnostics:
+    """Size of the solved eigenproblem and the eigenvalues computed but not returned."""
+
     pencil_size: int
-    dropped_huge: int
+    dropped: int
 
 
 def solve_dtn(mats) -> tuple[list[EigenPair], SolveDiagnostics]:
-    """All finite eigenpairs of the companion pencil of the quadratic problem.
+    """Eigenpairs of (lambda^2 M + lambda E + A) xi = 0, all but the static mode k = 0.
 
-    The pencil is [[A, E], [0, I]] z = lambda [[0, -M], [I, 0]] z, whose first
-    block row together with eta = lambda xi encodes
-    (A + lambda E + lambda^2 M) xi = 0.  The parameter is lambda = -ik, so
-    eigenvalues map back through k = i lambda; the xi block of each eigenvector
-    is kept.  Both members of every {k, -conj k} pair are returned; see
-    ``canonical_fourth_quadrant`` for the reduction.  Returned with the
-    pencil's :class:`SolveDiagnostics`.
+    With M = L L^T and y = L^T xi the problem becomes the real standard 2n x 2n
+    eigenproblem [[0, I], [-L^-1 A L^-T, -L^-1 E L^-T]] z = lambda z with
+    z = (y, lambda y); the top block of each eigenvector maps back through
+    xi = L^-T y.  A finite matrix has no infinite eigenvalues, so all 2n are
+    finite.  A 1 = 0 makes lambda = 0 an exact, simple eigenvalue (Q'(0) = E
+    and 1^T E 1 = 2 n0), the static mode, which is no resonance: the eigenvalue
+    of smallest modulus is dropped and counted in the diagnostics.  The
+    parameter is lambda = -ik, so eigenvalues map back through k = i lambda.
+    Both members of every {k, -conj k} pair are returned; see
+    ``canonical_fourth_quadrant`` for the reduction.
     """
     n = mats.a.shape[0]
-    zero = np.zeros((n, n))
-    eye = np.eye(n)
-    lhs = np.block([[mats.a, mats.e], [zero, eye]])
-    rhs = np.block([[zero, -mats.m], [eye, zero]])
     try:
-        lam, vecs = scipy.linalg.eig(lhs, rhs)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
-        raise RuntimeError(f"generalized eigensolver failed on pencil of size {2 * n}") from exc
-    finite = np.isfinite(lam) & (np.abs(lam) <= _HUGE_EIGENVALUE)
-    pairs = []
-    for lam_j, vec in zip(lam[finite], vecs[:, finite].T):
-        xi = vec[:n]
-        if np.linalg.norm(xi) < 1e-290:
-            continue
-        pairs.append(EigenPair(k=complex(1j * lam_j), vector=xi, formulation="dtn",
-                               lambda_raw=complex(lam_j), space=mats.space))
+        chol = scipy.linalg.cholesky(mats.m, lower=True)
+    except scipy.linalg.LinAlgError as exc:
+        raise ValueError("the DtN mass matrix M is not symmetric positive definite") from exc
+    companion = np.zeros((2 * n, 2 * n))
+    companion[:n, n:] = np.eye(n)
+    for block, mat in ((companion[n:, :n], mats.a), (companion[n:, n:], mats.e)):
+        half = scipy.linalg.solve_triangular(chol, mat, lower=True)
+        block[:] = -scipy.linalg.solve_triangular(chol, half.T, lower=True)
+    lam, vecs = np.linalg.eig(companion)
+    static = np.argmin(np.abs(lam))
+    xis = scipy.linalg.solve_triangular(chol, vecs[:n], lower=True, trans="T")
+    pairs = [EigenPair(k=complex(1j * lam_j), vector=xi, formulation="dtn",
+                       lambda_raw=complex(lam_j), space=mats.space)
+             for j, (lam_j, xi) in enumerate(zip(lam, xis.T)) if j != static]
     pairs.sort(key=lambda pr: (pr.k.real, pr.k.imag))
-    return pairs, SolveDiagnostics(pencil_size=2 * n, dropped_huge=int(np.sum(~finite)))
+    return pairs, SolveDiagnostics(pencil_size=2 * n, dropped=1)
 
 
 def solve_pml(mats) -> tuple[list[EigenPair], SolveDiagnostics]:
     """All eigenpairs of At xi = lambda Mt xi with k the principal sqrt of lambda.
 
-    Principal square roots land in the closed right half plane; roots with
-    Im k > 0 are replaced by conj(sqrt(lambda)) so every reported k lies in the
-    closed fourth quadrant, while ``lambda_raw`` keeps the pencil eigenvalue.
-    Returned with the pencil's :class:`SolveDiagnostics`.
+    Mt has the SPD Hermitian part int n^2 phi phi (Re alpha = 1), so it is
+    invertible and the pencil is solved as the standard eigenproblem of
+    Mt^-1 At, which has no infinite eigenvalues.  Principal square roots land in
+    the closed right half plane; roots with Im k > 0 are replaced by
+    conj(sqrt(lambda)) so every reported k lies in the closed fourth quadrant,
+    while ``lambda_raw`` keeps the pencil eigenvalue.
     """
-    try:
-        lam, vecs = scipy.linalg.eig(mats.a_tilde, mats.m_tilde)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
-        raise RuntimeError(
-            f"generalized eigensolver failed on pencil of size {mats.a_tilde.shape[0]}") from exc
-    finite = np.isfinite(lam) & (np.abs(lam) <= _HUGE_EIGENVALUE)
+    lam, vecs = np.linalg.eig(np.linalg.solve(mats.m_tilde, mats.a_tilde))
     pairs = []
-    for lam_j, vec in zip(lam[finite], vecs[:, finite].T):
+    for lam_j, vec in zip(lam, vecs.T):
         k = np.sqrt(complex(lam_j))
         if k.imag > 0:
             k = np.conj(k)
         pairs.append(EigenPair(k=complex(k), vector=vec, formulation="pml",
                                lambda_raw=complex(lam_j), space=mats.space))
     pairs.sort(key=lambda pr: (pr.k.real, pr.k.imag))
-    return pairs, SolveDiagnostics(pencil_size=mats.a_tilde.shape[0],
-                                   dropped_huge=int(np.sum(~finite)))
+    return pairs, SolveDiagnostics(pencil_size=mats.a_tilde.shape[0], dropped=0)
 
 
 def canonical_fourth_quadrant(pairs):

@@ -6,7 +6,8 @@ import math
 
 import pytest
 
-from helmres.cli import (PipelineStageError, RunConfig, emit_outputs,
+from helmres import assemble_dtn, solve_dtn
+from helmres.cli import (PipelineStageError, RunConfig, discretize, emit_outputs,
                          load_config, main, medium_for, reference_for,
                          run_pipeline)
 
@@ -14,6 +15,8 @@ K1 = math.pi / 4 - 1j * math.log(3.0) / 4
 
 _SLAB_DTN = dict(problem="slab", formulation="dtn", degree=2,
                  initial_cell_size=0.5, d=1.0, window=(0.0, 4.0, -2.0, 0.0))
+_CAVITY_DTN = dict(problem="air_cavity", formulation="dtn", degree=14,
+                   initial_cell_size=0.25, d=2.0, window=(0.0, 12.5, -1.0, 0.0))
 
 
 def test_config_validation():
@@ -70,12 +73,33 @@ def test_absorbing_layer_artifacts_are_flagged():
 
 
 def test_cavity_pipeline_matches_reference():
-    cfg = RunConfig(problem="air_cavity", formulation="dtn", degree=14,
-                    initial_cell_size=0.25, d=2.0, window=(0.0, 12.5, -1.0, 0.0))
-    report = run_pipeline(cfg)
+    report = run_pipeline(RunConfig(**_CAVITY_DTN))
     assert len(report.rows) >= 8
     assert all(row.ref_distance < 1e-6 for row in report.rows)
     assert all(row.epsilon < 1e-2 for row in report.rows)
+
+
+@pytest.mark.parametrize("config", [_SLAB_DTN, _CAVITY_DTN], ids=["slab", "air_cavity"])
+def test_dtn_solve_drops_the_static_mode(config):
+    # A 1 = 0, so k = 0 is an eigenvalue of every DtN quadratic but no resonance;
+    # rounding puts it on either side of a window's Im k = 0 edge
+    pairs, diag = solve_dtn(discretize(RunConfig(**config)).mats)
+    assert min(abs(pr.k) for pr in pairs) >= 1e-8
+    assert diag.dropped == 1
+    assert len(pairs) + diag.dropped == diag.pencil_size
+
+
+def test_main_reports_an_indefinite_dtn_mass_as_a_solve_error(tmp_path, capsys, monkeypatch):
+    def flipped_mass(space, medium):
+        mats = assemble_dtn(space, medium)
+        return dataclasses.replace(mats, m=-mats.m)
+
+    monkeypatch.setattr("helmres.cli.assemble_dtn", flipped_mass)
+    rc = main(["solve", "--problem", "slab", "--formulation", "dtn", "--p", "2",
+               "--h", "0.5", "--d", "1", "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "pipeline stage 'solve' failed" in err and "DtN mass matrix" in err
 
 
 def test_air_cavity_reference_only_at_the_tabulated_eta():

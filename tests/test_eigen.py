@@ -1,4 +1,4 @@
-"""Companion/generalized eigensolvers, Newton iteration, contour integration."""
+"""DtN/PML pencil solves against a QZ oracle, Newton iteration, contour integration."""
 
 import cmath
 import math
@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helmres import (BoundaryCondition, ContourConfig, EigenPair,
+from helmres import (BoundaryCondition, ContourConfig, DtnMatrices, EigenPair,
                      NewtonConvergenceError, PmlConfig, ProbeTooSmallError,
                      assemble_dtn, assemble_pml, build_ls_context,
                      build_mesh, build_space, canonical_fourth_quadrant,
-                     collocation_matrix, newton_root, slab_dtn_eigenvalues,
-                     slab_profile, smallest_singular_value, solve_contour,
-                     solve_dtn, solve_pml)
+                     collocation_matrix, newton_root, reference_table,
+                     slab_dtn_eigenvalues, slab_profile, smallest_singular_value,
+                     solve_contour, solve_dtn, solve_pml)
+from helmres.cli import RunConfig, discretize
 
 K1 = math.pi / 4 - 1j * math.log(3.0) / 4
 
@@ -64,7 +65,7 @@ def test_pencil_eigenvalue_count():
     pairs, diag = solve_dtn(mats)
     n = mats.a.shape[0]
     assert diag.pencil_size == 2 * n
-    assert len(pairs) + diag.dropped_huge == 2 * n
+    assert len(pairs) + diag.dropped == 2 * n
 
 
 def test_spectrum_symmetric_about_imaginary_axis():
@@ -106,7 +107,7 @@ def test_pml_pencil_residuals_and_count():
     mats = assemble_pml(space, med, cfg)
     pairs, diag = solve_pml(mats)
     assert diag.pencil_size == space.dof_count
-    assert len(pairs) + diag.dropped_huge == space.dof_count
+    assert len(pairs) + diag.dropped == space.dof_count
     na = np.linalg.norm(mats.a_tilde, 2)
     nm = np.linalg.norm(mats.m_tilde, 2)
     for pr in pairs:
@@ -114,6 +115,81 @@ def test_pml_pencil_residuals_and_count():
         assert np.linalg.norm(res) <= 1e-10 * (na + abs(pr.lambda_raw) * nm)
         assert pr.k.real >= 0 and pr.k.imag <= 0
         assert pr.k**2 == pytest.approx(pr.lambda_raw)
+
+
+def _qz_dtn_ks(mats):
+    """k = i lambda over every eigenvalue of the companion pencil, by QZ.
+
+    [[A, E], [0, I]] z = lambda [[0, -M], [I, 0]] z, whose first block row with
+    eta = lambda xi is (A + lambda E + lambda^2 M) xi = 0.
+    """
+    n = mats.a.shape[0]
+    zero, eye = np.zeros((n, n)), np.eye(n)
+    lam = scipy.linalg.eigvals(np.block([[mats.a, mats.e], [zero, eye]]),
+                               np.block([[zero, -mats.m], [eye, zero]]))
+    return 1j * lam
+
+
+def _dtn_backward_errors(mats, pairs):
+    """Normwise backward errors of quadratic eigenpairs (Tisseur 2000), in 2-norms."""
+    na, ne, nm = (np.linalg.norm(x, 2) for x in (mats.a, mats.e, mats.m))
+    errors = []
+    for pr in pairs:
+        lam = pr.lambda_raw
+        res = (mats.a + lam * mats.e + lam**2 * mats.m) @ pr.vector
+        errors.append(np.linalg.norm(res) / ((na + abs(lam) * ne + abs(lam) ** 2 * nm)
+                                             * np.linalg.norm(pr.vector)))
+    return np.array(errors)
+
+
+_ORACLE_DTN = {
+    "slab": dict(problem="slab", degree=4, initial_cell_size=0.5, d=1.0),
+    "air_cavity": dict(problem="air_cavity", degree=16, initial_cell_size=0.5, d=2.0),
+    "bump": dict(problem="bump", degree=12, initial_cell_size=0.5, d=1.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_DTN))
+def test_dtn_eigenvalues_match_qz_oracle(name):
+    mats = discretize(RunConfig(formulation="dtn", **_ORACLE_DTN[name])).mats
+    pairs, _ = solve_dtn(mats)
+    ks = np.array([pr.k for pr in pairs])
+    oracle = _qz_dtn_ks(mats)
+    oracle = np.delete(oracle, np.argmin(np.abs(oracle)))  # the static mode k = 0
+    # large-|k| eigenvalues are ill-conditioned and legitimately differ
+    for mine, other in ((ks, oracle), (oracle, ks)):
+        for k in mine[np.abs(mine) < 15]:
+            assert np.min(np.abs(other - k)) <= 1e-9 * (1.0 + abs(k))
+    assert np.max(_dtn_backward_errors(mats, pairs)) <= 1e-13
+
+
+def test_dtn_rejects_indefinite_mass():
+    mats = _slab_dtn_mats(2, 0.5)
+    bad = DtnMatrices(a=mats.a, m=-mats.m, e=mats.e, space=mats.space)
+    with pytest.raises(ValueError, match="DtN mass matrix"):
+        solve_dtn(bad)
+
+
+@pytest.mark.parametrize("sigma0", [5.0, 50.0])
+def test_pml_eigenpairs_match_qz_oracle(sigma0):
+    mats = discretize(RunConfig(problem="air_cavity", formulation="pml", degree=10,
+                                initial_cell_size=0.5, d=2.0, x_c=3.0, ell=5.0,
+                                sigma0=sigma0)).mats
+    pairs, _ = solve_pml(mats)
+    na = np.linalg.norm(mats.a_tilde, 2)
+    nm = np.linalg.norm(mats.m_tilde, 2)
+    for pr in pairs:
+        res = (mats.a_tilde - pr.lambda_raw * mats.m_tilde) @ pr.vector
+        assert np.linalg.norm(res) <= 1e-13 * (na + abs(pr.lambda_raw) * nm)
+    # the spurious eigenvalues are non-normal and move between backward-stable
+    # solvers, so only those next to the table are compared
+    oracle = np.sqrt(scipy.linalg.eigvals(mats.a_tilde, mats.m_tilde))
+    oracle = np.where(oracle.imag > 0, np.conj(oracle), oracle)
+    table = reference_table("air_cavity").values
+    near = [pr.k for pr in pairs if np.min(np.abs(table - pr.k)) < 1e-3]
+    assert near
+    for k in near:
+        assert np.min(np.abs(oracle - k)) <= 1e-9 * abs(k)
 
 
 def test_pml_weak_absorption_gives_dirichlet_laplacian():
