@@ -41,7 +41,7 @@ from . import __version__
 from .assembly import DtnMatrices, PmlMatrices, assemble_dtn, assemble_pml
 from .eigen import ContourConfig, EigenPair, canonical_fourth_quadrant, solve_contour, \
     solve_dtn, solve_pml
-from .lippmann import FilterReport, LsContext, NoResonatorSupportError, PseudospectrumGrid, \
+from .lippmann import LsContext, NoResonatorSupportError, PseudospectrumGrid, \
     build_ls_context, collocation_matrix, filter_epsilon, pseudospectrum
 from .media import MediumProfile, PmlConfig, air_filled_cavity_profile, bump_profile, \
     critical_angle, slab_profile
@@ -214,8 +214,9 @@ class Discretization:
     def solve(self) -> tuple[list[EigenPair], int | None]:
         """Eigenpairs sorted by Re k, and the pencil size (None for the contour).
 
-        dtn and pml pairs are reduced to the fourth quadrant; ls solves on the
-        ellipse inscribed in the window with a probe seeded by ``seed``.
+        dtn pairs are reduced to the fourth quadrant (pml roots already have
+        Re k >= 0); ls solves on the ellipse inscribed in the window with a
+        probe seeded by ``seed``.
         """
         cfg = self.config
         if self.mats is not None:
@@ -274,25 +275,25 @@ def _window_stage(cfg: RunConfig, pairs):
             if re_min <= p.k.real <= re_max and im_min <= p.k.imag <= im_max]
 
 
-def _filter_stage(disc: Discretization, pairs) -> list[FilterReport]:
-    ctx, angle = disc.ls_context, disc.critical_angle
-    reports = []
+def _filter_stage(disc: Discretization, pairs) -> list[float]:
+    """eps of every pair; inf for a vector without support on the resonator, which
+    cannot be a resonance mode."""
+    epsilons = []
     for pair in pairs:
         try:
-            reports.append(filter_epsilon(ctx, pair, critical_angle=angle))
+            epsilons.append(filter_epsilon(disc.ls_context, pair).epsilon)
         except NoResonatorSupportError:
-            # nothing lives on the resonator, so it cannot be a resonance mode
-            feasible = True if angle is None else bool(np.angle(pair.k) >= angle)
-            reports.append(FilterReport(k=pair.k, epsilon=float("inf"),
-                                        feasible=feasible, formulation=pair.formulation))
-    return reports
+            epsilons.append(float("inf"))
+    return epsilons
 
 
-def _report_stage(disc: Discretization, pairs, reports) -> list[ReportRow]:
+def _report_stage(disc: Discretization, pairs, epsilons) -> list[ReportRow]:
+    angle = disc.critical_angle
     rows = []
     for j, pair in enumerate(pairs):
-        eps = reports[j].epsilon if reports else None
-        feasible = reports[j].feasible if reports else True
+        eps = None if epsilons is None else epsilons[j]
+        # the PML critical line depends on k alone, not on whether eps was computed
+        feasible = angle is None or bool(np.angle(pair.k) >= angle)
         if disc.reference is not None:
             idx, dist = disc.reference.nearest(pair.k)
         else:
@@ -318,8 +319,8 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
     disc = _stage("setup", discretize, cfg)
     pairs, pencil = _stage("solve", disc.solve)
     pairs = _stage("window", _window_stage, cfg, pairs)
-    reports = _stage("filter", _filter_stage, disc, pairs) if cfg.apply_filter else None
-    rows = _stage("report", _report_stage, disc, pairs, reports)
+    epsilons = _stage("filter", _filter_stage, disc, pairs) if cfg.apply_filter else None
+    rows = _stage("report", _report_stage, disc, pairs, epsilons)
     grid = (_stage("pseudospectrum", _grid_stage, disc)
             if cfg.pseudo_resolution is not None else None)
     return RunReport(config=cfg, rows=tuple(rows), dof_count=disc.space.dof_count,

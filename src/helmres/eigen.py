@@ -32,17 +32,14 @@ _MERGE_TOLERANCE = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class EigenPair:
-    """Eigenvalue k and its coefficient vector (2-norm 1) in the originating space.
+    """Eigenvalue k and its coefficient vector (2-norm 1) in the space it lives in.
 
-    ``lambda_raw`` keeps the solver-native eigenvalue before the mapping to k
-    (lambda = i k for the companion pencil, lambda = k^2 for the PML pencil,
-    k itself for the contour solver).
+    A pair carries no record of the solver that produced it: the eps filter
+    tests it the same way whatever its origin.
     """
 
     k: complex
     vector: np.ndarray
-    formulation: str
-    lambda_raw: complex
     space: MeshedSpace | None = None
 
     def __post_init__(self):
@@ -136,8 +133,7 @@ def solve_dtn(mats) -> tuple[list[EigenPair], SolveDiagnostics]:
     lam, vecs = np.linalg.eig(companion)
     static = np.argmin(np.abs(lam))
     xis = scipy.linalg.solve_triangular(chol, vecs[:n], lower=True, trans="T")
-    pairs = [EigenPair(k=complex(1j * lam_j), vector=xi, formulation="dtn",
-                       lambda_raw=complex(lam_j), space=mats.space)
+    pairs = [EigenPair(k=complex(1j * lam_j), vector=xi, space=mats.space)
              for j, (lam_j, xi) in enumerate(zip(lam, xis.T)) if j != static]
     pairs.sort(key=lambda pr: (pr.k.real, pr.k.imag))
     return pairs, SolveDiagnostics(pencil_size=2 * n, dropped=1)
@@ -148,19 +144,14 @@ def solve_pml(mats) -> tuple[list[EigenPair], SolveDiagnostics]:
 
     Mt has the SPD Hermitian part int n^2 phi phi (Re alpha = 1), so it is
     invertible and the pencil is solved as the standard eigenproblem of
-    Mt^-1 At, which has no infinite eigenvalues.  Principal square roots land in
-    the closed right half plane; roots with Im k > 0 are replaced by
-    conj(sqrt(lambda)) so every reported k lies in the closed fourth quadrant,
-    while ``lambda_raw`` keeps the pencil eigenvalue.
+    Mt^-1 At, which has no infinite eigenvalues.  The principal root k =
+    sqrt(lambda), in the closed right half plane, is returned as it is: the
+    pencil is complex, so xi is no eigenvector at conj(k), and a root with
+    Im k > 0 is not reflected into the fourth quadrant.
     """
     lam, vecs = np.linalg.eig(np.linalg.solve(mats.m_tilde, mats.a_tilde))
-    pairs = []
-    for lam_j, vec in zip(lam, vecs.T):
-        k = np.sqrt(complex(lam_j))
-        if k.imag > 0:
-            k = np.conj(k)
-        pairs.append(EigenPair(k=complex(k), vector=vec, formulation="pml",
-                               lambda_raw=complex(lam_j), space=mats.space))
+    pairs = [EigenPair(k=complex(k), vector=vec, space=mats.space)
+             for k, vec in zip(np.sqrt(lam.astype(complex)), vecs.T)]
     pairs.sort(key=lambda pr: (pr.k.real, pr.k.imag))
     return pairs, SolveDiagnostics(pencil_size=mats.a_tilde.shape[0], dropped=0)
 
@@ -175,8 +166,7 @@ def canonical_fourth_quadrant(pairs):
     for pr in pairs:
         if pr.k.real < 0:
             canon.append(EigenPair(k=-np.conj(pr.k), vector=np.conj(pr.vector),
-                                   formulation=pr.formulation,
-                                   lambda_raw=np.conj(pr.lambda_raw), space=pr.space))
+                                   space=pr.space))
         else:
             canon.append(pr)
     canon.sort(key=lambda pr: (pr.k.real, pr.k.imag))
@@ -222,8 +212,8 @@ def solve_contour(t_fun, cfg: ContourConfig, rng=None, space: MeshedSpace | None
 
     then an SVD rank truncation of A0 at a relative 1e-10 reduces A1 to a
     small matrix whose eigenvalues are the T-eigenvalues inside the contour.
-    Eigenvalues outside are discarded; the pairs carry formulation "ls".  The
-    trapezoid rule on a closed contour converges exponentially for analytic
+    Eigenvalues outside are discarded; each pair's vector lives in ``space``.
+    The trapezoid rule on a closed contour converges exponentially for analytic
     integrands; a comparison against the half-node rule triggers a warning
     when the moments look unresolved.
     """
@@ -274,8 +264,7 @@ def solve_contour(t_fun, cfg: ContourConfig, rng=None, space: MeshedSpace | None
         if not cfg.contains(complex(lam_j), tol=1e-12):
             continue
         vec = ur @ svec
-        out.append(EigenPair(k=complex(lam_j), vector=vec, formulation="ls",
-                             lambda_raw=complex(lam_j), space=space))
+        out.append(EigenPair(k=complex(lam_j), vector=vec, space=space))
     out.sort(key=lambda pr: (pr.k.real, pr.k.imag))
     return out
 

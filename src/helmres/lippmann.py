@@ -99,10 +99,10 @@ class LsContext:
 
 @dataclass(frozen=True, eq=False)
 class FilterReport:
+    """The filter value eps of the eigenpair at k."""
+
     k: complex
     epsilon: float
-    feasible: bool
-    formulation: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,14 +128,14 @@ class PseudospectrumGrid:
 
 
 def build_ls_context(medium: MediumProfile, degree: int, initial_cell_size: float = 0.5,
-                     refinements: int = 0, quad_order: int | None = None) -> LsContext:
-    """Collocation context on Omega_r = (-a, a) with interfaces resolved."""
+                     refinements: int = 0) -> LsContext:
+    """Collocation context on Omega_r = (-a, a) with interfaces resolved and an
+    inner rule of degree + 6 Gauss points per cell."""
     a = medium.resonator_halfwidth
     interior = [b for b in medium.breakpoints if -a < b < a]
     mesh = build_mesh((-a, a), interior, initial_cell_size, refinements)
     space = build_space(mesh, degree, BoundaryCondition.NONE)
-    q = quad_order if quad_order is not None else degree + 6
-    return LsContext(space=space, medium=medium, quad_order=q)
+    return LsContext(space=space, medium=medium, quad_order=degree + 6)
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,16 +241,15 @@ def collocation_matrix(ctx: LsContext, k: complex) -> np.ndarray:
     return np.eye(ctx.space.dof_count, dtype=complex) - ctx.collocation_geometry.matrix(k)
 
 
-def filter_epsilon(ctx: LsContext, pair: EigenPair,
-                   critical_angle: float | None = None) -> FilterReport:
+def filter_epsilon(ctx: LsContext, pair: EigenPair) -> FilterReport:
     """The pseudomode residual eps = ||u - P K(k)u||_{L^2(Omega_r)} of an eigenpair.
 
     The eigenvector is interpolated at the collocation nodes, normalized to
     unit L^2(Omega_r) norm, K(k)u is projected onto the space by solving
     M^r eta = b with b_i = int phi_i K(k)u, and
     eps = sqrt((xi - eta)^* M^r (xi - eta)).  With vanishing contrast K = 0,
-    so eps = 1 for any unit u.  ``feasible`` records the critical-line side
-    when an angle is supplied (PML formulation), otherwise True.
+    so eps = 1 for any unit u.  eps depends on (k, u) alone, not on the
+    solver that produced the pair.
     """
     if pair.space is None:
         raise ValueError("eigenpair carries no originating space")
@@ -271,8 +270,7 @@ def filter_epsilon(ctx: LsContext, pair: EigenPair,
     eta = scipy.linalg.cho_solve(ctx.mass_cholesky, b)
     diff = xi - eta
     eps = float(np.sqrt(max(np.real(diff.conj() @ (mr @ diff)), 0.0)))
-    feasible = True if critical_angle is None else bool(np.angle(pair.k) >= critical_angle)
-    return FilterReport(k=pair.k, epsilon=eps, feasible=feasible, formulation=pair.formulation)
+    return FilterReport(k=pair.k, epsilon=eps)
 
 
 def pseudospectrum(t, region: tuple[float, float, float, float],

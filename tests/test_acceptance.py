@@ -128,11 +128,11 @@ def test_6_filter_separates_true_modes_from_spurious_by_an_order_of_magnitude():
     near, far = [], []
     for pair in pairs:
         dist = np.abs(_CAVITY_TABLE - pair.k).min()
-        report = filter_epsilon(ctx, pair, critical_angle=angle)
+        eps = filter_epsilon(ctx, pair).epsilon
         if dist < 1e-3:
-            near.append(report.epsilon)
-        elif dist > 0.2 and report.feasible:
-            far.append(report.epsilon)
+            near.append(eps)
+        elif dist > 0.2 and np.angle(pair.k) >= angle:
+            far.append(eps)
     ok = near and far and max(near) < 1e-2 and min(far) > 1e-1
     _verdict(6, "eps < 1e-2 near references, eps > 1e-1 far from them",
              bool(ok), f"{len(near)} near (max eps {max(near):.2e}), "
@@ -194,7 +194,7 @@ def test_9_property_suites_run_in_under_a_minute(tmp_path):
     scale = (np.linalg.norm(mats.a) + np.linalg.norm(mats.e) + np.linalg.norm(mats.m))
     residual_ok = True
     for pair in solve_dtn(mats)[0]:
-        lam = pair.lambda_raw
+        lam = -1j * pair.k
         r = (mats.a + lam * mats.e + lam**2 * mats.m) @ pair.vector
         bound = 1e-10 * (np.linalg.norm(mats.a) + abs(lam) * np.linalg.norm(mats.e)
                          + abs(lam) ** 2 * np.linalg.norm(mats.m))
@@ -208,7 +208,7 @@ def test_9_property_suites_run_in_under_a_minute(tmp_path):
     from helmres import EigenPair, LsContext
     rng = np.random.default_rng(5)
     probe = EigenPair(k=0.9 - 0.3j, vector=rng.standard_normal(ctx.space.dof_count),
-                      formulation="ls", lambda_raw=0.9 - 0.3j, space=ctx.space)
+                      space=ctx.space)
     fine_ctx = LsContext(space=ctx.space, medium=ctx.medium,
                          quad_order=2 * ctx.quad_order)
     e0 = filter_epsilon(ctx, probe).epsilon
@@ -216,8 +216,7 @@ def test_9_property_suites_run_in_under_a_minute(tmp_path):
     quad_ok = quad_ok and abs(e1 - e0) < 0.01 * e0
 
     # eps scalar invariance
-    scaled = EigenPair(k=probe.k, vector=(2.0 + 1.5j) * probe.vector,
-                       formulation="ls", lambda_raw=probe.k, space=ctx.space)
+    scaled = EigenPair(k=probe.k, vector=(2.0 + 1.5j) * probe.vector, space=ctx.space)
     eps_ok = abs(filter_epsilon(ctx, scaled).epsilon - e0) <= 1e-12 * e0
 
     # determinism: identical config and seed give byte-identical output files

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from helmres import assemble_dtn, solve_dtn
@@ -17,6 +18,9 @@ _SLAB_DTN = dict(problem="slab", formulation="dtn", degree=2,
                  initial_cell_size=0.5, d=1.0, window=(0.0, 4.0, -2.0, 0.0))
 _CAVITY_DTN = dict(problem="air_cavity", formulation="dtn", degree=14,
                    initial_cell_size=0.25, d=2.0, window=(0.0, 12.5, -1.0, 0.0))
+_SLAB_PML = dict(problem="slab", formulation="pml", degree=2,
+                 initial_cell_size=0.5, d=1.0, x_c=2.0, ell=4.0, sigma0=5.0,
+                 window=(0.0, 4.0, -2.0, 0.0))
 
 
 def test_config_validation():
@@ -63,13 +67,24 @@ def test_truncated_halfspace_modes_survive_filter():
 
 
 def test_absorbing_layer_artifacts_are_flagged():
-    cfg = RunConfig(problem="slab", formulation="pml", degree=2,
-                    initial_cell_size=0.5, d=1.0, x_c=2.0, ell=4.0, sigma0=5.0,
-                    window=(0.0, 4.0, -2.0, 0.0))
-    report = run_pipeline(cfg)
+    report = run_pipeline(RunConfig(**_SLAB_PML))
     eps = [row.epsilon for row in report.rows]
     assert max(eps) > 0.5      # layer artifacts fill the window
     assert min(eps) < 0.2      # while the physical modes still pass
+
+
+def test_pml_feasibility_does_not_depend_on_the_filter():
+    # the window reaches below the critical line, so some rows are infeasible
+    cfg = RunConfig(**{**_SLAB_PML, "window": (0.0, 4.0, -20.0, 0.0)})
+    angle = discretize(cfg).critical_angle
+    filtered, unfiltered = (run_pipeline(dataclasses.replace(cfg, apply_filter=on)).rows
+                            for on in (True, False))
+    assert [row.k for row in filtered] == [row.k for row in unfiltered]
+    assert all(row.epsilon is None for row in unfiltered)
+    assert [row.feasible for row in filtered] == [row.feasible for row in unfiltered]
+    infeasible = [row.index for row in filtered if not row.feasible]
+    assert infeasible
+    assert infeasible == [row.index for row in filtered if np.angle(row.k) < angle]
 
 
 def test_cavity_pipeline_matches_reference():

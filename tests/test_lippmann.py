@@ -22,8 +22,7 @@ K1 = math.pi / 4 - 1j * math.log(3.0) / 4
 def _unit_pair(ctx, k, seed=0):
     rng = np.random.default_rng(seed)
     vec = rng.standard_normal(ctx.space.dof_count)
-    return EigenPair(k=k, vector=vec, formulation="ls", lambda_raw=k,
-                     space=ctx.space)
+    return EigenPair(k=k, vector=vec, space=ctx.space)
 
 
 def test_context_covers_resonator():
@@ -180,7 +179,6 @@ def test_filter_is_one_for_vanishing_contrast():
     ctx = build_ls_context(slab_profile(1.0, 1.0), 4, 0.5)
     rep = filter_epsilon(ctx, _unit_pair(ctx, 0.7 - 0.2j))
     assert rep.epsilon == pytest.approx(1.0, rel=1e-10)
-    assert rep.feasible
 
 
 def test_filter_is_exact_on_collocation_eigenpairs():
@@ -197,8 +195,7 @@ def test_filter_is_exact_on_collocation_eigenpairs():
 def test_filter_scalar_invariance():
     ctx = build_ls_context(slab_profile(2.0, 1.0), 6, 0.25)
     base = _unit_pair(ctx, 1.3 - 0.5j, seed=4)
-    scaled = EigenPair(k=base.k, vector=(3.0 - 4.0j) * base.vector,
-                       formulation="ls", lambda_raw=base.k, space=ctx.space)
+    scaled = EigenPair(k=base.k, vector=(3.0 - 4.0j) * base.vector, space=ctx.space)
     e0 = filter_epsilon(ctx, base).epsilon
     e1 = filter_epsilon(ctx, scaled).epsilon
     assert e1 == pytest.approx(e0, rel=1e-12)
@@ -236,7 +233,7 @@ def test_kernel_geometry_is_built_once_per_context(monkeypatch):
                      quad_order=2 * ctx.quad_order)
     rng = np.random.default_rng(5)
     probe = EigenPair(k=0.9 - 0.3j, vector=rng.standard_normal(ctx.space.dof_count),
-                      formulation="ls", lambda_raw=0.9 - 0.3j, space=ctx.space)
+                      space=ctx.space)
     assert filter_epsilon(ctx, probe).epsilon == pytest.approx(1.2981181563271973, rel=1e-12)
     assert filter_epsilon(fine, probe).epsilon == pytest.approx(1.2981181563271988, rel=1e-12)
     assert built == [ctx, ctx, fine]
@@ -253,27 +250,16 @@ def test_filter_interpolates_from_other_spaces():
     ctx = build_ls_context(med, 6, 0.25)
     rep = filter_epsilon(ctx, best)
     assert rep.epsilon < 1e-6
-    assert rep.formulation == "dtn"
 
 
 def test_filter_rejects_vector_without_support():
     med = slab_profile(2.0, 1.0)
     space = build_space(build_mesh((-2, 2), [-1, 1], 0.25), 4, BoundaryCondition.NONE)
     coeffs = np.exp(-((space.node_coords - 1.75) / 0.03) ** 2)
-    pair = EigenPair(k=1.0 - 0.1j, vector=coeffs, formulation="dtn",
-                     lambda_raw=0j, space=space)
+    pair = EigenPair(k=1.0 - 0.1j, vector=coeffs, space=space)
     ctx = build_ls_context(med, 4, 0.25)
     with pytest.raises(NoResonatorSupportError):
         filter_epsilon(ctx, pair)
-
-
-def test_filter_feasibility_side():
-    ctx = build_ls_context(slab_profile(2.0, 1.0), 4, 0.5)
-    angle = -math.pi / 4
-    above = filter_epsilon(ctx, _unit_pair(ctx, 1.0 - 0.5j), critical_angle=angle)
-    below = filter_epsilon(ctx, _unit_pair(ctx, 0.3 - 0.9j), critical_angle=angle)
-    assert above.feasible
-    assert not below.feasible
 
 
 def test_pseudospectrum_identity_for_vanishing_contrast():
