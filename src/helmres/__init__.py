@@ -13,9 +13,8 @@ __version__ = "0.1.0"
 from .assembly import (DtnMatrices, PmlMatrices, assemble_dtn, assemble_pml,
                        assemble_resonator_mass)
 from .eigen import (ContourConfig, EigenPair, NewtonConvergenceError,
-                    ProbeTooSmallError, SolveDiagnostics, canonical_fourth_quadrant,
-                    newton_root, smallest_singular_value, solve_contour, solve_dtn,
-                    solve_pml)
+                    ProbeTooSmallError, SolveDiagnostics, newton_root,
+                    smallest_singular_value, solve_contour, solve_dtn, solve_pml)
 from .lippmann import (FilterReport, LsContext, NoResonatorSupportError,
                        PseudospectrumGrid, apply_kernel, build_ls_context,
                        collocation_matrix, filter_epsilon, pseudospectrum)
@@ -39,7 +38,7 @@ __all__ = [
     "assemble_dtn", "assemble_pml", "assemble_resonator_mass",
     "EigenPair", "ContourConfig", "SolveDiagnostics",
     "NewtonConvergenceError", "ProbeTooSmallError",
-    "solve_dtn", "solve_pml", "canonical_fourth_quadrant", "newton_root",
+    "solve_dtn", "solve_pml", "newton_root",
     "solve_contour", "smallest_singular_value",
     "LsContext", "FilterReport", "PseudospectrumGrid", "NoResonatorSupportError",
     "build_ls_context", "apply_kernel", "collocation_matrix", "filter_epsilon",

@@ -39,8 +39,7 @@ import scipy
 
 from . import __version__
 from .assembly import DtnMatrices, PmlMatrices, assemble_dtn, assemble_pml
-from .eigen import ContourConfig, EigenPair, canonical_fourth_quadrant, solve_contour, \
-    solve_dtn, solve_pml
+from .eigen import ContourConfig, EigenPair, solve_contour, solve_dtn, solve_pml
 from .lippmann import LsContext, NoResonatorSupportError, PseudospectrumGrid, \
     build_ls_context, collocation_matrix, filter_epsilon, pseudospectrum
 from .media import MediumProfile, PmlConfig, air_filled_cavity_profile, bump_profile, \
@@ -184,7 +183,6 @@ class Discretization:
     config: RunConfig
     medium: MediumProfile
     pml: PmlConfig | None
-    critical_angle: float | None
     mats: DtnMatrices | PmlMatrices | None
     reference: ReferenceSet | None
 
@@ -193,6 +191,11 @@ class Discretization:
         cfg = self.config
         return build_ls_context(self.medium, cfg.degree, cfg.initial_cell_size,
                                 cfg.refinements)
+
+    @property
+    def critical_angle(self) -> float | None:
+        """The angle of the PML critical line, None without a PML."""
+        return None if self.pml is None else critical_angle(self.pml)
 
     @property
     def space(self) -> MeshedSpace:
@@ -214,15 +217,15 @@ class Discretization:
     def solve(self) -> tuple[list[EigenPair], int | None]:
         """Eigenpairs sorted by Re k, and the pencil size (None for the contour).
 
-        dtn pairs are reduced to the fourth quadrant (pml roots already have
-        Re k >= 0); ls solves on the ellipse inscribed in the window with a
-        probe seeded by ``seed``.
+        dtn and pml return every pair their solver returns, all with Re k >= 0;
+        ls solves on the ellipse inscribed in the window with a probe seeded by
+        ``seed``.
         """
         cfg = self.config
         if self.mats is not None:
             solver = solve_dtn if cfg.formulation == "dtn" else solve_pml
             pairs, diag = solver(self.mats)
-            return canonical_fourth_quadrant(pairs), diag.pencil_size
+            return pairs, diag.pencil_size
         if cfg.window is None:
             raise ValueError("the ls formulation needs --window to place its contour")
         space = self.ls_context.space
@@ -243,7 +246,7 @@ def discretize(cfg: RunConfig) -> Discretization:
     medium = medium_for(cfg)
     reference = reference_for(cfg, medium)
     if cfg.formulation == "ls":
-        return Discretization(cfg, medium, None, None, None, reference)
+        return Discretization(cfg, medium, None, None, reference)
     if cfg.formulation == "pml":
         pml = PmlConfig(a=medium.resonator_halfwidth, d=cfg.d, x_c=cfg.x_c,
                         ell=cfg.ell, sigma0=cfg.sigma0)
@@ -254,9 +257,8 @@ def discretize(cfg: RunConfig) -> Discretization:
     mesh = build_mesh((-half, half), bps, cfg.initial_cell_size, cfg.refinements)
     space = build_space(mesh, cfg.degree, bc)
     if pml is None:
-        return Discretization(cfg, medium, None, None, assemble_dtn(space, medium), reference)
-    return Discretization(cfg, medium, pml, critical_angle(pml),
-                          assemble_pml(space, medium, pml), reference)
+        return Discretization(cfg, medium, None, assemble_dtn(space, medium), reference)
+    return Discretization(cfg, medium, pml, assemble_pml(space, medium, pml), reference)
 
 
 def _stage(name: str, fn, *args):
@@ -307,7 +309,7 @@ def _grid_stage(disc: Discretization) -> PseudospectrumGrid:
     cfg = disc.config
     if cfg.window is None or cfg.pseudo_resolution is None:
         raise ValueError("pseudospectrum needs both --window and --pseudo")
-    return pseudospectrum(disc.t, cfg.window, cfg.pseudo_resolution, cfg.formulation)
+    return pseudospectrum(disc.t, cfg.window, cfg.pseudo_resolution)
 
 
 def run_pipeline(cfg: RunConfig) -> RunReport:
@@ -349,8 +351,9 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def write_grid_csv(grid: PseudospectrumGrid, path, parameters: dict | None = None) -> None:
-    """Grid as "re_k,im_k,smin" rows (row-major, Re k fastest) plus a JSON sidecar."""
+def write_grid_csv(grid: PseudospectrumGrid, path, cfg: RunConfig) -> None:
+    """Grid as "re_k,im_k,smin" rows (row-major, Re k fastest) plus a JSON sidecar
+    that records the run's formulation and configuration."""
     path = str(path)
     _write_csv(path, "re_k,im_k,smin",
                ((re, im, grid.values[iy, ix]) for iy, im in enumerate(grid.im_points)
@@ -358,8 +361,8 @@ def write_grid_csv(grid: PseudospectrumGrid, path, parameters: dict | None = Non
     _write_json(path + ".json", {
         "region": [grid.re_min, grid.re_max, grid.im_min, grid.im_max],
         "resolution": [grid.nx, grid.ny],
-        "formulation": grid.formulation,
-        "parameters": parameters or {},
+        "formulation": cfg.formulation,
+        "parameters": cfg.to_json_dict(),
     })
 
 
@@ -391,7 +394,7 @@ def emit_outputs(report: RunReport) -> list[str]:
 
     if report.grid is not None:
         path = os.path.join(cfg.out_dir, "pseudospectrum.csv")
-        write_grid_csv(report.grid, path, parameters=cfg.to_json_dict())
+        write_grid_csv(report.grid, path, cfg)
         written.append(path)
     return written
 
@@ -489,7 +492,7 @@ def _cmd_pseudospectrum(args: argparse.Namespace) -> int:
     disc = _stage("setup", discretize, cfg)
     grid = _stage("pseudospectrum", _grid_stage, disc)
     path = os.path.join(cfg.out_dir, "pseudospectrum.csv")
-    _stage("output", write_grid_csv, grid, path, cfg.to_json_dict())
+    _stage("output", write_grid_csv, grid, path, cfg)
     print(f"wrote {path} ({grid.nx} x {grid.ny}, min smin = {grid.values.min():.3e})")
     return 0
 

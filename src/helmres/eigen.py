@@ -1,8 +1,10 @@
 """Eigenvalue machinery shared by the three formulations.
 
 * dense solve of the quadratic problem (lambda^2 M + lambda E + A) xi = 0 as a
-  standard eigenproblem of its companion form reduced by M = L L^T,
+  standard eigenproblem of its companion form reduced by M = L L^T, returning
+  one member, Re k >= 0, of each exact conjugate pair of that real matrix,
 * dense solve of the PML pencil At xi = lambda Mt xi as that of Mt^-1 At,
+  returning every principal root k = sqrt(lambda),
 * a complex Newton scalar root finder,
 * a Beyn-style contour-integral solver for matrix-valued analytic T(k),
 * smallest singular values for pseudospectrum maps.
@@ -26,8 +28,6 @@ from .mesh_fe import MeshedSpace
 # A0 has rank 0 when its largest singular value is at most this, and otherwise
 # the rank counts the singular values above this times the largest
 _RANK_TOLERANCE = 1e-10
-# eigenvalues closer than this, relative to 1 + |k|, are one eigenvalue
-_MERGE_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,25 +100,32 @@ class ProbeTooSmallError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class SolveDiagnostics:
-    """Size of the solved eigenproblem and the eigenvalues computed but not returned."""
+    """Size of the solved eigenproblem and the eigenvalues computed but not returned.
+
+    ``dropped`` counts the DtN static mode and one member of each conjugate
+    eigenvalue pair of the real DtN companion matrix, and is 0 for the PML, so
+    every computed eigenvalue is either returned or counted here.
+    """
 
     pencil_size: int
     dropped: int
 
 
 def solve_dtn(mats) -> tuple[list[EigenPair], SolveDiagnostics]:
-    """Eigenpairs of (lambda^2 M + lambda E + A) xi = 0, all but the static mode k = 0.
+    """Eigenpairs of (lambda^2 M + lambda E + A) xi = 0 with Re k >= 0, but k = 0.
 
     With M = L L^T and y = L^T xi the problem becomes the real standard 2n x 2n
     eigenproblem [[0, I], [-L^-1 A L^-T, -L^-1 E L^-T]] z = lambda z with
     z = (y, lambda y); the top block of each eigenvector maps back through
     xi = L^-T y.  A finite matrix has no infinite eigenvalues, so all 2n are
-    finite.  A 1 = 0 makes lambda = 0 an exact, simple eigenvalue (Q'(0) = E
-    and 1^T E 1 = 2 n0), the static mode, which is no resonance: the eigenvalue
-    of smallest modulus is dropped and counted in the diagnostics.  The
-    parameter is lambda = -ik, so eigenvalues map back through k = i lambda.
-    Both members of every {k, -conj k} pair are returned; see
-    ``canonical_fourth_quadrant`` for the reduction.
+    finite.  The parameter is lambda = -ik, so eigenvalues map back through
+    k = i lambda.  A 1 = 0 makes lambda = 0 an exact, simple eigenvalue
+    (Q'(0) = E and 1^T E 1 = 2 n0), the static mode, which is no resonance:
+    the eigenvalue of smallest modulus is dropped.  The matrix is real, so
+    LAPACK returns its complex eigenvalues as exact conjugate pairs
+    {lambda, conj lambda}, that is {k, -conj k}; the member with Im lambda <= 0
+    (Re k >= 0) is kept and its mirror dropped, with no tolerance involved.
+    Both kinds of dropped eigenvalue are counted in the diagnostics.
     """
     n = mats.a.shape[0]
     try:
@@ -131,12 +138,13 @@ def solve_dtn(mats) -> tuple[list[EigenPair], SolveDiagnostics]:
         half = scipy.linalg.solve_triangular(chol, mat, lower=True)
         block[:] = -scipy.linalg.solve_triangular(chol, half.T, lower=True)
     lam, vecs = np.linalg.eig(companion)
-    static = np.argmin(np.abs(lam))
-    xis = scipy.linalg.solve_triangular(chol, vecs[:n], lower=True, trans="T")
-    pairs = [EigenPair(k=complex(1j * lam_j), vector=xi, space=mats.space)
-             for j, (lam_j, xi) in enumerate(zip(lam, xis.T)) if j != static]
+    keep = np.flatnonzero(lam.imag <= 0)
+    keep = keep[keep != np.argmin(np.abs(lam))]
+    xis = scipy.linalg.solve_triangular(chol, vecs[:n, keep], lower=True, trans="T")
+    pairs = [EigenPair(k=complex(1j * lam[j]), vector=xi, space=mats.space)
+             for j, xi in zip(keep, xis.T)]
     pairs.sort(key=lambda pr: (pr.k.real, pr.k.imag))
-    return pairs, SolveDiagnostics(pencil_size=2 * n, dropped=1)
+    return pairs, SolveDiagnostics(pencil_size=2 * n, dropped=2 * n - len(pairs))
 
 
 def solve_pml(mats) -> tuple[list[EigenPair], SolveDiagnostics]:
@@ -154,28 +162,6 @@ def solve_pml(mats) -> tuple[list[EigenPair], SolveDiagnostics]:
              for k, vec in zip(np.sqrt(lam.astype(complex)), vecs.T)]
     pairs.sort(key=lambda pr: (pr.k.real, pr.k.imag))
     return pairs, SolveDiagnostics(pencil_size=mats.a_tilde.shape[0], dropped=0)
-
-
-def canonical_fourth_quadrant(pairs):
-    """One representative with Re k >= 0 per {k, -conj k} symmetric pair.
-
-    Members with Re k < 0 are reflected (k -> -conj k, vector conjugated,
-    valid for real pencils) and near-duplicates are merged.
-    """
-    canon = []
-    for pr in pairs:
-        if pr.k.real < 0:
-            canon.append(EigenPair(k=-np.conj(pr.k), vector=np.conj(pr.vector),
-                                   space=pr.space))
-        else:
-            canon.append(pr)
-    canon.sort(key=lambda pr: (pr.k.real, pr.k.imag))
-    out = []
-    for pr in canon:
-        if out and abs(pr.k - out[-1].k) <= _MERGE_TOLERANCE * (1.0 + abs(pr.k)):
-            continue
-        out.append(pr)
-    return out
 
 
 def newton_root(f, guess: complex, tol: float = 1e-12, max_iter: int = 60) -> complex:

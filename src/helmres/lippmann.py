@@ -116,7 +116,6 @@ class PseudospectrumGrid:
     nx: int
     ny: int
     values: np.ndarray
-    formulation: str
 
     @property
     def re_points(self) -> np.ndarray:
@@ -274,11 +273,10 @@ def filter_epsilon(ctx: LsContext, pair: EigenPair) -> FilterReport:
 
 
 def pseudospectrum(t, region: tuple[float, float, float, float],
-                   resolution: tuple[int, int], formulation: str) -> PseudospectrumGrid:
+                   resolution: tuple[int, int]) -> PseudospectrumGrid:
     """s_min(t(k)) on a rectangular k-grid for a matrix function ``t``.
 
-    ``formulation`` names the origin of ``t`` for the grid's record.  Values
-    are absolute (no relative rescaling); grid traversal is row-major over
+    Values are absolute (no relative rescaling); grid traversal is row-major over
     (ny, nx) and bit-reproducible.
     """
     re_min, re_max, im_min, im_max = map(float, region)
@@ -290,5 +288,5 @@ def pseudospectrum(t, region: tuple[float, float, float, float],
         for ix, re in enumerate(np.linspace(re_min, re_max, nx)):
             values[iy, ix] = smallest_singular_value(t(complex(re, im)))
     return PseudospectrumGrid(re_min=re_min, re_max=re_max, im_min=im_min, im_max=im_max,
-                              nx=nx, ny=ny, values=values, formulation=formulation)
+                              nx=nx, ny=ny, values=values)
 

@@ -169,7 +169,7 @@ def test_7_contour_solver_returns_exact_eigenvalue_counts():
 def test_8_resolvent_grid_dips_only_at_eigenvalues():
     disc = discretize(RunConfig(problem="air_cavity", formulation="ls", degree=8,
                                 initial_cell_size=0.25))
-    grid = pseudospectrum(disc.t, (0.0, 8.0, -1.2, 0.0), (81, 60), "ls")
+    grid = pseudospectrum(disc.t, (0.0, 8.0, -1.2, 0.0), (81, 60))
     re, im = np.meshgrid(grid.re_points, grid.im_points)
     dist = np.min(np.abs((re + 1j * im)[..., None] - _CAVITY_TABLE[None, None, :]),
                   axis=2)

@@ -6,8 +6,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from helmres import assemble_dtn, solve_dtn
+from helmres import assemble_dtn, solve_dtn, solve_pml
 from helmres.cli import (PipelineStageError, RunConfig, discretize, emit_outputs,
                          load_config, main, medium_for, reference_for,
                          run_pipeline)
@@ -21,6 +22,11 @@ _CAVITY_DTN = dict(problem="air_cavity", formulation="dtn", degree=14,
 _SLAB_PML = dict(problem="slab", formulation="pml", degree=2,
                  initial_cell_size=0.5, d=1.0, x_c=2.0, ell=4.0, sigma0=5.0,
                  window=(0.0, 4.0, -2.0, 0.0))
+# the air_cavity discretizations of the benchmark's dtn and pml workloads
+_BENCH_DTN = dict(problem="air_cavity", formulation="dtn", degree=16,
+                  initial_cell_size=0.25, d=2.0)
+_BENCH_PML = dict(problem="air_cavity", formulation="pml", degree=10,
+                  initial_cell_size=0.5, d=2.0, x_c=3.0, ell=5.0, sigma0=5.0)
 
 
 def test_config_validation():
@@ -100,8 +106,28 @@ def test_dtn_solve_drops_the_static_mode(config):
     # rounding puts it on either side of a window's Im k = 0 edge
     pairs, diag = solve_dtn(discretize(RunConfig(**config)).mats)
     assert min(abs(pr.k) for pr in pairs) >= 1e-8
-    assert diag.dropped == 1
+    # the static mode, and the mirror of each pair off the imaginary axis
+    assert diag.dropped == 1 + sum(pr.k.real > 0 for pr in pairs)
     assert len(pairs) + diag.dropped == diag.pencil_size
+
+
+@pytest.mark.parametrize("config", [_BENCH_DTN, _BENCH_PML], ids=["dtn", "pml"])
+def test_solve_returns_every_pair_the_solver_does_not_drop(config):
+    disc = discretize(RunConfig(**config))
+    pairs, pencil_size = disc.solve()
+    solver = solve_dtn if config["formulation"] == "dtn" else solve_pml
+    _, diag = solver(disc.mats)
+    assert len(pairs) + diag.dropped == pencil_size == diag.pencil_size
+
+
+def test_deep_pml_window_reports_every_eigenvalue_of_the_qz_oracle():
+    # the layer modes come as near-degenerate pairs, and both members are reported
+    cfg = RunConfig(**_BENCH_PML, window=(0.0, 13.5, -20.0, 0.0), apply_filter=False)
+    mats = discretize(cfg).mats
+    oracle = np.sqrt(scipy.linalg.eigvals(mats.a_tilde, mats.m_tilde).astype(complex))
+    re_min, re_max, im_min, im_max = cfg.window
+    inside = [k for k in oracle if re_min <= k.real <= re_max and im_min <= k.imag <= im_max]
+    assert len(run_pipeline(cfg).rows) == len(inside)
 
 
 def test_main_reports_an_indefinite_dtn_mass_as_a_solve_error(tmp_path, capsys, monkeypatch):

@@ -59,3 +59,15 @@ def test_only_cli_names_formulations(module):
     names = [(node.lineno, node.value) for node in ast.walk(_tree(module + ".py"))
              if isinstance(node, ast.Constant) and node.value in FORMULATION_NAMES]
     assert names == []
+
+
+@pytest.mark.parametrize("module", [m for m in ORDER if m != "cli"])
+def test_only_cli_takes_or_stores_a_formulation(module):
+    """A label that arrives as a parameter or is kept in a class field is no string
+    constant, so the check above misses it."""
+    tree = _tree(module + ".py")
+    names = [(node.lineno, node.arg) for node in ast.walk(tree) if isinstance(node, ast.arg)]
+    names += [(stmt.lineno, stmt.target.id) for node in ast.walk(tree)
+              if isinstance(node, ast.ClassDef) for stmt in node.body
+              if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    assert [(line, name) for line, name in names if name == "formulation"] == []

@@ -244,8 +244,8 @@ def test_filter_interpolates_from_other_spaces():
     med = slab_profile(2.0, 1.0)
     space = build_space(build_mesh((-2, 2), [-1, 1], 0.25), 6, BoundaryCondition.NONE)
     mats = assemble_dtn(space, med)
-    from helmres import canonical_fourth_quadrant, solve_dtn
-    pairs = canonical_fourth_quadrant(solve_dtn(mats)[0])
+    from helmres import solve_dtn
+    pairs, _ = solve_dtn(mats)
     best = min(pairs, key=lambda pr: abs(pr.k - K1))
     ctx = build_ls_context(med, 6, 0.25)
     rep = filter_epsilon(ctx, best)
@@ -265,7 +265,7 @@ def test_filter_rejects_vector_without_support():
 def test_pseudospectrum_identity_for_vanishing_contrast():
     ctx = build_ls_context(slab_profile(1.0, 1.0), 3, 0.5)
     grid = pseudospectrum(lambda z: collocation_matrix(ctx, z), (0.5, 1.5, -1.0, -0.1),
-                          (3, 3), "ls")
+                          (3, 3))
     np.testing.assert_allclose(grid.values, 1.0, rtol=1e-12)
     np.testing.assert_allclose(grid.re_points, [0.5, 1.0, 1.5])
     np.testing.assert_allclose(grid.im_points, [-1.0, -0.55, -0.1])
@@ -274,7 +274,7 @@ def test_pseudospectrum_identity_for_vanishing_contrast():
 def test_pseudospectrum_resolvent_grows_into_lower_half_plane():
     disc = discretize(RunConfig(problem="air_cavity", formulation="dtn", degree=6,
                                 initial_cell_size=0.5, d=2.0))
-    grid = pseudospectrum(disc.t, (2.0, 2.0, -3.0, -0.5), (1, 8), "dtn")
+    grid = pseudospectrum(disc.t, (2.0, 2.0, -3.0, -0.5), (1, 8))
     col = grid.values[:, 0]
     assert np.all(np.diff(col) > 0)  # s_min shrinks as Im k decreases
 
@@ -282,15 +282,16 @@ def test_pseudospectrum_resolvent_grows_into_lower_half_plane():
 def test_pseudospectrum_validation():
     ctx = build_ls_context(slab_profile(2.0, 1.0), 3, 0.5)
     with pytest.raises(ValueError):
-        pseudospectrum(lambda z: collocation_matrix(ctx, z), (0, 1, -1, 0), (0, 3), "ls")
+        pseudospectrum(lambda z: collocation_matrix(ctx, z), (0, 1, -1, 0), (0, 3))
 
 
 def test_grid_csv_and_sidecar(tmp_path):
     ctx = build_ls_context(slab_profile(2.0, 1.0), 3, 0.5)
     grid = pseudospectrum(lambda z: collocation_matrix(ctx, z), (0.0, 1.0, -0.5, 0.0),
-                          (3, 2), "ls")
+                          (3, 2))
     path = tmp_path / "grid.csv"
-    write_grid_csv(grid, path, parameters={"p": 3})
+    cfg = RunConfig(problem="slab", formulation="ls", degree=3)
+    write_grid_csv(grid, path, cfg)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "re_k,im_k,smin"
     assert len(lines) == 1 + 6
@@ -302,4 +303,4 @@ def test_grid_csv_and_sidecar(tmp_path):
     assert sidecar["region"] == [0.0, 1.0, -0.5, 0.0]
     assert sidecar["resolution"] == [3, 2]
     assert sidecar["formulation"] == "ls"
-    assert sidecar["parameters"] == {"p": 3}
+    assert sidecar["parameters"] == cfg.to_json_dict()
