@@ -230,10 +230,12 @@ def solve_contour(t_fun, cfg: ContourConfig, rng=None, space: MeshedSpace | None
 
     if nq % 2 == 0:
         a0_half /= 1j * (nq // 2)
-        scale = max(np.linalg.norm(a0), 1e-300)
-        if np.linalg.norm(a0 - a0_half) / scale > 1e-6 and np.linalg.norm(a0) > 1e-10:
-            warnings.warn("contour moments changed by more than 1e-6 when the node count "
-                          "was halved; increase quadrature_nodes", RuntimeWarning, stacklevel=2)
+        change = np.linalg.norm(a0 - a0_half) / max(np.linalg.norm(a0), 1e-300)
+        if change > 1e-6 and np.linalg.norm(a0) > 1e-10:
+            warnings.warn(f"contour moments changed by more than 1e-6 (relative change "
+                          f"{change:.2e} in A0) when the node count was halved from {nq} "
+                          f"to {nq // 2}; increase quadrature_nodes", RuntimeWarning,
+                          stacklevel=2)
 
     u, s, wh = scipy.linalg.svd(a0, full_matrices=False)
     if s[0] <= _RANK_TOLERANCE:

@@ -16,13 +16,14 @@ scalar filter value
 for a unit-normalized u, which is small exactly when (u, k) is an approximate
 eigenpair of the integral operator, whatever formulation produced it.
 
-Only exp(i n0 k |x - y|) depends on k.  A :class:`KernelGeometry` holds the
-rest for one set of evaluation points: the distances D to every cell Gauss
-node, the table W of contrast x basis x weight over the DOFs, and, for points
-strictly inside a cell, the two sub-rules split at the kink y = x that stand
-in for that cell's plain rule.  K(k) then costs one exponential of D and one
-product with W.  An :class:`LsContext` builds the geometry once at its
-collocation nodes (T(k)) and once at its cell Gauss points (the filter).
+Only exp(i n0 k |x - y|) depends on k, and in 1D it factors on either side
+of x: the semiseparable structure of the Green's function (Greengard &
+Rokhlin, CPAM 44, 1991).  A :class:`KernelGeometry` holds the rest for one
+set of evaluation points, so that K(k) costs one exponential per Gauss node
+and per point, prefix and suffix sums over the cells, and the kink-split
+sub-rules of each point's own cell.  An :class:`LsContext` builds the geometry
+once at its collocation nodes (T(k)) and once at its cell Gauss points (the
+filter).
 """
 
 from __future__ import annotations
@@ -70,23 +71,17 @@ class LsContext:
 
     @functools.cached_property
     def cell_quadrature(self) -> tuple[np.ndarray, np.ndarray]:
-        """The Gauss nodes y of every cell, cell by cell, and the (nodes x DOFs)
-        table phi_j(y) w(y) of the inner rule.
-
-        The table's transpose is the projection b_i = int phi_i f of values
-        of f at the nodes.
-        """
+        """The Gauss nodes y of every cell, (cells, q), and the table
+        phi_l(y) w(y) of the inner rule on each cell's DOFs, (cells, q, p+1)."""
         nodes, weights, vals, _ = cell_quadrature(self.space, self.quad_order)
-        table = np.zeros((nodes.size, self.space.dof_count))
-        rows = np.arange(nodes.size).reshape(nodes.shape)
-        table[rows[:, :, None], self.space.cell_dofs[:, None, :]] = weights[:, :, None] * vals
-        return nodes.ravel(), table
+        return nodes, weights[:, :, None] * vals
 
     @functools.cached_property
     def kernel_weights(self) -> np.ndarray:
-        """W[g, j] = (n^2 - n0^2)(y_g) phi_j(y_g) w_g, shared by both geometries."""
+        """W[c, g, l] = (n^2 - n0^2)(y) phi_l(y) w(y) at Gauss node g of cell c,
+        shared by both geometries."""
         nodes, table = self.cell_quadrature
-        return (self.medium.contrast(nodes)[:, None] * table).astype(complex)
+        return (self.medium.contrast(nodes)[:, :, None] * table).astype(complex)
 
     @functools.cached_property
     def collocation_geometry(self) -> "KernelGeometry":
@@ -94,7 +89,7 @@ class LsContext:
 
     @functools.cached_property
     def quadrature_geometry(self) -> "KernelGeometry":
-        return _kernel_geometry(self, self.cell_quadrature[0])
+        return _kernel_geometry(self, self.cell_quadrature[0].ravel())
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,45 +136,64 @@ def build_ls_context(medium: MediumProfile, degree: int, initial_cell_size: floa
 class KernelGeometry:
     """The k-independent part of K(k) at a fixed set of m evaluation points x.
 
-    K(k) = pref(k) [(exp(i n0 k D) o keep) @ W + S(k)],  pref(k) = ik / 2n0,
+    K(k)[i] = pref(k) [e^{i n0 k x_i} P[left_i] + e^{-i n0 k x_i} Q[right_i] + S_i(k)]
 
-    with D[i, g] = |x_i - y_g| over the cell Gauss nodes y and
-    W[g, j] = (n^2 - n0^2)(y_g) phi_j(y_g) w_g.  The integrand has a kink at
-    y = x_i, so for a point strictly inside a cell ``keep`` drops that cell's
-    plain rule, and S adds the cell's two sub-rules split at x_i in its place:
-    row ``split_rows[r]`` gets exp(i n0 k ``split_dist[r]``) @
+    with pref(k) = ik / 2n0.  P and Q are the prefix and suffix sums over cells
+    of the moments M-+[c] = sum_g e^{-+i n0 k y_g} W[c, g] on cell c's DOFs,
+    W[c, g, l] = (n^2 - n0^2)(y_g) phi_l(y_g) w_g at its Gauss nodes y; the
+    first ``left[i]`` cells lie wholly left of x_i, those from ``right[i]`` on
+    wholly right.  The integrand has a kink at y = x_i, so a cell that x_i lies
+    strictly inside is in neither sum, and S_i adds its two sub-rules split at
+    x_i: row ``split_rows[r]`` gets exp(i n0 k ``split_dist[r]``) @
     ``split_weights[r]`` at the cell's DOFs ``split_dofs[r]``.
     """
 
     n0: float
-    dist: np.ndarray            # (m, nodes)
-    keep: np.ndarray            # (m, nodes) bool
-    weights: np.ndarray         # (nodes, dofs)
+    points: np.ndarray          # (m,)
+    left: np.ndarray            # (m,) cells wholly left of each point
+    right: np.ndarray           # (m,) first cell wholly right of each point
+    nodes: np.ndarray           # (cells, q)
+    weights: np.ndarray         # (cells, q, p+1)
+    cell_dofs: np.ndarray       # (cells, p+1)
+    dof_count: int
     split_rows: np.ndarray      # (s,)
     split_dist: np.ndarray      # (s, 2q)
     split_weights: np.ndarray   # (s, 2q, p+1)
     split_dofs: np.ndarray      # (s, p+1)
 
-    def _phases(self, k: complex) -> tuple[np.ndarray, np.ndarray]:
-        ikn = 1j * self.n0 * k
-        plain = np.exp(ikn * self.dist, out=np.zeros(self.dist.shape, dtype=complex),
-                       where=self.keep)
-        return plain, np.exp(ikn * self.split_dist)
+    def _moments(self, ikn: complex) -> np.ndarray:
+        """M-+[c, l] = sum_g e^{-+ikn y_g} W[c, g, l], stacked as (2, cells, p+1)."""
+        phases = np.exp(np.multiply.outer((-ikn, ikn), self.nodes))
+        return (phases[:, :, None, :] @ self.weights)[:, :, 0]
+
+    def _sides(self, ikn: complex, minus: np.ndarray, plus: np.ndarray) -> np.ndarray:
+        """e^{ikn x} P[left] + e^{-ikn x} Q[right], with P and Q the prefix and
+        suffix sums over cells (axis 0) of the moments ``minus`` and ``plus``."""
+        zero = np.zeros_like(minus[:1])
+        prefix = np.concatenate((zero, np.cumsum(minus, axis=0)))
+        suffix = np.concatenate((np.cumsum(plus[::-1], axis=0)[::-1], zero))
+        column = (-1,) + (1,) * (minus.ndim - 1)
+        out = np.exp(ikn * self.points).reshape(column) * prefix[self.left]
+        out += np.exp(-ikn * self.points).reshape(column) * suffix[self.right]
+        return out
 
     def matrix(self, k: complex) -> np.ndarray:
         """K(k) as an (m, dofs) matrix."""
-        plain, split = self._phases(k)
-        gmat = plain @ self.weights
+        ikn = 1j * self.n0 * k
+        cells = np.arange(self.nodes.shape[0])[:, None]
+        moments = np.zeros((2, cells.size, self.dof_count), dtype=complex)
+        moments[:, cells, self.cell_dofs] = self._moments(ikn)
+        gmat = self._sides(ikn, *moments)
         gmat[self.split_rows[:, None], self.split_dofs] += \
-            np.einsum("rq,rql->rl", split, self.split_weights)
+            (np.exp(ikn * self.split_dist)[:, None, :] @ self.split_weights)[:, 0]
         return (1j * k / (2.0 * self.n0)) * gmat
 
     def apply(self, k: complex, coeffs: np.ndarray) -> np.ndarray:
         """K(k)u at the m points for u given by DOF coefficients, without forming K(k)."""
-        plain, split = self._phases(k)
-        ku = plain @ (self.weights @ coeffs)
-        local = self.split_weights @ coeffs[self.split_dofs][:, :, None]
-        ku[self.split_rows] += np.sum(split * local[:, :, 0], axis=1)
+        ikn = 1j * self.n0 * k
+        ku = self._sides(ikn, *np.sum(self._moments(ikn) * coeffs[self.cell_dofs], axis=2))
+        local = (self.split_weights @ coeffs[self.split_dofs][:, :, None])[:, :, 0]
+        ku[self.split_rows] += np.sum(np.exp(ikn * self.split_dist) * local, axis=1)
         return (1j * k / (2.0 * self.n0)) * ku
 
 
@@ -187,16 +201,16 @@ def _kernel_geometry(ctx: LsContext, points) -> KernelGeometry:
     """The geometry of K(k) at ``points`` for the context's inner rule."""
     space, medium = ctx.space, ctx.medium
     pts = np.atleast_1d(np.asarray(points, dtype=float))
-    nodes, _ = ctx.cell_quadrature
-    q = ctx.quad_order
     verts = space.mesh.vertices
     cells = locate(space.mesh, pts)
     lo, hi = verts[cells], verts[cells + 1]
-    # a kink on a cell edge (or outside the mesh) leaves the plain rule smooth
-    split = np.minimum(pts - lo, hi - pts) > 1e-12
-    keep = ~(split[:, None] & (np.arange(nodes.size) // q == cells[:, None]))
+    # a kink within 1e-12 of a cell edge (or outside the mesh) falls between
+    # cells: the point's own cell then lies wholly on one side of it
+    past = hi - pts <= 1e-12
+    split = (pts - lo > 1e-12) & ~past
+    left = cells + past
 
-    rule = QuadratureRule.gauss_legendre(q)
+    rule = QuadratureRule.gauss_legendre(ctx.quad_order)
     x, lo, hi = pts[split, None], lo[split, None], hi[split, None]
     sub_rules = []
     for aa, bb in ((lo, x), (x, hi)):
@@ -207,12 +221,16 @@ def _kernel_geometry(ctx: LsContext, points) -> KernelGeometry:
     ys, ws, sub_vals = (np.hstack(parts) for parts in zip(*sub_rules))
     return KernelGeometry(
         n0=medium.n0,
-        dist=np.abs(pts[:, None] - nodes[None, :]),
-        keep=keep,
+        points=pts,
+        left=left,
+        right=left + split,
+        nodes=ctx.cell_quadrature[0],
         weights=ctx.kernel_weights,
+        cell_dofs=space.cell_dofs,
+        dof_count=space.dof_count,
         split_rows=np.nonzero(split)[0],
         split_dist=np.abs(x - ys),
-        split_weights=(ws * medium.contrast(ys))[:, :, None] * sub_vals,
+        split_weights=((ws * medium.contrast(ys))[:, :, None] * sub_vals).astype(complex),
         split_dofs=space.cell_dofs[cells[split]],
     )
 
@@ -264,8 +282,9 @@ def filter_epsilon(ctx: LsContext, pair: EigenPair) -> FilterReport:
     xi = xi / np.sqrt(nrm2)
 
     ku = ctx.quadrature_geometry.apply(pair.k, _checked_coefficients(ctx, xi))
-    _, table = ctx.cell_quadrature
-    b = table.T @ ku
+    nodes, table = ctx.cell_quadrature
+    b = np.zeros(ctx.space.dof_count, dtype=complex)
+    np.add.at(b, ctx.space.cell_dofs, np.einsum("cgl,cg->cl", table, ku.reshape(nodes.shape)))
     eta = scipy.linalg.cho_solve(ctx.mass_cholesky, b)
     diff = xi - eta
     eps = float(np.sqrt(max(np.real(diff.conj() @ (mr @ diff)), 0.0)))

@@ -1,5 +1,6 @@
 """Volume-integral operator, pseudomode filter, pseudospectrum grids."""
 
+import dataclasses
 import json
 import math
 
@@ -110,10 +111,24 @@ def _kernel_oracle(ctx, k, x, density):
     return 1j * k / (2.0 * n0) * total
 
 
-@pytest.mark.parametrize("k", [2.0 - 0.4j, 1.2 - 1.0j])
+def _oracle_context(degree, k):
+    """The air-cavity context of the oracle tests, on cells of width 0.5.
+
+    Across such a cell the integrand grows by e^{n0 |Im k| / 2}, about e^16 at
+    |Im k| = 20, which the default (p + 6)-point inner rule resolves only to
+    about 1e-5 (p = 4) and 5e-4 (p = 1).  There the rule's order is doubled, so
+    that the comparison checks the kernel's prefix and suffix sums, not the rule.
+    """
+    medium = air_filled_cavity_profile(1.5, math.sqrt(3.5), math.sqrt(2.5))
+    ctx = build_ls_context(medium, degree, 0.5)
+    if abs(k.imag) <= 10:
+        return ctx
+    return LsContext(space=ctx.space, medium=medium, quad_order=2 * ctx.quad_order)
+
+
+@pytest.mark.parametrize("k", [2.0 - 0.4j, 1.2 - 1.0j, 3.0 - 20.0j, 0.3 + 2.0j])
 def test_kernel_matches_adaptive_quadrature(k):
-    ctx = build_ls_context(air_filled_cavity_profile(1.5, math.sqrt(3.5), math.sqrt(2.5)),
-                           4, 0.5)
+    ctx = _oracle_context(4, k)
     space = ctx.space
     n = space.dof_count
     assert space.degree == 4 and space.mesh.has_vertex(0.0)
@@ -127,17 +142,16 @@ def test_kernel_matches_adaptive_quadrature(k):
 
     rng = np.random.default_rng(3)
     u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    pts = np.array([0.3141, -1.1, 1.9])  # none of them a collocation node
+    pts = np.array([0.3141, -1.1, 1.9, -1.9])  # none of them a collocation node
     assert np.min(np.abs(space.node_coords[:, None] - pts)) > 1e-3
     expected = [_kernel_oracle(ctx, k, x, _fe_function(space, u)) for x in pts]
     np.testing.assert_allclose(apply_kernel(ctx, k, u, pts), expected, rtol=1e-12)
 
 
-@pytest.mark.parametrize("k", [2.0 - 0.4j, 1.2 - 1.0j])
+@pytest.mark.parametrize("k", [2.0 - 0.4j, 1.2 - 1.0j, 3.0 - 20.0j, 0.3 + 2.0j])
 def test_kernel_without_split_points_matches_adaptive_quadrature(k):
     # no evaluation point strictly inside a cell: every kernel row uses the plain rule
-    medium = air_filled_cavity_profile(1.5, math.sqrt(3.5), math.sqrt(2.5))
-    ctx = build_ls_context(medium, 1, 0.5)
+    ctx = _oracle_context(1, k)
     space = ctx.space
     n = space.dof_count
     assert np.all([space.mesh.has_vertex(x) for x in space.node_coords])
@@ -148,14 +162,35 @@ def test_kernel_without_split_points_matches_adaptive_quadrature(k):
             phi_j = _fe_function(space, np.eye(n)[j])
             assert gmat[i, j] == pytest.approx(_kernel_oracle(ctx, k, x, phi_j), rel=1e-12)
 
-    ctx = build_ls_context(medium, 4, 0.5)
+    ctx = _oracle_context(4, k)
     rng = np.random.default_rng(4)
     u = rng.standard_normal(ctx.space.dof_count) + 1j * rng.standard_normal(ctx.space.dof_count)
     u_h = _fe_function(ctx.space, u)
     assert ctx.space.mesh.has_vertex(0.0)
-    for pts in ([0.0], [1.9], [1.9, 0.0]):  # a vertex, outside Omega_r, both
+    # a vertex, outside Omega_r on either side, all three
+    for pts in ([0.0], [1.9], [-1.9], [1.9, 0.0, -1.9]):
         expected = [_kernel_oracle(ctx, k, x, u_h) for x in pts]
         np.testing.assert_allclose(apply_kernel(ctx, k, u, pts), expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("degree", [1, 4])
+def test_kernel_matrix_matches_apply(degree):
+    # 12 cells, more than 2(p + 1): the kink-split tables, (points, 2q, p + 1),
+    # then stay below points x (cells q) entries, the size of a dense kernel table
+    ctx = build_ls_context(air_filled_cavity_profile(1.5, math.sqrt(3.5), math.sqrt(2.5)),
+                           degree, 0.25)
+    cells, q = ctx.space.mesh.n_cells, ctx.quad_order
+    rng = np.random.default_rng(6)
+    u = rng.standard_normal(ctx.space.dof_count) + 1j * rng.standard_normal(ctx.space.dof_count)
+    for geometry in (ctx.collocation_geometry, ctx.quadrature_geometry):
+        m = geometry.points.size
+        for field in dataclasses.fields(geometry):
+            value = getattr(geometry, field.name)
+            if isinstance(value, np.ndarray):
+                assert value.size < m * cells * q, field.name
+        for k in (2.0 - 0.4j, 6.0 - 3.0j, 3.0 - 20.0j, 0.3 + 2.0j):
+            np.testing.assert_allclose(geometry.matrix(k) @ u, geometry.apply(k, u),
+                                       rtol=1e-13)
 
 
 def test_apply_kernel_validation():
@@ -237,7 +272,7 @@ def test_kernel_geometry_is_built_once_per_context(monkeypatch):
     assert filter_epsilon(ctx, probe).epsilon == pytest.approx(1.2981181563271973, rel=1e-12)
     assert filter_epsilon(fine, probe).epsilon == pytest.approx(1.2981181563271988, rel=1e-12)
     assert built == [ctx, ctx, fine]
-    assert fine.quadrature_geometry.dist.shape == (2 * quadrature.dist.shape[0],) * 2
+    assert fine.quadrature_geometry.points.size == 2 * quadrature.points.size
 
 
 def test_filter_interpolates_from_other_spaces():
