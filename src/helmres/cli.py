@@ -35,7 +35,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .assembly import DtnMatrices, PmlMatrices, assemble_dtn, assemble_pml
@@ -103,6 +102,8 @@ class RunConfig:
                                tuple(int(v) for v in self.pseudo_resolution))
             if min(self.pseudo_resolution) < 1:
                 raise ValueError("pseudo_resolution entries must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.epsilon_threshold <= 0:
             raise ValueError("epsilon_threshold must be positive")
         if self.problem == "bump" and self.eta is not None:
@@ -386,7 +387,6 @@ def emit_outputs(report: RunReport) -> list[str]:
         "versions": {
             "helmres": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": ".".join(map(str, sys.version_info[:3])),
         },
     })

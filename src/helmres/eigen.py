@@ -9,10 +9,10 @@
 * a Beyn-style contour-integral solver for matrix-valued analytic T(k),
 * smallest singular values for pseudospectrum maps.
 
-The per-node solves of the contour method and the s_min SVD go through numpy's
-LAPACK, the library that forms T(k): numpy's and scipy's wheels each bundle an
-OpenBLAS with its own thread pool, and alternating the two makes the pools
-contend for the same cores.
+Every factorization goes through numpy's LAPACK, the library that forms the
+matrices, so a run loads one OpenBLAS with one thread pool.  scipy is not
+imported: it would add a second OpenBLAS, whose pool contends with numpy's for
+the same cores, and it takes longer to import than most runs take to solve.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .mesh_fe import MeshedSpace
 
@@ -117,30 +116,35 @@ def solve_dtn(mats) -> tuple[list[EigenPair], SolveDiagnostics]:
     With M = L L^T and y = L^T xi the problem becomes the real standard 2n x 2n
     eigenproblem [[0, I], [-L^-1 A L^-T, -L^-1 E L^-T]] z = lambda z with
     z = (y, lambda y); the top block of each eigenvector maps back through
-    xi = L^-T y.  A finite matrix has no infinite eigenvalues, so all 2n are
-    finite.  The parameter is lambda = -ik, so eigenvalues map back through
-    k = i lambda.  A 1 = 0 makes lambda = 0 an exact, simple eigenvalue
-    (Q'(0) = E and 1^T E 1 = 2 n0), the static mode, which is no resonance:
-    the eigenvalue of smallest modulus is dropped.  The matrix is real, so
-    LAPACK returns its complex eigenvalues as exact conjugate pairs
-    {lambda, conj lambda}, that is {k, -conj k}; the member with Im lambda <= 0
-    (Re k >= 0) is kept and its mirror dropped, with no tolerance involved.
-    Both kinds of dropped eigenvalue are counted in the diagnostics.
+    xi = L^-T y.  L^-1 is formed once, and both blocks and the back-transform
+    are products with it; the E block uses only E's nonzero rows and columns.
+    A finite matrix has no infinite eigenvalues, so all 2n are finite.  The
+    parameter is lambda = -ik, so eigenvalues map back through k = i lambda.
+    A 1 = 0 makes lambda = 0 an exact, simple eigenvalue (Q'(0) = E and
+    1^T E 1 = 2 n0), the static mode, which is no resonance: the eigenvalue of
+    smallest modulus is dropped.  The matrix is real, so LAPACK returns its
+    complex eigenvalues as exact conjugate pairs {lambda, conj lambda}, that is
+    {k, -conj k}; the member with Im lambda <= 0 (Re k >= 0) is kept and its
+    mirror dropped, with no tolerance involved.  Both kinds of dropped
+    eigenvalue are counted in the diagnostics.
     """
     n = mats.a.shape[0]
     try:
-        chol = scipy.linalg.cholesky(mats.m, lower=True)
-    except scipy.linalg.LinAlgError as exc:
+        linv = np.linalg.inv(np.linalg.cholesky(mats.m))
+    except np.linalg.LinAlgError as exc:
         raise ValueError("the DtN mass matrix M is not symmetric positive definite") from exc
     companion = np.zeros((2 * n, 2 * n))
     companion[:n, n:] = np.eye(n)
-    for block, mat in ((companion[n:, :n], mats.a), (companion[n:, n:], mats.e)):
-        half = scipy.linalg.solve_triangular(chol, mat, lower=True)
-        block[:] = -scipy.linalg.solve_triangular(chol, half.T, lower=True)
+    companion[n:, :n] = -(linv @ mats.a @ linv.T)
+    # E is zero but at the end DOFs, so only its nonzero rows and columns enter
+    rows, cols = np.flatnonzero(mats.e.any(axis=1)), np.flatnonzero(mats.e.any(axis=0))
+    companion[n:, n:] = -(linv[:, rows] @ mats.e[np.ix_(rows, cols)] @ linv[:, cols].T)
     lam, vecs = np.linalg.eig(companion)
     keep = np.flatnonzero(lam.imag <= 0)
     keep = keep[keep != np.argmin(np.abs(lam))]
-    xis = scipy.linalg.solve_triangular(chol, vecs[:n, keep], lower=True, trans="T")
+    # L^-T is real: one real product over the interleaved real and imaginary parts
+    top = np.ascontiguousarray(vecs[:n, keep])
+    xis = (linv.T @ top.view(float)).view(complex)
     pairs = [EigenPair(k=complex(1j * lam[j]), vector=xi, space=mats.space)
              for j, xi in zip(keep, xis.T)]
     pairs.sort(key=lambda pr: (pr.k.real, pr.k.imag))
@@ -237,7 +241,7 @@ def solve_contour(t_fun, cfg: ContourConfig, rng=None, space: MeshedSpace | None
                           f"to {nq // 2}; increase quadrature_nodes", RuntimeWarning,
                           stacklevel=2)
 
-    u, s, wh = scipy.linalg.svd(a0, full_matrices=False)
+    u, s, wh = np.linalg.svd(a0, full_matrices=False)
     if s[0] <= _RANK_TOLERANCE:
         return []
     rank = int(np.sum(s > _RANK_TOLERANCE * s[0]))
@@ -246,7 +250,7 @@ def solve_contour(t_fun, cfg: ContourConfig, rng=None, space: MeshedSpace | None
             f"numerical rank {rank} saturated the probe width; raise probe_columns")
     ur = u[:, :rank]
     br = (ur.conj().T @ a1 @ wh[:rank].conj().T) / s[:rank]
-    lam, svecs = scipy.linalg.eig(br)
+    lam, svecs = np.linalg.eig(br)
     out = []
     for lam_j, svec in zip(lam, svecs.T):
         if not cfg.contains(complex(lam_j), tol=1e-12):

@@ -23,7 +23,7 @@ set of evaluation points, so that K(k) costs one exponential per Gauss node
 and per point, prefix and suffix sums over the cells, and the kink-split
 sub-rules of each point's own cell.  An :class:`LsContext` builds the geometry
 once at its collocation nodes (T(k)) and once at its cell Gauss points (the
-filter).
+filter), and the filter's L^2 projection from those points onto the space.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .assembly import assemble_resonator_mass
 from .eigen import EigenPair, smallest_singular_value
@@ -48,7 +47,13 @@ class NoResonatorSupportError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class LsContext:
-    """Collocation space on Omega_r and the order of its inner quadrature."""
+    """Collocation space on Omega_r and the order of its inner quadrature.
+
+    Everything k-independent is derived once per context and cached: the
+    resonator mass matrix, the kernel geometries at the collocation nodes and
+    at the cell Gauss points, and the filter's ``projection`` (M^r)^-1 P^T,
+    so that each filter call projects K(k)u with one matrix-vector product.
+    """
 
     space: MeshedSpace
     medium: MediumProfile
@@ -66,15 +71,24 @@ class LsContext:
         return assemble_resonator_mass(self.space)
 
     @functools.cached_property
-    def mass_cholesky(self):
-        return scipy.linalg.cho_factor(self.mass)
-
-    @functools.cached_property
     def cell_quadrature(self) -> tuple[np.ndarray, np.ndarray]:
         """The Gauss nodes y of every cell, (cells, q), and the table
         phi_l(y) w(y) of the inner rule on each cell's DOFs, (cells, q, p+1)."""
         nodes, weights, vals, _ = cell_quadrature(self.space, self.quad_order)
         return nodes, weights[:, :, None] * vals
+
+    @functools.cached_property
+    def projection(self) -> np.ndarray:
+        """(M^r)^-1 P^T, (dofs, cells * q): the L^2 projection onto the space of a
+        function given by its values at the cell Gauss points, in ravelled
+        (cell, node) order.  P^T[i, (c, g)] = phi_i(y) w(y) at node g of cell c.
+        Stored complex, so the product with K(k)u casts nothing per call."""
+        _, table = self.cell_quadrature
+        cells, q, _ = table.shape
+        pt = np.zeros((self.space.dof_count, cells, q))
+        pt[self.space.cell_dofs[:, :, None], np.arange(cells)[:, None, None],
+           np.arange(q)] = np.swapaxes(table, 1, 2)
+        return np.linalg.solve(self.mass, pt.reshape(self.space.dof_count, -1)).astype(complex)
 
     @functools.cached_property
     def kernel_weights(self) -> np.ndarray:
@@ -262,8 +276,9 @@ def filter_epsilon(ctx: LsContext, pair: EigenPair) -> FilterReport:
     """The pseudomode residual eps = ||u - P K(k)u||_{L^2(Omega_r)} of an eigenpair.
 
     The eigenvector is interpolated at the collocation nodes, normalized to
-    unit L^2(Omega_r) norm, K(k)u is projected onto the space by solving
-    M^r eta = b with b_i = int phi_i K(k)u, and
+    unit L^2(Omega_r) norm, K(k)u is evaluated at the cell Gauss points and
+    projected onto the space, eta = (M^r)^-1 b with b_i = int phi_i K(k)u,
+    as one product with the context's cached ``projection``, and
     eps = sqrt((xi - eta)^* M^r (xi - eta)).  With vanishing contrast K = 0,
     so eps = 1 for any unit u.  eps depends on (k, u) alone, not on the
     solver that produced the pair.
@@ -282,10 +297,9 @@ def filter_epsilon(ctx: LsContext, pair: EigenPair) -> FilterReport:
     xi = xi / np.sqrt(nrm2)
 
     ku = ctx.quadrature_geometry.apply(pair.k, _checked_coefficients(ctx, xi))
-    nodes, table = ctx.cell_quadrature
-    b = np.zeros(ctx.space.dof_count, dtype=complex)
-    np.add.at(b, ctx.space.cell_dofs, np.einsum("cgl,cg->cl", table, ku.reshape(nodes.shape)))
-    eta = scipy.linalg.cho_solve(ctx.mass_cholesky, b)
+    if not np.all(np.isfinite(ku)):
+        raise ValueError(f"K(k)u overflowed at k = {pair.k}")
+    eta = ctx.projection @ ku
     diff = xi - eta
     eps = float(np.sqrt(max(np.real(diff.conj() @ (mr @ diff)), 0.0)))
     return FilterReport(k=pair.k, epsilon=eps)

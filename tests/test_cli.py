@@ -48,6 +48,8 @@ def test_config_validation():
         RunConfig(problem="slab", formulation="dtn", epsilon_threshold=0.0)
     with pytest.raises(ValueError, match="eta"):
         RunConfig(problem="bump", formulation="dtn", eta=3.0)
+    with pytest.raises(ValueError, match="seed"):
+        RunConfig(problem="slab", formulation="dtn", seed=-1)
 
 
 def test_config_json_round_trip():
@@ -220,7 +222,7 @@ def test_run_json_round_trips_through_load_config(tmp_path):
     emit_outputs(run_pipeline(cfg))
     payload = json.loads((tmp_path / "run.json").read_text())
     assert set(payload) == {"config", "versions"}
-    assert set(payload["versions"]) == {"helmres", "numpy", "scipy", "python"}
+    assert set(payload["versions"]) == {"helmres", "numpy", "python"}
     assert load_config(str(tmp_path / "run.json")) == cfg
 
 
@@ -343,6 +345,8 @@ def test_main_output_errors_are_stage_errors(tmp_path, capsys, command):
     ["convergence", "--problem", "air_cavity", "--formulation", "dtn", "--target", "99"],
     ["reference", "--problem", "slab", "--formulation", "dtn", "--eta", "0.5"],
     ["convergence", "--problem", "slab", "--formulation", "dtn", "--eta", "0.5"],
+    ["solve", "--problem", "slab", "--formulation", "ls", "--window", "0", "4", "-2", "0",
+     "--seed", "-1"],
 ])
 def test_main_reports_config_errors(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path)]) == 1

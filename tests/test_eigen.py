@@ -46,16 +46,20 @@ def test_contour_config_validation():
 
 
 def test_quadratic_pencil_residuals():
-    mats = _slab_dtn_mats(4, 0.5)
-    pairs, _ = solve_dtn(mats)
-    assert pairs
-    na = np.linalg.norm(mats.a, 2)
-    ne = np.linalg.norm(mats.e, 2)
-    nm = np.linalg.norm(mats.m, 2)
-    for pr in pairs:
-        lam = -1j * pr.k
-        res = (mats.a + lam * mats.e + lam**2 * mats.m) @ pr.vector
-        assert np.linalg.norm(res) <= 1e-10 * (na + abs(lam) * ne + abs(lam) ** 2 * nm)
+    assembled = _slab_dtn_mats(4, 0.5)
+    # a full E as well: the solver may skip only E's zero rows and columns
+    full = DtnMatrices(a=assembled.a, m=assembled.m, e=assembled.e + 0.3,
+                       space=assembled.space)
+    for mats in (assembled, full):
+        pairs, _ = solve_dtn(mats)
+        assert pairs
+        na = np.linalg.norm(mats.a, 2)
+        ne = np.linalg.norm(mats.e, 2)
+        nm = np.linalg.norm(mats.m, 2)
+        for pr in pairs:
+            lam = -1j * pr.k
+            res = (mats.a + lam * mats.e + lam**2 * mats.m) @ pr.vector
+            assert np.linalg.norm(res) <= 1e-10 * (na + abs(lam) * ne + abs(lam) ** 2 * nm)
 
 
 def test_pencil_eigenvalue_count():
@@ -138,10 +142,16 @@ def test_dtn_eigenvalues_match_qz_oracle(name):
 
 
 def test_dtn_rejects_indefinite_mass():
-    mats = _slab_dtn_mats(2, 0.5)
-    bad = DtnMatrices(a=mats.a, m=-mats.m, e=mats.e, space=mats.space)
-    with pytest.raises(ValueError, match="DtN mass matrix"):
-        solve_dtn(bad)
+    mats = _slab_dtn_mats(3, 0.5)
+    indefinite = mats.m.copy()
+    indefinite[-1, -1] = -indefinite[-1, -1]   # one negative pivot, at the end
+    singular = mats.m.copy()
+    mid = mats.m.shape[0] // 2
+    singular[mid, :] = singular[:, mid] = 0.0  # positive semidefinite with a zero pivot
+    for m in (-mats.m, indefinite, singular):
+        bad = DtnMatrices(a=mats.a, m=m, e=mats.e, space=mats.space)
+        with pytest.raises(ValueError, match="M is not symmetric positive definite"):
+            solve_dtn(bad)
 
 
 @pytest.mark.parametrize("sigma0", [5.0, 50.0])

@@ -1,8 +1,12 @@
 """Module layering: imports point down the stack, file I/O and formulation names
-stay in the command-line module."""
+stay in the command-line module, and the package runs on numpy alone."""
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -10,6 +14,22 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "helmres"
 # README's "Modules, bottom to top"
 ORDER = ("mesh_fe", "media", "assembly", "eigen", "reference", "lippmann", "cli")
 FORMULATION_NAMES = {"dtn", "pml", "ls"}
+# one small slab run of each formulation; the CI job without scipy runs the same
+NUMPY_ONLY_RUNS = (
+    ["filter", "--problem", "slab", "--formulation", "dtn", "--p", "4", "--h", "0.5",
+     "--d", "1", "--window", "0", "4", "-2", "0"],
+    ["filter", "--problem", "slab", "--formulation", "pml", "--p", "4", "--h", "0.5",
+     "--d", "1", "--xc", "2", "--ell", "4", "--window", "0", "4", "-2", "0"],
+    ["solve", "--problem", "slab", "--formulation", "ls", "--p", "4", "--h", "0.5",
+     "--window", "0", "4", "-2", "0", "--pseudo", "3", "3"],
+)
+# None in sys.modules makes every import of scipy raise ModuleNotFoundError
+_NUMPY_ONLY_SCRIPT = """
+import json, sys
+sys.modules["scipy"] = None
+from helmres.cli import main
+print(json.dumps([main([*argv, "--out", out]) for argv, out in json.loads(sys.argv[1])]))
+"""
 
 
 def _tree(module):
@@ -71,3 +91,13 @@ def test_only_cli_takes_or_stores_a_formulation(module):
               if isinstance(node, ast.ClassDef) for stmt in node.body
               if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
     assert [(line, name) for line, name in names if name == "formulation"] == []
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    runs = [(argv, str(tmp_path / str(i))) for i, argv in enumerate(NUMPY_ONLY_RUNS)]
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_ONLY_SCRIPT, json.dumps(runs)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, 0, 0], proc.stderr

@@ -297,6 +297,15 @@ def test_filter_rejects_vector_without_support():
         filter_epsilon(ctx, pair)
 
 
+def test_filter_rejects_an_overflowing_kernel():
+    # e^{+-i n0 k x} overflows once n0 |Im k| |x| passes about 700
+    ctx = build_ls_context(slab_profile(2.0, 1.0), 4, 0.5)
+    for k in (1.0 + 2000j, 1.0 - 2000j):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="overflowed"):
+            filter_epsilon(ctx, _unit_pair(ctx, k))
+
+
 def test_pseudospectrum_identity_for_vanishing_contrast():
     ctx = build_ls_context(slab_profile(1.0, 1.0), 3, 0.5)
     grid = pseudospectrum(lambda z: collocation_matrix(ctx, z), (0.5, 1.5, -1.0, -0.1),
