@@ -23,9 +23,8 @@ from .media import (MediumProfile, PmlConfig, air_filled_cavity_profile,
 from .mesh_fe import (BoundaryCondition, Mesh1D, MeshedSpace, QuadratureRule,
                       build_mesh, build_space, evaluate_basis, evaluate_function)
 from .reference import (DegenerateRelationError, ReferenceSet,
-                        cavity_relation_residual, general_dtn_relation_residual,
-                        layered_solutions, reference_table, slab_dtn_eigenvalues,
-                        slab_pml_eigenvalues)
+                        general_dtn_relation_residual, layered_solutions,
+                        reference_table, slab_dtn_eigenvalues, slab_pml_eigenvalues)
 
 __all__ = [
     "__version__",
@@ -44,6 +43,6 @@ __all__ = [
     "build_ls_context", "apply_kernel", "collocation_matrix", "filter_epsilon",
     "pseudospectrum",
     "ReferenceSet", "DegenerateRelationError",
-    "slab_dtn_eigenvalues", "slab_pml_eigenvalues", "cavity_relation_residual",
+    "slab_dtn_eigenvalues", "slab_pml_eigenvalues",
     "general_dtn_relation_residual", "layered_solutions", "reference_table",
 ]

@@ -229,17 +229,16 @@ class Discretization:
             return pairs, diag.pencil_size
         if cfg.window is None:
             raise ValueError("the ls formulation needs --window to place its contour")
-        space = self.ls_context.space
         re_min, re_max, im_min, im_max = cfg.window
         contour = ContourConfig(
             center=complex(0.5 * (re_min + re_max), 0.5 * (im_min + im_max)),
             radius=0.5 * (re_max - re_min),
             radius_im=0.5 * (im_max - im_min),
             quadrature_nodes=64,
-            probe_columns=min(24, space.dof_count),
+            probe_columns=24,
         )
         rng = np.random.default_rng(cfg.seed)
-        return solve_contour(self.t, contour, rng, space=space), None
+        return solve_contour(self.t, contour, rng, space=self.ls_context.space), None
 
 
 def discretize(cfg: RunConfig) -> Discretization:
@@ -538,8 +537,9 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
         rate_name, rate = "order", math.log2
     previous = math.nan  # compares false, so the first step has no rate
     for label, degree, refinements in steps:
-        sub = dataclasses.replace(cfg, degree=degree, refinements=refinements,
-                                  apply_filter=False, pseudo_resolution=None)
+        sub = _stage("config", lambda: dataclasses.replace(
+            cfg, degree=degree, refinements=refinements, apply_filter=False,
+            pseudo_resolution=None))
         rows = run_pipeline(sub).rows
         err = min((abs(row.k - target) for row in rows), default=math.nan)
         note = f"  {rate_name} = {rate(previous / err):.2f}" if previous > 0 and err > 0 else ""

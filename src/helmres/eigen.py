@@ -1,7 +1,7 @@
 """Eigenvalue machinery shared by the three formulations.
 
-* dense solve of the quadratic problem (lambda^2 M + lambda E + A) xi = 0 as a
-  standard eigenproblem of its companion form reduced by M = L L^T, returning
+* dense solve of the quadratic problem (lambda^2 M + lambda E + A) xi = 0 as
+  the standard eigenproblem of its companion form solved against M, returning
   one member, Re k >= 0, of each exact conjugate pair of that real matrix,
 * dense solve of the PML pencil At xi = lambda Mt xi as that of Mt^-1 At,
   returning every principal root k = sqrt(lambda),
@@ -110,44 +110,43 @@ class SolveDiagnostics:
     dropped: int
 
 
+def _sorted_pairs(ks, vectors, space) -> list[EigenPair]:
+    """EigenPairs of ``ks`` and the columns of ``vectors``, sorted by (Re k, Im k)."""
+    pairs = [EigenPair(k=complex(k), vector=vec, space=space) for k, vec in zip(ks, vectors.T)]
+    pairs.sort(key=lambda pr: (pr.k.real, pr.k.imag))
+    return pairs
+
+
 def solve_dtn(mats) -> tuple[list[EigenPair], SolveDiagnostics]:
     """Eigenpairs of (lambda^2 M + lambda E + A) xi = 0 with Re k >= 0, but k = 0.
 
-    With M = L L^T and y = L^T xi the problem becomes the real standard 2n x 2n
-    eigenproblem [[0, I], [-L^-1 A L^-T, -L^-1 E L^-T]] z = lambda z with
-    z = (y, lambda y); the top block of each eigenvector maps back through
-    xi = L^-T y.  L^-1 is formed once, and both blocks and the back-transform
-    are products with it; the E block uses only E's nonzero rows and columns.
-    A finite matrix has no infinite eigenvalues, so all 2n are finite.  The
-    parameter is lambda = -ik, so eigenvalues map back through k = i lambda.
-    A 1 = 0 makes lambda = 0 an exact, simple eigenvalue (Q'(0) = E and
-    1^T E 1 = 2 n0), the static mode, which is no resonance: the eigenvalue of
-    smallest modulus is dropped.  The matrix is real, so LAPACK returns its
-    complex eigenvalues as exact conjugate pairs {lambda, conj lambda}, that is
-    {k, -conj k}; the member with Im lambda <= 0 (Re k >= 0) is kept and its
-    mirror dropped, with no tolerance involved.  Both kinds of dropped
-    eigenvalue are counted in the diagnostics.
+    M is SPD (its Cholesky factorization checks that and is otherwise not
+    used), so the problem is the real standard 2n x 2n eigenproblem
+    [[0, I], [-M^-1 A, -M^-1 E]] z = lambda z with z = (xi, lambda xi), and xi
+    is the top block of each eigenvector.  A finite matrix has no infinite
+    eigenvalues, so all 2n are finite.  The parameter is lambda = -ik, so
+    eigenvalues map back through k = i lambda.  A 1 = 0 makes lambda = 0 an
+    exact, simple eigenvalue (Q'(0) = E and 1^T E 1 = 2 n0), the static mode,
+    which is no resonance: the eigenvalue of smallest modulus is dropped.  The
+    matrix is real, so LAPACK returns its complex eigenvalues as exact
+    conjugate pairs {lambda, conj lambda}, that is {k, -conj k}; the member
+    with Im lambda <= 0 (Re k >= 0) is kept and its mirror dropped, with no
+    tolerance involved.  Both kinds of dropped eigenvalue are counted in the
+    diagnostics.
     """
     n = mats.a.shape[0]
     try:
-        linv = np.linalg.inv(np.linalg.cholesky(mats.m))
+        np.linalg.cholesky(mats.m)
     except np.linalg.LinAlgError as exc:
         raise ValueError("the DtN mass matrix M is not symmetric positive definite") from exc
     companion = np.zeros((2 * n, 2 * n))
     companion[:n, n:] = np.eye(n)
-    companion[n:, :n] = -(linv @ mats.a @ linv.T)
-    # E is zero but at the end DOFs, so only its nonzero rows and columns enter
-    rows, cols = np.flatnonzero(mats.e.any(axis=1)), np.flatnonzero(mats.e.any(axis=0))
-    companion[n:, n:] = -(linv[:, rows] @ mats.e[np.ix_(rows, cols)] @ linv[:, cols].T)
+    companion[n:, :n] = -np.linalg.solve(mats.m, mats.a)
+    companion[n:, n:] = -np.linalg.solve(mats.m, mats.e)
     lam, vecs = np.linalg.eig(companion)
     keep = np.flatnonzero(lam.imag <= 0)
     keep = keep[keep != np.argmin(np.abs(lam))]
-    # L^-T is real: one real product over the interleaved real and imaginary parts
-    top = np.ascontiguousarray(vecs[:n, keep])
-    xis = (linv.T @ top.view(float)).view(complex)
-    pairs = [EigenPair(k=complex(1j * lam[j]), vector=xi, space=mats.space)
-             for j, xi in zip(keep, xis.T)]
-    pairs.sort(key=lambda pr: (pr.k.real, pr.k.imag))
+    pairs = _sorted_pairs(1j * lam[keep], vecs[:n, keep], mats.space)
     return pairs, SolveDiagnostics(pencil_size=2 * n, dropped=2 * n - len(pairs))
 
 
@@ -162,9 +161,7 @@ def solve_pml(mats) -> tuple[list[EigenPair], SolveDiagnostics]:
     Im k > 0 is not reflected into the fourth quadrant.
     """
     lam, vecs = np.linalg.eig(np.linalg.solve(mats.m_tilde, mats.a_tilde))
-    pairs = [EigenPair(k=complex(k), vector=vec, space=mats.space)
-             for k, vec in zip(np.sqrt(lam.astype(complex)), vecs.T)]
-    pairs.sort(key=lambda pr: (pr.k.real, pr.k.imag))
+    pairs = _sorted_pairs(np.sqrt(lam.astype(complex)), vecs, mats.space)
     return pairs, SolveDiagnostics(pencil_size=mats.a_tilde.shape[0], dropped=0)
 
 
@@ -251,14 +248,8 @@ def solve_contour(t_fun, cfg: ContourConfig, rng=None, space: MeshedSpace | None
     ur = u[:, :rank]
     br = (ur.conj().T @ a1 @ wh[:rank].conj().T) / s[:rank]
     lam, svecs = np.linalg.eig(br)
-    out = []
-    for lam_j, svec in zip(lam, svecs.T):
-        if not cfg.contains(complex(lam_j), tol=1e-12):
-            continue
-        vec = ur @ svec
-        out.append(EigenPair(k=complex(lam_j), vector=vec, space=space))
-    out.sort(key=lambda pr: (pr.k.real, pr.k.imag))
-    return out
+    inside = [j for j, lam_j in enumerate(lam) if cfg.contains(complex(lam_j), tol=1e-12)]
+    return _sorted_pairs(lam[inside], ur @ svecs[:, inside], space)
 
 
 def smallest_singular_value(t: np.ndarray) -> float:

@@ -29,10 +29,6 @@ class MediumProfile:
     resonator_halfwidth: float
     breakpoints: tuple[float, ...]
 
-    @property
-    def resonator_support(self) -> tuple[float, float]:
-        return (-self.resonator_halfwidth, self.resonator_halfwidth)
-
     def contrast(self, x) -> np.ndarray:
         """n(x)^2 - n0^2, the source term of the volume-integral formulation."""
         xv = np.asarray(x, dtype=float)

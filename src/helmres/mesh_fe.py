@@ -131,10 +131,6 @@ class Mesh1D:
     def n_cells(self) -> int:
         return self.vertices.size - 1
 
-    @property
-    def cell_sizes(self) -> np.ndarray:
-        return np.diff(self.vertices)
-
     def cell_bounds(self, cell: int) -> tuple[float, float]:
         return float(self.vertices[cell]), float(self.vertices[cell + 1])
 

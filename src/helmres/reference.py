@@ -1,9 +1,10 @@
 """Ground-truth eigenvalue engines used to validate the FEM pipelines.
 
-Closed forms exist for the homogeneous slab; the air-filled cavity has an
-implicit scalar relation solved by Newton iteration; the bump profile has no
-usable closed form and its tabulated values are regenerated with a very fine
-FE discretization.  Implicit relations are evaluated in cross-multiplied
+Closed forms exist for the homogeneous slab; a layered medium such as the
+air-filled cavity has an implicit scalar relation between its fundamental
+solutions, solved by Newton iteration; the bump profile has no usable closed
+form and its tabulated values are regenerated with a very fine FE
+discretization.  Implicit relations are evaluated in cross-multiplied
 (determinant) form throughout: the raw fraction form has spurious poles where
 a denominator vanishes, while the determinant form has the same zero set
 without them.
@@ -23,7 +24,7 @@ from .media import MediumProfile, PmlConfig
 
 
 class DegenerateRelationError(ValueError):
-    """Both cross-multiplied sides vanished; the relation carries no information."""
+    """A fundamental solution vanished; the relation carries no information."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,8 +77,8 @@ def _slab_pml_determinant(k: complex, eta: float, a: float, beta: complex) -> co
     return cmath.exp(-4j * eta * k * a) * plus * plus - minus * minus
 
 
-def slab_pml_eigenvalues(eta: float, cfg: PmlConfig, m_max: int = 8, seeds=None,
-                         n0: float = 1.0, newton_tol: float = 1e-13) -> ReferenceSet:
+def slab_pml_eigenvalues(eta: float, cfg: PmlConfig, m_max: int = 8,
+                         seeds=None) -> ReferenceSet:
     """Eigenvalues of the finite-PML slab problem.
 
     For eta = 1 the relation exp(-4 i k a) = ((1 - phi)/(1 + phi))^2 collapses:
@@ -86,9 +87,9 @@ def slab_pml_eigenvalues(eta: float, cfg: PmlConfig, m_max: int = 8, seeds=None,
 
         k_m = pi m / (2 (beta + a)),  m = 1, 2, ...
 
-    (the same family follows from the exact solution sin(n0 k (x~ - x~(-ell)))
+    (the same family follows from the exact solution sin(k (x~ - x~(-ell)))
     in the stretched coordinate, whose Dirichlet condition quantizes
-    2 n0 k (ell + i sigma0 (ell - x_hat)) = m pi, and beta + a equals
+    2 k (ell + i sigma0 (ell - x_hat)) = m pi, and beta + a equals
     ell + i sigma0 (ell - x_hat) for the default length convention).
     These are exact eigenvalues of the truncated layer yet approximate no
     resonance: the slab relation without the layer has no eta = 1 solutions.
@@ -97,7 +98,7 @@ def slab_pml_eigenvalues(eta: float, cfg: PmlConfig, m_max: int = 8, seeds=None,
     by Newton iteration on the determinant form of the relation
     exp(-4 i eta k a) = ((eta - phi)/(eta + phi))^2.
     """
-    beta = cfg.beta(n0)
+    beta = cfg.beta()
     a = cfg.a
     if eta == 1.0:
         entries = tuple((m, math.pi * m / (2.0 * (beta + a))) for m in range(1, m_max + 1))
@@ -108,7 +109,7 @@ def slab_pml_eigenvalues(eta: float, cfg: PmlConfig, m_max: int = 8, seeds=None,
     for seed in seeds:
         try:
             root = newton_root(lambda k: _slab_pml_determinant(k, eta, a, beta),
-                               complex(seed), tol=newton_tol)
+                               complex(seed), tol=1e-13)
         except NewtonConvergenceError as exc:
             warnings.warn(f"seed {seed} failed to converge: {exc}", RuntimeWarning, stacklevel=2)
             continue
@@ -116,33 +117,6 @@ def slab_pml_eigenvalues(eta: float, cfg: PmlConfig, m_max: int = 8, seeds=None,
             roots.append(root)
     entries = tuple(enumerate(sorted(roots, key=lambda z: abs(z.real))))
     return ReferenceSet(problem="slab_pml", entries=entries, provenance="newton")
-
-
-def cavity_relation_residual(k: complex, b: float, gamma: float, eta: float) -> complex:
-    """Determinant-form residual of the implicit air-cavity eigenvalue relation.
-
-    The relation equates exp(-4ik) times a ratio of exponential sums to a
-    second such ratio; this function returns
-    exp(-4ik) * num_L * den_R - num_R * den_L, which vanishes exactly at the
-    eigenvalues and has no poles.  When both denominators vanish simultaneously
-    the relation is degenerate at that k and an error is raised.
-    """
-    pp = (1.0 + eta / gamma) * (1.0 + gamma)
-    pm = (1.0 + eta / gamma) * (1.0 - gamma)
-    mp = (1.0 - eta / gamma) * (1.0 + gamma)
-    mm = (1.0 - eta / gamma) * (1.0 - gamma)
-    e1 = cmath.exp(1j * k * (b * (eta - gamma) + gamma))
-    e2 = cmath.exp(1j * k * (b * (eta + gamma) - gamma))
-    e3 = cmath.exp(1j * k * (b * (gamma - eta) - gamma))
-    e4 = cmath.exp(-1j * k * (b * (gamma + eta) - gamma))
-    num_l = pp * e1 + mm * e2
-    den_l = pm * e1 + mp * e2
-    num_r = mp * e3 + pm * e4
-    den_r = mm * e3 + pp * e4
-    scale = (abs(num_l) + abs(den_l)) * (abs(num_r) + abs(den_r))
-    if abs(den_l) <= 1e-14 * scale and abs(den_r) <= 1e-14 * scale:
-        raise DegenerateRelationError(f"both denominators vanish at k = {k}")
-    return cmath.exp(-4j * k) * num_l * den_r - num_r * den_l
 
 
 def general_dtn_relation_residual(psi1, psi2, k: complex, d: float, n0: float = 1.0) -> complex:

@@ -347,6 +347,8 @@ def test_main_output_errors_are_stage_errors(tmp_path, capsys, command):
     ["convergence", "--problem", "slab", "--formulation", "dtn", "--eta", "0.5"],
     ["solve", "--problem", "slab", "--formulation", "ls", "--window", "0", "4", "-2", "0",
      "--seed", "-1"],
+    ["convergence", "--problem", "slab", "--formulation", "dtn", "--h", "0.5", "--d", "1",
+     "--sweep", "p", "--start", "0", "--stop", "1"],
 ])
 def test_main_reports_config_errors(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path)]) == 1

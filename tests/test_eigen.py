@@ -14,6 +14,7 @@ from helmres import (BoundaryCondition, ContourConfig, DtnMatrices, EigenPair,
                      slab_dtn_eigenvalues, slab_profile, smallest_singular_value,
                      solve_contour, solve_dtn, solve_pml)
 from helmres.cli import RunConfig, discretize
+from helmres.eigen import _sorted_pairs
 
 K1 = math.pi / 4 - 1j * math.log(3.0) / 4
 
@@ -47,7 +48,7 @@ def test_contour_config_validation():
 
 def test_quadratic_pencil_residuals():
     assembled = _slab_dtn_mats(4, 0.5)
-    # a full E as well: the solver may skip only E's zero rows and columns
+    # a full E as well: the solver must not rely on E vanishing off the end DOFs
     full = DtnMatrices(a=assembled.a, m=assembled.m, e=assembled.e + 0.3,
                        space=assembled.space)
     for mats in (assembled, full):
@@ -295,6 +296,34 @@ def test_contour_matches_closed_form_on_integral_formulation():
     inside = [k for k in refs if cfg.contains(k)]
     assert len(pairs) == len(inside) == 1
     assert abs(pairs[0].k - K1) < 1e-7
+
+
+def _assert_re_im_order(pairs):
+    keys = [(pr.k.real, pr.k.imag) for pr in pairs]
+    assert keys == sorted(keys)
+
+
+def test_solvers_return_pairs_in_re_then_im_order():
+    # eigenvalues.csv lists its rows in the order the solvers return them
+    dtn, _ = solve_dtn(_slab_dtn_mats(3, 0.5))
+    cfg = PmlConfig(a=1.0, d=2.0, x_c=3.0, ell=5.0, sigma0=5.0)
+    space = build_space(build_mesh((-5, 5), [-3, -2, -1, 1, 2, 3], 0.5), 2,
+                        BoundaryCondition.DIRICHLET_BOTH_ENDS)
+    pml, _ = solve_pml(assemble_pml(space, slab_profile(2.0, 1.0), cfg))
+    # two eigenvalues of equal real part inside the circle
+    t_fun = lambda z: np.diag([z - (1.0 + 0.2j), z + 2.0, z - (1.0 - 0.2j), z - 0.8])
+    contour = solve_contour(t_fun, ContourConfig(center=1.0 + 0j, radius=0.5,
+                                                 quadrature_nodes=64, probe_columns=4), rng=0)
+    np.testing.assert_allclose(sorted((pr.k for pr in contour), key=lambda k: k.imag),
+                               [1.0 - 0.2j, 0.8, 1.0 + 0.2j], atol=1e-12)
+    for pairs in (dtn, pml, contour):
+        _assert_re_im_order(pairs)
+
+
+def test_pair_order_breaks_real_ties_by_imaginary_part():
+    pairs = _sorted_pairs(np.array([1.0 + 0.2j, 0.5, 1.0 - 0.2j]), np.eye(3), None)
+    assert [pr.k for pr in pairs] == [0.5, 1.0 - 0.2j, 1.0 + 0.2j]
+    np.testing.assert_array_equal(pairs[0].vector, [0, 1, 0])
 
 
 def test_smallest_singular_value():

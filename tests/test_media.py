@@ -16,7 +16,7 @@ def test_slab_values():
     assert med.n(-1.0) == 2.0
     assert med.n0 == 1.0
     assert med.breakpoints == (-1.0, 1.0)
-    assert med.resonator_support == (-1.0, 1.0)
+    assert med.resonator_halfwidth == 1.0
 
 
 def test_slab_unit_index_is_trivial():

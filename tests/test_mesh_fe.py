@@ -17,7 +17,7 @@ def test_uniform_mesh_vertices():
 def test_breakpoints_become_vertices_and_refinement_bisects():
     mesh = build_mesh((-2.0, 2.0), [-1.0, 1.0], 0.5, refinements=1)
     assert mesh.n_cells == 16
-    np.testing.assert_allclose(mesh.cell_sizes, 0.25)
+    np.testing.assert_allclose(np.diff(mesh.vertices), 0.25)
     assert mesh.has_vertex(-1.0) and mesh.has_vertex(1.0)
 
 

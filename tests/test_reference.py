@@ -6,11 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from helmres import (DegenerateRelationError, PmlConfig,
-                     air_filled_cavity_profile, cavity_relation_residual,
-                     critical_angle, general_dtn_relation_residual,
-                     layered_solutions, newton_root, reference_table,
-                     slab_dtn_eigenvalues, slab_pml_eigenvalues)
+from helmres import (DegenerateRelationError, PmlConfig, air_filled_cavity_profile,
+                     critical_angle, general_dtn_relation_residual, layered_solutions,
+                     newton_root, reference_table, slab_dtn_eigenvalues,
+                     slab_pml_eigenvalues)
 
 _B, _GAMMA, _ETA = 1.5, math.sqrt(3.5), math.sqrt(2.5)
 _CFG = PmlConfig(a=1.0, d=2.0, x_c=3.0, ell=5.0, sigma0=5.0)
@@ -83,32 +82,6 @@ def test_pml_newton_deduplicates_seeds():
     assert len(refs.entries) == 1
 
 
-def test_cavity_residual_vanishes_at_table():
-    for _, k in reference_table("air_cavity").entries:
-        assert abs(cavity_relation_residual(k, _B, _GAMMA, _ETA)) < 1e-8
-
-
-def test_cavity_residual_off_root():
-    k2 = reference_table("air_cavity").values[2]
-    assert abs(cavity_relation_residual(k2 + 0.1, _B, _GAMMA, _ETA)) > 1e-3
-
-
-def test_cavity_residual_conjugate_symmetry():
-    rng = np.random.default_rng(11)
-    for _ in range(6):
-        k = complex(rng.uniform(0, 5), rng.uniform(-1, 0))
-        left = cavity_relation_residual(-k.conjugate(), _B, _GAMMA, _ETA)
-        right = cavity_relation_residual(k, _B, _GAMMA, _ETA).conjugate()
-        assert left == pytest.approx(right, rel=1e-12)
-
-
-def test_newton_refinement_barely_moves_table_values():
-    for _, k in reference_table("air_cavity").entries:
-        root = newton_root(lambda z: cavity_relation_residual(z, _B, _GAMMA, _ETA),
-                           k, tol=1e-13)
-        assert abs(root - k) < 1e-9
-
-
 def test_general_relation_slab_consistency():
     eta, a = 2.0, 1.0
 
@@ -124,16 +97,30 @@ def test_general_relation_slab_consistency():
         general_dtn_relation_residual(psi1, psi2, 0.0, a)
 
 
+def _cavity_relation():
+    psi1, psi2 = layered_solutions(air_filled_cavity_profile(_B, _GAMMA, _ETA))
+    return lambda k: general_dtn_relation_residual(psi1, psi2, k, _B, n0=_ETA)
+
+
 def test_layered_solutions_reproduce_cavity_roots():
-    med = air_filled_cavity_profile(_B, _GAMMA, _ETA)
-    psi1, psi2 = layered_solutions(med)
-    table = reference_table("air_cavity").values
-    for j in (0, 2, 5):
-        target = table[j]
-        root = newton_root(
-            lambda k: general_dtn_relation_residual(psi1, psi2, k, _B, n0=_ETA),
-            target + 1e-3, tol=1e-12)
-        assert abs(root - target) < 1e-7
+    relation = _cavity_relation()
+    for target in reference_table("air_cavity").values:
+        for start in (target, target + 1e-3):
+            root = newton_root(relation, start, tol=1e-12)
+            assert abs(root - target) < 1e-9
+
+
+def test_cavity_relation_off_root():
+    k2 = reference_table("air_cavity").values[2]
+    assert abs(_cavity_relation()(k2 + 0.1)) > 1e-3
+
+
+def test_cavity_relation_conjugate_symmetry():
+    relation = _cavity_relation()
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        k = complex(rng.uniform(0, 5), rng.uniform(-1, 0))
+        assert relation(-k.conjugate()) == pytest.approx(relation(k).conjugate(), rel=1e-12)
 
 
 def test_layered_solutions_basic_identities():
