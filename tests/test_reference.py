@@ -102,12 +102,24 @@ def _cavity_relation():
     return lambda k: general_dtn_relation_residual(psi1, psi2, k, _B, n0=_ETA)
 
 
+def test_cavity_residual_vanishes_at_table():
+    relation = _cavity_relation()
+    for _, k in reference_table("air_cavity").entries:
+        assert abs(relation(k)) < 1e-8
+
+
+def test_newton_refinement_barely_moves_table_values():
+    relation = _cavity_relation()
+    for _, k in reference_table("air_cavity").entries:
+        root = newton_root(relation, k, tol=1e-13)
+        assert abs(root - k) < 1e-9
+
+
 def test_layered_solutions_reproduce_cavity_roots():
     relation = _cavity_relation()
     for target in reference_table("air_cavity").values:
-        for start in (target, target + 1e-3):
-            root = newton_root(relation, start, tol=1e-12)
-            assert abs(root - target) < 1e-9
+        root = newton_root(relation, target + 1e-3, tol=1e-12)
+        assert abs(root - target) < 1e-9
 
 
 def test_cavity_relation_off_root():
