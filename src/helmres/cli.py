@@ -11,9 +11,9 @@ one CSV writer, which prints each number with 12 significant digits and a
 signed zero as 0, and one JSON writer (indented, sorted keys).  A failed write
 is reported as pipeline stage ``output``.  Subcommands:
 
-    solve           full pipeline, writes eigenvalues.csv and run.json
-    filter          pipeline with the pseudomode filter forced on, prints a
-                    true/spurious classification at a report-time threshold
+    solve           full pipeline, writes eigenvalues.csv and run.json, labels
+                    each filtered pair true or spurious at --threshold
+    filter          solve with the pseudomode filter on by default
     pseudospectrum  s_min grid over a k-rectangle, writes pseudospectrum.csv
     reference       emits a reference eigenvalue set as CSV + JSON
     convergence     sweeps p or h and reports observed eigenvalue-error orders
@@ -451,7 +451,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     return _stage("config", RunConfig.from_json_dict, values)
 
 
-def _print_report(report: RunReport, threshold: float | None = None) -> None:
+def _print_report(report: RunReport) -> None:
+    """One line per row; a row with eps is labelled at ``epsilon_threshold``."""
     cfg = report.config
     size = f"pencil {report.pencil_size}" if report.pencil_size else "contour"
     print(f"# {cfg.problem} / {cfg.formulation}: {len(report.rows)} eigenvalue(s), "
@@ -460,9 +461,8 @@ def _print_report(report: RunReport, threshold: float | None = None) -> None:
         parts = [f"k[{row.index}] = {row.k.real:+.12g} {row.k.imag:+.12g}j"]
         if row.epsilon is not None:
             parts.append(f"eps = {row.epsilon:.3e}")
-            if threshold is not None:
-                label = "true" if (row.epsilon < threshold and row.feasible) else "spurious"
-                parts.append(label)
+            label = "true" if row.epsilon < cfg.epsilon_threshold and row.feasible else "spurious"
+            parts.append(label)
         if not row.feasible:
             parts.append("infeasible")
         if row.ref_distance is not None:
@@ -475,14 +475,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     for path in _stage("output", emit_outputs, report):
         print(f"wrote {path}")
     _print_report(report)
-    return 0
-
-
-def _cmd_filter(args: argparse.Namespace) -> int:
-    cfg = dataclasses.replace(build_config(args), apply_filter=True)
-    report = run_pipeline(cfg)
-    _stage("output", emit_outputs, report)
-    _print_report(report, threshold=cfg.epsilon_threshold)
     return 0
 
 
@@ -524,8 +516,6 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     refs = _required_reference(cfg)
     target = _stage("config", refs.values.__getitem__, args.target)
-    print(f"# target k = {target.real:+.12g} {target.imag:+.12g}j "
-          f"(reference index {args.target})")
 
     # (label, degree, refinements) per step, and how successive errors compare
     if args.sweep == "p":
@@ -535,6 +525,11 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
         steps = [(f"h = {cfg.initial_cell_size / 2 ** r:.6g}", cfg.degree, r)
                  for r in range(cfg.refinements, cfg.refinements + args.levels)]
         rate_name, rate = "order", math.log2
+    if not steps:
+        raise PipelineStageError("config", ValueError(
+            "the sweep has no steps: need --start <= --stop (p) or --levels >= 1 (h)"))
+    print(f"# target k = {target.real:+.12g} {target.imag:+.12g}j "
+          f"(reference index {args.target})")
     previous = math.nan  # compares false, so the first step has no rate
     for label, degree, refinements in steps:
         sub = _stage("config", lambda: dataclasses.replace(
@@ -559,13 +554,15 @@ def main(argv=None) -> int:
 
     for name, fn, blurb in (
             ("solve", _cmd_solve, "run the full pipeline and write outputs"),
-            ("filter", _cmd_filter, "solve, filter, and classify eigenpairs"),
+            ("filter", _cmd_solve, "solve with the pseudomode filter on by default"),
             ("pseudospectrum", _cmd_pseudospectrum, "compute an s_min grid"),
             ("reference", _cmd_reference, "emit reference eigenvalues"),
             ("convergence", _cmd_convergence, "sweep p or h and report error orders")):
         sub = subs.add_parser(name, help=blurb)
         _add_common_flags(sub)
         sub.set_defaults(handler=fn)
+        if name == "filter":  # a flag default: beats a config file, loses to --no-filter
+            sub.set_defaults(apply_filter=True)
         if name == "convergence":
             sub.add_argument("--sweep", choices=("p", "h"), default="p")
             sub.add_argument("--target", type=int, default=0,

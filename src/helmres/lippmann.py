@@ -91,13 +91,6 @@ class LsContext:
         return np.linalg.solve(self.mass, pt.reshape(self.space.dof_count, -1)).astype(complex)
 
     @functools.cached_property
-    def kernel_weights(self) -> np.ndarray:
-        """W[c, g, l] = (n^2 - n0^2)(y) phi_l(y) w(y) at Gauss node g of cell c,
-        shared by both geometries."""
-        nodes, table = self.cell_quadrature
-        return (self.medium.contrast(nodes)[:, :, None] * table).astype(complex)
-
-    @functools.cached_property
     def collocation_geometry(self) -> "KernelGeometry":
         return _kernel_geometry(self, self.space.node_coords)
 
@@ -175,10 +168,13 @@ class KernelGeometry:
     split_weights: np.ndarray   # (s, 2q, p+1)
     split_dofs: np.ndarray      # (s, p+1)
 
-    def _moments(self, ikn: complex) -> np.ndarray:
-        """M-+[c, l] = sum_g e^{-+ikn y_g} W[c, g, l], stacked as (2, cells, p+1)."""
+    def _terms(self, ikn: complex) -> tuple[np.ndarray, np.ndarray]:
+        """The moments M-+[c, l] = sum_g e^{-+ikn y_g} W[c, g, l], (2, cells, p+1),
+        and the split terms S[r] = e^{ikn split_dist[r]} @ split_weights[r], (s, p+1)."""
         phases = np.exp(np.multiply.outer((-ikn, ikn), self.nodes))
-        return (phases[:, :, None, :] @ self.weights)[:, :, 0]
+        moments = (phases[:, :, None, :] @ self.weights)[:, :, 0]
+        split = (np.exp(ikn * self.split_dist)[:, None, :] @ self.split_weights)[:, 0]
+        return moments, split
 
     def _sides(self, ikn: complex, minus: np.ndarray, plus: np.ndarray) -> np.ndarray:
         """e^{ikn x} P[left] + e^{-ikn x} Q[right], with P and Q the prefix and
@@ -194,20 +190,20 @@ class KernelGeometry:
     def matrix(self, k: complex) -> np.ndarray:
         """K(k) as an (m, dofs) matrix."""
         ikn = 1j * self.n0 * k
+        moments, split = self._terms(ikn)
         cells = np.arange(self.nodes.shape[0])[:, None]
-        moments = np.zeros((2, cells.size, self.dof_count), dtype=complex)
-        moments[:, cells, self.cell_dofs] = self._moments(ikn)
-        gmat = self._sides(ikn, *moments)
-        gmat[self.split_rows[:, None], self.split_dofs] += \
-            (np.exp(ikn * self.split_dist)[:, None, :] @ self.split_weights)[:, 0]
+        dense = np.zeros((2, cells.size, self.dof_count), dtype=complex)
+        dense[:, cells, self.cell_dofs] = moments
+        gmat = self._sides(ikn, *dense)
+        gmat[self.split_rows[:, None], self.split_dofs] += split
         return (1j * k / (2.0 * self.n0)) * gmat
 
     def apply(self, k: complex, coeffs: np.ndarray) -> np.ndarray:
         """K(k)u at the m points for u given by DOF coefficients, without forming K(k)."""
         ikn = 1j * self.n0 * k
-        ku = self._sides(ikn, *np.sum(self._moments(ikn) * coeffs[self.cell_dofs], axis=2))
-        local = (self.split_weights @ coeffs[self.split_dofs][:, :, None])[:, :, 0]
-        ku[self.split_rows] += np.sum(np.exp(ikn * self.split_dist) * local, axis=1)
+        moments, split = self._terms(ikn)
+        ku = self._sides(ikn, *np.sum(moments * coeffs[self.cell_dofs], axis=2))
+        ku[self.split_rows] += np.sum(split * coeffs[self.split_dofs], axis=1)
         return (1j * k / (2.0 * self.n0)) * ku
 
 
@@ -226,20 +222,19 @@ def _kernel_geometry(ctx: LsContext, points) -> KernelGeometry:
 
     rule = QuadratureRule.gauss_legendre(ctx.quad_order)
     x, lo, hi = pts[split, None], lo[split, None], hi[split, None]
-    sub_rules = []
-    for aa, bb in ((lo, x), (x, hi)):
-        ys, ws = rule.mapped(aa, bb)
-        loc = 2.0 * (ys - lo) / (hi - lo) - 1.0
-        vals = evaluate_basis(space, 0, loc.ravel())[0].T.reshape(*ys.shape, space.degree + 1)
-        sub_rules.append((ys, ws, vals))
-    ys, ws, sub_vals = (np.hstack(parts) for parts in zip(*sub_rules))
+    # the rule on both halves (lo, x) and (x, hi) of every split cell, side by side
+    ys, ws = (v.reshape(x.size, 2 * ctx.quad_order)
+              for v in rule.mapped(np.stack((lo, x), axis=1), np.stack((x, hi), axis=1)))
+    loc = 2.0 * (ys - lo) / (hi - lo) - 1.0
+    sub_vals = evaluate_basis(space, 0, loc.ravel())[0].T.reshape(*ys.shape, space.degree + 1)
+    nodes, table = ctx.cell_quadrature
     return KernelGeometry(
         n0=medium.n0,
         points=pts,
         left=left,
         right=left + split,
-        nodes=ctx.cell_quadrature[0],
-        weights=ctx.kernel_weights,
+        nodes=nodes,
+        weights=(medium.contrast(nodes)[:, :, None] * table).astype(complex),
         cell_dofs=space.cell_dofs,
         dof_count=space.dof_count,
         split_rows=np.nonzero(split)[0],

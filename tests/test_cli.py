@@ -12,6 +12,7 @@ from helmres import assemble_dtn, solve_dtn, solve_pml
 from helmres.cli import (PipelineStageError, RunConfig, discretize, emit_outputs,
                          load_config, main, medium_for, reference_for,
                          run_pipeline)
+from helmres.eigen import smallest_singular_value
 
 K1 = math.pi / 4 - 1j * math.log(3.0) / 4
 
@@ -111,6 +112,15 @@ def test_dtn_solve_drops_the_static_mode(config):
     # the static mode, and the mirror of each pair off the imaginary axis
     assert diag.dropped == 1 + sum(pr.k.real > 0 for pr in pairs)
     assert len(pairs) + diag.dropped == diag.pencil_size
+
+
+def test_dtn_map_dips_at_the_static_mode():
+    # T_dtn(0) is singular: the static mode that solve_dtn drops is still in the map,
+    # so a DtN pseudospectrum dips at k = 0 where the PML map does not
+    dtn = discretize(RunConfig(**{**_SLAB_DTN, "degree": 4}))
+    pml = discretize(RunConfig(**{**_SLAB_PML, "degree": 4}))
+    assert smallest_singular_value(dtn.t(0.0)) < 1e-12
+    assert smallest_singular_value(pml.t(0.0)) > 1e-3
 
 
 @pytest.mark.parametrize("config", [_BENCH_DTN, _BENCH_PML], ids=["dtn", "pml"])
@@ -247,6 +257,36 @@ def test_main_filter_classifies(tmp_path, capsys):
     assert " spurious" in out and " true" in out
 
 
+def test_main_solve_labels_rows_at_the_threshold_like_filter(tmp_path, capsys):
+    argv = ["--problem", "slab", "--formulation", "pml", "--p", "2", "--h", "0.5", "--d", "1",
+            "--xc", "2", "--ell", "4", "--window", "0", "4", "-2", "0", "--threshold", "0.5"]
+    printed = {}
+    for command in ("solve", "filter"):
+        assert main([command, *argv, "--out", str(tmp_path / command)]) == 0
+        printed[command] = [line for line in capsys.readouterr().out.splitlines()
+                            if line.startswith("  k[")]
+    assert printed["solve"] == printed["filter"]
+    labels = set()
+    for line in printed["solve"]:
+        eps, label = line.split("eps = ")[1].split()[:2]
+        labels.add(label)
+        assert label == ("true" if float(eps) < 0.5 and "infeasible" not in line
+                         else "spurious")
+    assert labels == {"true", "spurious"}
+
+
+def test_main_filter_overrides_the_config_file_but_not_no_filter(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**_SLAB_DTN, "window": list(_SLAB_DTN["window"]),
+                                    "apply_filter": False}))
+    for flags, filtered in (([], True), (["--no-filter"], False)):
+        out = tmp_path / f"out-{filtered}"
+        assert main(["filter", "--config", str(cfg_path), *flags, "--out", str(out)]) == 0
+        assert json.loads((out / "run.json").read_text())["config"]["apply_filter"] is filtered
+        rows = (out / "eigenvalues.csv").read_text().strip().splitlines()[1:]
+        assert rows and all(bool(row.split(",")[3]) is filtered for row in rows)
+
+
 def test_main_flags_override_config_file(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({**_SLAB_DTN, "window": list(_SLAB_DTN["window"])}))
@@ -349,6 +389,10 @@ def test_main_output_errors_are_stage_errors(tmp_path, capsys, command):
      "--seed", "-1"],
     ["convergence", "--problem", "slab", "--formulation", "dtn", "--h", "0.5", "--d", "1",
      "--sweep", "p", "--start", "0", "--stop", "1"],
+    ["convergence", "--problem", "slab", "--formulation", "dtn", "--h", "0.5", "--d", "1",
+     "--sweep", "p", "--start", "5", "--stop", "2"],
+    ["convergence", "--problem", "slab", "--formulation", "dtn", "--h", "0.5", "--d", "1",
+     "--sweep", "h", "--levels", "0"],
 ])
 def test_main_reports_config_errors(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path)]) == 1
