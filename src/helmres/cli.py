@@ -458,7 +458,8 @@ def _print_report(report: RunReport) -> None:
     print(f"# {cfg.problem} / {cfg.formulation}: {len(report.rows)} eigenvalue(s), "
           f"{report.dof_count} dofs ({size}), {report.elapsed_seconds:.2f}s")
     for row in report.rows:
-        parts = [f"k[{row.index}] = {row.k.real:+.12g} {row.k.imag:+.12g}j"]
+        # adding 0.0 turns -0.0 into 0.0, as in the CSV files
+        parts = [f"k[{row.index}] = {row.k.real + 0.0:+.12g} {row.k.imag + 0.0:+.12g}j"]
         if row.epsilon is not None:
             parts.append(f"eps = {row.epsilon:.3e}")
             label = "true" if row.epsilon < cfg.epsilon_threshold and row.feasible else "spurious"

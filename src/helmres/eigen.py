@@ -54,8 +54,9 @@ class ContourConfig:
     """Elliptic contour and solver knobs for the contour-integral method.
 
     ``radius`` is the real semi-axis; ``radius_im`` defaults to a circle.
-    ``probe_columns`` must be at least the number of eigenvalues expected
-    inside, with slack so that rank saturation is detectable.
+    ``quadrature_nodes`` is even: every other node is the half rule that checks
+    the moments.  ``probe_columns`` must be at least the number of eigenvalues
+    expected inside, with slack so that rank saturation is detectable.
     """
 
     center: complex
@@ -69,8 +70,8 @@ class ContourConfig:
             raise ValueError(f"contour radius must be positive, got {self.radius}")
         if self.radius_im is not None and self.radius_im <= 0:
             raise ValueError(f"imaginary semi-axis must be positive, got {self.radius_im}")
-        if self.quadrature_nodes < 8:
-            raise ValueError(f"need at least 8 quadrature nodes, got {self.quadrature_nodes}")
+        if self.quadrature_nodes < 8 or self.quadrature_nodes % 2:
+            raise ValueError(f"need an even node count >= 8, got {self.quadrature_nodes}")
         if self.probe_columns < 1:
             raise ValueError("probe_columns must be positive")
 
@@ -229,14 +230,13 @@ def solve_contour(t_fun, cfg: ContourConfig, rng=None, space: MeshedSpace | None
     a0 /= 1j * nq
     a1 /= 1j * nq
 
-    if nq % 2 == 0:
-        a0_half /= 1j * (nq // 2)
-        change = np.linalg.norm(a0 - a0_half) / max(np.linalg.norm(a0), 1e-300)
-        if change > 1e-6 and np.linalg.norm(a0) > 1e-10:
-            warnings.warn(f"contour moments changed by more than 1e-6 (relative change "
-                          f"{change:.2e} in A0) when the node count was halved from {nq} "
-                          f"to {nq // 2}; increase quadrature_nodes", RuntimeWarning,
-                          stacklevel=2)
+    a0_half /= 1j * (nq // 2)
+    change = np.linalg.norm(a0 - a0_half) / max(np.linalg.norm(a0), 1e-300)
+    if change > 1e-6 and np.linalg.norm(a0) > 1e-10:
+        warnings.warn(f"contour moments changed by more than 1e-6 (relative change "
+                      f"{change:.2e} in A0) when the node count was halved from {nq} "
+                      f"to {nq // 2}; increase quadrature_nodes", RuntimeWarning,
+                      stacklevel=2)
 
     u, s, wh = np.linalg.svd(a0, full_matrices=False)
     if s[0] <= _RANK_TOLERANCE:

@@ -19,11 +19,12 @@ eigenpair of the integral operator, whatever formulation produced it.
 Only exp(i n0 k |x - y|) depends on k, and in 1D it factors on either side
 of x: the semiseparable structure of the Green's function (Greengard &
 Rokhlin, CPAM 44, 1991).  A :class:`KernelGeometry` holds the rest for one
-set of evaluation points, so that K(k) costs one exponential per Gauss node
-and per point, prefix and suffix sums over the cells, and the kink-split
-sub-rules of each point's own cell.  An :class:`LsContext` builds the geometry
-once at its collocation nodes (T(k)) and once at its cell Gauss points (the
-filter), and the filter's L^2 projection from those points onto the space.
+set of evaluation points on the mesh cut at every point, so that the kink of
+the integrand at y = x falls on a piece edge.  K(k) then costs one exponential
+per Gauss node and per point, and prefix and suffix sums over the pieces.  An
+:class:`LsContext` builds the geometry once at its collocation nodes (T(k))
+and once at its cell Gauss points (the filter), and the filter's L^2
+projection from those points onto the space.
 """
 
 from __future__ import annotations
@@ -143,105 +144,79 @@ def build_ls_context(medium: MediumProfile, degree: int, initial_cell_size: floa
 class KernelGeometry:
     """The k-independent part of K(k) at a fixed set of m evaluation points x.
 
-    K(k)[i] = pref(k) [e^{i n0 k x_i} P[left_i] + e^{-i n0 k x_i} Q[right_i] + S_i(k)]
+    K(k)[i] = pref(k) [e^{i n0 k x_i} P[cut_i] + e^{-i n0 k x_i} Q[cut_i]]
 
-    with pref(k) = ik / 2n0.  P and Q are the prefix and suffix sums over cells
-    of the moments M-+[c] = sum_g e^{-+i n0 k y_g} W[c, g] on cell c's DOFs,
-    W[c, g, l] = (n^2 - n0^2)(y_g) phi_l(y_g) w_g at its Gauss nodes y; the
-    first ``left[i]`` cells lie wholly left of x_i, those from ``right[i]`` on
-    wholly right.  The integrand has a kink at y = x_i, so a cell that x_i lies
-    strictly inside is in neither sum, and S_i adds its two sub-rules split at
-    x_i: row ``split_rows[r]`` gets exp(i n0 k ``split_dist[r]``) @
-    ``split_weights[r]`` at the cell's DOFs ``split_dofs[r]``.
+    with pref(k) = ik / 2n0.  The mesh is cut at every point inside it, so each
+    piece lies wholly on one side of every point; the first ``cut[i]`` pieces lie
+    left of x_i.  P and Q are the prefix and suffix sums over pieces of the
+    moments M-+[j] = sum_g e^{-+i n0 k y_g} W[j, g] on the DOFs of piece j's
+    cell, W[j, g, l] = (n^2 - n0^2)(y_g) phi_l(y_g) w_g at its Gauss nodes y.
     """
 
     n0: float
     points: np.ndarray          # (m,)
-    left: np.ndarray            # (m,) cells wholly left of each point
-    right: np.ndarray           # (m,) first cell wholly right of each point
-    nodes: np.ndarray           # (cells, q)
-    weights: np.ndarray         # (cells, q, p+1)
-    cell_dofs: np.ndarray       # (cells, p+1)
+    cut: np.ndarray             # (m,) pieces left of each point
+    nodes: np.ndarray           # (pieces, q)
+    weights: np.ndarray         # (pieces, q, p+1)
+    piece_dofs: np.ndarray      # (pieces, p+1)
     dof_count: int
-    split_rows: np.ndarray      # (s,)
-    split_dist: np.ndarray      # (s, 2q)
-    split_weights: np.ndarray   # (s, 2q, p+1)
-    split_dofs: np.ndarray      # (s, p+1)
 
-    def _terms(self, ikn: complex) -> tuple[np.ndarray, np.ndarray]:
-        """The moments M-+[c, l] = sum_g e^{-+ikn y_g} W[c, g, l], (2, cells, p+1),
-        and the split terms S[r] = e^{ikn split_dist[r]} @ split_weights[r], (s, p+1)."""
+    def _moments(self, ikn: complex) -> np.ndarray:
+        """M-+[j, l] = sum_g e^{-+ikn y_g} W[j, g, l], (2, pieces, p+1)."""
         phases = np.exp(np.multiply.outer((-ikn, ikn), self.nodes))
-        moments = (phases[:, :, None, :] @ self.weights)[:, :, 0]
-        split = (np.exp(ikn * self.split_dist)[:, None, :] @ self.split_weights)[:, 0]
-        return moments, split
+        return (phases[:, :, None, :] @ self.weights)[:, :, 0]
 
-    def _sides(self, ikn: complex, minus: np.ndarray, plus: np.ndarray) -> np.ndarray:
-        """e^{ikn x} P[left] + e^{-ikn x} Q[right], with P and Q the prefix and
-        suffix sums over cells (axis 0) of the moments ``minus`` and ``plus``."""
-        zero = np.zeros_like(minus[:1])
-        prefix = np.concatenate((zero, np.cumsum(minus, axis=0)))
-        suffix = np.concatenate((np.cumsum(plus[::-1], axis=0)[::-1], zero))
-        column = (-1,) + (1,) * (minus.ndim - 1)
-        out = np.exp(ikn * self.points).reshape(column) * prefix[self.left]
-        out += np.exp(-ikn * self.points).reshape(column) * suffix[self.right]
+    def _sides(self, k: complex, prefix: np.ndarray, suffix: np.ndarray) -> np.ndarray:
+        """pref(k) [e^{ikn x} P[cut] + e^{-ikn x} Q[cut]].  ``prefix`` holds the
+        minus moments of the pieces after a zero first row, ``suffix`` the plus
+        moments before a zero last row; both are summed in place into P and Q."""
+        np.cumsum(prefix, axis=0, out=prefix)
+        reverse = suffix[::-1]
+        np.cumsum(reverse, axis=0, out=reverse)
+        ikn, pref = 1j * self.n0 * k, 1j * k / (2.0 * self.n0)
+        column = (-1,) + (1,) * (prefix.ndim - 1)
+        # gathered and scaled in place: no (m, dofs) temporary beyond ``right``
+        out = prefix[self.cut]
+        out *= (pref * np.exp(ikn * self.points)).reshape(column)
+        right = suffix[self.cut]
+        right *= (pref * np.exp(-ikn * self.points)).reshape(column)
+        out += right
         return out
 
     def matrix(self, k: complex) -> np.ndarray:
         """K(k) as an (m, dofs) matrix."""
-        ikn = 1j * self.n0 * k
-        moments, split = self._terms(ikn)
-        cells = np.arange(self.nodes.shape[0])[:, None]
-        dense = np.zeros((2, cells.size, self.dof_count), dtype=complex)
-        dense[:, cells, self.cell_dofs] = moments
-        gmat = self._sides(ikn, *dense)
-        gmat[self.split_rows[:, None], self.split_dofs] += split
-        return (1j * k / (2.0 * self.n0)) * gmat
+        minus, plus = self._moments(1j * self.n0 * k)
+        rows = np.arange(len(self.piece_dofs))[:, None]
+        prefix, suffix = np.zeros((2, rows.size + 1, self.dof_count), dtype=complex)
+        prefix[rows + 1, self.piece_dofs] = minus
+        suffix[rows, self.piece_dofs] = plus
+        return self._sides(k, prefix, suffix)
 
     def apply(self, k: complex, coeffs: np.ndarray) -> np.ndarray:
         """K(k)u at the m points for u given by DOF coefficients, without forming K(k)."""
-        ikn = 1j * self.n0 * k
-        moments, split = self._terms(ikn)
-        ku = self._sides(ikn, *np.sum(moments * coeffs[self.cell_dofs], axis=2))
-        ku[self.split_rows] += np.sum(split * coeffs[self.split_dofs], axis=1)
-        return (1j * k / (2.0 * self.n0)) * ku
+        minus, plus = np.sum(self._moments(1j * self.n0 * k) * coeffs[self.piece_dofs], axis=2)
+        prefix, suffix = np.zeros((2, minus.size + 1), dtype=complex)
+        prefix[1:], suffix[:-1] = minus, plus
+        return self._sides(k, prefix, suffix)
 
 
 def _kernel_geometry(ctx: LsContext, points) -> KernelGeometry:
-    """The geometry of K(k) at ``points`` for the context's inner rule."""
+    """The geometry of K(k) at ``points`` for the context's inner rule on every piece."""
     space, medium = ctx.space, ctx.medium
     pts = np.atleast_1d(np.asarray(points, dtype=float))
     verts = space.mesh.vertices
-    cells = locate(space.mesh, pts)
-    lo, hi = verts[cells], verts[cells + 1]
-    # a kink within 1e-12 of a cell edge (or outside the mesh) falls between
-    # cells: the point's own cell then lies wholly on one side of it
-    past = hi - pts <= 1e-12
-    split = (pts - lo > 1e-12) & ~past
-    left = cells + past
-
-    rule = QuadratureRule.gauss_legendre(ctx.quad_order)
-    x, lo, hi = pts[split, None], lo[split, None], hi[split, None]
-    # the rule on both halves (lo, x) and (x, hi) of every split cell, side by side
-    ys, ws = (v.reshape(x.size, 2 * ctx.quad_order)
-              for v in rule.mapped(np.stack((lo, x), axis=1), np.stack((x, hi), axis=1)))
-    loc = 2.0 * (ys - lo) / (hi - lo) - 1.0
-    sub_vals = evaluate_basis(space, 0, loc.ravel())[0].T.reshape(*ys.shape, space.degree + 1)
-    nodes, table = ctx.cell_quadrature
+    inside = np.clip(pts, verts[0], verts[-1])
+    edges = np.union1d(verts, inside)
+    cells = locate(space.mesh, edges[:-1])
+    nodes, w = QuadratureRule.gauss_legendre(ctx.quad_order).mapped(edges[:-1, None],
+                                                                    edges[1:, None])
+    loc = 2.0 * (nodes - verts[cells, None]) / np.diff(verts)[cells, None] - 1.0
+    vals = evaluate_basis(space, 0, loc.ravel())[0].T.reshape(*nodes.shape, space.degree + 1)
+    table = w[:, :, None] * vals  # phi_l(y) w(y), as in LsContext.cell_quadrature
     return KernelGeometry(
-        n0=medium.n0,
-        points=pts,
-        left=left,
-        right=left + split,
-        nodes=nodes,
-        weights=(medium.contrast(nodes)[:, :, None] * table).astype(complex),
-        cell_dofs=space.cell_dofs,
-        dof_count=space.dof_count,
-        split_rows=np.nonzero(split)[0],
-        split_dist=np.abs(x - ys),
-        split_weights=((ws * medium.contrast(ys))[:, :, None] * sub_vals).astype(complex),
-        split_dofs=space.cell_dofs[cells[split]],
-    )
+        n0=medium.n0, points=pts, cut=np.searchsorted(edges, inside), nodes=nodes,
+        weights=np.ascontiguousarray(medium.contrast(nodes)[:, :, None] * table, dtype=complex),
+        piece_dofs=space.cell_dofs[cells], dof_count=space.dof_count)
 
 
 def _checked_coefficients(ctx: LsContext, u) -> np.ndarray:
@@ -263,8 +238,12 @@ def apply_kernel(ctx: LsContext, k: complex, u, points) -> np.ndarray:
 
 
 def collocation_matrix(ctx: LsContext, k: complex) -> np.ndarray:
-    """T(k) = I - K(k) collocated at the space's Gauss-Lobatto nodes."""
-    return np.eye(ctx.space.dof_count, dtype=complex) - ctx.collocation_geometry.matrix(k)
+    """T(k) = I - K(k) collocated at the space's Gauss-Lobatto nodes, formed in
+    K(k)'s array: a further (dofs, dofs) array per k costs fresh memory pages."""
+    t = ctx.collocation_geometry.matrix(k)
+    np.negative(t, out=t)
+    t.flat[::t.shape[1] + 1] += 1.0
+    return t
 
 
 def filter_epsilon(ctx: LsContext, pair: EigenPair) -> FilterReport:

@@ -3,11 +3,10 @@
 Closed forms exist for the homogeneous slab; a layered medium such as the
 air-filled cavity has an implicit scalar relation between its fundamental
 solutions, solved by Newton iteration; the bump profile has no usable closed
-form and its tabulated values are regenerated with a very fine FE
-discretization.  Implicit relations are evaluated in cross-multiplied
-(determinant) form throughout: the raw fraction form has spurious poles where
-a denominator vanishes, while the determinant form has the same zero set
-without them.
+form, so its values are embedded as a table.  Implicit relations are
+evaluated in cross-multiplied (determinant) form throughout: the raw fraction
+form has spurious poles where a denominator vanishes, while the determinant
+form has the same zero set without them.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ class DegenerateRelationError(ValueError):
 class ReferenceSet:
     """Reference eigenvalues sorted by |Re k|, all in the closed fourth quadrant.
 
-    ``provenance`` is one of "closed_form", "newton", "tabulated", "fine_fem".
+    ``provenance`` is one of "closed_form", "newton", "tabulated".
     """
 
     problem: str

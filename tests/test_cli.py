@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helmres import assemble_dtn, solve_dtn, solve_pml
+from helmres import NoResonatorSupportError, assemble_dtn, solve_dtn, solve_pml
+from helmres import cli
 from helmres.cli import (PipelineStageError, RunConfig, discretize, emit_outputs,
                          load_config, main, medium_for, reference_for,
                          run_pipeline)
@@ -175,6 +176,16 @@ def test_signed_zero_is_written_as_zero(tmp_path):
     assert "-0" not in fields
 
 
+def test_console_report_prints_signed_zero_as_zero(tmp_path, capsys):
+    # the run of test_signed_zero_is_written_as_zero, through the command line
+    assert main(["solve", "--problem", "air_cavity", "--formulation", "dtn", "--p", "4",
+                 "--h", "0.5", "--d", "2", "--window", "0", "4", "-2", "0", "--no-filter",
+                 "--out", str(tmp_path)]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  k[")]
+    assert rows[0].startswith("  k[0] = +0 -0.89")
+    assert not [line for line in rows if "-0 " in line]
+
+
 def test_grid_signed_zero_is_written_as_zero(tmp_path):
     assert main(["pseudospectrum", "--problem", "slab", "--formulation", "dtn", "--p", "2",
                  "--h", "0.5", "--d", "1", "--window", "-0", "1", "-1", "-0",
@@ -285,6 +296,42 @@ def test_main_filter_overrides_the_config_file_but_not_no_filter(tmp_path):
         assert json.loads((out / "run.json").read_text())["config"]["apply_filter"] is filtered
         rows = (out / "eigenvalues.csv").read_text().strip().splitlines()[1:]
         assert rows and all(bool(row.split(",")[3]) is filtered for row in rows)
+
+
+def test_pair_without_resonator_support_gets_infinite_eps(tmp_path, capsys, monkeypatch):
+    # the filter raises for the second row's pair, in the order the rows are filtered
+    real, calls = cli.filter_epsilon, []
+
+    def no_support_on_the_second_call(ctx, pair):
+        calls.append(pair)
+        if len(calls) == 2:
+            raise NoResonatorSupportError("no support")
+        return real(ctx, pair)
+
+    monkeypatch.setattr(cli, "filter_epsilon", no_support_on_the_second_call)
+    assert main(["filter", "--problem", "slab", "--formulation", "dtn", "--p", "2",
+                 "--h", "0.5", "--d", "1", "--window", "0", "4", "-2", "0",
+                 "--out", str(tmp_path)]) == 0
+    printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  k[")]
+    assert "eps = inf  spurious" in printed[1]
+    assert all("eps = inf" not in line for j, line in enumerate(printed) if j != 1)
+    rows = [line.split(",") for line in
+            (tmp_path / "eigenvalues.csv").read_text().strip().splitlines()[1:]]
+    assert [row[3] == "inf" for row in rows] == [j == 1 for j in range(len(rows))]
+
+
+def test_console_report_labels_rows_below_the_critical_line(tmp_path, capsys):
+    # the window of test_pml_feasibility_does_not_depend_on_the_filter
+    assert main(["solve", "--problem", "slab", "--formulation", "pml", "--p", "2", "--h", "0.5",
+                 "--d", "1", "--xc", "2", "--ell", "4", "--window", "0", "4", "-20", "0",
+                 "--no-filter", "--out", str(tmp_path)]) == 0
+    printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  k[")]
+    rows = [line.split(",") for line in
+            (tmp_path / "eigenvalues.csv").read_text().strip().splitlines()[1:]]
+    assert len(printed) == len(rows)
+    labelled = ["infeasible" in line for line in printed]
+    assert any(labelled) and not all(labelled)
+    assert labelled == [row[4] == "false" for row in rows]
 
 
 def test_main_flags_override_config_file(tmp_path):

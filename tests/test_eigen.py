@@ -39,6 +39,10 @@ def test_contour_config_validation():
         ContourConfig(center=0j, radius=0.0)
     with pytest.raises(ValueError):
         ContourConfig(center=0j, radius=1.0, quadrature_nodes=4)
+    with pytest.raises(ValueError, match="even"):
+        ContourConfig(center=0j, radius=1.0, quadrature_nodes=33)
+    with pytest.raises(ValueError, match="imaginary semi-axis"):
+        ContourConfig(center=0j, radius=1.0, radius_im=0.0)
     with pytest.raises(ValueError):
         ContourConfig(center=0j, radius=1.0, probe_columns=0)
     cfg = ContourConfig(center=1.0 + 0j, radius=2.0, radius_im=0.5)

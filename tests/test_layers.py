@@ -14,7 +14,8 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "helmres"
 # README's "Modules, bottom to top"
 ORDER = ("mesh_fe", "media", "assembly", "eigen", "reference", "lippmann", "cli")
 FORMULATION_NAMES = {"dtn", "pml", "ls"}
-# one small slab run of each formulation; the CI job without scipy runs the same
+# one small slab run of each formulation; the CI job without scipy runs them
+# through test_cli_runs_without_scipy
 NUMPY_ONLY_RUNS = (
     ["filter", "--problem", "slab", "--formulation", "dtn", "--p", "4", "--h", "0.5",
      "--d", "1", "--window", "0", "4", "-2", "0"],

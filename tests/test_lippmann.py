@@ -116,8 +116,9 @@ def _oracle_context(degree, k):
 
     Across such a cell the integrand grows by e^{n0 |Im k| / 2}, about e^16 at
     |Im k| = 20, which the default (p + 6)-point inner rule resolves only to
-    about 1e-5 (p = 4) and 5e-4 (p = 1).  There the rule's order is doubled, so
-    that the comparison checks the kernel's prefix and suffix sums, not the rule.
+    about 1e-5 (p = 4) and 5e-4 (p = 1) on a cell that no evaluation point
+    cuts.  There the rule's order is doubled, so that the comparison checks the
+    kernel's prefix and suffix sums, not the rule.
     """
     medium = air_filled_cavity_profile(1.5, math.sqrt(3.5), math.sqrt(2.5))
     ctx = build_ls_context(medium, degree, 0.5)
@@ -175,7 +176,7 @@ def test_kernel_without_split_points_matches_adaptive_quadrature(k):
 
 @pytest.mark.parametrize("degree", [1, 4])
 def test_kernel_matrix_matches_apply(degree):
-    # 12 cells, more than 2(p + 1): the kink-split tables, (points, 2q, p + 1),
+    # 12 cells: the piece tables, (pieces, q, p + 1) with pieces <= cells + points,
     # then stay below points x (cells q) entries, the size of a dense kernel table
     ctx = build_ls_context(air_filled_cavity_profile(1.5, math.sqrt(3.5), math.sqrt(2.5)),
                            degree, 0.25)
@@ -191,6 +192,19 @@ def test_kernel_matrix_matches_apply(degree):
         for k in (2.0 - 0.4j, 6.0 - 3.0j, 3.0 - 20.0j, 0.3 + 2.0j):
             np.testing.assert_allclose(geometry.matrix(k) @ u, geometry.apply(k, u),
                                        rtol=1e-13)
+
+
+@pytest.mark.parametrize("t", [10.0, 20.0])
+def test_collocation_matrix_resolves_the_kernel_deep_in_the_plane(t):
+    # the collocation nodes cut each cell into p pieces, on which the default
+    # rule agrees with one of three times its order; whole cells missed by
+    # 1.5e-9 (t = 10) and 1.8e-6 (t = 20)
+    ctx = build_ls_context(air_filled_cavity_profile(1.5, math.sqrt(3.5), math.sqrt(2.5)),
+                           4, 0.5)
+    fine = LsContext(space=ctx.space, medium=ctx.medium, quad_order=3 * ctx.quad_order)
+    k = 5.0 - t * 1j
+    coarse, exact = collocation_matrix(ctx, k), collocation_matrix(fine, k)
+    assert np.linalg.norm(coarse - exact) <= 1e-12 * np.linalg.norm(exact)
 
 
 def test_apply_kernel_validation():
@@ -285,6 +299,13 @@ def test_filter_interpolates_from_other_spaces():
     ctx = build_ls_context(med, 6, 0.25)
     rep = filter_epsilon(ctx, best)
     assert rep.epsilon < 1e-6
+
+
+def test_filter_rejects_a_pair_without_a_space():
+    ctx = build_ls_context(slab_profile(2.0, 1.0), 4, 0.5)
+    pair = EigenPair(k=1.0 - 0.1j, vector=np.ones(ctx.space.dof_count), space=None)
+    with pytest.raises(ValueError, match="no originating space"):
+        filter_epsilon(ctx, pair)
 
 
 def test_filter_rejects_vector_without_support():

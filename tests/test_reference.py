@@ -77,6 +77,14 @@ def test_pml_roots_approach_closed_form_with_absorption():
     assert gaps[0] > gaps[1] > gaps[2]
 
 
+def test_pml_newton_skips_a_seed_that_fails_with_a_warning():
+    # at Im k = -50 the determinant overflows, so Newton stops at the seed
+    with pytest.warns(RuntimeWarning, match=r"seed \(1-50j\) failed to converge"):
+        refs = slab_pml_eigenvalues(2.0, _CFG, seeds=[0.8 - 0.3j, 1.0 - 50j])
+    alone = slab_pml_eigenvalues(2.0, _CFG, seeds=[0.8 - 0.3j])
+    assert refs.values.tolist() == alone.values.tolist()
+
+
 def test_pml_newton_deduplicates_seeds():
     refs = slab_pml_eigenvalues(2.0, _CFG, seeds=[0.8 - 0.3j, 0.8 - 0.3j])
     assert len(refs.entries) == 1
