@@ -20,8 +20,9 @@ from .lippmann import (FilterReport, LsContext, NoResonatorSupportError,
                        collocation_matrix, filter_epsilon, pseudospectrum)
 from .media import (MediumProfile, PmlConfig, air_filled_cavity_profile,
                     bump_profile, critical_angle, sigma_eval, slab_profile)
-from .mesh_fe import (BoundaryCondition, Mesh1D, MeshedSpace, QuadratureRule,
-                      build_mesh, build_space, evaluate_basis, evaluate_function)
+from .mesh_fe import (BoundaryCondition, Mesh1D, MeshedSpace, ParityBlock, QuadratureRule,
+                      build_mesh, build_space, evaluate_basis, evaluate_function,
+                      mirror_permutation, parity_blocks)
 from .reference import (DegenerateRelationError, ReferenceSet,
                         general_dtn_relation_residual, layered_solutions,
                         reference_table, slab_dtn_eigenvalues, slab_pml_eigenvalues)
@@ -30,6 +31,7 @@ __all__ = [
     "__version__",
     "BoundaryCondition", "Mesh1D", "MeshedSpace", "QuadratureRule",
     "build_mesh", "build_space", "evaluate_basis", "evaluate_function",
+    "ParityBlock", "mirror_permutation", "parity_blocks",
     "MediumProfile", "PmlConfig",
     "slab_profile", "air_filled_cavity_profile", "bump_profile",
     "sigma_eval", "critical_angle",

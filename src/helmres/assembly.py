@@ -14,36 +14,67 @@ both complex symmetric.  The resonator mass M^r is the plain L^2 mass on the
 space over Omega_r used by the spurious-solution filter.
 
 All matrices are dense; the 1D problems stay small enough that the dense
-eigensolves downstream want them dense anyway.
+eigensolves downstream want them dense anyway.  Each matrix set also carries
+the parity blocks of its space: (even, odd) when the medium is even and the
+mesh is its own mirror image, since every matrix then commutes with the
+mirror permutation of the DOFs, and the whole space otherwise.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .media import MediumProfile, PmlConfig, sigma_eval
-from .mesh_fe import BoundaryCondition, MeshedSpace, cell_quadrature
+from .mesh_fe import BoundaryCondition, MeshedSpace, ParityBlock, cell_quadrature, parity_blocks
 
 # Points per PML cell: 1/alpha is analytic but not polynomial on the ramp, and
 # at sigma0 = 5 on an h = 0.5 cell about 20 Gauss points reach 1e-13.
 _PML_MIN_ORDER = 24
 
 
+def _default_blocks(mats) -> None:
+    if mats.blocks is None:
+        object.__setattr__(mats, "blocks", parity_blocks(mats.space, False))
+
+
 @dataclass(frozen=True, eq=False)
 class DtnMatrices:
+    """(A, M, E) on ``space``; ``blocks`` defaults to the whole space as one block."""
+
     a: np.ndarray
     m: np.ndarray
     e: np.ndarray
     space: MeshedSpace
+    blocks: tuple[ParityBlock, ...] | None = None
+
+    def __post_init__(self):
+        _default_blocks(self)
+
+    @functools.cached_property
+    def folded(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """(A, M, E) folded into each block, built once."""
+        return [(b.fold(self.a), b.fold(self.m), b.fold(self.e)) for b in self.blocks]
 
 
 @dataclass(frozen=True, eq=False)
 class PmlMatrices:
+    """(At, Mt) on ``space``; ``blocks`` defaults to the whole space as one block."""
+
     a_tilde: np.ndarray
     m_tilde: np.ndarray
     space: MeshedSpace
+    blocks: tuple[ParityBlock, ...] | None = None
+
+    def __post_init__(self):
+        _default_blocks(self)
+
+    @functools.cached_property
+    def folded(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(At, Mt) folded into each block, built once."""
+        return [(b.fold(self.a_tilde), b.fold(self.m_tilde)) for b in self.blocks]
 
 
 def default_quadrature_order(p: int) -> int:
@@ -97,7 +128,7 @@ def assemble_dtn(space: MeshedSpace, medium: MediumProfile,
     emat[0, 0] = emat[-1, -1] = medium.n0
     return DtnMatrices(a=_assemble(space, ders, wq),
                        m=_assemble(space, vals, wq * medium.n(xq) ** 2),
-                       e=emat, space=space)
+                       e=emat, space=space, blocks=parity_blocks(space, medium.is_even()))
 
 
 def assemble_pml(space: MeshedSpace, medium: MediumProfile, pml: PmlConfig) -> PmlMatrices:
@@ -112,9 +143,10 @@ def assemble_pml(space: MeshedSpace, medium: MediumProfile, pml: PmlConfig) -> P
 
     xq, wq, vals, ders = cell_quadrature(space, max(space.degree + 4, _PML_MIN_ORDER))
     alpha = 1.0 + 1j * sigma_eval(pml, xq)
+    # sigma depends on |x| alone, so the layer is even whenever the medium is
     return PmlMatrices(a_tilde=_assemble(space, ders, wq / alpha),
                        m_tilde=_assemble(space, vals, wq * medium.n(xq) ** 2 * alpha),
-                       space=space)
+                       space=space, blocks=parity_blocks(space, medium.is_even()))
 
 
 def assemble_resonator_mass(space: MeshedSpace) -> np.ndarray:

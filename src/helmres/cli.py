@@ -4,7 +4,9 @@ A run is configured by a :class:`RunConfig`, executed by
 :func:`run_pipeline` (discretize, solve, window, filter, match against
 references, optional s_min grid), and persisted by :func:`emit_outputs`.
 :func:`discretize` is the one place a configuration becomes a mesh, matrices
-and a matrix function T(k).
+and a matrix function T(k); T(k) is given as its parity blocks, (even, odd)
+for the built-in media, which are all even, and every solve, contour and
+grid runs on them.
 
 This module owns the output format: every file a command writes goes through
 one CSV writer, which prints each number with 12 significant digits and a
@@ -43,7 +45,7 @@ from .lippmann import LsContext, NoResonatorSupportError, PseudospectrumGrid, \
     build_ls_context, collocation_matrix, filter_epsilon, pseudospectrum
 from .media import MediumProfile, PmlConfig, air_filled_cavity_profile, bump_profile, \
     critical_angle, slab_profile
-from .mesh_fe import BoundaryCondition, MeshedSpace, build_mesh, build_space
+from .mesh_fe import BoundaryCondition, MeshedSpace, ParityBlock, build_mesh, build_space
 from .reference import ReferenceSet, reference_table, slab_dtn_eigenvalues
 
 _PROBLEMS = ("slab", "air_cavity", "bump")
@@ -128,11 +130,15 @@ class ReportRow:
     feasible: bool
     ref_index: int | None
     ref_distance: float | None
+    parity: str | None
 
 
 @dataclass(frozen=True, eq=False)
 class RunReport:
-    """Pipeline result: one row per windowed eigenvalue, with metadata."""
+    """Pipeline result: one row per windowed eigenvalue, with metadata.
+
+    ``blocks`` lists the (parity, size) of each block the problem was solved on.
+    """
 
     config: RunConfig
     rows: tuple
@@ -140,6 +146,7 @@ class RunReport:
     pencil_size: int | None
     elapsed_seconds: float
     grid: PseudospectrumGrid | None
+    blocks: tuple
 
 
 def _problem_eta(cfg: RunConfig) -> float:
@@ -176,8 +183,9 @@ def reference_for(cfg: RunConfig, medium: MediumProfile) -> ReferenceSet | None:
 class Discretization:
     """One RunConfig as a medium, its reference set, and the matrix function T(k).
 
-    ``mats`` holds the DtN or PML matrices and is None for ls.  The LS context
-    is built on first use, so a run builds it at most once, and only when the
+    ``mats`` holds the DtN or PML matrices, with their parity blocks, and is
+    None for ls.  The LS context, which holds the blocks of the ls T(k), is
+    built on first use, so a run builds it at most once, and only when the
     contour, the filter or the grid needs it.
     """
 
@@ -202,8 +210,15 @@ class Discretization:
     def space(self) -> MeshedSpace:
         return self.ls_context.space if self.mats is None else self.mats.space
 
-    def t(self, k: complex) -> np.ndarray:
-        """T(k), singular exactly at the eigenvalues k.
+    @property
+    def blocks(self) -> tuple[ParityBlock, ...]:
+        """The parity blocks T(k) is split into: (even, odd) when the medium is
+        even and the mesh is its own mirror image, else the whole space."""
+        return self.ls_context.blocks if self.mats is None else self.mats.blocks
+
+    def t(self, k: complex) -> list[np.ndarray]:
+        """The diagonal blocks of T(k), one per ``blocks``; T(k) is singular
+        exactly at the eigenvalues k.
 
         ls: I - K(k);  dtn: A + lambda E + lambda^2 M at lambda = -ik;
         pml: At - k^2 Mt.
@@ -212,15 +227,16 @@ class Discretization:
             return collocation_matrix(self.ls_context, k)
         if self.config.formulation == "dtn":
             lam = -1j * k
-            return self.mats.a + lam * self.mats.e + lam**2 * self.mats.m
-        return self.mats.a_tilde - k**2 * self.mats.m_tilde
+            return [a + lam * e + lam**2 * m for a, m, e in self.mats.folded]
+        return [a_tilde - k**2 * m_tilde for a_tilde, m_tilde in self.mats.folded]
 
     def solve(self) -> tuple[list[EigenPair], int | None]:
         """Eigenpairs sorted by Re k, and the pencil size (None for the contour).
 
-        dtn and pml return every pair their solver returns, all with Re k >= 0;
-        ls solves on the ellipse inscribed in the window with a probe seeded by
-        ``seed``.
+        dtn and pml return every pair their solver returns, all with Re k >= 0
+        and the pencil size summed over the parity blocks; ls solves on the
+        ellipse inscribed in the window, with one probe per block drawn in
+        block order from ``seed``.
         """
         cfg = self.config
         if self.mats is not None:
@@ -238,7 +254,8 @@ class Discretization:
             probe_columns=24,
         )
         rng = np.random.default_rng(cfg.seed)
-        return solve_contour(self.t, contour, rng, space=self.ls_context.space), None
+        return solve_contour(self.t, contour, rng, space=self.ls_context.space,
+                             blocks=self.blocks), None
 
 
 def discretize(cfg: RunConfig) -> Discretization:
@@ -301,7 +318,7 @@ def _report_stage(disc: Discretization, pairs, epsilons) -> list[ReportRow]:
         else:
             idx, dist = None, None
         rows.append(ReportRow(index=j, k=pair.k, epsilon=eps, feasible=feasible,
-                              ref_index=idx, ref_distance=dist))
+                              ref_index=idx, ref_distance=dist, parity=pair.parity))
     return rows
 
 
@@ -327,7 +344,7 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
             if cfg.pseudo_resolution is not None else None)
     return RunReport(config=cfg, rows=tuple(rows), dof_count=disc.space.dof_count,
                      pencil_size=pencil, elapsed_seconds=time.perf_counter() - start,
-                     grid=grid)
+                     grid=grid, blocks=tuple((b.parity, b.size) for b in disc.blocks))
 
 
 def _fmt(value) -> str:
@@ -369,19 +386,23 @@ def write_grid_csv(grid: PseudospectrumGrid, path, cfg: RunConfig) -> None:
 def emit_outputs(report: RunReport) -> list[str]:
     """Write eigenvalues.csv, run.json, and pseudospectrum.csv when the report has a grid.
 
-    CSV content is a pure function of config + seed, byte-identical across
-    runs; timing stays out of every emitted file for that reason.
+    eigenvalues.csv ends with the ``parity`` of each row's vector, even or
+    odd, empty when the problem was solved as one block; run.json records the
+    parity and size of each block.  CSV content is a pure function of
+    config + seed, byte-identical across runs; timing stays out of every
+    emitted file for that reason.
     """
     cfg = report.config
     path = os.path.join(cfg.out_dir, "eigenvalues.csv")
-    _write_csv(path, "j,re_k,im_k,epsilon,feasible,ref_match,ref_dist",
+    _write_csv(path, "j,re_k,im_k,epsilon,feasible,ref_match,ref_dist,parity",
                ((row.index, row.k.real, row.k.imag, row.epsilon,
-                 "true" if row.feasible else "false", row.ref_index, row.ref_distance)
-                for row in report.rows))
+                 "true" if row.feasible else "false", row.ref_index, row.ref_distance,
+                 row.parity) for row in report.rows))
     written = [path]
 
     path = os.path.join(cfg.out_dir, "run.json")
     _write_json(path, {
+        "blocks": [{"parity": parity, "size": size} for parity, size in report.blocks],
         "config": cfg.to_json_dict(),
         "versions": {
             "helmres": __version__,

@@ -25,6 +25,11 @@ per Gauss node and per point, and prefix and suffix sums over the pieces.  An
 :class:`LsContext` builds the geometry once at its collocation nodes (T(k))
 and once at its cell Gauss points (the filter), and the filter's L^2
 projection from those points onto the space.
+
+For an even medium on a mirror-symmetric mesh, T(k) commutes with the mirror
+permutation of the nodes, so its even and odd blocks are all of it: T(k) is
+collocated only at the nodes with x >= 0, and its columns are summed with
+their mirrors' (even) or differenced (odd).
 """
 
 from __future__ import annotations
@@ -37,9 +42,9 @@ import numpy as np
 from .assembly import assemble_resonator_mass
 from .eigen import EigenPair, smallest_singular_value
 from .media import MediumProfile
-from .mesh_fe import (BoundaryCondition, MeshedSpace, QuadratureRule, build_mesh,
-                      build_space, cell_quadrature, evaluate_basis, evaluate_function,
-                      locate)
+from .mesh_fe import (BoundaryCondition, MeshedSpace, ParityBlock, QuadratureRule,
+                      as_slice, build_mesh, build_space, cell_quadrature, evaluate_basis,
+                      evaluate_function, locate, parity_blocks)
 
 
 class NoResonatorSupportError(ValueError):
@@ -51,9 +56,10 @@ class LsContext:
     """Collocation space on Omega_r and the order of its inner quadrature.
 
     Everything k-independent is derived once per context and cached: the
-    resonator mass matrix, the kernel geometries at the collocation nodes and
-    at the cell Gauss points, and the filter's ``projection`` (M^r)^-1 P^T,
-    so that each filter call projects K(k)u with one matrix-vector product.
+    parity blocks of T(k), the resonator mass matrix, the kernel geometries at
+    the collocation nodes and at the cell Gauss points, and the filter's
+    ``projection`` (M^r)^-1 P^T, so that each filter call projects K(k)u with
+    one matrix-vector product.
     """
 
     space: MeshedSpace
@@ -65,6 +71,18 @@ class LsContext:
         v = self.space.mesh.vertices
         if v[0] > -a + 1e-12 or v[-1] < a - 1e-12:
             raise ValueError("collocation space must cover the resonator support")
+
+    @functools.cached_property
+    def blocks(self) -> tuple[ParityBlock, ...]:
+        """(even, odd) for an even medium on a mirror-symmetric mesh, else the whole space."""
+        return parity_blocks(self.space, self.medium.is_even())
+
+    @functools.cached_property
+    def collocation_rows(self) -> tuple[np.ndarray, list]:
+        """The nodes T(k) is collocated at, those of any block, ascending; and
+        for each block, where its DOFs sit among them."""
+        rows = np.unique(np.concatenate([block.dofs for block in self.blocks]))
+        return rows, [as_slice(np.searchsorted(rows, block.dofs)) for block in self.blocks]
 
     @functools.cached_property
     def mass(self) -> np.ndarray:
@@ -161,43 +179,60 @@ class KernelGeometry:
     piece_dofs: np.ndarray      # (pieces, p+1)
     dof_count: int
 
-    def _moments(self, ikn: complex) -> np.ndarray:
-        """M-+[j, l] = sum_g e^{-+ikn y_g} W[j, g, l], (2, pieces, p+1)."""
-        phases = np.exp(np.multiply.outer((-ikn, ikn), self.nodes))
-        return (phases[:, :, None, :] @ self.weights)[:, :, 0]
+    def _rows(self, rows) -> tuple[np.ndarray, np.ndarray, int]:
+        """``cut`` and ``points`` at the points ``rows`` (all when None), and the
+        first piece right of any of them: Q is needed from there on only."""
+        cut, points = (self.cut, self.points) if rows is None else (self.cut[rows],
+                                                                    self.points[rows])
+        return cut, points, int(cut.min(initial=len(self.piece_dofs)))
 
-    def _sides(self, k: complex, prefix: np.ndarray, suffix: np.ndarray) -> np.ndarray:
+    def _moments(self, ikn: complex, lo: int) -> tuple[np.ndarray, np.ndarray]:
+        """M-[j, l] = sum_g e^{-ikn y_g} W[j, g, l] of every piece, (pieces, p+1),
+        and M+ (e^{+ikn y_g}) of the pieces from ``lo`` on, (pieces - lo, p+1)."""
+        minus = np.exp(-ikn * self.nodes)[:, None, :] @ self.weights
+        plus = np.exp(ikn * self.nodes[lo:])[:, None, :] @ self.weights[lo:]
+        return minus[:, 0], plus[:, 0]
+
+    def _sides(self, k: complex, prefix: np.ndarray, suffix: np.ndarray, cut: np.ndarray,
+               points: np.ndarray) -> np.ndarray:
         """pref(k) [e^{ikn x} P[cut] + e^{-ikn x} Q[cut]].  ``prefix`` holds the
         minus moments of the pieces after a zero first row, ``suffix`` the plus
-        moments before a zero last row; both are summed in place into P and Q."""
+        moments of the pieces from lo = len(prefix) - len(suffix) on before a
+        zero last row; both are summed in place into P and Q."""
         np.cumsum(prefix, axis=0, out=prefix)
         reverse = suffix[::-1]
         np.cumsum(reverse, axis=0, out=reverse)
         ikn, pref = 1j * self.n0 * k, 1j * k / (2.0 * self.n0)
         column = (-1,) + (1,) * (prefix.ndim - 1)
         # gathered and scaled in place: no (m, dofs) temporary beyond ``right``
-        out = prefix[self.cut]
-        out *= (pref * np.exp(ikn * self.points)).reshape(column)
-        right = suffix[self.cut]
-        right *= (pref * np.exp(-ikn * self.points)).reshape(column)
+        out = prefix[cut]
+        out *= (pref * np.exp(ikn * points)).reshape(column)
+        right = suffix[cut - (len(prefix) - len(suffix))]
+        right *= (pref * np.exp(-ikn * points)).reshape(column)
         out += right
         return out
 
-    def matrix(self, k: complex) -> np.ndarray:
-        """K(k) as an (m, dofs) matrix."""
-        minus, plus = self._moments(1j * self.n0 * k)
-        rows = np.arange(len(self.piece_dofs))[:, None]
-        prefix, suffix = np.zeros((2, rows.size + 1, self.dof_count), dtype=complex)
-        prefix[rows + 1, self.piece_dofs] = minus
-        suffix[rows, self.piece_dofs] = plus
-        return self._sides(k, prefix, suffix)
+    def matrix(self, k: complex, rows=None) -> np.ndarray:
+        """K(k) as an (m, dofs) matrix, or its rows at the points ``rows``."""
+        cut, points, lo = self._rows(rows)
+        minus, plus = self._moments(1j * self.n0 * k, lo)
+        pieces = np.arange(len(self.piece_dofs))[:, None]
+        prefix = np.zeros((pieces.size + 1, self.dof_count), dtype=complex)
+        suffix = np.zeros((pieces.size + 1 - lo, self.dof_count), dtype=complex)
+        prefix[pieces + 1, self.piece_dofs] = minus
+        suffix[pieces[lo:] - lo, self.piece_dofs[lo:]] = plus
+        return self._sides(k, prefix, suffix, cut, points)
 
-    def apply(self, k: complex, coeffs: np.ndarray) -> np.ndarray:
-        """K(k)u at the m points for u given by DOF coefficients, without forming K(k)."""
-        minus, plus = np.sum(self._moments(1j * self.n0 * k) * coeffs[self.piece_dofs], axis=2)
-        prefix, suffix = np.zeros((2, minus.size + 1), dtype=complex)
-        prefix[1:], suffix[:-1] = minus, plus
-        return self._sides(k, prefix, suffix)
+    def apply(self, k: complex, coeffs: np.ndarray, rows=None) -> np.ndarray:
+        """K(k)u at the m points, or at the points ``rows``, for u given by DOF
+        coefficients, without forming K(k)."""
+        cut, points, lo = self._rows(rows)
+        minus, plus = self._moments(1j * self.n0 * k, lo)
+        prefix = np.zeros(len(minus) + 1, dtype=complex)
+        suffix = np.zeros(len(plus) + 1, dtype=complex)
+        prefix[1:] = np.sum(minus * coeffs[self.piece_dofs], axis=1)
+        suffix[:-1] = np.sum(plus * coeffs[self.piece_dofs[lo:]], axis=1)
+        return self._sides(k, prefix, suffix, cut, points)
 
 
 def _kernel_geometry(ctx: LsContext, points) -> KernelGeometry:
@@ -231,19 +266,36 @@ def _checked_coefficients(ctx: LsContext, u) -> np.ndarray:
 def apply_kernel(ctx: LsContext, k: complex, u, points) -> np.ndarray:
     """Values of K(k)u at arbitrary points for u given by DOF coefficients.
 
-    The geometry of ``points`` is built for this call only.
+    The geometry is cut at the context's collocation nodes as well as at
+    ``points``, so that its pieces are as short as those of T(k) and its rule
+    as accurate deep in the lower half plane; it is built for this call only,
+    and only the rows of ``points`` are evaluated.
     """
     coeffs = _checked_coefficients(ctx, u)
-    return _kernel_geometry(ctx, points).apply(k, coeffs)
+    pts = np.atleast_1d(np.asarray(points, dtype=float))
+    nodes = ctx.space.node_coords
+    geometry = _kernel_geometry(ctx, np.concatenate((nodes, pts)))
+    return geometry.apply(k, coeffs, np.arange(nodes.size, nodes.size + pts.size))
 
 
-def collocation_matrix(ctx: LsContext, k: complex) -> np.ndarray:
-    """T(k) = I - K(k) collocated at the space's Gauss-Lobatto nodes, formed in
-    K(k)'s array: a further (dofs, dofs) array per k costs fresh memory pages."""
-    t = ctx.collocation_geometry.matrix(k)
-    np.negative(t, out=t)
-    t.flat[::t.shape[1] + 1] += 1.0
-    return t
+def collocation_matrix(ctx: LsContext, k: complex) -> list[np.ndarray]:
+    """The blocks of T(k) = I - K(k) collocated at the space's Gauss-Lobatto
+    nodes, one per ``ctx.blocks``.
+
+    K(k) is formed only at the nodes of ``ctx.collocation_rows`` (those with
+    x >= 0 when there are two blocks), and each block folds those rows by
+    summing or differencing mirror columns; T = I - K is then formed in the
+    block's array.
+    """
+    rows, block_rows = ctx.collocation_rows
+    kernel = ctx.collocation_geometry.matrix(k, rows)
+    blocks = []
+    for block, at in zip(ctx.blocks, block_rows):
+        t = block.fold(kernel, at)
+        np.negative(t, out=t)
+        t.ravel()[::t.shape[1] + 1] += 1.0  # the diagonal of a C-contiguous block
+        blocks.append(t)
+    return blocks
 
 
 def filter_epsilon(ctx: LsContext, pair: EigenPair) -> FilterReport:
@@ -281,7 +333,8 @@ def filter_epsilon(ctx: LsContext, pair: EigenPair) -> FilterReport:
 
 def pseudospectrum(t, region: tuple[float, float, float, float],
                    resolution: tuple[int, int]) -> PseudospectrumGrid:
-    """s_min(t(k)) on a rectangular k-grid for a matrix function ``t``.
+    """s_min(t(k)) on a rectangular k-grid for a matrix function ``t``, which may
+    return the list of its diagonal blocks (s_min is then the least over them).
 
     Values are absolute (no relative rescaling); grid traversal is row-major over
     (ny, nx) and bit-reproducible.

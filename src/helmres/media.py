@@ -34,6 +34,16 @@ class MediumProfile:
         xv = np.asarray(x, dtype=float)
         return self.n(xv) ** 2 - self.n0**2
 
+    def is_even(self) -> bool:
+        """Whether n(x) = n(-x): the breakpoints are a mirror image of themselves,
+        and n agrees exactly with its mirror at them and on a grid of 1001
+        points over [0, a]; n = n0 beyond a."""
+        bps = np.sort(np.asarray(self.breakpoints, dtype=float))
+        if not np.allclose(bps, -bps[::-1], rtol=0.0, atol=1e-12 * self.resonator_halfwidth):
+            return False
+        x = np.concatenate((bps, np.linspace(0.0, self.resonator_halfwidth, 1001)))
+        return bool(np.array_equal(self.n(x), self.n(-x)))
+
 
 def slab_profile(eta: float, a: float) -> MediumProfile:
     """Homogeneous slab: n = eta on |x| <= a and 1 outside; n0 = 1."""

@@ -5,11 +5,19 @@ each cell, so every basis function satisfies phi_j(x_i) = delta_ji at the
 global node set.  That nodal property is what lets the same space serve both
 as a Galerkin trial space and as a collocation space for the volume-integral
 formulation.
+
+On a mesh that is its own mirror image the reflection x -> -x permutes the
+nodes, and so the DOFs.  A matrix that commutes with that permutation is block
+diagonal in the orthonormal basis of even and odd DOF pairs (Bossavit, CMAME
+56, 1986); :func:`parity_blocks` describes the two blocks, and each
+:class:`ParityBlock` folds matrices into its block and unfolds block vectors
+back into DOF vectors by index sums over the permutation.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -258,3 +266,143 @@ def evaluate_function(space: MeshedSpace, coeffs, points) -> np.ndarray:
     # a constrained node's DOF index -1 reads the appended zero
     local = np.append(coeffs, 0)[space.cell_dofs[cells]]
     return np.sum(vals.T * local, axis=1)
+
+
+# A node's mirror must lie within this fraction of the domain width of -x
+_MIRROR_TOLERANCE = 1e-12
+
+
+def mirror_permutation(space: MeshedSpace) -> np.ndarray | None:
+    """The DOF permutation R of the reflection x -> -x, or None when the DOF
+    coordinates x are no mirror image of themselves.
+
+    R[i] is the DOF at -x[i]; it is accepted only if every |x[R[i]] + x[i]| is
+    within 1e-12 of the domain width.
+    """
+    x = space.node_coords
+    order = np.argsort(x, kind="stable")
+    mirror = np.empty_like(order)
+    mirror[order] = order[::-1]
+    v = space.mesh.vertices
+    if x.size and np.max(np.abs(x + x[mirror])) > _MIRROR_TOLERANCE * (v[-1] - v[0]):
+        return None
+    return mirror
+
+
+def as_slice(index: np.ndarray):
+    """``index`` as a slice when it runs up or down by one, so that taking it is a
+    view instead of a gather; otherwise ``index`` itself."""
+    step = int(index[1] - index[0]) if index.size > 1 else 1
+    if index.size == 0 or abs(step) != 1 or np.any(np.diff(index) != step):
+        return index
+    stop = int(index[-1]) + step
+    return slice(int(index[0]), None if stop < 0 else stop, step)
+
+
+def _take(mat: np.ndarray, rows, cols) -> np.ndarray:
+    """mat[rows][:, cols] for index arrays or slices; a view when both are slices."""
+    if isinstance(rows, slice) and isinstance(cols, slice):
+        return mat[rows, cols]
+    rows, cols = (np.arange(n)[i] if isinstance(i, slice) else i
+                  for n, i in zip(mat.shape, (rows, cols)))
+    return mat[np.ix_(rows, cols)]
+
+
+@dataclass(frozen=True, eq=False)
+class ParityBlock:
+    """One diagonal block of the matrices that commute with the mirror permutation R.
+
+    Block coordinate j stands for the orthonormal DOF vector
+    q_j = w_j (e_d + s e_m), d = dofs[j], m = mirrors[j] = R d, with s = +1 for
+    the even block and -1 for the odd one.  ``dofs`` are the DOFs at x >= 0
+    (x > 0 for the odd block), ascending; w_j = 1/sqrt(2), except at the centre
+    node x = 0, which is its own mirror, belongs to the even block alone and
+    has w = 1/2, so q = e_d.  The block that is the whole space has parity
+    None, no mirrors, and q_j = e_{dofs[j]}.
+    """
+
+    parity: str | None
+    dofs: np.ndarray
+    mirrors: np.ndarray | None
+    dof_count: int
+
+    @property
+    def size(self) -> int:
+        return self.dofs.size
+
+    @functools.cached_property
+    def _weights(self) -> np.ndarray:
+        return np.where(self.dofs == self.mirrors, 0.5, np.sqrt(0.5))
+
+    @functools.cached_property
+    def _columns(self) -> tuple:
+        """``dofs`` and ``mirrors`` as slices where they are runs, and the index of
+        the centre node in the block, or None."""
+        if self.mirrors is None:
+            return as_slice(self.dofs), None, None
+        centre = np.flatnonzero(self.dofs == self.mirrors)
+        return (as_slice(self.dofs), as_slice(self.mirrors),
+                int(centre[0]) if centre.size else None)
+
+    def fold(self, mat: np.ndarray, rows=None) -> np.ndarray:
+        """The block Q^T X Q of a matrix X that commutes with R.
+
+        ``mat`` is X, or some of its rows, with ``rows`` (an index or a slice)
+        picking out those of ``dofs``.  The block is the index sum
+        X[d][:, d] + s X[d][:, m] with the centre row and column scaled by
+        1/sqrt(2): no product with Q is formed.
+        """
+        dofs, mirrors, centre = self._columns
+        at = dofs if rows is None else rows
+        own = _take(mat, at, dofs)
+        if mirrors is None:
+            return np.array(own)
+        mirrored = _take(mat, at, mirrors)
+        out = own + mirrored if self.parity == "even" else own - mirrored
+        if centre is not None:
+            out[centre] *= np.sqrt(0.5)
+            out[:, centre] *= np.sqrt(0.5)
+        return out
+
+    def restrict(self, vectors: np.ndarray) -> np.ndarray:
+        """Q^T x: the block coordinates of DOF vectors, (dofs,) or (dofs, m)."""
+        vectors = np.asarray(vectors)
+        if self.mirrors is None:
+            return vectors[self.dofs]
+        w = self._weights.reshape((-1,) + (1,) * (vectors.ndim - 1))
+        if self.parity == "even":
+            return w * (vectors[self.dofs] + vectors[self.mirrors])
+        return w * (vectors[self.dofs] - vectors[self.mirrors])
+
+    def unfold(self, vectors: np.ndarray) -> np.ndarray:
+        """Q y: the DOF vectors of block coordinates, (size,) or (size, m)."""
+        vectors = np.asarray(vectors)
+        out = np.zeros((self.dof_count,) + vectors.shape[1:],
+                       dtype=np.result_type(vectors, float))
+        if self.mirrors is None:
+            out[self.dofs] = vectors
+            return out
+        part = self._weights.reshape((-1,) + (1,) * (vectors.ndim - 1)) * vectors
+        out[self.dofs] = part
+        # the centre is in dofs and mirrors and gets half of its value from each
+        if self.parity == "even":
+            out[self.mirrors] += part
+        else:
+            out[self.mirrors] -= part
+        return out
+
+
+def parity_blocks(space: MeshedSpace, even_medium: bool) -> tuple[ParityBlock, ...]:
+    """The (even, odd) blocks of the space, or the one block that is the whole
+    space when the medium is not even or the DOFs are no mirror image.  A
+    block without DOFs (the odd one of a lone centre node) is left out."""
+    n = space.dof_count
+    mirror = mirror_permutation(space) if even_medium else None
+    if mirror is None:
+        return (ParityBlock(parity=None, dofs=np.arange(n), mirrors=None, dof_count=n),)
+    centre = mirror == np.arange(n)
+    positive = (space.node_coords > 0) & ~centre
+    return tuple(ParityBlock(parity=parity, dofs=dofs, mirrors=mirror[dofs], dof_count=n)
+                 for parity, dofs in (("even", np.flatnonzero(positive | centre)),
+                                      ("odd", np.flatnonzero(positive)))
+                 if dofs.size)

@@ -95,7 +95,8 @@ def slab_pml_eigenvalues(eta: float, cfg: PmlConfig, m_max: int = 8,
 
     For eta != 1 each seed (default: the closed-form slab values) is refined
     by Newton iteration on the determinant form of the relation
-    exp(-4 i eta k a) = ((eta - phi)/(eta + phi))^2.
+    exp(-4 i eta k a) = ((eta - phi)/(eta + phi))^2.  A seed whose iteration
+    fails or overflows is skipped with a warning.
     """
     beta = cfg.beta()
     a = cfg.a
@@ -109,7 +110,8 @@ def slab_pml_eigenvalues(eta: float, cfg: PmlConfig, m_max: int = 8,
         try:
             root = newton_root(lambda k: _slab_pml_determinant(k, eta, a, beta),
                                complex(seed), tol=1e-13)
-        except NewtonConvergenceError as exc:
+        except (NewtonConvergenceError, OverflowError) as exc:
+            # far down the plane exp(-4 i eta k a) overflows a float
             warnings.warn(f"seed {seed} failed to converge: {exc}", RuntimeWarning, stacklevel=2)
             continue
         if all(abs(root - r) > 1e-10 * (1.0 + abs(root)) for r in roots):

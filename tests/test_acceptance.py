@@ -143,19 +143,19 @@ def test_7_contour_solver_returns_exact_eigenvalue_counts():
     ctx = build_ls_context(_SLAB, 8, 0.25)
     cfg = ContourConfig(center=1.178 - 0.2747j, radius=0.55, quadrature_nodes=96)
     pairs = solve_contour(lambda z: collocation_matrix(ctx, z), cfg, rng=0,
-                          space=ctx.space)
+                          space=ctx.space, blocks=ctx.blocks)
     slab_worst = max(min(abs(p.k - r) for r in _SLAB_REFS[1:3]) for p in pairs)
     slab_ok = len(pairs) == 2 and slab_worst < 1e-7
 
     cavity_ctx = build_ls_context(_CAVITY, 12, 0.25)
     cavity_cfg = ContourConfig(center=complex(3.19125, -0.3986), radius=1.70,
                                radius_im=0.09, quadrature_nodes=64, probe_columns=16)
+    # eigenvalues sit close to this flat contour, yet the half rule finds them too
     with warnings.catch_warnings():
-        # eigenvalues sit close to this flat contour, so the node-halving
-        # heuristic stays pessimistic at any node count; accuracy is asserted
-        warnings.filterwarnings("ignore", message="contour moments")
+        warnings.filterwarnings("error", message="contour moments")
         cavity_pairs = solve_contour(lambda z: collocation_matrix(cavity_ctx, z),
-                                     cavity_cfg, rng=7, space=cavity_ctx.space)
+                                     cavity_cfg, rng=7, space=cavity_ctx.space,
+                                     blocks=cavity_ctx.blocks)
     targets = sorted(int(np.abs(_CAVITY_TABLE - p.k).argmin()) for p in cavity_pairs)
     cavity_worst = max(np.abs(_CAVITY_TABLE - p.k).min() for p in cavity_pairs)
     cavity_ok = len(cavity_pairs) == 2 and targets == [2, 6] and cavity_worst < 1e-6

@@ -14,6 +14,8 @@ from helmres.cli import (PipelineStageError, RunConfig, discretize, emit_outputs
                          load_config, main, medium_for, reference_for,
                          run_pipeline)
 from helmres.eigen import smallest_singular_value
+from helmres.media import MediumProfile
+from helmres.mesh_fe import mirror_permutation
 
 K1 = math.pi / 4 - 1j * math.log(3.0) / 4
 
@@ -172,7 +174,7 @@ def test_signed_zero_is_written_as_zero(tmp_path):
     emit_outputs(run_pipeline(cfg))
     lines = (tmp_path / "eigenvalues.csv").read_text().strip().splitlines()
     fields = [f for line in lines[1:] for f in line.split(",")]
-    assert "0" in fields[1::7]
+    assert "0" in fields[1::8]
     assert "-0" not in fields
 
 
@@ -220,7 +222,7 @@ def test_empty_window_writes_header_only(tmp_path):
     assert report.rows == ()
     emit_outputs(report)
     assert (tmp_path / "eigenvalues.csv").read_text() \
-        == "j,re_k,im_k,epsilon,feasible,ref_match,ref_dist\n"
+        == "j,re_k,im_k,epsilon,feasible,ref_match,ref_dist,parity\n"
 
 
 def test_eigenvalues_csv_format(tmp_path):
@@ -228,21 +230,28 @@ def test_eigenvalues_csv_format(tmp_path):
     written = emit_outputs(run_pipeline(cfg))
     assert [p.rsplit("/", 1)[-1] for p in written] == ["eigenvalues.csv", "run.json"]
     lines = (tmp_path / "eigenvalues.csv").read_text().strip().splitlines()
+    assert lines[0] == "j,re_k,im_k,epsilon,feasible,ref_match,ref_dist,parity"
     for j, line in enumerate(lines[1:]):
         fields = line.split(",")
-        assert len(fields) == 7
+        assert len(fields) == 8
         assert fields[0] == str(j)
-        for numeric in fields[1:4] + fields[6:]:
+        for numeric in fields[1:4] + fields[6:7]:
             assert f"{float(numeric):.12g}" == numeric  # 12 significant digits
         assert fields[4] in ("true", "false")
         int(fields[5])  # reference index column
+        assert fields[7] in ("even", "odd")  # the slab is even
+    # the modes alternate in parity, starting from the even fundamental
+    assert [line.split(",")[7] for line in lines[1:]] == ["even", "odd"] * 2 + ["even"]
 
 
 def test_run_json_round_trips_through_load_config(tmp_path):
     cfg = RunConfig(**_SLAB_DTN, out_dir=str(tmp_path))
     emit_outputs(run_pipeline(cfg))
     payload = json.loads((tmp_path / "run.json").read_text())
-    assert set(payload) == {"config", "versions"}
+    assert set(payload) == {"blocks", "config", "versions"}
+    n = run_pipeline(cfg).dof_count
+    assert payload["blocks"] == [{"parity": "even", "size": (n + 1) // 2},
+                                 {"parity": "odd", "size": n // 2}]
     assert set(payload["versions"]) == {"helmres", "numpy", "python"}
     assert load_config(str(tmp_path / "run.json")) == cfg
 
@@ -458,3 +467,32 @@ def test_pipeline_stage_error_carries_stage():
     with pytest.raises(PipelineStageError) as info:
         run_pipeline(cfg)
     assert info.value.stage == "solve"
+
+
+def test_pml_near_degenerate_pairs_come_out_even_and_odd():
+    # acceptance 6's configuration: the layer modes come as near-degenerate pairs,
+    # which one solve of the whole pencil returned as mixtures of the two parities
+    disc = discretize(RunConfig(**_BENCH_PML))
+    pairs, _ = disc.solve()
+    mirror = mirror_permutation(disc.space)
+    for pr in pairs:
+        sign = {"even": 1.0, "odd": -1.0}[pr.parity]
+        np.testing.assert_array_equal(pr.vector[mirror], sign * pr.vector)
+    ks = np.array([pr.k for pr in pairs])
+    close = [(i, j) for i in range(len(ks)) for j in range(i)
+             if abs(ks[i] - ks[j]) <= 1e-9 * (1.0 + abs(ks[i]))]
+    assert len(close) >= 25  # 30 with OpenBLAS on x86-64
+    assert all({pairs[i].parity, pairs[j].parity} == {"even", "odd"} for i, j in close)
+
+
+def test_a_medium_that_is_not_even_leaves_the_parity_column_empty(tmp_path, monkeypatch):
+    off_centre = MediumProfile(n=lambda x: np.where((x >= -1.0) & (x <= 0.5), 2.0, 1.0),
+                               n0=1.0, resonator_halfwidth=1.0, breakpoints=(-1.0, 0.5))
+    monkeypatch.setattr(cli, "medium_for", lambda cfg: off_centre)
+    cfg = RunConfig(**_SLAB_DTN, out_dir=str(tmp_path))
+    report = run_pipeline(cfg)
+    emit_outputs(report)
+    rows = (tmp_path / "eigenvalues.csv").read_text().strip().splitlines()[1:]
+    assert rows and all(row.split(",")[7] == "" for row in rows)
+    payload = json.loads((tmp_path / "run.json").read_text())
+    assert payload["blocks"] == [{"parity": None, "size": report.dof_count}]

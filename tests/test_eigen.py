@@ -2,12 +2,13 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from helmres import (BoundaryCondition, ContourConfig, DtnMatrices, EigenPair,
+from helmres import (BoundaryCondition, ContourConfig, DtnMatrices, EigenPair, MediumProfile,
                      NewtonConvergenceError, PmlConfig, ProbeTooSmallError,
                      assemble_dtn, assemble_pml, build_ls_context,
                      build_mesh, build_space, collocation_matrix, newton_root, reference_table,
@@ -15,6 +16,7 @@ from helmres import (BoundaryCondition, ContourConfig, DtnMatrices, EigenPair,
                      solve_contour, solve_dtn, solve_pml)
 from helmres.cli import RunConfig, discretize
 from helmres.eigen import _sorted_pairs
+from helmres.mesh_fe import mirror_permutation, parity_blocks
 
 K1 = math.pi / 4 - 1j * math.log(3.0) / 4
 
@@ -192,22 +194,26 @@ _REPORTED = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:contour moments")
 @pytest.mark.parametrize("name", sorted(_REPORTED))
 def test_reported_pairs_solve_t_at_the_reported_k(name):
     disc = discretize(RunConfig(problem="air_cavity", **_REPORTED[name]))
     pairs, _ = disc.solve()
     assert pairs
     mats = disc.mats
+    # T(k) on the whole space, not its parity blocks: the pairs are unfolded
     if name == "dtn":
         norms = [np.linalg.norm(x, 2) for x in (mats.a, mats.e, mats.m)]
         scale = lambda k: norms[0] + abs(k) * norms[1] + abs(k) ** 2 * norms[2]
+        t = lambda k: mats.a - 1j * k * mats.e - k**2 * mats.m
     elif name == "pml":
         norms = [np.linalg.norm(x, 2) for x in (mats.a_tilde, mats.m_tilde)]
         scale = lambda k: norms[0] + abs(k) ** 2 * norms[1]
+        t = lambda k: mats.a_tilde - k**2 * mats.m_tilde
     else:
-        scale = lambda k: np.linalg.norm(disc.t(k), 2)
-    worst = max(np.linalg.norm(disc.t(pr.k) @ pr.vector) / scale(pr.k) for pr in pairs)
+        geometry = disc.ls_context.collocation_geometry
+        t = lambda k: np.eye(disc.space.dof_count) - geometry.matrix(k)
+        scale = lambda k: np.linalg.norm(t(k), 2)
+    worst = max(np.linalg.norm(t(pr.k) @ pr.vector) / scale(pr.k) for pr in pairs)
     assert worst <= {"dtn": 1e-13, "pml": 1e-13, "ls": 1e-9}[name]
 
 
@@ -282,20 +288,56 @@ def test_contour_probe_saturation():
 
 
 def test_contour_warns_when_under_resolved():
-    # pole close to the contour: 8 trapezoid nodes cannot resolve the moments
+    # the eigenvector of the eigenvalue 1 inside also belongs to 1.9, just outside;
+    # the rank-1 moments mix the two by weights that 8 trapezoid nodes cannot resolve
+    t_fun = lambda z: np.diag([(z - 1.0) * (z - 1.9), z + 1e6])
+    cfg = ContourConfig(center=1.4 + 0j, radius=0.45, quadrature_nodes=8,
+                        probe_columns=2)
+    with pytest.warns(RuntimeWarning, match=r"^contour moments of the single block are "
+                      r"under-resolved: halving the node count from 8 to 4 moved the "
+                      r"eigenvalues inside the contour by 2\.04e-01 of its size;"):
+        solve_contour(t_fun, cfg, rng=0)
+
+
+def test_contour_does_not_warn_about_a_pole_near_it():
+    # one simple pole 0.05 inside: A0 changes by 62% when the nodes are halved, but
+    # the trapezoid rule's eigenvalue is exact at any node count
     t_fun = lambda z: np.diag([z - 1.0, z + 1e6])
     cfg = ContourConfig(center=1.4 + 0j, radius=0.45, quadrature_nodes=8,
                         probe_columns=2)
-    with pytest.warns(RuntimeWarning, match=r"^contour moments changed by more than 1e-6 "
-                      r"\(relative change 6\.24e-01 in A0\) when the node count was "
-                      r"halved from 8 to 4;"):
-        solve_contour(t_fun, cfg, rng=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pairs = solve_contour(t_fun, cfg, rng=0)
+    assert len(pairs) == 1 and abs(pairs[0].k - 1.0) < 1e-14
+
+
+def test_contour_warns_once_and_names_the_block():
+    # nodes -1, -0.5, 0, 0.5, 1: the even block has 3 DOFs, the odd one 2
+    blocks = parity_blocks(build_space(build_mesh((-1.0, 1.0), [], 0.5), 1), True)
+    assert [b.size for b in blocks] == [3, 2]
+    # both blocks are under-resolved, as in test_contour_warns_when_under_resolved;
+    # the even one more (its eigenvalues move by 2.1e-1 of the contour, the odd ones
+    # by 1.7e-1), and that is the block the one warning names
+    t_fun = lambda z: [np.diag([(z - 1.0) * (z - 1.95), z + 1e6, z + 2e6]),
+                       np.diag([(z - 1.0) * (z - 1.88), z + 3e6])]
+    cfg = ContourConfig(center=1.4 + 0j, radius=0.45, quadrature_nodes=8, probe_columns=2)
+    with pytest.warns(RuntimeWarning) as caught:
+        pairs = solve_contour(t_fun, cfg, rng=0, blocks=blocks)
+    assert len(caught) == 1
+    assert str(caught[0].message).startswith("contour moments of the even block are "
+                                             "under-resolved: halving the node count "
+                                             "from 8 to 4 moved the eigenvalues inside "
+                                             "the contour by 2.13e-01")
+    assert sorted(pr.parity for pr in pairs) == ["even", "odd"]
+    for pr in pairs:
+        assert pr.vector.shape == (5,)
 
 
 def test_contour_matches_closed_form_on_integral_formulation():
     ctx = build_ls_context(slab_profile(2.0, 1.0), 8, 0.25)
     cfg = ContourConfig(center=K1, radius=0.3, probe_columns=8)
-    pairs = solve_contour(lambda z: collocation_matrix(ctx, z), cfg, rng=0)
+    pairs = solve_contour(lambda z: collocation_matrix(ctx, z), cfg, rng=0,
+                          blocks=ctx.blocks)
     refs = slab_dtn_eigenvalues(2.0, 1.0, 6).values
     inside = [k for k in refs if cfg.contains(k)]
     assert len(pairs) == len(inside) == 1
@@ -340,3 +382,90 @@ def test_smallest_singular_value():
         smallest_singular_value(np.empty((0, 0)))
     with pytest.raises(ValueError):
         smallest_singular_value(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("formulation", ["dtn", "pml", "ls"])
+@pytest.mark.parametrize("problem", ["slab", "air_cavity", "bump"])
+def test_block_singular_values_equal_the_full_t(problem, formulation):
+    disc = discretize(RunConfig(problem=problem, formulation=formulation, degree=6,
+                                initial_cell_size=0.25, d=2.0))
+    assert [b.parity for b in disc.blocks] == ["even", "odd"]
+    mats = disc.mats
+    for k in (0.9 - 0.3j, 2.5 - 0.6j, 4.0 - 1.5j):
+        if formulation == "dtn":
+            full = mats.a - 1j * k * mats.e - k**2 * mats.m
+        elif formulation == "pml":
+            full = mats.a_tilde - k**2 * mats.m_tilde
+        else:
+            full = np.eye(disc.space.dof_count) - disc.ls_context.collocation_geometry.matrix(k)
+        blocks = disc.t(k)
+        assert [len(t) for t in blocks] == [b.size for b in disc.blocks]
+        expected = np.linalg.svd(full, compute_uv=False)
+        found = np.sort(np.concatenate([np.linalg.svd(t, compute_uv=False)
+                                        for t in blocks]))[::-1]
+        assert np.max(np.abs(found - expected)) <= 1e-13 * expected[0]
+        assert smallest_singular_value(blocks) == pytest.approx(expected[-1], rel=1e-12,
+                                                                abs=1e-13 * expected[0])
+
+
+def _off_centre_slab():
+    return MediumProfile(n=lambda x: np.where((x >= -1.0) & (x <= 0.5), 2.0, 1.0), n0=1.0,
+                         resonator_halfwidth=1.0, breakpoints=(-1.0, 0.5))
+
+
+def test_asymmetric_medium_is_solved_as_one_block_as_before():
+    medium = _off_centre_slab()
+    space = build_space(build_mesh((-2.0, 2.0), [-1.0, 0.5], 0.25), 4)
+    assert mirror_permutation(space) is not None  # the mesh alone is symmetric
+    mats = assemble_dtn(space, medium)
+    assert [b.parity for b in mats.blocks] == [None]
+    pairs, diag = solve_dtn(mats)
+    # the unsplit solve: one companion matrix, static mode = eigenvalue of least modulus
+    n = space.dof_count
+    companion = np.zeros((2 * n, 2 * n))
+    companion[:n, n:] = np.eye(n)
+    companion[n:, :n] = -np.linalg.solve(mats.m, mats.a)
+    companion[n:, n:] = -np.linalg.solve(mats.m, mats.e)
+    lam = np.linalg.eig(companion)[0]  # with vectors, as LAPACK rounds differently without
+    keep = np.flatnonzero(lam.imag <= 0)
+    keep = keep[keep != np.argmin(np.abs(lam))]
+    expected = sorted((complex(k) for k in 1j * lam[keep]), key=lambda k: (k.real, k.imag))
+    assert [pr.k for pr in pairs] == expected
+    assert all(pr.parity is None for pr in pairs)
+    assert diag.pencil_size == 2 * n and len(pairs) + diag.dropped == 2 * n
+
+    cfg = PmlConfig(a=1.0, d=2.0, x_c=3.0, ell=5.0, sigma0=5.0)
+    pml_space = build_space(build_mesh((-5, 5), [-3, -2, -1, 0.5, 2, 3], 0.5), 3,
+                            BoundaryCondition.DIRICHLET_BOTH_ENDS)
+    pml = assemble_pml(pml_space, medium, cfg)
+    assert [b.parity for b in pml.blocks] == [None]
+    lam = np.linalg.eig(np.linalg.solve(pml.m_tilde, pml.a_tilde))[0]
+    expected = sorted((complex(k) for k in np.sqrt(lam)), key=lambda k: (k.real, k.imag))
+    assert [pr.k for pr in solve_pml(pml)[0]] == expected
+
+    ctx = build_ls_context(medium, 6, 0.25)
+    assert [b.parity for b in ctx.blocks] == [None]
+    (t,) = collocation_matrix(ctx, 1.0 - 0.3j)
+    np.testing.assert_array_equal(
+        t, np.eye(ctx.space.dof_count) - ctx.collocation_geometry.matrix(1.0 - 0.3j))
+
+
+def test_odd_dtn_block_keeps_its_smallest_eigenvalue():
+    mats = discretize(RunConfig(**_ORACLE_DTN["air_cavity"], formulation="dtn")).mats
+    pairs, diag = solve_dtn(mats)
+    by_parity = {}
+    for block, (a, m, e) in zip(mats.blocks, mats.folded):
+        n = a.shape[0]
+        companion = np.block([[np.zeros((n, n)), np.eye(n)],
+                              [-np.linalg.solve(m, a), -np.linalg.solve(m, e)]])
+        by_parity[block.parity] = 1j * np.linalg.eigvals(companion)
+    # the static mode k = 0 is the even block's; the odd block has no zero eigenvalue
+    even, odd = by_parity["even"], by_parity["odd"]
+    assert np.min(np.abs(even)) < 1e-10 < 1e-3 < np.min(np.abs(odd))
+    smallest = odd[np.argmin(np.abs(odd))]
+    smallest = -np.conj(smallest) if smallest.real < 0 else smallest
+    found = [pr.k for pr in pairs if pr.parity == "odd"]
+    assert np.min(np.abs(np.array(found) - smallest)) <= 1e-12 * abs(smallest)
+    assert min(abs(pr.k) for pr in pairs) >= 1e-8
+    # one static mode dropped, and the mirror of each pair off the imaginary axis
+    assert diag.dropped == 1 + sum(pr.k.real > 0 for pr in pairs)

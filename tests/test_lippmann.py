@@ -44,14 +44,18 @@ def test_vanishing_contrast_kernel_is_zero():
     pts = np.linspace(-1, 1, 11)
     for k in (0.5 - 0.2j, 2.0 - 1.0j):
         np.testing.assert_allclose(apply_kernel(ctx, k, u, pts), 0.0, atol=1e-14)
-        np.testing.assert_allclose(collocation_matrix(ctx, k),
-                                   np.eye(ctx.space.dof_count), atol=1e-14)
+        blocks = collocation_matrix(ctx, k)
+        assert sum(len(t) for t in blocks) == ctx.space.dof_count
+        for t in blocks:
+            np.testing.assert_allclose(t, np.eye(len(t)), atol=1e-14)
 
 
 def test_zero_wavenumber_gives_identity():
     ctx = build_ls_context(slab_profile(2.0, 1.0), 4, 0.5)
-    np.testing.assert_allclose(collocation_matrix(ctx, 0.0),
-                               np.eye(ctx.space.dof_count), atol=1e-14)
+    blocks = collocation_matrix(ctx, 0.0)
+    assert sum(len(t) for t in blocks) == ctx.space.dof_count
+    for t in blocks:
+        np.testing.assert_allclose(t, np.eye(len(t)), atol=1e-14)
 
 
 def test_interior_mode_is_kernel_fixed_point():
@@ -116,13 +120,16 @@ def _oracle_context(degree, k):
 
     Across such a cell the integrand grows by e^{n0 |Im k| / 2}, about e^16 at
     |Im k| = 20, which the default (p + 6)-point inner rule resolves only to
-    about 1e-5 (p = 4) and 5e-4 (p = 1) on a cell that no evaluation point
-    cuts.  There the rule's order is doubled, so that the comparison checks the
-    kernel's prefix and suffix sums, not the rule.
+    about 1e-5 (p = 4) and 5e-4 (p = 1) on a whole cell.  The kernel cuts every
+    cell at the collocation nodes, and at the points it is evaluated at, so at
+    p = 4 it integrates no whole cell.  At p = 1 every node is a vertex and
+    nothing cuts the cells, so there the rule's order is doubled for
+    |Im k| > 10, and the comparison checks the kernel's prefix and suffix sums,
+    not the rule.
     """
     medium = air_filled_cavity_profile(1.5, math.sqrt(3.5), math.sqrt(2.5))
     ctx = build_ls_context(medium, degree, 0.5)
-    if abs(k.imag) <= 10:
+    if degree > 1 or abs(k.imag) <= 10:
         return ctx
     return LsContext(space=ctx.space, medium=medium, quad_order=2 * ctx.quad_order)
 
@@ -133,7 +140,7 @@ def test_kernel_matches_adaptive_quadrature(k):
     space = ctx.space
     n = space.dof_count
     assert space.degree == 4 and space.mesh.has_vertex(0.0)
-    gmat = np.eye(n) - collocation_matrix(ctx, k)
+    gmat = ctx.collocation_geometry.matrix(k)  # K(k) at every node
     # node 6 (x = -0.75) lies strictly inside cell 1, node 12 (x = 0) on a vertex
     for i, columns in ((6, (4, 5, 6, 8, 20)), (12, (8, 11, 12, 13, 16))):
         x = space.node_coords[i]
@@ -156,7 +163,7 @@ def test_kernel_without_split_points_matches_adaptive_quadrature(k):
     space = ctx.space
     n = space.dof_count
     assert np.all([space.mesh.has_vertex(x) for x in space.node_coords])
-    gmat = np.eye(n) - collocation_matrix(ctx, k)
+    gmat = ctx.collocation_geometry.matrix(k)  # K(k) at every node
     for i in (0, 2, n - 1):
         x = space.node_coords[i]
         for j in range(n):
@@ -204,6 +211,24 @@ def test_collocation_matrix_resolves_the_kernel_deep_in_the_plane(t):
     fine = LsContext(space=ctx.space, medium=ctx.medium, quad_order=3 * ctx.quad_order)
     k = 5.0 - t * 1j
     coarse, exact = collocation_matrix(ctx, k), collocation_matrix(fine, k)
+    # Frobenius norms of the block diagonal T(k), whose blocks are orthonormal folds
+    diff = np.sqrt(sum(np.linalg.norm(c - e) ** 2 for c, e in zip(coarse, exact)))
+    assert diff <= 1e-12 * np.sqrt(sum(np.linalg.norm(e) ** 2 for e in exact))
+
+
+@pytest.mark.parametrize("k", [5.0 - 10.0j, 3.0 - 20.0j])
+def test_apply_kernel_resolves_the_kernel_deep_in_the_plane(k):
+    # points inside cells, between them and outside Omega_r: the geometry is cut at
+    # the collocation nodes too, so no point integrates a whole cell; cut at the
+    # points alone it missed by 1.1e-9 (5 - 10i) and 9.1e-7 (3 - 20i)
+    ctx = build_ls_context(air_filled_cavity_profile(1.5, math.sqrt(3.5), math.sqrt(2.5)),
+                           4, 0.5)
+    fine = LsContext(space=ctx.space, medium=ctx.medium, quad_order=3 * ctx.quad_order)
+    rng = np.random.default_rng(8)
+    u = rng.standard_normal(ctx.space.dof_count) + 1j * rng.standard_normal(ctx.space.dof_count)
+    pts = np.array([0.3141, -1.1, 1.9, -1.9, 0.0, 1.5])
+    coarse, exact = apply_kernel(ctx, k, u, pts), apply_kernel(fine, k, u, pts)
+    assert coarse.shape == pts.shape
     assert np.linalg.norm(coarse - exact) <= 1e-12 * np.linalg.norm(exact)
 
 
@@ -234,7 +259,7 @@ def test_filter_is_exact_on_collocation_eigenpairs():
     ctx = build_ls_context(slab_profile(2.0, 1.0), 8, 0.25)
     cfg = ContourConfig(center=K1, radius=0.3, probe_columns=8)
     pairs = solve_contour(lambda z: collocation_matrix(ctx, z), cfg, rng=0,
-                          space=ctx.space)
+                          space=ctx.space, blocks=ctx.blocks)
     assert len(pairs) == 1
     rep = filter_epsilon(ctx, pairs[0])
     cond = np.linalg.cond(ctx.mass)

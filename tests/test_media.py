@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helmres import (PmlConfig, air_filled_cavity_profile, bump_profile,
+from helmres import (MediumProfile, PmlConfig, air_filled_cavity_profile, bump_profile,
                      critical_angle, sigma_eval, slab_profile)
 
 
@@ -65,6 +65,19 @@ def test_background_outside_resonator():
         x = np.concatenate([np.linspace(a + 1e-9, a + 10, 57),
                             -np.linspace(a + 1e-9, a + 10, 57)])
         np.testing.assert_allclose(med.n(x), med.n0, rtol=0, atol=1e-14)
+
+
+def test_built_in_media_are_even_and_others_need_not_be():
+    for med in (slab_profile(2.0, 1.0), slab_profile(1.0, 1.0), bump_profile(),
+                air_filled_cavity_profile(1.5, math.sqrt(3.5), math.sqrt(2.5))):
+        assert med.is_even()
+    # an off-centre slab: the breakpoints are no mirror image
+    off = MediumProfile(n=lambda x: np.where((x >= -1.0) & (x <= 0.5), 2.0, 1.0), n0=1.0,
+                        resonator_halfwidth=1.0, breakpoints=(-1.0, 0.5))
+    # mirror-image breakpoints, but a tilted index between them
+    tilted = MediumProfile(n=lambda x: np.where(np.abs(x) <= 1.0, 2.0 + 0.1 * x, 1.0),
+                           n0=1.0, resonator_halfwidth=1.0, breakpoints=(-1.0, 1.0))
+    assert not off.is_even() and not tilted.is_even()
 
 
 _CFG = PmlConfig(a=1.0, d=2.0, x_c=3.0, ell=5.0, sigma0=5.0)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from helmres import (BoundaryCondition, Mesh1D, QuadratureRule, build_mesh,
-                     build_space, evaluate_basis, evaluate_function)
+                     build_space, evaluate_basis, evaluate_function, mirror_permutation,
+                     parity_blocks)
 from helmres.mesh_fe import gauss_lobatto_nodes
 
 
@@ -168,3 +169,68 @@ def test_quadrature_moments():
             assert abs(np.sum(w * x**m) - exact) <= 1e-13 * abs(exact)
     with pytest.raises(ValueError):
         QuadratureRule.gauss_legendre(0)
+
+
+def test_mirror_permutation_accepts_only_mirror_images():
+    space = build_space(build_mesh((-2.0, 2.0), [-1.0, 1.0], 0.25), 5)
+    mirror = mirror_permutation(space)
+    np.testing.assert_array_equal(mirror, np.arange(space.dof_count)[::-1])
+    assert np.max(np.abs(space.node_coords + space.node_coords[mirror])) <= 1e-15
+    dirichlet = build_space(build_mesh((-5.0, 5.0), [-3, -2, -1, 1, 2, 3], 0.5), 3,
+                            BoundaryCondition.DIRICHLET_BOTH_ENDS)
+    assert mirror_permutation(dirichlet) is not None
+    # a lone centre node has an even block and no odd one
+    centre_only = build_space(build_mesh((-1.0, 1.0), [], 1.0), 1,
+                              BoundaryCondition.DIRICHLET_BOTH_ENDS)
+    assert [(b.parity, b.size) for b in parity_blocks(centre_only, True)] == [("even", 1)]
+    # a shifted domain, and a symmetric domain whose vertices are not
+    for mesh in (build_mesh((-1.0, 2.0), [], 0.5), build_mesh((-1.0, 1.0), [0.3], 0.5)):
+        assert mirror_permutation(build_space(mesh, 2)) is None
+        assert [b.parity for b in parity_blocks(build_space(mesh, 2), True)] == [None]
+
+
+def _commuting_matrix(n, seed):
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return y + y[::-1, ::-1]  # R Y R with R the reversal of the sorted DOFs
+
+
+@pytest.mark.parametrize("mesh, degree, sizes", [
+    (((-1.0, 1.0), [], 0.5), 2, (5, 4)),   # 9 DOFs with a centre node at x = 0
+    (((-1.5, 1.5), [], 1.0), 1, (2, 2)),   # 4 DOFs, none at x = 0
+])
+def test_parity_blocks_fold_into_the_orthonormal_even_odd_basis(mesh, degree, sizes):
+    space = build_space(build_mesh(*mesh), degree)
+    n = space.dof_count
+    blocks = parity_blocks(space, True)
+    assert [(b.parity, b.size) for b in blocks] == [("even", sizes[0]), ("odd", sizes[1])]
+    # Q_b from unfolding the identity: orthonormal columns of pure parity
+    qs = [b.unfold(np.eye(b.size)) for b in blocks]
+    q = np.hstack(qs)
+    np.testing.assert_allclose(q.T @ q, np.eye(n), atol=1e-15)
+    for b, qb in zip(blocks, qs):
+        sign = 1.0 if b.parity == "even" else -1.0
+        np.testing.assert_array_equal(qb[::-1], sign * qb)
+    x = _commuting_matrix(n, 0)
+    rng = np.random.default_rng(1)
+    u = rng.standard_normal((n, 3))
+    for b, qb in zip(blocks, qs):
+        np.testing.assert_allclose(b.fold(x), qb.T @ x @ qb, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(b.restrict(u), qb.T @ u, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(b.unfold(b.restrict(u[:, 0])), qb @ qb.T @ u[:, 0],
+                                   rtol=0, atol=1e-15)
+        # the rows of X at the even DOFs serve both blocks
+        rows = np.searchsorted(blocks[0].dofs, b.dofs)
+        np.testing.assert_array_equal(b.fold(x[blocks[0].dofs], rows), b.fold(x))
+
+
+def test_the_whole_space_is_one_block():
+    space = build_space(build_mesh((-1.0, 1.0), [], 0.5), 2)
+    (block,) = parity_blocks(space, False)
+    assert block.parity is None and block.size == space.dof_count
+    x = _commuting_matrix(space.dof_count, 2)
+    folded = block.fold(x)
+    np.testing.assert_array_equal(folded, x)
+    assert folded is not x and not np.shares_memory(folded, x)
+    np.testing.assert_array_equal(block.unfold(x[:, 0]), x[:, 0])
+    np.testing.assert_array_equal(block.restrict(x[:, 0]), x[:, 0])

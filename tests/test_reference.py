@@ -85,6 +85,15 @@ def test_pml_newton_skips_a_seed_that_fails_with_a_warning():
     assert refs.values.tolist() == alone.values.tolist()
 
 
+@pytest.mark.parametrize("seed", [20 - 20j, 5 + 100j, 1 - 50j])
+def test_pml_newton_skips_a_seed_whose_determinant_overflows(seed):
+    # exp(-4 i eta k a) overflows a float far from the real axis
+    with pytest.warns(RuntimeWarning, match=r"failed to converge"):
+        refs = slab_pml_eigenvalues(2.0, _CFG, seeds=[seed, 0.8 - 0.3j])
+    alone = slab_pml_eigenvalues(2.0, _CFG, seeds=[0.8 - 0.3j])
+    assert refs.values.tolist() == alone.values.tolist()
+
+
 def test_pml_newton_deduplicates_seeds():
     refs = slab_pml_eigenvalues(2.0, _CFG, seeds=[0.8 - 0.3j, 0.8 - 0.3j])
     assert len(refs.entries) == 1
