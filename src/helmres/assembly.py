@@ -35,23 +35,15 @@ from .mesh_fe import BoundaryCondition, MeshedSpace, ParityBlock, cell_quadratur
 _PML_MIN_ORDER = 24
 
 
-def _default_blocks(mats) -> None:
-    if mats.blocks is None:
-        object.__setattr__(mats, "blocks", parity_blocks(mats.space, False))
-
-
 @dataclass(frozen=True, eq=False)
 class DtnMatrices:
-    """(A, M, E) on ``space``; ``blocks`` defaults to the whole space as one block."""
+    """(A, M, E) on ``space`` and the parity blocks they commute with."""
 
     a: np.ndarray
     m: np.ndarray
     e: np.ndarray
     space: MeshedSpace
-    blocks: tuple[ParityBlock, ...] | None = None
-
-    def __post_init__(self):
-        _default_blocks(self)
+    blocks: tuple[ParityBlock, ...]
 
     @functools.cached_property
     def folded(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -61,15 +53,12 @@ class DtnMatrices:
 
 @dataclass(frozen=True, eq=False)
 class PmlMatrices:
-    """(At, Mt) on ``space``; ``blocks`` defaults to the whole space as one block."""
+    """(At, Mt) on ``space`` and the parity blocks they commute with."""
 
     a_tilde: np.ndarray
     m_tilde: np.ndarray
     space: MeshedSpace
-    blocks: tuple[ParityBlock, ...] | None = None
-
-    def __post_init__(self):
-        _default_blocks(self)
+    blocks: tuple[ParityBlock, ...]
 
     @functools.cached_property
     def folded(self) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -254,8 +254,8 @@ class Discretization:
             probe_columns=24,
         )
         rng = np.random.default_rng(cfg.seed)
-        return solve_contour(self.t, contour, rng, space=self.ls_context.space,
-                             blocks=self.blocks), None
+        return solve_contour(self.t, contour, self.blocks, rng,
+                             space=self.ls_context.space), None
 
 
 def discretize(cfg: RunConfig) -> Discretization:

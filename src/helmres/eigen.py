@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh_fe import MeshedSpace, ParityBlock
+from .mesh_fe import MeshedSpace
 
 # A0 has rank 0 when its largest singular value is at most this, and otherwise
 # the rank counts the singular values above this times the largest
@@ -121,38 +121,29 @@ class SolveDiagnostics:
     dropped: int
 
 
-def _sorted_pairs(ks, vectors, space, parities=None) -> list[EigenPair]:
-    """EigenPairs of ``ks`` and the columns of ``vectors``, sorted by (Re k, Im k)."""
-    parities = [None] * len(ks) if parities is None else parities
-    pairs = [EigenPair(k=complex(k), vector=vec, space=space, parity=parity)
-             for k, vec, parity in zip(ks, vectors.T, parities)]
+def _block_pairs(found, space) -> list[EigenPair]:
+    """The pairs of every block, unfolded into DOF vectors, labelled with the
+    block's parity and sorted by (Re k, Im k): ``found`` holds (block, ks,
+    block vectors)."""
+    pairs = [EigenPair(k=complex(k), vector=vec, space=space, parity=block.parity)
+             for block, ks, vecs in found for k, vec in zip(ks, block.unfold(vecs).T)]
     pairs.sort(key=lambda pr: (pr.k.real, pr.k.imag))
     return pairs
 
 
-def _block_pairs(found, space) -> list[EigenPair]:
-    """The pairs of every block, sorted: ``found`` holds (block, ks, block vectors)."""
-    if not found:
-        return []
-    ks = np.concatenate([k for _, k, _ in found])
-    vectors = np.hstack([block.unfold(vecs) for block, _, vecs in found])
-    parities = [block.parity for block, k, _ in found for _ in k]
-    return _sorted_pairs(ks, vectors, space, parities)
+def _static_mode(a: np.ndarray, pairs: list[EigenPair]) -> int | None:
+    """The index of the pair that is the static mode, or None when there is none.
 
-
-def _static_mode(block: ParityBlock, a: np.ndarray, xi: np.ndarray) -> int | None:
-    """The column of ``xi`` that is the static mode, or None when the block has none.
-
-    The static mode is the constant vector, so only a block that holds a part
-    of it, and whose A annihilates that part, has one; it is the computed
-    eigenvector closest in angle to the constant.  The odd block has no static
-    mode, and its eigenvalue of smallest modulus is a resonance like any other.
+    The static mode is the constant vector, so there is one only when A
+    annihilates the constant; it is the unit eigenvector closest in angle to
+    the constant.  Odd vectors are orthogonal to the constant, so the odd
+    block's eigenvalue of smallest modulus is never taken for it: that is a
+    resonance like any other.
     """
-    ones = block.restrict(np.ones(block.dof_count))
-    norm = np.linalg.norm(ones)
-    if norm == 0.0 or np.linalg.norm(a @ ones) > 1e-10 * np.linalg.norm(a) * norm:
+    ones = np.ones(a.shape[0])
+    if not pairs or np.linalg.norm(a @ ones) > 1e-10 * np.linalg.norm(a) * np.linalg.norm(ones):
         return None
-    return int(np.argmax(np.abs(ones @ xi) / np.linalg.norm(xi, axis=0)))
+    return int(np.argmax([abs(np.sum(pr.vector)) for pr in pairs]))
 
 
 def solve_dtn(mats) -> tuple[list[EigenPair], SolveDiagnostics]:
@@ -187,12 +178,12 @@ def solve_dtn(mats) -> tuple[list[EigenPair], SolveDiagnostics]:
         companion[n:, n:] = -np.linalg.solve(m, e)
         lam, vecs = np.linalg.eig(companion)
         keep = np.flatnonzero(lam.imag <= 0)
-        static = _static_mode(block, a, vecs[:n])
-        if static is not None:
-            keep = keep[keep != static]
         found.append((block, 1j * lam[keep], vecs[:n, keep]))
         size += 2 * n
     pairs = _block_pairs(found, mats.space)
+    static = _static_mode(mats.a, pairs)
+    if static is not None:
+        del pairs[static]
     return pairs, SolveDiagnostics(pencil_size=size, dropped=size - len(pairs))
 
 
@@ -239,11 +230,6 @@ def newton_root(f, guess: complex, tol: float = 1e-12, max_iter: int = 60) -> co
     raise NewtonConvergenceError(f"no convergence in {max_iter} iterations", z, abs(fz))
 
 
-def _as_blocks(t) -> list[np.ndarray]:
-    """A matrix function's value as its list of diagonal blocks."""
-    return [np.asarray(t)] if isinstance(t, np.ndarray) else [np.asarray(b) for b in t]
-
-
 def _beyn_reduction(a0: np.ndarray, a1: np.ndarray):
     """Eigenvalues and (probe-space) eigenvectors from the moments, and the rank;
     None when A0 has rank 0."""
@@ -267,13 +253,14 @@ def _half_rule_change(full, half, cfg: ContourConfig) -> float:
     return worst / max(cfg.semi_axes)
 
 
-def solve_contour(t_fun, cfg: ContourConfig, rng=None, space: MeshedSpace | None = None,
-                  blocks=None):
+def solve_contour(t_fun, cfg: ContourConfig, blocks, rng=None,
+                  space: MeshedSpace | None = None):
     """Beyn contour-integral eigensolver for analytic matrix functions T(z).
 
-    ``t_fun(z)`` returns T(z), or the list of its diagonal blocks, one per
+    ``t_fun(z)`` returns the list of the diagonal blocks of T(z), one per
     entry of ``blocks``, whose ``unfold`` maps block eigenvectors back into the
-    DOF vectors of ``space``.  Per block, trapezoid moments on the ellipse
+    DOF vectors of ``space``; a T(z) whose blocks do not match ``blocks`` in
+    number and sizes is rejected.  Per block, trapezoid moments on the ellipse
     with random probe V,
 
         A0 = (1/2 pi i) oint T(z)^-1 V dz,   A1 = (1/2 pi i) oint z T(z)^-1 V dz,
@@ -295,17 +282,16 @@ def solve_contour(t_fun, cfg: ContourConfig, rng=None, space: MeshedSpace | None
     zs = cfg.center + rx * np.cos(theta) + 1j * ry * np.sin(theta)
     dz = -rx * np.sin(theta) + 1j * ry * np.cos(theta)
 
-    t0 = _as_blocks(t_fun(zs[0]))
-    if blocks is None:
-        if len(t0) > 1:
-            raise ValueError("a blocked T(z) needs the blocks to unfold its eigenvectors")
-        n = t0[0].shape[0]
-        blocks = [ParityBlock(parity=None, dofs=np.arange(n), mirrors=None, dof_count=n)]
+    t0 = t_fun(zs[0])
+    shapes = [t.shape for t in t0]
+    if shapes != [(b.size, b.size) for b in blocks]:
+        raise ValueError(f"T(z) has blocks of shapes {shapes}, but the blocks to unfold "
+                         f"its eigenvectors have sizes {[b.size for b in blocks]}")
     probes = [rng.standard_normal((t.shape[0], min(cfg.probe_columns, t.shape[0]))) for t in t0]
     # per block: A0, A1 and the same moments of the half rule
     moments = [np.zeros((4,) + probe.shape, dtype=complex) for probe in probes]
     for j, (z, w) in enumerate(zip(zs, dz)):
-        tz = t0 if j == 0 else _as_blocks(t_fun(z))
+        tz = t0 if j == 0 else t_fun(z)
         for t, probe, mom in zip(tz, probes, moments):
             sol = np.linalg.solve(t, probe)
             mom[0] += w * sol
@@ -340,11 +326,11 @@ def solve_contour(t_fun, cfg: ContourConfig, rng=None, space: MeshedSpace | None
     return _block_pairs(found, space)
 
 
-def smallest_singular_value(t) -> float:
-    """s_min of a complex matrix, or of a block diagonal one given as the list of
-    its blocks (the minimum over the blocks), through dense SVDs."""
+def smallest_singular_value(blocks) -> float:
+    """s_min of a block diagonal complex matrix given as the list of its blocks:
+    the least over the blocks, through dense SVDs."""
     values = []
-    for m in _as_blocks(t):
+    for m in blocks:
         if m.size == 0:
             raise ValueError("matrix is empty")
         if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):

@@ -43,8 +43,17 @@ from .assembly import assemble_resonator_mass
 from .eigen import EigenPair, smallest_singular_value
 from .media import MediumProfile
 from .mesh_fe import (BoundaryCondition, MeshedSpace, ParityBlock, QuadratureRule,
-                      as_slice, build_mesh, build_space, cell_quadrature, evaluate_basis,
-                      evaluate_function, locate, parity_blocks)
+                      as_slice, build_mesh, build_space, cell_quadrature, evaluate_function,
+                      lagrange_values, locate, parity_blocks)
+
+
+# Below degree 4 the collocation nodes cut a cell into at most three pieces,
+# across each of which the kernel grows by up to e^{n0 |Im k| h}, and the
+# (p + 6)-point rule misses T(k) deep in the lower half plane: by 1.2e-4 at
+# p = 1, k = 3 - 20i on the air cavity at h = 0.5.  There T(k) also cuts every
+# cell at the Gauss-Lobatto nodes of this degree, which keeps it within 2e-13
+# of a rule of three times the order.
+_LOW_DEGREE_CUTS = 6
 
 
 class NoResonatorSupportError(ValueError):
@@ -110,12 +119,22 @@ class LsContext:
         return np.linalg.solve(self.mass, pt.reshape(self.space.dof_count, -1)).astype(complex)
 
     @functools.cached_property
+    def cuts(self) -> np.ndarray:
+        """The points the mesh of T(k) is cut at: the collocation nodes, and below
+        degree 4 also the Gauss-Lobatto nodes of degree ``_LOW_DEGREE_CUTS`` of
+        every cell."""
+        nodes = self.space.node_coords
+        if self.space.degree >= 4:
+            return nodes
+        return np.union1d(nodes, build_space(self.space.mesh, _LOW_DEGREE_CUTS).node_coords)
+
+    @functools.cached_property
     def collocation_geometry(self) -> "KernelGeometry":
-        return _kernel_geometry(self, self.space.node_coords)
+        return _kernel_geometry(self, self.space.node_coords, self.cuts)
 
     @functools.cached_property
     def quadrature_geometry(self) -> "KernelGeometry":
-        return _kernel_geometry(self, self.cell_quadrature[0].ravel())
+        return _kernel_geometry(self, self.cell_quadrature[0].ravel(), ())
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,10 +242,9 @@ class KernelGeometry:
         suffix[pieces[lo:] - lo, self.piece_dofs[lo:]] = plus
         return self._sides(k, prefix, suffix, cut, points)
 
-    def apply(self, k: complex, coeffs: np.ndarray, rows=None) -> np.ndarray:
-        """K(k)u at the m points, or at the points ``rows``, for u given by DOF
-        coefficients, without forming K(k)."""
-        cut, points, lo = self._rows(rows)
+    def apply(self, k: complex, coeffs: np.ndarray) -> np.ndarray:
+        """K(k)u at the m points for u given by DOF coefficients, without forming K(k)."""
+        cut, points, lo = self._rows(None)
         minus, plus = self._moments(1j * self.n0 * k, lo)
         prefix = np.zeros(len(minus) + 1, dtype=complex)
         suffix = np.zeros(len(plus) + 1, dtype=complex)
@@ -235,18 +253,20 @@ class KernelGeometry:
         return self._sides(k, prefix, suffix, cut, points)
 
 
-def _kernel_geometry(ctx: LsContext, points) -> KernelGeometry:
-    """The geometry of K(k) at ``points`` for the context's inner rule on every piece."""
+def _kernel_geometry(ctx: LsContext, points, cuts) -> KernelGeometry:
+    """The geometry of K(k) at ``points`` on the mesh cut at the points and at
+    ``cuts``, with the context's inner rule on every piece."""
     space, medium = ctx.space, ctx.medium
     pts = np.atleast_1d(np.asarray(points, dtype=float))
     verts = space.mesh.vertices
     inside = np.clip(pts, verts[0], verts[-1])
-    edges = np.union1d(verts, inside)
+    edges = np.union1d(verts, np.clip(np.concatenate((cuts, pts)), verts[0], verts[-1]))
     cells = locate(space.mesh, edges[:-1])
     nodes, w = QuadratureRule.gauss_legendre(ctx.quad_order).mapped(edges[:-1, None],
                                                                     edges[1:, None])
     loc = 2.0 * (nodes - verts[cells, None]) / np.diff(verts)[cells, None] - 1.0
-    vals = evaluate_basis(space, 0, loc.ravel())[0].T.reshape(*nodes.shape, space.degree + 1)
+    vals = lagrange_values(space.ref_nodes, space.bary_weights, loc.ravel())
+    vals = vals.T.reshape(*nodes.shape, space.degree + 1)
     table = w[:, :, None] * vals  # phi_l(y) w(y), as in LsContext.cell_quadrature
     return KernelGeometry(
         n0=medium.n0, points=pts, cut=np.searchsorted(edges, inside), nodes=nodes,
@@ -266,16 +286,12 @@ def _checked_coefficients(ctx: LsContext, u) -> np.ndarray:
 def apply_kernel(ctx: LsContext, k: complex, u, points) -> np.ndarray:
     """Values of K(k)u at arbitrary points for u given by DOF coefficients.
 
-    The geometry is cut at the context's collocation nodes as well as at
-    ``points``, so that its pieces are as short as those of T(k) and its rule
-    as accurate deep in the lower half plane; it is built for this call only,
-    and only the rows of ``points`` are evaluated.
+    The geometry is cut where that of T(k) is as well as at ``points``, so that
+    its pieces are as short and its rule as accurate deep in the lower half
+    plane; it is built for this call only.
     """
     coeffs = _checked_coefficients(ctx, u)
-    pts = np.atleast_1d(np.asarray(points, dtype=float))
-    nodes = ctx.space.node_coords
-    geometry = _kernel_geometry(ctx, np.concatenate((nodes, pts)))
-    return geometry.apply(k, coeffs, np.arange(nodes.size, nodes.size + pts.size))
+    return _kernel_geometry(ctx, points, ctx.cuts).apply(k, coeffs)
 
 
 def collocation_matrix(ctx: LsContext, k: complex) -> list[np.ndarray]:
@@ -333,8 +349,8 @@ def filter_epsilon(ctx: LsContext, pair: EigenPair) -> FilterReport:
 
 def pseudospectrum(t, region: tuple[float, float, float, float],
                    resolution: tuple[int, int]) -> PseudospectrumGrid:
-    """s_min(t(k)) on a rectangular k-grid for a matrix function ``t``, which may
-    return the list of its diagonal blocks (s_min is then the least over them).
+    """s_min(t(k)) on a rectangular k-grid for a matrix function ``t`` that returns
+    the list of its diagonal blocks (s_min is the least over them).
 
     Values are absolute (no relative rescaling); grid traversal is row-major over
     (ny, nx) and bit-reproducible.

@@ -95,29 +95,41 @@ def _differentiation_matrix(nodes: np.ndarray, bw: np.ndarray) -> np.ndarray:
     return d
 
 
+def lagrange_values(nodes: np.ndarray, bw: np.ndarray, pts) -> np.ndarray:
+    """Values of all Lagrange cardinal polynomials at ``pts``, (n_nodes, n_pts).
+
+    Barycentric form: l_j(x) = (w_j/(x-x_j)) / sum_m w_m/(x-x_m); at a point
+    that coincides with a node they are that node's unit vector.
+    """
+    diff = np.atleast_1d(np.asarray(pts, dtype=float))[None, :] - nodes[:, None]
+    exact = np.abs(diff) < 1e-14
+    c = bw[:, None] / np.where(exact, 1.0, diff)
+    vals = c / c.sum(axis=0)
+    hit = np.nonzero(exact.any(axis=0))[0]
+    if hit.size:
+        vals[:, hit] = 0.0
+        vals[np.argmax(exact[:, hit], axis=0), hit] = 1.0
+    return vals
+
+
 def _lagrange_eval(nodes: np.ndarray, bw: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Values and derivatives of all Lagrange cardinal polynomials at ``pts``.
 
-    Barycentric form: l_j(x) = (w_j/(x-x_j)) / sum_m w_m/(x-x_m) and
     l'_j = l_j * (T/S - 1/(x-x_j)) with S = sum w_m/(x-x_m),
-    T = sum w_m/(x-x_m)^2.  Points that coincide with a node are handled
-    through the differentiation matrix.  Shapes: (n_nodes, n_pts).
+    T = sum w_m/(x-x_m)^2.  Points that coincide with a node take their
+    derivatives from the differentiation matrix.  Shapes: (n_nodes, n_pts).
     """
     pts = np.atleast_1d(np.asarray(pts, dtype=float))
+    vals = lagrange_values(nodes, bw, pts)
     diff = pts[None, :] - nodes[:, None]
     exact = np.abs(diff) < 1e-14
     safe = np.where(exact, 1.0, diff)
-    c = bw[:, None] / safe
-    s = c.sum(axis=0)
+    s = (bw[:, None] / safe).sum(axis=0)
     t = (bw[:, None] / safe**2).sum(axis=0)
-    vals = c / s
     ders = vals * (t / s - 1.0 / safe)
     hit = np.nonzero(exact.any(axis=0))[0]
     if hit.size:
-        node = np.argmax(exact[:, hit], axis=0)
-        vals[:, hit] = 0.0
-        vals[node, hit] = 1.0
-        ders[:, hit] = _differentiation_matrix(nodes, bw)[node].T
+        ders[:, hit] = _differentiation_matrix(nodes, bw)[np.argmax(exact[:, hit], axis=0)].T
     return vals, ders
 
 
@@ -262,7 +274,7 @@ def evaluate_function(space: MeshedSpace, coeffs, points) -> np.ndarray:
     cells = locate(space.mesh, pts)
     lo, hi = v[cells], v[cells + 1]
     loc = np.clip(2.0 * (pts - lo) / (hi - lo) - 1.0, -1.0, 1.0)
-    vals, _ = _lagrange_eval(space.ref_nodes, space.bary_weights, loc)
+    vals = lagrange_values(space.ref_nodes, space.bary_weights, loc)
     # a constrained node's DOF index -1 reads the appended zero
     local = np.append(coeffs, 0)[space.cell_dofs[cells]]
     return np.sum(vals.T * local, axis=1)
@@ -363,16 +375,6 @@ class ParityBlock:
             out[centre] *= np.sqrt(0.5)
             out[:, centre] *= np.sqrt(0.5)
         return out
-
-    def restrict(self, vectors: np.ndarray) -> np.ndarray:
-        """Q^T x: the block coordinates of DOF vectors, (dofs,) or (dofs, m)."""
-        vectors = np.asarray(vectors)
-        if self.mirrors is None:
-            return vectors[self.dofs]
-        w = self._weights.reshape((-1,) + (1,) * (vectors.ndim - 1))
-        if self.parity == "even":
-            return w * (vectors[self.dofs] + vectors[self.mirrors])
-        return w * (vectors[self.dofs] - vectors[self.mirrors])
 
     def unfold(self, vectors: np.ndarray) -> np.ndarray:
         """Q y: the DOF vectors of block coordinates, (size,) or (size, m)."""

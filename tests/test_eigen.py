@@ -9,16 +9,21 @@ import pytest
 import scipy.linalg
 
 from helmres import (BoundaryCondition, ContourConfig, DtnMatrices, EigenPair, MediumProfile,
-                     NewtonConvergenceError, PmlConfig, ProbeTooSmallError,
+                     NewtonConvergenceError, ParityBlock, PmlConfig, ProbeTooSmallError,
                      assemble_dtn, assemble_pml, build_ls_context,
                      build_mesh, build_space, collocation_matrix, newton_root, reference_table,
                      slab_dtn_eigenvalues, slab_profile, smallest_singular_value,
                      solve_contour, solve_dtn, solve_pml)
 from helmres.cli import RunConfig, discretize
-from helmres.eigen import _sorted_pairs
+from helmres.eigen import _block_pairs
 from helmres.mesh_fe import mirror_permutation, parity_blocks
 
 K1 = math.pi / 4 - 1j * math.log(3.0) / 4
+
+
+def _one_block(n):
+    """The whole space of n DOFs as one block, for a synthetic T(z) of size n."""
+    return (ParityBlock(parity=None, dofs=np.arange(n), mirrors=None, dof_count=n),)
 
 
 def _slab_dtn_mats(p, h, d=1.0):
@@ -56,7 +61,7 @@ def test_quadratic_pencil_residuals():
     assembled = _slab_dtn_mats(4, 0.5)
     # a full E as well: the solver must not rely on E vanishing off the end DOFs
     full = DtnMatrices(a=assembled.a, m=assembled.m, e=assembled.e + 0.3,
-                       space=assembled.space)
+                       space=assembled.space, blocks=parity_blocks(assembled.space, False))
     for mats in (assembled, full):
         pairs, _ = solve_dtn(mats)
         assert pairs
@@ -156,7 +161,8 @@ def test_dtn_rejects_indefinite_mass():
     mid = mats.m.shape[0] // 2
     singular[mid, :] = singular[:, mid] = 0.0  # positive semidefinite with a zero pivot
     for m in (-mats.m, indefinite, singular):
-        bad = DtnMatrices(a=mats.a, m=m, e=mats.e, space=mats.space)
+        bad = DtnMatrices(a=mats.a, m=m, e=mats.e, space=mats.space,
+                          blocks=parity_blocks(mats.space, False))
         with pytest.raises(ValueError, match="M is not symmetric positive definite"):
             solve_dtn(bad)
 
@@ -267,47 +273,47 @@ def test_newton_failures():
 
 
 def test_contour_diagonal_case():
-    t_fun = lambda z: np.diag([z - 1.0, z + 2.0])
+    t_fun = lambda z: [np.diag([z - 1.0, z + 2.0])]
     cfg = ContourConfig(center=1.0 + 0j, radius=0.5, probe_columns=2)
-    pairs = solve_contour(t_fun, cfg, rng=0)
+    pairs = solve_contour(t_fun, cfg, _one_block(2), rng=0)
     assert len(pairs) == 1
     assert abs(pairs[0].k - 1.0) < 1e-12
 
 
 def test_contour_empty_region():
-    t_fun = lambda z: np.diag([z - 1.0, z + 2.0])
+    t_fun = lambda z: [np.diag([z - 1.0, z + 2.0])]
     cfg = ContourConfig(center=10.0 + 0j, radius=0.5, probe_columns=2)
-    assert solve_contour(t_fun, cfg, rng=0) == []
+    assert solve_contour(t_fun, cfg, _one_block(2), rng=0) == []
 
 
 def test_contour_probe_saturation():
-    t_fun = lambda z: (z - 1.0) * np.eye(4)
+    t_fun = lambda z: [(z - 1.0) * np.eye(4)]
     cfg = ContourConfig(center=1.0 + 0j, radius=0.5, probe_columns=3)
     with pytest.raises(ProbeTooSmallError):
-        solve_contour(t_fun, cfg, rng=0)
+        solve_contour(t_fun, cfg, _one_block(4), rng=0)
 
 
 def test_contour_warns_when_under_resolved():
     # the eigenvector of the eigenvalue 1 inside also belongs to 1.9, just outside;
     # the rank-1 moments mix the two by weights that 8 trapezoid nodes cannot resolve
-    t_fun = lambda z: np.diag([(z - 1.0) * (z - 1.9), z + 1e6])
+    t_fun = lambda z: [np.diag([(z - 1.0) * (z - 1.9), z + 1e6])]
     cfg = ContourConfig(center=1.4 + 0j, radius=0.45, quadrature_nodes=8,
                         probe_columns=2)
     with pytest.warns(RuntimeWarning, match=r"^contour moments of the single block are "
                       r"under-resolved: halving the node count from 8 to 4 moved the "
                       r"eigenvalues inside the contour by 2\.04e-01 of its size;"):
-        solve_contour(t_fun, cfg, rng=0)
+        solve_contour(t_fun, cfg, _one_block(2), rng=0)
 
 
 def test_contour_does_not_warn_about_a_pole_near_it():
     # one simple pole 0.05 inside: A0 changes by 62% when the nodes are halved, but
     # the trapezoid rule's eigenvalue is exact at any node count
-    t_fun = lambda z: np.diag([z - 1.0, z + 1e6])
+    t_fun = lambda z: [np.diag([z - 1.0, z + 1e6])]
     cfg = ContourConfig(center=1.4 + 0j, radius=0.45, quadrature_nodes=8,
                         probe_columns=2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        pairs = solve_contour(t_fun, cfg, rng=0)
+        pairs = solve_contour(t_fun, cfg, _one_block(2), rng=0)
     assert len(pairs) == 1 and abs(pairs[0].k - 1.0) < 1e-14
 
 
@@ -331,6 +337,20 @@ def test_contour_warns_once_and_names_the_block():
     assert sorted(pr.parity for pr in pairs) == ["even", "odd"]
     for pr in pairs:
         assert pr.vector.shape == (5,)
+
+
+def test_contour_rejects_blocks_that_do_not_match_t():
+    # the even block has 3 DOFs and the eigenvalue 1, the odd one 2 DOFs and 1.1
+    blocks = parity_blocks(build_space(build_mesh((-1.0, 1.0), [], 0.5), 1), True)
+    t_fun = lambda z: [np.diag([z - 1.0, z + 2.0, z + 3.0]), np.diag([z - 1.1, z + 2.0])]
+    cfg = ContourConfig(center=1.0 + 0j, radius=0.5, probe_columns=2)
+    pairs = solve_contour(t_fun, cfg, blocks, rng=0)
+    np.testing.assert_allclose([pr.k for pr in pairs], [1.0, 1.1], atol=1e-12)
+    assert [pr.parity for pr in pairs] == ["even", "odd"]
+    # too few blocks would lose k = 1.1, and swapped ones would unfold into the wrong DOFs
+    for wrong in (blocks[:1], blocks[::-1]):
+        with pytest.raises(ValueError, match=r"^T\(z\) has blocks of shapes "):
+            solve_contour(t_fun, cfg, wrong, rng=0)
 
 
 def test_contour_matches_closed_form_on_integral_formulation():
@@ -357,9 +377,10 @@ def test_solvers_return_pairs_in_re_then_im_order():
                         BoundaryCondition.DIRICHLET_BOTH_ENDS)
     pml, _ = solve_pml(assemble_pml(space, slab_profile(2.0, 1.0), cfg))
     # two eigenvalues of equal real part inside the circle
-    t_fun = lambda z: np.diag([z - (1.0 + 0.2j), z + 2.0, z - (1.0 - 0.2j), z - 0.8])
+    t_fun = lambda z: [np.diag([z - (1.0 + 0.2j), z + 2.0, z - (1.0 - 0.2j), z - 0.8])]
     contour = solve_contour(t_fun, ContourConfig(center=1.0 + 0j, radius=0.5,
-                                                 quadrature_nodes=64, probe_columns=4), rng=0)
+                                                 quadrature_nodes=64, probe_columns=4),
+                            _one_block(4), rng=0)
     np.testing.assert_allclose(sorted((pr.k for pr in contour), key=lambda k: k.imag),
                                [1.0 - 0.2j, 0.8, 1.0 + 0.2j], atol=1e-12)
     for pairs in (dtn, pml, contour):
@@ -367,21 +388,22 @@ def test_solvers_return_pairs_in_re_then_im_order():
 
 
 def test_pair_order_breaks_real_ties_by_imaginary_part():
-    pairs = _sorted_pairs(np.array([1.0 + 0.2j, 0.5, 1.0 - 0.2j]), np.eye(3), None)
+    (block,) = _one_block(3)
+    pairs = _block_pairs([(block, np.array([1.0 + 0.2j, 0.5, 1.0 - 0.2j]), np.eye(3))], None)
     assert [pr.k for pr in pairs] == [0.5, 1.0 - 0.2j, 1.0 + 0.2j]
     np.testing.assert_array_equal(pairs[0].vector, [0, 1, 0])
 
 
 def test_smallest_singular_value():
-    assert smallest_singular_value(np.eye(3)) == pytest.approx(1.0)
-    assert smallest_singular_value(np.diag([3.0, 1e-7])) == pytest.approx(1e-7)
+    assert smallest_singular_value([np.eye(3)]) == pytest.approx(1.0)
+    assert smallest_singular_value([np.diag([3.0, 1e-7])]) == pytest.approx(1e-7)
     rng = np.random.default_rng(5)
     q, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
-    assert smallest_singular_value(q) == pytest.approx(1.0, rel=1e-12)
+    assert smallest_singular_value([q]) == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(ValueError):
-        smallest_singular_value(np.empty((0, 0)))
+        smallest_singular_value([np.empty((0, 0))])
     with pytest.raises(ValueError):
-        smallest_singular_value(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        smallest_singular_value([np.array([[np.nan, 0.0], [0.0, 1.0]])])
 
 
 @pytest.mark.parametrize("formulation", ["dtn", "pml", "ls"])
