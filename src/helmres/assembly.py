@@ -17,7 +17,8 @@ All matrices are dense; the 1D problems stay small enough that the dense
 eigensolves downstream want them dense anyway.  Each matrix set also carries
 the parity blocks of its space: (even, odd) when the medium is even and the
 mesh is its own mirror image, since every matrix then commutes with the
-mirror permutation of the DOFs, and the whole space otherwise.
+mirror permutation of the DOFs, and the whole space otherwise.  It gives its
+matrix function T(k) as ``t(k)``, the list of those blocks of T(k).
 """
 
 from __future__ import annotations
@@ -50,6 +51,12 @@ class DtnMatrices:
         """(A, M, E) folded into each block, built once."""
         return [(b.fold(self.a), b.fold(self.m), b.fold(self.e)) for b in self.blocks]
 
+    def t(self, k: complex) -> list[np.ndarray]:
+        """The blocks of T(k) = A + lambda E + lambda^2 M at lambda = -ik, one per
+        ``blocks``; T(k) is singular exactly at the eigenvalues k."""
+        lam = -1j * k
+        return [a + lam * e + lam**2 * m for a, m, e in self.folded]
+
 
 @dataclass(frozen=True, eq=False)
 class PmlMatrices:
@@ -64,6 +71,10 @@ class PmlMatrices:
     def folded(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(At, Mt) folded into each block, built once."""
         return [(b.fold(self.a_tilde), b.fold(self.m_tilde)) for b in self.blocks]
+
+    def t(self, k: complex) -> list[np.ndarray]:
+        """The blocks of T(k) = At - k^2 Mt, one per ``blocks``."""
+        return [a_tilde - k**2 * m_tilde for a_tilde, m_tilde in self.folded]
 
 
 def default_quadrature_order(p: int) -> int:

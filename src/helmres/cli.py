@@ -3,8 +3,9 @@
 A run is configured by a :class:`RunConfig`, executed by
 :func:`run_pipeline` (discretize, solve, window, filter, match against
 references, optional s_min grid), and persisted by :func:`emit_outputs`.
-:func:`discretize` is the one place a configuration becomes a mesh, matrices
-and a matrix function T(k); T(k) is given as its parity blocks, (even, odd)
+:func:`discretize` is the one place a configuration becomes a mesh and an
+operator: the DtN or PML matrices, or the LS context.  Each operator gives its
+matrix function T(k) as ``t(k)``, the list of its parity blocks, (even, odd)
 for the built-in media, which are all even, and every solve, contour and
 grid runs on them.
 
@@ -41,11 +42,11 @@ import numpy as np
 from . import __version__
 from .assembly import DtnMatrices, PmlMatrices, assemble_dtn, assemble_pml
 from .eigen import ContourConfig, EigenPair, solve_contour, solve_dtn, solve_pml
-from .lippmann import LsContext, NoResonatorSupportError, PseudospectrumGrid, \
-    build_ls_context, collocation_matrix, filter_epsilon, pseudospectrum
+from .lippmann import KernelOverflowError, LsContext, NoResonatorSupportError, \
+    PseudospectrumGrid, build_ls_context, filter_epsilon, pseudospectrum
 from .media import MediumProfile, PmlConfig, air_filled_cavity_profile, bump_profile, \
     critical_angle, slab_profile
-from .mesh_fe import BoundaryCondition, MeshedSpace, ParityBlock, build_mesh, build_space
+from .mesh_fe import BoundaryCondition, build_mesh, build_space
 from .reference import ReferenceSet, reference_table, slab_dtn_eigenvalues
 
 _PROBLEMS = ("slab", "air_cavity", "bump")
@@ -181,67 +182,45 @@ def reference_for(cfg: RunConfig, medium: MediumProfile) -> ReferenceSet | None:
 
 @dataclass(frozen=True, eq=False)
 class Discretization:
-    """One RunConfig as a medium, its reference set, and the matrix function T(k).
+    """One RunConfig as a medium, its reference set, and the operator whose
+    matrix function T(k) the run solves.
 
-    ``mats`` holds the DtN or PML matrices, with their parity blocks, and is
-    None for ls.  The LS context, which holds the blocks of the ls T(k), is
-    built on first use, so a run builds it at most once, and only when the
-    contour, the filter or the grid needs it.
+    ``operator`` is the run's :class:`DtnMatrices`, :class:`PmlMatrices` or
+    :class:`LsContext`; each gives T(k) as ``operator.t(k)``, the list of its
+    diagonal blocks, one per ``operator.blocks``, and is singular exactly at
+    the eigenvalues k.  The filter's LS context is the operator of an ls run;
+    otherwise it is built on first use, so a run builds it at most once, and
+    only when the filter or the grid needs it.
     """
 
     config: RunConfig
     medium: MediumProfile
     pml: PmlConfig | None
-    mats: DtnMatrices | PmlMatrices | None
+    operator: DtnMatrices | PmlMatrices | LsContext
     reference: ReferenceSet | None
 
     @functools.cached_property
     def ls_context(self) -> LsContext:
-        cfg = self.config
-        return build_ls_context(self.medium, cfg.degree, cfg.initial_cell_size,
-                                cfg.refinements)
+        if isinstance(self.operator, LsContext):
+            return self.operator
+        return _ls_context(self.config, self.medium)
 
     @property
     def critical_angle(self) -> float | None:
         """The angle of the PML critical line, None without a PML."""
         return None if self.pml is None else critical_angle(self.pml)
 
-    @property
-    def space(self) -> MeshedSpace:
-        return self.ls_context.space if self.mats is None else self.mats.space
-
-    @property
-    def blocks(self) -> tuple[ParityBlock, ...]:
-        """The parity blocks T(k) is split into: (even, odd) when the medium is
-        even and the mesh is its own mirror image, else the whole space."""
-        return self.ls_context.blocks if self.mats is None else self.mats.blocks
-
-    def t(self, k: complex) -> list[np.ndarray]:
-        """The diagonal blocks of T(k), one per ``blocks``; T(k) is singular
-        exactly at the eigenvalues k.
-
-        ls: I - K(k);  dtn: A + lambda E + lambda^2 M at lambda = -ik;
-        pml: At - k^2 Mt.
-        """
-        if self.mats is None:
-            return collocation_matrix(self.ls_context, k)
-        if self.config.formulation == "dtn":
-            lam = -1j * k
-            return [a + lam * e + lam**2 * m for a, m, e in self.mats.folded]
-        return [a_tilde - k**2 * m_tilde for a_tilde, m_tilde in self.mats.folded]
-
     def solve(self) -> tuple[list[EigenPair], int | None]:
         """Eigenpairs sorted by Re k, and the pencil size (None for the contour).
 
-        dtn and pml return every pair their solver returns, all with Re k >= 0
-        and the pencil size summed over the parity blocks; ls solves on the
-        ellipse inscribed in the window, with one probe per block drawn in
-        block order from ``seed``.
+        The matrix sets return every pair their solver returns, all with
+        Re k >= 0 and the pencil size summed over the parity blocks; an LS
+        context is solved on the ellipse inscribed in the window, with one
+        probe per block drawn in block order from ``seed``.
         """
-        cfg = self.config
-        if self.mats is not None:
-            solver = solve_dtn if cfg.formulation == "dtn" else solve_pml
-            pairs, diag = solver(self.mats)
+        op, cfg = self.operator, self.config
+        if not isinstance(op, LsContext):
+            pairs, diag = (solve_dtn if isinstance(op, DtnMatrices) else solve_pml)(op)
             return pairs, diag.pencil_size
         if cfg.window is None:
             raise ValueError("the ls formulation needs --window to place its contour")
@@ -254,16 +233,20 @@ class Discretization:
             probe_columns=24,
         )
         rng = np.random.default_rng(cfg.seed)
-        return solve_contour(self.t, contour, self.blocks, rng,
-                             space=self.ls_context.space), None
+        return solve_contour(op.t, contour, op.blocks, rng, space=op.space), None
+
+
+def _ls_context(cfg: RunConfig, medium: MediumProfile) -> LsContext:
+    return build_ls_context(medium, cfg.degree, cfg.initial_cell_size, cfg.refinements)
 
 
 def discretize(cfg: RunConfig) -> Discretization:
-    """The medium, reference set and, for dtn and pml, the mesh and matrices of a run."""
+    """The medium, reference set and operator of a run: the one place that reads
+    ``cfg.formulation``."""
     medium = medium_for(cfg)
     reference = reference_for(cfg, medium)
     if cfg.formulation == "ls":
-        return Discretization(cfg, medium, None, None, reference)
+        return Discretization(cfg, medium, None, _ls_context(cfg, medium), reference)
     if cfg.formulation == "pml":
         pml = PmlConfig(a=medium.resonator_halfwidth, d=cfg.d, x_c=cfg.x_c,
                         ell=cfg.ell, sigma0=cfg.sigma0)
@@ -296,12 +279,12 @@ def _window_stage(cfg: RunConfig, pairs):
 
 def _filter_stage(disc: Discretization, pairs) -> list[float]:
     """eps of every pair; inf for a vector without support on the resonator, which
-    cannot be a resonance mode."""
+    cannot be a resonance mode, and for a k at which K(k)u overflows."""
     epsilons = []
     for pair in pairs:
         try:
             epsilons.append(filter_epsilon(disc.ls_context, pair).epsilon)
-        except NoResonatorSupportError:
+        except (NoResonatorSupportError, KernelOverflowError):
             epsilons.append(float("inf"))
     return epsilons
 
@@ -326,7 +309,7 @@ def _grid_stage(disc: Discretization) -> PseudospectrumGrid:
     cfg = disc.config
     if cfg.window is None or cfg.pseudo_resolution is None:
         raise ValueError("pseudospectrum needs both --window and --pseudo")
-    return pseudospectrum(disc.t, cfg.window, cfg.pseudo_resolution)
+    return pseudospectrum(disc.operator.t, cfg.window, cfg.pseudo_resolution)
 
 
 def run_pipeline(cfg: RunConfig) -> RunReport:
@@ -342,9 +325,10 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
     rows = _stage("report", _report_stage, disc, pairs, epsilons)
     grid = (_stage("pseudospectrum", _grid_stage, disc)
             if cfg.pseudo_resolution is not None else None)
-    return RunReport(config=cfg, rows=tuple(rows), dof_count=disc.space.dof_count,
+    op = disc.operator
+    return RunReport(config=cfg, rows=tuple(rows), dof_count=op.space.dof_count,
                      pencil_size=pencil, elapsed_seconds=time.perf_counter() - start,
-                     grid=grid, blocks=tuple((b.parity, b.size) for b in disc.blocks))
+                     grid=grid, blocks=tuple((b.parity, b.size) for b in op.blocks))
 
 
 def _fmt(value) -> str:

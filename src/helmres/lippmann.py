@@ -35,6 +35,7 @@ their mirrors' (even) or differenced (odd).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,10 @@ _LOW_DEGREE_CUTS = 6
 
 class NoResonatorSupportError(ValueError):
     """The eigenvector restricted to Omega_r is numerically zero."""
+
+
+class KernelOverflowError(ValueError):
+    """K(k)u is not finite in double precision at the k of an eigenpair."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,12 +141,15 @@ class LsContext:
     def quadrature_geometry(self) -> "KernelGeometry":
         return _kernel_geometry(self, self.cell_quadrature[0].ravel(), ())
 
+    def t(self, k: complex) -> list[np.ndarray]:
+        """The blocks of T(k) = I - K(k), one per ``blocks``: :func:`collocation_matrix`."""
+        return collocation_matrix(self, k)
+
 
 @dataclass(frozen=True, eq=False)
 class FilterReport:
-    """The filter value eps of the eigenpair at k."""
+    """The filter value eps of an eigenpair."""
 
-    k: complex
     epsilon: float
 
 
@@ -324,6 +332,12 @@ def filter_epsilon(ctx: LsContext, pair: EigenPair) -> FilterReport:
     eps = sqrt((xi - eta)^* M^r (xi - eta)).  With vanishing contrast K = 0,
     so eps = 1 for any unit u.  eps depends on (k, u) alone, not on the
     solver that produced the pair.
+
+    Deep in the lower half plane K(k)u can be finite while its square is not.
+    So xi and K(k)u are both scaled by 2^-e before the projection and the
+    norm, with e the binary exponent of the largest real or imaginary part of
+    K(k)u when that exceeds 1, and eps is scaled back: a power of two changes
+    no digit.  A K(k)u that is not finite raises :class:`KernelOverflowError`.
     """
     if pair.space is None:
         raise ValueError("eigenpair carries no originating space")
@@ -338,13 +352,16 @@ def filter_epsilon(ctx: LsContext, pair: EigenPair) -> FilterReport:
             f"eigenvector at k = {pair.k} has no support on the resonator domain")
     xi = xi / np.sqrt(nrm2)
 
-    ku = ctx.quadrature_geometry.apply(pair.k, _checked_coefficients(ctx, xi))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ku = ctx.quadrature_geometry.apply(pair.k, _checked_coefficients(ctx, xi))
     if not np.all(np.isfinite(ku)):
-        raise ValueError(f"K(k)u overflowed at k = {pair.k}")
-    eta = ctx.projection @ ku
-    diff = xi - eta
-    eps = float(np.sqrt(max(np.real(diff.conj() @ (mr @ diff)), 0.0)))
-    return FilterReport(k=pair.k, epsilon=eps)
+        raise KernelOverflowError(f"K(k)u overflowed at k = {pair.k}")
+    # parts rather than moduli: |K(k)u| itself may overflow
+    scale = 2.0 ** -max(math.frexp(float(np.abs(ku.view(float)).max()))[1], 0)
+    diff = scale * xi - ctx.projection @ (scale * ku)
+    # exact, and a float division gives inf beyond the float range
+    eps = math.sqrt(max(float(np.real(diff.conj() @ (mr @ diff))), 0.0)) / scale
+    return FilterReport(epsilon=eps)
 
 
 def pseudospectrum(t, region: tuple[float, float, float, float],

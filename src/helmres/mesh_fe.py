@@ -31,22 +31,18 @@ class BoundaryCondition(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Gauss-Legendre rule on the reference interval [-1, 1].
-
-    ``order`` is the number of points; the rule integrates polynomials of
-    degree <= 2*order - 1 exactly.
-    """
+    """Gauss-Legendre rule on the reference interval [-1, 1]; ``order`` points
+    integrate polynomials of degree <= 2*order - 1 exactly."""
 
     points: np.ndarray
     weights: np.ndarray
-    order: int
 
     @classmethod
     def gauss_legendre(cls, order: int) -> "QuadratureRule":
         if order < 1:
             raise ValueError(f"quadrature order must be >= 1, got {order}")
         x, w = npleg.leggauss(order)
-        return cls(points=x, weights=w, order=order)
+        return cls(points=x, weights=w)
 
     def mapped(self, lo, hi) -> tuple[np.ndarray, np.ndarray]:
         """Points and weights transplanted to the physical interval [lo, hi].
@@ -151,9 +147,6 @@ class Mesh1D:
     def n_cells(self) -> int:
         return self.vertices.size - 1
 
-    def cell_bounds(self, cell: int) -> tuple[float, float]:
-        return float(self.vertices[cell]), float(self.vertices[cell + 1])
-
     def has_vertex(self, x: float, tol: float = 1e-12) -> bool:
         return bool(np.min(np.abs(self.vertices - x)) <= tol)
 
@@ -224,20 +217,6 @@ def build_space(mesh: Mesh1D, p: int, bc: BoundaryCondition = BoundaryCondition.
     return MeshedSpace(mesh=mesh, degree=p, boundary_condition=bc, dof_count=coords.size,
                        node_coords=coords, ref_nodes=ref, bary_weights=_barycentric_weights(ref),
                        cell_dofs=dofs)
-
-
-def evaluate_basis(space: MeshedSpace, cell: int, local_points) -> tuple[np.ndarray, np.ndarray]:
-    """Values and physical-coordinate derivatives of the cell-local shape functions.
-
-    ``local_points`` are reference coordinates in [-1, 1]; result shapes are
-    (p+1, n_points).
-    """
-    lo, hi = space.mesh.cell_bounds(cell)
-    pts = np.atleast_1d(np.asarray(local_points, dtype=float))
-    if pts.size and (pts.min() < -1.0 - 1e-12 or pts.max() > 1.0 + 1e-12):
-        raise ValueError("local points must lie in the reference interval [-1, 1]")
-    vals, ders = _lagrange_eval(space.ref_nodes, space.bary_weights, pts)
-    return vals, ders * (2.0 / (hi - lo))
 
 
 def cell_quadrature(space: MeshedSpace, order: int):

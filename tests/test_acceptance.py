@@ -33,7 +33,7 @@ def test_1_cavity_spectrum_recovered_after_filtering():
     disc = discretize(RunConfig(problem="air_cavity", formulation="dtn", degree=20,
                                 initial_cell_size=0.125, d=2.0))
     pairs, _ = disc.solve()
-    assert disc.space.dof_count == 641
+    assert disc.operator.space.dof_count == 641
     windowed = [p for p in pairs if 0 <= p.k.real <= 13.5 and -2 <= p.k.imag <= 0]
     ctx = build_ls_context(_CAVITY, 20, 0.125)
     kept = np.array([p.k for p in windowed
@@ -47,7 +47,7 @@ def test_2_bump_spectrum_recovered():
     disc = discretize(RunConfig(problem="bump", formulation="dtn", degree=20,
                                 initial_cell_size=0.125, d=1.5))
     pairs, _ = disc.solve()
-    assert disc.space.dof_count == 481
+    assert disc.operator.space.dof_count == 481
     ks = np.array([p.k for p in pairs])
     worst = max(np.abs(ks - t).min() for t in reference_table("bump").values)
     _verdict(2, "bump eigenvalues within 1e-7 of the reference set",
@@ -169,7 +169,7 @@ def test_7_contour_solver_returns_exact_eigenvalue_counts():
 def test_8_resolvent_grid_dips_only_at_eigenvalues():
     disc = discretize(RunConfig(problem="air_cavity", formulation="ls", degree=8,
                                 initial_cell_size=0.25))
-    grid = pseudospectrum(disc.t, (0.0, 8.0, -1.2, 0.0), (81, 60))
+    grid = pseudospectrum(disc.operator.t, (0.0, 8.0, -1.2, 0.0), (81, 60))
     re, im = np.meshgrid(grid.re_points, grid.im_points)
     dist = np.min(np.abs((re + 1j * im)[..., None] - _CAVITY_TABLE[None, None, :]),
                   axis=2)

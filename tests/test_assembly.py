@@ -7,10 +7,10 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
-from helmres import (BoundaryCondition, PmlConfig, QuadratureRule,
-                     air_filled_cavity_profile, assemble_dtn, assemble_pml,
-                     assemble_resonator_mass, build_mesh, build_space, bump_profile,
-                     evaluate_basis, sigma_eval, slab_profile)
+from helmres import (BoundaryCondition, PmlConfig, air_filled_cavity_profile,
+                     assemble_dtn, assemble_pml, assemble_resonator_mass, build_mesh,
+                     build_space, bump_profile, sigma_eval, slab_profile)
+from helmres.mesh_fe import _lagrange_eval, cell_quadrature
 
 
 def _space(domain, breakpoints, h, p, bc=BoundaryCondition.NONE):
@@ -133,8 +133,9 @@ def test_pml_ramp_cell_entries_match_adaptive_quadrature(lo):
     i, j = space.cell_dofs[cell][1:3]
 
     def basis(x):
-        vals, ders = evaluate_basis(space, cell, [2.0 * (x - lo) / (hi - lo) - 1.0])
-        return vals[1:3, 0], ders[1:3, 0]
+        vals, ders = _lagrange_eval(space.ref_nodes, space.bary_weights,
+                                    [2.0 * (x - lo) / (hi - lo) - 1.0])
+        return vals[1:3, 0], ders[1:3, 0] * (2.0 / (hi - lo))
 
     def alpha(x):
         return 1.0 + 1j * sigma_eval(_PML, x)
@@ -156,16 +157,14 @@ def test_pml_ramp_cell_entries_match_adaptive_quadrature(lo):
 
 def _cell_loop(space, order, weight):
     """Reference assembly: one cell at a time, into the full node set."""
-    rule = QuadratureRule.gauss_legendre(order)
+    xq, wq, vals, ders = cell_quadrature(space, order)
     n, p = space.degree * space.mesh.n_cells + 1, space.degree
     stiff, mass = np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)
     for c in range(space.mesh.n_cells):
-        xq, wq = rule.mapped(*space.mesh.cell_bounds(c))
-        vals, ders = evaluate_basis(space, c, rule.points)
-        a_w, m_w = weight(xq, wq)
+        a_w, m_w = weight(xq[c], wq[c])
         nodes = np.arange(c * p, c * p + p + 1)
-        stiff[np.ix_(nodes, nodes)] += (ders * a_w) @ ders.T
-        mass[np.ix_(nodes, nodes)] += (vals * m_w) @ vals.T
+        stiff[np.ix_(nodes, nodes)] += (ders[c].T * a_w) @ ders[c]
+        mass[np.ix_(nodes, nodes)] += (vals.T * m_w) @ vals
     keep = slice(1, -1) if space.boundary_condition is BoundaryCondition.DIRICHLET_BOTH_ENDS \
         else slice(None)
     return stiff[keep, keep], mass[keep, keep]

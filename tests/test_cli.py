@@ -110,7 +110,7 @@ def test_cavity_pipeline_matches_reference():
 def test_dtn_solve_drops_the_static_mode(config):
     # A 1 = 0, so k = 0 is an eigenvalue of every DtN quadratic but no resonance;
     # rounding puts it on either side of a window's Im k = 0 edge
-    pairs, diag = solve_dtn(discretize(RunConfig(**config)).mats)
+    pairs, diag = solve_dtn(discretize(RunConfig(**config)).operator)
     assert min(abs(pr.k) for pr in pairs) >= 1e-8
     # the static mode, and the mirror of each pair off the imaginary axis
     assert diag.dropped == 1 + sum(pr.k.real > 0 for pr in pairs)
@@ -122,8 +122,8 @@ def test_dtn_map_dips_at_the_static_mode():
     # so a DtN pseudospectrum dips at k = 0 where the PML map does not
     dtn = discretize(RunConfig(**{**_SLAB_DTN, "degree": 4}))
     pml = discretize(RunConfig(**{**_SLAB_PML, "degree": 4}))
-    assert smallest_singular_value(dtn.t(0.0)) < 1e-12
-    assert smallest_singular_value(pml.t(0.0)) > 1e-3
+    assert smallest_singular_value(dtn.operator.t(0.0)) < 1e-12
+    assert smallest_singular_value(pml.operator.t(0.0)) > 1e-3
 
 
 @pytest.mark.parametrize("config", [_BENCH_DTN, _BENCH_PML], ids=["dtn", "pml"])
@@ -131,14 +131,14 @@ def test_solve_returns_every_pair_the_solver_does_not_drop(config):
     disc = discretize(RunConfig(**config))
     pairs, pencil_size = disc.solve()
     solver = solve_dtn if config["formulation"] == "dtn" else solve_pml
-    _, diag = solver(disc.mats)
+    _, diag = solver(disc.operator)
     assert len(pairs) + diag.dropped == pencil_size == diag.pencil_size
 
 
 def test_deep_pml_window_reports_every_eigenvalue_of_the_qz_oracle():
     # the layer modes come as near-degenerate pairs, and both members are reported
     cfg = RunConfig(**_BENCH_PML, window=(0.0, 13.5, -20.0, 0.0), apply_filter=False)
-    mats = discretize(cfg).mats
+    mats = discretize(cfg).operator
     oracle = np.sqrt(scipy.linalg.eigvals(mats.a_tilde, mats.m_tilde).astype(complex))
     re_min, re_max, im_min, im_max = cfg.window
     inside = [k for k in oracle if re_min <= k.real <= re_max and im_min <= k.imag <= im_max]
@@ -329,6 +329,35 @@ def test_pair_without_resonator_support_gets_infinite_eps(tmp_path, capsys, monk
     assert [row[3] == "inf" for row in rows] == [j == 1 for j in range(len(rows))]
 
 
+# unwindowed PML runs whose deepest pairs reach Im k = -80 (h = 0.5) and -223 (h = 0.25)
+_DEEP_PML_FILTER = ["filter", "--problem", "air_cavity", "--formulation", "pml", "--p", "16",
+                    "--d", "2", "--xc", "3", "--ell", "5", "--sigma0", "5"]
+
+
+def _rows_near(path, k):
+    """The rows of eigenvalues.csv within 1e-2 of k, once no row has eps = nan."""
+    rows = [line.split(",") for line in path.read_text().strip().splitlines()[1:]]
+    assert rows and all(row[3] != "nan" for row in rows)
+    return [row for row in rows if abs(complex(float(row[1]), float(row[2])) - k) < 1e-2]
+
+
+def test_filter_scales_a_kernel_whose_square_overflows(tmp_path):
+    # K(k)u is finite at this even/odd pair, but its quadratic form overflowed to
+    # inf - inf, which wrote eps = nan
+    assert main([*_DEEP_PML_FILTER, "--h", "0.5", "--out", str(tmp_path)]) == 0
+    pair = _rows_near(tmp_path / "eigenvalues.csv", 33.286 - 79.987j)
+    assert sorted(row[7] for row in pair) == ["even", "odd"]
+    assert all(1e150 < float(row[3]) < math.inf for row in pair)
+
+
+def test_filter_gives_an_overflowing_kernel_infinite_eps(tmp_path):
+    # K(k)u overflows at this twin pair, which failed the whole run
+    assert main([*_DEEP_PML_FILTER, "--h", "0.25", "--out", str(tmp_path)]) == 0
+    pair = _rows_near(tmp_path / "eigenvalues.csv", 288.779 - 223.196j)
+    assert sorted(row[7] for row in pair) == ["even", "odd"]
+    assert all(row[3] == "inf" for row in pair)
+
+
 def test_console_report_labels_rows_below_the_critical_line(tmp_path, capsys):
     # the window of test_pml_feasibility_does_not_depend_on_the_filter
     assert main(["solve", "--problem", "slab", "--formulation", "pml", "--p", "2", "--h", "0.5",
@@ -474,7 +503,7 @@ def test_pml_near_degenerate_pairs_come_out_even_and_odd():
     # which one solve of the whole pencil returned as mixtures of the two parities
     disc = discretize(RunConfig(**_BENCH_PML))
     pairs, _ = disc.solve()
-    mirror = mirror_permutation(disc.space)
+    mirror = mirror_permutation(disc.operator.space)
     for pr in pairs:
         sign = {"even": 1.0, "odd": -1.0}[pr.parity]
         np.testing.assert_array_equal(pr.vector[mirror], sign * pr.vector)

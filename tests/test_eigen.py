@@ -139,7 +139,7 @@ _ORACLE_DTN = {
 
 @pytest.mark.parametrize("name", sorted(_ORACLE_DTN))
 def test_dtn_eigenvalues_match_qz_oracle(name):
-    mats = discretize(RunConfig(formulation="dtn", **_ORACLE_DTN[name])).mats
+    mats = discretize(RunConfig(formulation="dtn", **_ORACLE_DTN[name])).operator
     pairs, _ = solve_dtn(mats)
     ks = np.array([pr.k for pr in pairs])
     oracle = _qz_dtn_ks(mats)
@@ -171,7 +171,7 @@ def test_dtn_rejects_indefinite_mass():
 def test_pml_eigenpairs_match_qz_oracle(sigma0):
     mats = discretize(RunConfig(problem="air_cavity", formulation="pml", degree=10,
                                 initial_cell_size=0.5, d=2.0, x_c=3.0, ell=5.0,
-                                sigma0=sigma0)).mats
+                                sigma0=sigma0)).operator
     pairs, _ = solve_pml(mats)
     na = np.linalg.norm(mats.a_tilde, 2)
     nm = np.linalg.norm(mats.m_tilde, 2)
@@ -205,7 +205,7 @@ def test_reported_pairs_solve_t_at_the_reported_k(name):
     disc = discretize(RunConfig(problem="air_cavity", **_REPORTED[name]))
     pairs, _ = disc.solve()
     assert pairs
-    mats = disc.mats
+    mats = disc.operator
     # T(k) on the whole space, not its parity blocks: the pairs are unfolded
     if name == "dtn":
         norms = [np.linalg.norm(x, 2) for x in (mats.a, mats.e, mats.m)]
@@ -217,7 +217,7 @@ def test_reported_pairs_solve_t_at_the_reported_k(name):
         t = lambda k: mats.a_tilde - k**2 * mats.m_tilde
     else:
         geometry = disc.ls_context.collocation_geometry
-        t = lambda k: np.eye(disc.space.dof_count) - geometry.matrix(k)
+        t = lambda k: np.eye(disc.operator.space.dof_count) - geometry.matrix(k)
         scale = lambda k: np.linalg.norm(t(k), 2)
     worst = max(np.linalg.norm(t(pr.k) @ pr.vector) / scale(pr.k) for pr in pairs)
     assert worst <= {"dtn": 1e-13, "pml": 1e-13, "ls": 1e-9}[name]
@@ -411,17 +411,17 @@ def test_smallest_singular_value():
 def test_block_singular_values_equal_the_full_t(problem, formulation):
     disc = discretize(RunConfig(problem=problem, formulation=formulation, degree=6,
                                 initial_cell_size=0.25, d=2.0))
-    assert [b.parity for b in disc.blocks] == ["even", "odd"]
-    mats = disc.mats
+    op = disc.operator
+    assert [b.parity for b in op.blocks] == ["even", "odd"]
     for k in (0.9 - 0.3j, 2.5 - 0.6j, 4.0 - 1.5j):
         if formulation == "dtn":
-            full = mats.a - 1j * k * mats.e - k**2 * mats.m
+            full = op.a - 1j * k * op.e - k**2 * op.m
         elif formulation == "pml":
-            full = mats.a_tilde - k**2 * mats.m_tilde
+            full = op.a_tilde - k**2 * op.m_tilde
         else:
-            full = np.eye(disc.space.dof_count) - disc.ls_context.collocation_geometry.matrix(k)
-        blocks = disc.t(k)
-        assert [len(t) for t in blocks] == [b.size for b in disc.blocks]
+            full = np.eye(op.space.dof_count) - op.collocation_geometry.matrix(k)
+        blocks = op.t(k)
+        assert [len(t) for t in blocks] == [b.size for b in op.blocks]
         expected = np.linalg.svd(full, compute_uv=False)
         found = np.sort(np.concatenate([np.linalg.svd(t, compute_uv=False)
                                         for t in blocks]))[::-1]
@@ -473,7 +473,7 @@ def test_asymmetric_medium_is_solved_as_one_block_as_before():
 
 
 def test_odd_dtn_block_keeps_its_smallest_eigenvalue():
-    mats = discretize(RunConfig(**_ORACLE_DTN["air_cavity"], formulation="dtn")).mats
+    mats = discretize(RunConfig(**_ORACLE_DTN["air_cavity"], formulation="dtn")).operator
     pairs, diag = solve_dtn(mats)
     by_parity = {}
     for block, (a, m, e) in zip(mats.blocks, mats.folded):

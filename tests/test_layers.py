@@ -1,5 +1,6 @@
 """Module layering: imports point down the stack, file I/O and formulation names
-stay in the command-line module, and the package runs on numpy alone."""
+stay in the command-line module, where only ``discretize`` reads the formulation,
+and the package runs on numpy alone."""
 
 import ast
 import json
@@ -10,12 +11,15 @@ import sys
 
 import pytest
 
+from helmres.cli import RunConfig, discretize
+
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "helmres"
 # README's "Modules, bottom to top"
 ORDER = ("mesh_fe", "media", "assembly", "eigen", "reference", "lippmann", "cli")
 FORMULATION_NAMES = {"dtn", "pml", "ls"}
-# one small slab run of each formulation; the CI job without scipy runs them
-# through test_cli_runs_without_scipy
+# one small slab run of each formulation, and a pml grid: with the CI job's dtn
+# pseudospectrum step, every operator's T(k) runs without scipy (the ls one in
+# the solve --pseudo run); that job runs these through test_cli_runs_without_scipy
 NUMPY_ONLY_RUNS = (
     ["filter", "--problem", "slab", "--formulation", "dtn", "--p", "4", "--h", "0.5",
      "--d", "1", "--window", "0", "4", "-2", "0"],
@@ -23,6 +27,8 @@ NUMPY_ONLY_RUNS = (
      "--d", "1", "--xc", "2", "--ell", "4", "--window", "0", "4", "-2", "0"],
     ["solve", "--problem", "slab", "--formulation", "ls", "--p", "4", "--h", "0.5",
      "--window", "0", "4", "-2", "0", "--pseudo", "3", "3"],
+    ["pseudospectrum", "--problem", "slab", "--formulation", "pml", "--p", "4", "--h", "0.5",
+     "--d", "1", "--xc", "2", "--ell", "4", "--window", "0", "4", "-2", "0", "--pseudo", "3", "3"],
 )
 # None in sys.modules makes every import of scipy raise ModuleNotFoundError
 _NUMPY_ONLY_SCRIPT = """
@@ -94,6 +100,28 @@ def test_only_cli_takes_or_stores_a_formulation(module):
     assert [(line, name) for line, name in names if name == "formulation"] == []
 
 
+def test_only_discretize_names_a_formulation():
+    """The formulation is decided once: after ``discretize`` a run works on its
+    operator, so no other code in the command-line module names one."""
+    tree = _tree("cli.py")
+    allowed = set()
+    for node in tree.body:
+        if (isinstance(node, ast.FunctionDef) and node.name == "discretize"
+                or isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["_FORMULATIONS"]):
+            allowed.update(map(id, ast.walk(node)))
+    names = [(node.lineno, node.value) for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and node.value in FORMULATION_NAMES
+             and id(node) not in allowed]
+    assert names == []
+
+
+def test_an_ls_run_has_one_ls_context():
+    disc = discretize(RunConfig(problem="slab", formulation="ls", degree=2,
+                                initial_cell_size=0.5))
+    assert disc.ls_context is disc.operator
+
+
 def test_cli_runs_without_scipy(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
@@ -101,4 +129,4 @@ def test_cli_runs_without_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", _NUMPY_ONLY_SCRIPT, json.dumps(runs)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [0, 0, 0], proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0] * len(NUMPY_ONLY_RUNS), proc.stderr

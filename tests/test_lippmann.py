@@ -371,7 +371,7 @@ def test_pseudospectrum_identity_for_vanishing_contrast():
 def test_pseudospectrum_resolvent_grows_into_lower_half_plane():
     disc = discretize(RunConfig(problem="air_cavity", formulation="dtn", degree=6,
                                 initial_cell_size=0.5, d=2.0))
-    grid = pseudospectrum(disc.t, (2.0, 2.0, -3.0, -0.5), (1, 8))
+    grid = pseudospectrum(disc.operator.t, (2.0, 2.0, -3.0, -0.5), (1, 8))
     col = grid.values[:, 0]
     assert np.all(np.diff(col) > 0)  # s_min shrinks as Im k decreases
 
