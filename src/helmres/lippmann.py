@@ -28,8 +28,8 @@ projection from those points onto the space.
 
 For an even medium on a mirror-symmetric mesh, T(k) commutes with the mirror
 permutation of the nodes, so its even and odd blocks are all of it: T(k) is
-collocated only at the nodes with x >= 0, and its columns are summed with
-their mirrors' (even) or differenced (odd).
+collocated only at the nodes with x >= 0, the last ones, and its columns are
+summed with their mirrors' (even) or differenced (odd).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .assembly import assemble_resonator_mass
 from .eigen import EigenPair, smallest_singular_value
 from .media import MediumProfile
 from .mesh_fe import (BoundaryCondition, MeshedSpace, ParityBlock, QuadratureRule,
-                      as_slice, build_mesh, build_space, cell_quadrature, evaluate_function,
+                      build_mesh, build_space, cell_quadrature, evaluate_function,
                       lagrange_values, locate, parity_blocks)
 
 
@@ -71,7 +71,8 @@ class LsContext:
 
     Everything k-independent is derived once per context and cached: the
     parity blocks of T(k), the resonator mass matrix, the kernel geometries at
-    the collocation nodes and at the cell Gauss points, and the filter's
+    the collocation nodes of the first block (the last nodes, which hold the
+    rows of every block) and at the cell Gauss points, and the filter's
     ``projection`` (M^r)^-1 P^T, so that each filter call projects K(k)u with
     one matrix-vector product.
     """
@@ -90,13 +91,6 @@ class LsContext:
     def blocks(self) -> tuple[ParityBlock, ...]:
         """(even, odd) for an even medium on a mirror-symmetric mesh, else the whole space."""
         return parity_blocks(self.space, self.medium.is_even())
-
-    @functools.cached_property
-    def collocation_rows(self) -> tuple[np.ndarray, list]:
-        """The nodes T(k) is collocated at, those of any block, ascending; and
-        for each block, where its DOFs sit among them."""
-        rows = np.unique(np.concatenate([block.dofs for block in self.blocks]))
-        return rows, [as_slice(np.searchsorted(rows, block.dofs)) for block in self.blocks]
 
     @functools.cached_property
     def mass(self) -> np.ndarray:
@@ -135,7 +129,9 @@ class LsContext:
 
     @functools.cached_property
     def collocation_geometry(self) -> "KernelGeometry":
-        return _kernel_geometry(self, self.space.node_coords, self.cuts)
+        """The geometry at the nodes of the first block; ``cuts`` holds every node,
+        so its pieces are those of a geometry at all nodes."""
+        return _kernel_geometry(self, self.space.node_coords[-self.blocks[0].size:], self.cuts)
 
     @functools.cached_property
     def quadrature_geometry(self) -> "KernelGeometry":
@@ -206,59 +202,56 @@ class KernelGeometry:
     piece_dofs: np.ndarray      # (pieces, p+1)
     dof_count: int
 
-    def _rows(self, rows) -> tuple[np.ndarray, np.ndarray, int]:
-        """``cut`` and ``points`` at the points ``rows`` (all when None), and the
-        first piece right of any of them: Q is needed from there on only."""
-        cut, points = (self.cut, self.points) if rows is None else (self.cut[rows],
-                                                                    self.points[rows])
-        return cut, points, int(cut.min(initial=len(self.piece_dofs)))
+    @functools.cached_property
+    def lo(self) -> int:
+        """The first piece right of any point: Q is needed from there on only."""
+        return int(self.cut.min(initial=len(self.piece_dofs)))
 
-    def _moments(self, ikn: complex, lo: int) -> tuple[np.ndarray, np.ndarray]:
+    def _moments(self, ikn: complex) -> tuple[np.ndarray, np.ndarray]:
         """M-[j, l] = sum_g e^{-ikn y_g} W[j, g, l] of every piece, (pieces, p+1),
         and M+ (e^{+ikn y_g}) of the pieces from ``lo`` on, (pieces - lo, p+1)."""
+        lo = self.lo
         minus = np.exp(-ikn * self.nodes)[:, None, :] @ self.weights
         plus = np.exp(ikn * self.nodes[lo:])[:, None, :] @ self.weights[lo:]
         return minus[:, 0], plus[:, 0]
 
-    def _sides(self, k: complex, prefix: np.ndarray, suffix: np.ndarray, cut: np.ndarray,
-               points: np.ndarray) -> np.ndarray:
+    def _sides(self, k: complex, prefix: np.ndarray, suffix: np.ndarray) -> np.ndarray:
         """pref(k) [e^{ikn x} P[cut] + e^{-ikn x} Q[cut]].  ``prefix`` holds the
         minus moments of the pieces after a zero first row, ``suffix`` the plus
-        moments of the pieces from lo = len(prefix) - len(suffix) on before a
-        zero last row; both are summed in place into P and Q."""
+        moments of the pieces from ``lo`` on before a zero last row; both are
+        summed in place into P and Q."""
         np.cumsum(prefix, axis=0, out=prefix)
         reverse = suffix[::-1]
         np.cumsum(reverse, axis=0, out=reverse)
         ikn, pref = 1j * self.n0 * k, 1j * k / (2.0 * self.n0)
         column = (-1,) + (1,) * (prefix.ndim - 1)
         # gathered and scaled in place: no (m, dofs) temporary beyond ``right``
-        out = prefix[cut]
-        out *= (pref * np.exp(ikn * points)).reshape(column)
-        right = suffix[cut - (len(prefix) - len(suffix))]
-        right *= (pref * np.exp(-ikn * points)).reshape(column)
+        out = prefix[self.cut]
+        out *= (pref * np.exp(ikn * self.points)).reshape(column)
+        right = suffix[self.cut - self.lo]
+        right *= (pref * np.exp(-ikn * self.points)).reshape(column)
         out += right
         return out
 
-    def matrix(self, k: complex, rows=None) -> np.ndarray:
-        """K(k) as an (m, dofs) matrix, or its rows at the points ``rows``."""
-        cut, points, lo = self._rows(rows)
-        minus, plus = self._moments(1j * self.n0 * k, lo)
+    def matrix(self, k: complex) -> np.ndarray:
+        """K(k) as an (m, dofs) matrix."""
+        lo = self.lo
+        minus, plus = self._moments(1j * self.n0 * k)
         pieces = np.arange(len(self.piece_dofs))[:, None]
         prefix = np.zeros((pieces.size + 1, self.dof_count), dtype=complex)
         suffix = np.zeros((pieces.size + 1 - lo, self.dof_count), dtype=complex)
         prefix[pieces + 1, self.piece_dofs] = minus
         suffix[pieces[lo:] - lo, self.piece_dofs[lo:]] = plus
-        return self._sides(k, prefix, suffix, cut, points)
+        return self._sides(k, prefix, suffix)
 
     def apply(self, k: complex, coeffs: np.ndarray) -> np.ndarray:
         """K(k)u at the m points for u given by DOF coefficients, without forming K(k)."""
-        cut, points, lo = self._rows(None)
-        minus, plus = self._moments(1j * self.n0 * k, lo)
+        minus, plus = self._moments(1j * self.n0 * k)
         prefix = np.zeros(len(minus) + 1, dtype=complex)
         suffix = np.zeros(len(plus) + 1, dtype=complex)
         prefix[1:] = np.sum(minus * coeffs[self.piece_dofs], axis=1)
-        suffix[:-1] = np.sum(plus * coeffs[self.piece_dofs[lo:]], axis=1)
-        return self._sides(k, prefix, suffix, cut, points)
+        suffix[:-1] = np.sum(plus * coeffs[self.piece_dofs[self.lo:]], axis=1)
+        return self._sides(k, prefix, suffix)
 
 
 def _kernel_geometry(ctx: LsContext, points, cuts) -> KernelGeometry:
@@ -306,16 +299,15 @@ def collocation_matrix(ctx: LsContext, k: complex) -> list[np.ndarray]:
     """The blocks of T(k) = I - K(k) collocated at the space's Gauss-Lobatto
     nodes, one per ``ctx.blocks``.
 
-    K(k) is formed only at the nodes of ``ctx.collocation_rows`` (those with
-    x >= 0 when there are two blocks), and each block folds those rows by
-    summing or differencing mirror columns; T = I - K is then formed in the
-    block's array.
+    K(k) is formed only at the nodes of the first block, the last nodes (those
+    with x >= 0 when there are two blocks), and each block folds its rows, the
+    last of those, by summing or differencing the two slices of mirror
+    columns; T = I - K is then formed in the block's array.
     """
-    rows, block_rows = ctx.collocation_rows
-    kernel = ctx.collocation_geometry.matrix(k, rows)
+    kernel = ctx.collocation_geometry.matrix(k)
     blocks = []
-    for block, at in zip(ctx.blocks, block_rows):
-        t = block.fold(kernel, at)
+    for block in ctx.blocks:
+        t = block.fold(kernel)
         np.negative(t, out=t)
         t.ravel()[::t.shape[1] + 1] += 1.0  # the diagonal of a C-contiguous block
         blocks.append(t)

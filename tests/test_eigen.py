@@ -16,6 +16,7 @@ from helmres import (BoundaryCondition, ContourConfig, DtnMatrices, EigenPair, M
                      solve_contour, solve_dtn, solve_pml)
 from helmres.cli import RunConfig, discretize
 from helmres.eigen import _block_pairs
+from helmres.lippmann import _kernel_geometry
 from helmres.mesh_fe import mirror_permutation, parity_blocks
 
 K1 = math.pi / 4 - 1j * math.log(3.0) / 4
@@ -23,7 +24,7 @@ K1 = math.pi / 4 - 1j * math.log(3.0) / 4
 
 def _one_block(n):
     """The whole space of n DOFs as one block, for a synthetic T(z) of size n."""
-    return (ParityBlock(parity=None, dofs=np.arange(n), mirrors=None, dof_count=n),)
+    return (ParityBlock(parity=None, size=n, dof_count=n),)
 
 
 def _slab_dtn_mats(p, h, d=1.0):
@@ -216,7 +217,8 @@ def test_reported_pairs_solve_t_at_the_reported_k(name):
         scale = lambda k: norms[0] + abs(k) ** 2 * norms[1]
         t = lambda k: mats.a_tilde - k**2 * mats.m_tilde
     else:
-        geometry = disc.ls_context.collocation_geometry
+        ctx = disc.ls_context
+        geometry = _kernel_geometry(ctx, ctx.space.node_coords, ctx.cuts)
         t = lambda k: np.eye(disc.operator.space.dof_count) - geometry.matrix(k)
         scale = lambda k: np.linalg.norm(t(k), 2)
     worst = max(np.linalg.norm(t(pr.k) @ pr.vector) / scale(pr.k) for pr in pairs)
@@ -413,13 +415,15 @@ def test_block_singular_values_equal_the_full_t(problem, formulation):
                                 initial_cell_size=0.25, d=2.0))
     op = disc.operator
     assert [b.parity for b in op.blocks] == ["even", "odd"]
+    if formulation == "ls":
+        geometry = _kernel_geometry(op, op.space.node_coords, op.cuts)  # K(k) at every node
     for k in (0.9 - 0.3j, 2.5 - 0.6j, 4.0 - 1.5j):
         if formulation == "dtn":
             full = op.a - 1j * k * op.e - k**2 * op.m
         elif formulation == "pml":
             full = op.a_tilde - k**2 * op.m_tilde
         else:
-            full = np.eye(op.space.dof_count) - op.collocation_geometry.matrix(k)
+            full = np.eye(op.space.dof_count) - geometry.matrix(k)
         blocks = op.t(k)
         assert [len(t) for t in blocks] == [b.size for b in op.blocks]
         expected = np.linalg.svd(full, compute_uv=False)
@@ -468,8 +472,8 @@ def test_asymmetric_medium_is_solved_as_one_block_as_before():
     ctx = build_ls_context(medium, 6, 0.25)
     assert [b.parity for b in ctx.blocks] == [None]
     (t,) = collocation_matrix(ctx, 1.0 - 0.3j)
-    np.testing.assert_array_equal(
-        t, np.eye(ctx.space.dof_count) - ctx.collocation_geometry.matrix(1.0 - 0.3j))
+    geometry = _kernel_geometry(ctx, ctx.space.node_coords, ctx.cuts)
+    np.testing.assert_array_equal(t, np.eye(ctx.space.dof_count) - geometry.matrix(1.0 - 0.3j))
 
 
 def test_odd_dtn_block_keeps_its_smallest_eigenvalue():

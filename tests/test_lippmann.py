@@ -134,7 +134,8 @@ def test_kernel_matches_adaptive_quadrature(k):
     space = ctx.space
     n = space.dof_count
     assert space.degree == 4 and space.mesh.has_vertex(0.0)
-    gmat = ctx.collocation_geometry.matrix(k)  # K(k) at every node
+    # K(k) at every node
+    gmat = lippmann._kernel_geometry(ctx, space.node_coords, ctx.cuts).matrix(k)
     # node 6 (x = -0.75) lies strictly inside cell 1, node 12 (x = 0) on a vertex
     for i, columns in ((6, (4, 5, 6, 8, 20)), (12, (8, 11, 12, 13, 16))):
         x = space.node_coords[i]
@@ -157,7 +158,8 @@ def test_kernel_without_split_points_matches_adaptive_quadrature(k):
     space = ctx.space
     n = space.dof_count
     assert np.all([space.mesh.has_vertex(x) for x in space.node_coords])
-    gmat = ctx.collocation_geometry.matrix(k)  # K(k) at every node
+    # K(k) at every node
+    gmat = lippmann._kernel_geometry(ctx, space.node_coords, ctx.cuts).matrix(k)
     for i in (0, 2, n - 1):
         x = space.node_coords[i]
         for j in range(n):
@@ -184,7 +186,8 @@ def test_kernel_matrix_matches_apply(degree):
     cells, q = ctx.space.mesh.n_cells, ctx.quad_order
     rng = np.random.default_rng(6)
     u = rng.standard_normal(ctx.space.dof_count) + 1j * rng.standard_normal(ctx.space.dof_count)
-    for geometry in (ctx.collocation_geometry, ctx.quadrature_geometry):
+    every_node = lippmann._kernel_geometry(ctx, ctx.space.node_coords, ctx.cuts)
+    for geometry in (every_node, ctx.quadrature_geometry):
         m = geometry.points.size
         for field in dataclasses.fields(geometry):
             value = getattr(geometry, field.name)
