@@ -90,12 +90,20 @@ class RunConfig:
                 f"formulation must be one of {_FORMULATIONS}, got {self.formulation!r}")
         if self.degree < 1:
             raise ValueError(f"degree must be >= 1, got {self.degree}")
+        # argparse's float() and json.load both accept nan and infinity
+        for name in ("initial_cell_size", "d", "sigma0", "x_c", "ell", "eta",
+                     "epsilon_threshold"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.initial_cell_size <= 0:
             raise ValueError("initial_cell_size must be positive")
         if self.refinements < 0:
             raise ValueError("refinements must be >= 0")
         if self.window is not None:
             object.__setattr__(self, "window", tuple(float(v) for v in self.window))
+            if not all(map(math.isfinite, self.window)):
+                raise ValueError(f"window entries must be finite, got {self.window}")
             re_min, re_max, im_min, im_max = self.window
             if not (re_min < re_max and im_min < im_max):
                 raise ValueError(f"window must satisfy re_min < re_max and "
@@ -521,7 +529,11 @@ def _cmd_reference(args: argparse.Namespace) -> int:
 def _cmd_convergence(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     refs = _required_reference(cfg)
-    target = _stage("config", refs.values.__getitem__, args.target)
+    if not 0 <= args.target < len(refs.values):
+        raise PipelineStageError("config", IndexError(
+            f"--target must be a reference index from 0 to {len(refs.values) - 1}, "
+            f"got {args.target}"))
+    target = refs.values[args.target]
 
     # (label, degree, refinements) per step, and how successive errors compare
     if args.sweep == "p":

@@ -152,7 +152,8 @@ def solve_dtn(mats) -> tuple[list[EigenPair], SolveDiagnostics]:
     Each parity block is solved on its own.  M is SPD (its Cholesky
     factorization checks that and is otherwise not used), so a block of width
     n is the real standard 2n x 2n eigenproblem
-    [[0, I], [-M^-1 A, -M^-1 E]] z = lambda z with z = (xi, lambda xi), and xi
+    [[0, I], [-M^-1 A, -M^-1 E]] z = lambda z with z = (xi, lambda xi), whose
+    lower half is one solve against M with [A, E] as right-hand sides, and xi
     is the top block of each eigenvector.  A finite matrix has no infinite
     eigenvalues, so all 2n are finite.  The parameter is lambda = -ik, so
     eigenvalues map back through k = i lambda.  A 1 = 0 makes lambda = 0 an
@@ -174,8 +175,7 @@ def solve_dtn(mats) -> tuple[list[EigenPair], SolveDiagnostics]:
             raise ValueError("the DtN mass matrix M is not symmetric positive definite") from exc
         companion = np.zeros((2 * n, 2 * n))
         companion[:n, n:] = np.eye(n)
-        companion[n:, :n] = -np.linalg.solve(m, a)
-        companion[n:, n:] = -np.linalg.solve(m, e)
+        companion[n:] = -np.linalg.solve(m, np.hstack((a, e)))
         lam, vecs = np.linalg.eig(companion)
         keep = np.flatnonzero(lam.imag <= 0)
         found.append((block, 1j * lam[keep], vecs[:n, keep]))

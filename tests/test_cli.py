@@ -11,8 +11,7 @@ import scipy.linalg
 from helmres import NoResonatorSupportError, assemble_dtn, solve_dtn, solve_pml
 from helmres import cli
 from helmres.cli import (PipelineStageError, RunConfig, discretize, emit_outputs,
-                         load_config, main, medium_for, reference_for,
-                         run_pipeline)
+                         load_config, main, run_pipeline)
 from helmres.eigen import smallest_singular_value
 from helmres.media import MediumProfile
 from helmres.mesh_fe import mirror_permutation
@@ -425,14 +424,15 @@ def test_main_convergence_reports_factors(capsys):
     assert out.count("factor") == 2
 
 
-def test_main_convergence_target_counts_from_the_end_when_negative(capsys):
+def test_main_convergence_rejects_a_negative_target(capsys):
+    # a negative index would silently track an entry counted from the end
     rc = main(["convergence", "--problem", "slab", "--formulation", "dtn",
                "--h", "0.5", "--d", "1", "--sweep", "p", "--start", "2",
                "--stop", "3", "--target", "-1"])
-    assert rc == 0
-    cfg = RunConfig(problem="slab", formulation="dtn")
-    last = reference_for(cfg, medium_for(cfg)).values[-1]
-    assert f"# target k = {last.real:+.12g} {last.imag:+.12g}j" in capsys.readouterr().out
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "pipeline stage 'config' failed" in captured.err
+    assert "# target k" not in captured.out
 
 
 def test_main_rejects_ls_without_window(capsys):
@@ -483,6 +483,38 @@ def test_main_reports_config_errors(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "eigenvalues.csv").exists()
+
+
+@pytest.mark.parametrize("flags, config", [
+    (["--eta", "nan"], None),
+    (["--eta", "inf"], None),
+    (["--h", "nan"], None),
+    (["--d", "inf"], None),
+    (["--sigma0", "nan"], None),
+    (["--xc=-inf"], None),
+    (["--ell", "nan"], None),
+    (["--threshold", "nan"], None),
+    (["--window", "0", "4", "-2", "inf"], None),
+    ([], {"eta": math.nan}),
+    ([], {"initial_cell_size": math.inf}),
+    ([], {"epsilon_threshold": math.nan}),
+    ([], {"window": [0.0, math.inf, -2.0, 0.0]}),
+], ids=["eta-nan", "eta-inf", "h-nan", "d-inf", "sigma0-nan", "xc-minus-inf", "ell-nan",
+        "threshold-nan", "window-inf", "json-eta-nan", "json-h-inf", "json-threshold-nan",
+        "json-window-inf"])
+def test_main_rejects_non_finite_numbers_as_config_errors(tmp_path, capsys, flags, config):
+    # argparse's float() reads nan and inf, json.load its NaN and Infinity literals
+    argv = ["filter", "--problem", "slab", "--formulation", "dtn", "--p", "4", "--d", "1",
+            "--window", "0", "4", "-2", "0", *flags]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"problem": "slab", "formulation": "dtn", "degree": 4,
+                                    "d": 1.0, "window": [0.0, 4.0, -2.0, 0.0], **config}))
+        assert "NaN" in path.read_text() or "Infinity" in path.read_text()
+        argv = ["filter", "--config", str(path)]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert "pipeline stage 'config' failed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_requires_problem_and_formulation():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from helmres import (BoundaryCondition, ContourConfig, EigenPair, LsContext,
+from helmres import (BoundaryCondition, ContourConfig, EigenPair, LsContext, MediumProfile,
                      NoResonatorSupportError, air_filled_cavity_profile,
                      apply_kernel, assemble_dtn, build_ls_context, build_mesh,
                      build_space, collocation_matrix, filter_epsilon,
@@ -196,6 +196,26 @@ def test_kernel_matrix_matches_apply(degree):
         for k in (2.0 - 0.4j, 6.0 - 3.0j, 3.0 - 20.0j, 0.3 + 2.0j):
             np.testing.assert_allclose(geometry.matrix(k) @ u, geometry.apply(k, u),
                                        rtol=1e-13)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 8])
+def test_collocation_geometry_is_the_last_rows_of_the_every_node_one(degree):
+    # T(k) is collocated at the nodes of the first block, the last ones; cut at
+    # every node either way, the geometry has the same pieces and rounding
+    ctx = _oracle_context(degree)
+    every_node = lippmann._kernel_geometry(ctx, ctx.space.node_coords, ctx.cuts)
+    size = ctx.blocks[0].size
+    assert [b.parity for b in ctx.blocks] == ["even", "odd"]
+    assert ctx.collocation_geometry.points.size == size < ctx.space.dof_count
+    for k in (3.0 - 0.5j, 2.0 - 20.0j):
+        assert np.array_equal(ctx.collocation_geometry.matrix(k), every_node.matrix(k)[-size:])
+
+    # a medium that is not even is one block, collocated at every node
+    off_centre = MediumProfile(n=lambda x: np.where((x >= -1.0) & (x <= 0.5), 2.0, 1.0),
+                               n0=1.0, resonator_halfwidth=1.0, breakpoints=(-1.0, 0.5))
+    ctx = build_ls_context(off_centre, degree, 0.5)
+    assert [b.parity for b in ctx.blocks] == [None]
+    assert np.array_equal(ctx.collocation_geometry.points, ctx.space.node_coords)
 
 
 @pytest.mark.parametrize("t", [10.0, 20.0])
