@@ -42,8 +42,8 @@ import numpy as np
 from . import __version__
 from .assembly import DtnMatrices, PmlMatrices, assemble_dtn, assemble_pml
 from .eigen import ContourConfig, EigenPair, solve_contour, solve_dtn, solve_pml
-from .lippmann import KernelOverflowError, LsContext, NoResonatorSupportError, \
-    PseudospectrumGrid, build_ls_context, filter_epsilon, pseudospectrum
+from .lippmann import LsContext, PseudospectrumGrid, build_ls_context, filter_epsilon, \
+    pseudospectrum
 from .media import MediumProfile, PmlConfig, air_filled_cavity_profile, bump_profile, \
     critical_angle, slab_profile
 from .mesh_fe import BoundaryCondition, build_mesh, build_space
@@ -51,6 +51,33 @@ from .reference import ReferenceSet, reference_table, slab_dtn_eigenvalues
 
 _PROBLEMS = ("slab", "air_cavity", "bump")
 _FORMULATIONS = ("dtn", "pml", "ls")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_sequence(value, size: int, item_ok) -> bool:
+    return isinstance(value, (list, tuple)) and len(value) == size and all(map(item_ok, value))
+
+
+# the type of every RunConfig field, as (fields, check, what the check accepts);
+# json.load gives any JSON value, and a Python bool is an int
+_FIELD_TYPES = (
+    (("problem", "formulation", "out_dir"), lambda v: isinstance(v, str), "a string"),
+    (("degree", "refinements", "seed"), _is_int, "an integer"),
+    (("initial_cell_size", "d", "sigma0", "x_c", "ell", "epsilon_threshold"), _is_number,
+     "a number"),
+    (("eta",), lambda v: v is None or _is_number(v), "a number or unset"),
+    (("apply_filter",), lambda v: isinstance(v, bool), "true or false"),
+    (("window",), lambda v: v is None or _is_sequence(v, 4, _is_number), "4 numbers or unset"),
+    (("pseudo_resolution",), lambda v: v is None or _is_sequence(v, 2, _is_int),
+     "2 integers or unset"),
+)
 
 
 class PipelineStageError(RuntimeError):
@@ -83,6 +110,11 @@ class RunConfig:
     epsilon_threshold: float = 1e-2
 
     def __post_init__(self):
+        for names, ok, kind in _FIELD_TYPES:
+            for name in names:
+                value = getattr(self, name)
+                if not ok(value):
+                    raise ValueError(f"{name} must be {kind}, got {value!r}")
         if self.problem not in _PROBLEMS:
             raise ValueError(f"problem must be one of {_PROBLEMS}, got {self.problem!r}")
         if self.formulation not in _FORMULATIONS:
@@ -109,8 +141,7 @@ class RunConfig:
                 raise ValueError(f"window must satisfy re_min < re_max and "
                                  f"im_min < im_max, got {self.window}")
         if self.pseudo_resolution is not None:
-            object.__setattr__(self, "pseudo_resolution",
-                               tuple(int(v) for v in self.pseudo_resolution))
+            object.__setattr__(self, "pseudo_resolution", tuple(self.pseudo_resolution))
             if min(self.pseudo_resolution) < 1:
                 raise ValueError("pseudo_resolution entries must be >= 1")
         if self.seed < 0:
@@ -286,15 +317,8 @@ def _window_stage(cfg: RunConfig, pairs):
 
 
 def _filter_stage(disc: Discretization, pairs) -> list[float]:
-    """eps of every pair; inf for a vector without support on the resonator, which
-    cannot be a resonance mode, and for a k at which K(k)u overflows."""
-    epsilons = []
-    for pair in pairs:
-        try:
-            epsilons.append(filter_epsilon(disc.ls_context, pair).epsilon)
-        except (NoResonatorSupportError, KernelOverflowError):
-            epsilons.append(float("inf"))
-    return epsilons
+    """eps of every pair; inf where the filter cannot test it."""
+    return [filter_epsilon(disc.ls_context, pair).epsilon for pair in pairs]
 
 
 def _report_stage(disc: Discretization, pairs, epsilons) -> list[ReportRow]:

@@ -57,14 +57,6 @@ from .mesh_fe import (BoundaryCondition, MeshedSpace, ParityBlock, QuadratureRul
 _LOW_DEGREE_CUTS = 6
 
 
-class NoResonatorSupportError(ValueError):
-    """The eigenvector restricted to Omega_r is numerically zero."""
-
-
-class KernelOverflowError(ValueError):
-    """K(k)u is not finite in double precision at the k of an eigenpair."""
-
-
 @dataclass(frozen=True, eq=False)
 class LsContext:
     """Collocation space on Omega_r and the order of its inner quadrature.
@@ -275,15 +267,6 @@ def _kernel_geometry(ctx: LsContext, points, cuts) -> KernelGeometry:
         piece_dofs=space.cell_dofs[cells], dof_count=space.dof_count)
 
 
-def _checked_coefficients(ctx: LsContext, u) -> np.ndarray:
-    coeffs = np.asarray(u, dtype=complex)
-    if coeffs.shape != (ctx.space.dof_count,):
-        raise ValueError(f"expected {ctx.space.dof_count} coefficients, got {coeffs.shape}")
-    if not np.all(np.isfinite(coeffs)):
-        raise ValueError("coefficient vector has non-finite entries")
-    return coeffs
-
-
 def apply_kernel(ctx: LsContext, k: complex, u, points) -> np.ndarray:
     """Values of K(k)u at arbitrary points for u given by DOF coefficients.
 
@@ -291,7 +274,11 @@ def apply_kernel(ctx: LsContext, k: complex, u, points) -> np.ndarray:
     its pieces are as short and its rule as accurate deep in the lower half
     plane; it is built for this call only.
     """
-    coeffs = _checked_coefficients(ctx, u)
+    coeffs = np.asarray(u, dtype=complex)
+    if coeffs.shape != (ctx.space.dof_count,):
+        raise ValueError(f"expected {ctx.space.dof_count} coefficients, got {coeffs.shape}")
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError("coefficient vector has non-finite entries")
     return _kernel_geometry(ctx, points, ctx.cuts).apply(k, coeffs)
 
 
@@ -329,25 +316,24 @@ def filter_epsilon(ctx: LsContext, pair: EigenPair) -> FilterReport:
     So xi and K(k)u are both scaled by 2^-e before the projection and the
     norm, with e the binary exponent of the largest real or imaginary part of
     K(k)u when that exceeds 1, and eps is scaled back: a power of two changes
-    no digit.  A K(k)u that is not finite raises :class:`KernelOverflowError`.
+    no digit.  eps is inf for a pair the filter cannot test: a vector without
+    support on Omega_r, which cannot be a resonance mode, and a k at which
+    K(k)u is not finite in double precision.
     """
     if pair.space is None:
         raise ValueError("eigenpair carries no originating space")
-    if pair.space is ctx.space:
-        xi = pair.vector.astype(complex)
-    else:
-        xi = evaluate_function(pair.space, pair.vector, ctx.space.node_coords)
+    # at the nodes of its own space the interpolant hits each node exactly
+    xi = evaluate_function(pair.space, pair.vector, ctx.space.node_coords)
     mr = ctx.mass
     nrm2 = float(np.real(xi.conj() @ (mr @ xi)))
     if nrm2 <= 0 or np.sqrt(nrm2) < 1e-12:
-        raise NoResonatorSupportError(
-            f"eigenvector at k = {pair.k} has no support on the resonator domain")
+        return FilterReport(epsilon=math.inf)
     xi = xi / np.sqrt(nrm2)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        ku = ctx.quadrature_geometry.apply(pair.k, _checked_coefficients(ctx, xi))
+        ku = ctx.quadrature_geometry.apply(pair.k, xi)
     if not np.all(np.isfinite(ku)):
-        raise KernelOverflowError(f"K(k)u overflowed at k = {pair.k}")
+        return FilterReport(epsilon=math.inf)
     # parts rather than moduli: |K(k)u| itself may overflow
     scale = 2.0 ** -max(math.frexp(float(np.abs(ku.view(float)).max()))[1], 0)
     diff = scale * xi - ctx.projection @ (scale * ku)

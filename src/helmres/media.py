@@ -29,6 +29,11 @@ class MediumProfile:
     resonator_halfwidth: float
     breakpoints: tuple[float, ...]
 
+    def __post_init__(self):
+        # n0 <= 0 turns the outgoing DtN condition e^{i n0 k |x|} into an incoming one
+        if not (math.isfinite(self.n0) and self.n0 > 0):
+            raise ValueError(f"background index n0 must be finite and positive, got {self.n0}")
+
     def contrast(self, x) -> np.ndarray:
         """n(x)^2 - n0^2, the source term of the volume-integral formulation."""
         xv = np.asarray(x, dtype=float)

@@ -10,7 +10,8 @@ On a mesh that is its own mirror image the reflection x -> -x permutes the
 nodes, and so the DOFs.  A matrix that commutes with that permutation is block
 diagonal in the orthonormal basis of even and odd DOF pairs (Bossavit, CMAME
 56, 1986).  The DOFs are numbered in ascending x, so the permutation is the
-reversal: :func:`parity_blocks` describes the two blocks, and each
+reversal: :func:`parity_blocks` checks that the DOF coordinates are their own
+reversed mirror image and describes the two blocks, and each
 :class:`ParityBlock` folds matrices into its block and unfolds block vectors
 back into DOF vectors by sums of two slices, its own DOFs (the last) and
 their mirrors (the first, reversed).
@@ -260,24 +261,6 @@ def evaluate_function(space: MeshedSpace, coeffs, points) -> np.ndarray:
     return np.sum(vals.T * local, axis=1)
 
 
-# A node's mirror must lie within this fraction of the domain width of -x
-_MIRROR_TOLERANCE = 1e-12
-
-
-def mirror_permutation(space: MeshedSpace) -> np.ndarray | None:
-    """The DOF permutation R of the reflection x -> -x, or None when the DOF
-    coordinates x are no mirror image of themselves.
-
-    The DOFs are numbered in ascending x, so R is the reversal; it is accepted
-    only if every |x[R[i]] + x[i]| is within 1e-12 of the domain width.
-    """
-    x = space.node_coords
-    v = space.mesh.vertices
-    if x.size and np.max(np.abs(x + x[::-1])) > _MIRROR_TOLERANCE * (v[-1] - v[0]):
-        return None
-    return np.arange(x.size)[::-1]
-
-
 @dataclass(frozen=True, eq=False)
 class ParityBlock:
     """One diagonal block of the matrices that commute with the mirror permutation R.
@@ -343,10 +326,14 @@ class ParityBlock:
 
 def parity_blocks(space: MeshedSpace, even_medium: bool) -> tuple[ParityBlock, ...]:
     """The (even, odd) blocks of the space, or the one block that is the whole
-    space when the medium is not even or the DOFs are no mirror image.  A
-    block without DOFs (the odd one of a lone centre node) is left out."""
+    space when the medium is not even or the DOFs are no mirror image.  The
+    DOFs are numbered in ascending x, so the mirror of x is x[::-1]; the DOFs
+    are taken as a mirror image when every |x + x[::-1]| is within 1e-12 of
+    the domain width.  A block without DOFs (the odd one of a lone centre
+    node) is left out."""
     n = space.dof_count
-    if not even_medium or mirror_permutation(space) is None:
+    x, v = space.node_coords, space.mesh.vertices
+    if not even_medium or np.max(np.abs(x + x[::-1]), initial=0.0) > 1e-12 * (v[-1] - v[0]):
         return (ParityBlock(parity=None, size=n, dof_count=n),)
     return tuple(ParityBlock(parity=parity, size=size, dof_count=n)
                  for parity, size in (("even", (n + 1) // 2), ("odd", n // 2)) if size)

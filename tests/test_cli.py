@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helmres import NoResonatorSupportError, assemble_dtn, solve_dtn, solve_pml
+from helmres import FilterReport, assemble_dtn, solve_dtn, solve_pml
 from helmres import cli
 from helmres.cli import (PipelineStageError, RunConfig, discretize, emit_outputs,
                          load_config, main, run_pipeline)
 from helmres.eigen import smallest_singular_value
 from helmres.media import MediumProfile
-from helmres.mesh_fe import mirror_permutation
 
 K1 = math.pi / 4 - 1j * math.log(3.0) / 4
 
@@ -307,13 +306,13 @@ def test_main_filter_overrides_the_config_file_but_not_no_filter(tmp_path):
 
 
 def test_pair_without_resonator_support_gets_infinite_eps(tmp_path, capsys, monkeypatch):
-    # the filter raises for the second row's pair, in the order the rows are filtered
+    # the filter gives inf for the second row's pair, in the order the rows are filtered
     real, calls = cli.filter_epsilon, []
 
     def no_support_on_the_second_call(ctx, pair):
         calls.append(pair)
         if len(calls) == 2:
-            raise NoResonatorSupportError("no support")
+            return FilterReport(epsilon=math.inf)
         return real(ctx, pair)
 
     monkeypatch.setattr(cli, "filter_epsilon", no_support_on_the_second_call)
@@ -517,6 +516,49 @@ def test_main_rejects_non_finite_numbers_as_config_errors(tmp_path, capsys, flag
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("config", [
+    {"degree": True},
+    {"degree": 2.5},
+    {"refinements": 1.5},
+    {"seed": 1.5},
+    {"apply_filter": "false"},
+    {"pseudo_resolution": [2.7, 3]},
+    {"window": ["0", "4", "-2", "0"]},
+    {"d": True},
+    {"out_dir": 5},
+], ids=["degree-bool", "degree-float", "refinements-float", "seed-float",
+        "apply_filter-string", "pseudo-float", "window-strings", "d-bool", "out_dir-int"])
+def test_main_rejects_mistyped_config_values(tmp_path, capsys, monkeypatch, config):
+    # json.load gives any JSON value; each of these once ran, or failed only at a later stage
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"problem": "slab", "formulation": "ls", "degree": 2, "d": 1.0,
+                                "window": [0.0, 4.0, -2.0, 0.0], "out_dir": "out", **config}))
+    assert main(["solve", "--config", str(path)]) == 1
+    assert "pipeline stage 'config' failed" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_every_config_field_has_a_type_check():
+    checked = [name for names, _, _ in cli._FIELD_TYPES for name in names]
+    assert sorted(checked) == sorted(f.name for f in dataclasses.fields(RunConfig))
+
+
+@pytest.mark.parametrize("eta", ["-2", "0"])
+def test_main_rejects_a_background_index_that_is_not_positive(tmp_path, capsys, eta):
+    # n0 = -2 made the DtN condition incoming and found no eigenvalue; n0 = 0 failed
+    # at stage solve with a mass matrix that was not positive definite
+    rc = main(["filter", "--problem", "air_cavity", "--formulation", "dtn", "--p", "4",
+               "--h", "0.5", f"--eta={eta}", "--window", "0", "4", "-2", "0",
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "pipeline stage 'setup' failed" in err and "n0" in err
+    assert main(["filter", "--problem", "air_cavity", "--formulation", "dtn", "--p", "4",
+                 "--h", "0.5", "--eta=0.5", "--window", "0", "4", "-2", "0",
+                 "--out", str(tmp_path / "out")]) == 0
+
+
 def test_main_requires_problem_and_formulation():
     with pytest.raises(SystemExit):
         main(["solve", "--p", "2"])
@@ -535,10 +577,9 @@ def test_pml_near_degenerate_pairs_come_out_even_and_odd():
     # which one solve of the whole pencil returned as mixtures of the two parities
     disc = discretize(RunConfig(**_BENCH_PML))
     pairs, _ = disc.solve()
-    mirror = mirror_permutation(disc.operator.space)
     for pr in pairs:
         sign = {"even": 1.0, "odd": -1.0}[pr.parity]
-        np.testing.assert_array_equal(pr.vector[mirror], sign * pr.vector)
+        np.testing.assert_array_equal(pr.vector[::-1], sign * pr.vector)
     ks = np.array([pr.k for pr in pairs])
     close = [(i, j) for i in range(len(ks)) for j in range(i)
              if abs(ks[i] - ks[j]) <= 1e-9 * (1.0 + abs(ks[i]))]

@@ -126,7 +126,9 @@ def test_cli_runs_without_scipy(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
     runs = [(argv, str(tmp_path / str(i))) for i, argv in enumerate(NUMPY_ONLY_RUNS)]
-    proc = subprocess.run([sys.executable, "-c", _NUMPY_ONLY_SCRIPT, json.dumps(runs)],
+    # the interpreter does not read pyproject.toml's filterwarnings, so it is given the policy
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c",
+                           _NUMPY_ONLY_SCRIPT, json.dumps(runs)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [0] * len(NUMPY_ONLY_RUNS), proc.stderr

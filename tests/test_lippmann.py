@@ -9,10 +9,9 @@ import pytest
 from scipy.integrate import quad
 
 from helmres import (BoundaryCondition, ContourConfig, EigenPair, LsContext, MediumProfile,
-                     NoResonatorSupportError, air_filled_cavity_profile,
-                     apply_kernel, assemble_dtn, build_ls_context, build_mesh,
-                     build_space, collocation_matrix, filter_epsilon,
-                     pseudospectrum, slab_dtn_eigenvalues, slab_profile,
+                     air_filled_cavity_profile, apply_kernel, assemble_dtn, build_ls_context,
+                     build_mesh, build_space, collocation_matrix, evaluate_function,
+                     filter_epsilon, pseudospectrum, slab_dtn_eigenvalues, slab_profile,
                      smallest_singular_value, solve_contour)
 from helmres import lippmann
 from helmres.cli import RunConfig, discretize, write_grid_csv
@@ -363,23 +362,34 @@ def test_filter_rejects_a_pair_without_a_space():
         filter_epsilon(ctx, pair)
 
 
-def test_filter_rejects_vector_without_support():
+def test_filter_is_infinite_without_resonator_support():
     med = slab_profile(2.0, 1.0)
     space = build_space(build_mesh((-2, 2), [-1, 1], 0.25), 4, BoundaryCondition.NONE)
     coeffs = np.exp(-((space.node_coords - 1.75) / 0.03) ** 2)
     pair = EigenPair(k=1.0 - 0.1j, vector=coeffs, space=space)
     ctx = build_ls_context(med, 4, 0.25)
-    with pytest.raises(NoResonatorSupportError):
-        filter_epsilon(ctx, pair)
+    assert filter_epsilon(ctx, pair).epsilon == math.inf
 
 
-def test_filter_rejects_an_overflowing_kernel():
+def test_filter_is_infinite_where_the_kernel_overflows():
     # e^{+-i n0 k x} overflows once n0 |Im k| |x| passes about 700
     ctx = build_ls_context(slab_profile(2.0, 1.0), 4, 0.5)
     for k in (1.0 + 2000j, 1.0 - 2000j):
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(ValueError, match="overflowed"):
-            filter_epsilon(ctx, _unit_pair(ctx, k))
+        assert filter_epsilon(ctx, _unit_pair(ctx, k)).epsilon == math.inf
+
+
+def test_filter_reads_its_own_space_as_an_equal_one():
+    # the values at a space's own nodes are its coefficients, bit for bit
+    medium = air_filled_cavity_profile(1.5, math.sqrt(3.5), math.sqrt(2.5))
+    ctx = build_ls_context(medium, 6, 0.25)
+    twin = build_ls_context(medium, 6, 0.25).space
+    assert twin is not ctx.space
+    for seed, k in enumerate((1.6 - 0.4j, 4.8 - 0.4j, 3.0 - 20j)):
+        pair = _unit_pair(ctx, k, seed)
+        np.testing.assert_array_equal(
+            evaluate_function(ctx.space, pair.vector, ctx.space.node_coords), pair.vector)
+        moved = EigenPair(k=k, vector=pair.vector, space=twin)
+        assert filter_epsilon(ctx, pair).epsilon == filter_epsilon(ctx, moved).epsilon
 
 
 def test_pseudospectrum_identity_for_vanishing_contrast():

@@ -46,6 +46,17 @@ def test_cavity_values():
         air_filled_cavity_profile(1.0, 2.0, 1.5)
 
 
+@pytest.mark.parametrize("n0", [-2.0, 0.0, math.nan, math.inf])
+def test_background_index_must_be_finite_and_positive(n0):
+    with pytest.raises(ValueError, match="n0"):
+        air_filled_cavity_profile(1.5, math.sqrt(3.5), n0)
+    with pytest.raises(ValueError, match="n0"):
+        MediumProfile(n=lambda x: np.ones_like(x), n0=n0, resonator_halfwidth=1.0,
+                      breakpoints=())
+    # an index below 1 is a background like any other
+    assert air_filled_cavity_profile(1.5, math.sqrt(3.5), 0.5).n0 == 0.5
+
+
 def test_bump_values():
     med = bump_profile()
     assert med.n(0.0) == 2.0

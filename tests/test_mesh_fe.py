@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helmres import (BoundaryCondition, Mesh1D, QuadratureRule, build_mesh,
-                     build_space, evaluate_function, mirror_permutation, parity_blocks)
+                     build_space, evaluate_function, parity_blocks)
 from helmres.mesh_fe import _lagrange_eval, cell_quadrature, gauss_lobatto_nodes, \
     lagrange_values
 
@@ -166,21 +166,19 @@ def test_quadrature_moments():
         QuadratureRule.gauss_legendre(0)
 
 
-def test_mirror_permutation_accepts_only_mirror_images():
+def test_parity_blocks_split_only_mirror_images():
     space = build_space(build_mesh((-2.0, 2.0), [-1.0, 1.0], 0.25), 5)
-    mirror = mirror_permutation(space)
-    np.testing.assert_array_equal(mirror, np.arange(space.dof_count)[::-1])
-    assert np.max(np.abs(space.node_coords + space.node_coords[mirror])) <= 1e-15
+    assert np.max(np.abs(space.node_coords + space.node_coords[::-1])) <= 1e-15
+    assert len(parity_blocks(space, True)) == 2
     dirichlet = build_space(build_mesh((-5.0, 5.0), [-3, -2, -1, 1, 2, 3], 0.5), 3,
                             BoundaryCondition.DIRICHLET_BOTH_ENDS)
-    assert mirror_permutation(dirichlet) is not None
+    assert len(parity_blocks(dirichlet, True)) == 2
     # a lone centre node has an even block and no odd one
     centre_only = build_space(build_mesh((-1.0, 1.0), [], 1.0), 1,
                               BoundaryCondition.DIRICHLET_BOTH_ENDS)
     assert [(b.parity, b.size) for b in parity_blocks(centre_only, True)] == [("even", 1)]
     # a shifted domain, and a symmetric domain whose vertices are not
     for mesh in (build_mesh((-1.0, 2.0), [], 0.5), build_mesh((-1.0, 1.0), [0.3], 0.5)):
-        assert mirror_permutation(build_space(mesh, 2)) is None
         assert [b.parity for b in parity_blocks(build_space(mesh, 2), True)] == [None]
 
 

@@ -29,8 +29,9 @@ def _window_ks(threads: int) -> dict:
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     configs = json.dumps({"slab": _SLAB_DTN, "air_cavity": _CAVITY_DTN})
-    out = subprocess.run([sys.executable, "-c", _SCRIPT, configs], env=env,
-                         capture_output=True, text=True, check=True, timeout=300)
+    # as in the test run itself, a RuntimeWarning is an error
+    out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", _SCRIPT, configs],
+                         env=env, capture_output=True, text=True, check=True, timeout=300)
     return {name: np.array(ks).reshape(-1, 2) @ [1, 1j]
             for name, ks in json.loads(out.stdout).items()}
 
