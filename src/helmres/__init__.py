@@ -19,15 +19,15 @@ from .lippmann import (FilterReport, LsContext, PseudospectrumGrid, apply_kernel
                        build_ls_context, collocation_matrix, filter_epsilon, pseudospectrum)
 from .media import (MediumProfile, PmlConfig, air_filled_cavity_profile,
                     bump_profile, critical_angle, sigma_eval, slab_profile)
-from .mesh_fe import (BoundaryCondition, Mesh1D, MeshedSpace, ParityBlock, QuadratureRule,
-                      build_mesh, build_space, evaluate_function, parity_blocks)
+from .mesh_fe import (BoundaryCondition, Mesh1D, MeshedSpace, ParityBlock, build_mesh,
+                      build_space, evaluate_function, parity_blocks)
 from .reference import (DegenerateRelationError, ReferenceSet,
                         general_dtn_relation_residual, layered_solutions,
                         reference_table, slab_dtn_eigenvalues, slab_pml_eigenvalues)
 
 __all__ = [
     "__version__",
-    "BoundaryCondition", "Mesh1D", "MeshedSpace", "QuadratureRule",
+    "BoundaryCondition", "Mesh1D", "MeshedSpace",
     "build_mesh", "build_space", "evaluate_function",
     "ParityBlock", "parity_blocks",
     "MediumProfile", "PmlConfig",

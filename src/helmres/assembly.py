@@ -95,10 +95,9 @@ def _check_alignment(space: MeshedSpace, breakpoints, tol: float = 1e-12) -> Non
 def _assemble(space: MeshedSpace, basis: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """The (dofs x dofs) sum over cells c of B_c^T diag(w_c) B_c.
 
-    ``basis`` holds the shape functions at each cell's quadrature nodes,
-    (q, p+1) when every cell shares it or (cells, q, p+1); ``weights`` is
-    (cells, q).  A constrained node's DOF index -1 adds into a spare last row
-    and column, which are dropped.
+    ``basis`` holds the shape functions or their derivatives at each cell's
+    quadrature nodes, (cells, q, p+1); ``weights`` is (cells, q).  A constrained
+    node's DOF index -1 adds into a spare last row and column, which are dropped.
     """
     local = (np.swapaxes(basis, -1, -2) * weights[:, None, :]) @ basis
     n = space.dof_count
@@ -122,7 +121,7 @@ def assemble_dtn(space: MeshedSpace, medium: MediumProfile,
     _check_alignment(space, medium.breakpoints)
 
     q = quad_order if quad_order is not None else default_quadrature_order(space.degree)
-    xq, wq, vals, ders = cell_quadrature(space, q)
+    xq, wq, vals, ders, _ = cell_quadrature(space, q)
     # the Lobatto end nodes are the first and last DOF, so E only has two entries
     emat = np.zeros((space.dof_count, space.dof_count))
     emat[0, 0] = emat[-1, -1] = medium.n0
@@ -141,7 +140,7 @@ def assemble_pml(space: MeshedSpace, medium: MediumProfile, pml: PmlConfig) -> P
         raise ValueError("the PML formulation uses a space with Dirichlet ends")
     _check_alignment(space, medium.breakpoints + pml.breakpoints)
 
-    xq, wq, vals, ders = cell_quadrature(space, max(space.degree + 4, _PML_MIN_ORDER))
+    xq, wq, vals, ders, _ = cell_quadrature(space, max(space.degree + 4, _PML_MIN_ORDER))
     alpha = 1.0 + 1j * sigma_eval(pml, xq)
     # sigma depends on |x| alone, so the layer is even whenever the medium is
     return PmlMatrices(a_tilde=_assemble(space, ders, wq / alpha),
@@ -151,5 +150,5 @@ def assemble_pml(space: MeshedSpace, medium: MediumProfile, pml: PmlConfig) -> P
 
 def assemble_resonator_mass(space: MeshedSpace) -> np.ndarray:
     """Plain mass matrix M^r_ij = int phi_j phi_i dx over the space's mesh."""
-    _, wq, vals, _ = cell_quadrature(space, default_quadrature_order(space.degree))
+    _, wq, vals, _, _ = cell_quadrature(space, default_quadrature_order(space.degree))
     return _assemble(space, vals, wq)

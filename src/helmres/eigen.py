@@ -30,8 +30,9 @@ import numpy as np
 
 from .mesh_fe import MeshedSpace
 
-# A0 has rank 0 when its largest singular value is at most this, and otherwise
-# the rank counts the singular values above this times the largest
+# A0 has rank 0 when its largest singular value is at most this times the
+# largest quadrature term, the scale of its rounding noise, and otherwise the
+# rank counts the singular values above this times the largest
 _RANK_TOLERANCE = 1e-10
 
 
@@ -230,11 +231,11 @@ def newton_root(f, guess: complex, tol: float = 1e-12, max_iter: int = 60) -> co
     raise NewtonConvergenceError(f"no convergence in {max_iter} iterations", z, abs(fz))
 
 
-def _beyn_reduction(a0: np.ndarray, a1: np.ndarray):
+def _beyn_reduction(a0: np.ndarray, a1: np.ndarray, term: float):
     """Eigenvalues and (probe-space) eigenvectors from the moments, and the rank;
-    None when A0 has rank 0."""
+    None when A0 has rank 0 against ``term``, the largest quadrature term."""
     u, s, wh = np.linalg.svd(a0, full_matrices=False)
-    if s[0] <= _RANK_TOLERANCE:
+    if s[0] <= _RANK_TOLERANCE * term:
         return None
     rank = int(np.sum(s > _RANK_TOLERANCE * s[0]))
     ur = u[:, :rank]
@@ -267,13 +268,16 @@ def solve_contour(t_fun, cfg: ContourConfig, blocks, rng=None,
 
     then an SVD rank truncation of A0 at a relative 1e-10 reduces A1 to a
     small matrix whose eigenvalues are the T-eigenvalues inside the contour.
-    Eigenvalues outside are discarded.  The trapezoid rule on a closed contour
-    converges geometrically for analytic integrands, so the error of the full
-    rule is about the square of that of the half rule, every other node.  The
-    eigenvalues of the half rule's moments are compared with the full ones
-    inside the contour (Guettel & Tisseur, Acta Numer. 26, 2017, sec. 5), and
-    one warning names the block where they differ most, if by more than
-    sqrt(1e-10) of the contour's size.
+    Eigenvalues outside are discarded.  A block has none inside when the
+    largest singular value of A0 is at most 1e-10 of the largest quadrature
+    term, max_j |w_j| max |T(z_j)^-1 V|: rounding at that scale is all that a
+    contour without eigenvalues leaves in A0.  The trapezoid rule on a closed
+    contour converges geometrically for analytic integrands, so the error of
+    the full rule is about the square of that of the half rule, every other
+    node.  The eigenvalues of the half rule's moments are compared with the
+    full ones inside the contour (Guettel & Tisseur, Acta Numer. 26, 2017,
+    sec. 5), and one warning names the block where they differ most, if by
+    more than sqrt(1e-10) of the contour's size.
     """
     rng = np.random.default_rng(rng)
     rx, ry = cfg.semi_axes
@@ -290,10 +294,12 @@ def solve_contour(t_fun, cfg: ContourConfig, blocks, rng=None,
     probes = [rng.standard_normal((t.shape[0], min(cfg.probe_columns, t.shape[0]))) for t in t0]
     # per block: A0, A1 and the same moments of the half rule
     moments = [np.zeros((4,) + probe.shape, dtype=complex) for probe in probes]
+    peaks = [0.0] * len(probes)  # per block: the largest entry of any T(z_j)^-1 V
     for j, (z, w) in enumerate(zip(zs, dz)):
         tz = t0 if j == 0 else t_fun(z)
-        for t, probe, mom in zip(tz, probes, moments):
+        for b, (t, probe, mom) in enumerate(zip(tz, probes, moments)):
             sol = np.linalg.solve(t, probe)
+            peaks[b] = max(peaks[b], float(np.abs(sol).max()))
             mom[0] += w * sol
             mom[1] += (w * z) * sol
             if j % 2 == 0:
@@ -301,9 +307,10 @@ def solve_contour(t_fun, cfg: ContourConfig, blocks, rng=None,
                 mom[3] += (w * z) * sol
 
     found, worst = [], (0.0, None)
-    for block, probe, mom in zip(blocks, probes, moments):
-        full = _beyn_reduction(mom[0] / (1j * nq), mom[1] / (1j * nq))
-        half = _beyn_reduction(mom[2] / (1j * (nq // 2)), mom[3] / (1j * (nq // 2)))
+    for block, probe, mom, peak in zip(blocks, probes, moments, peaks):
+        term = float(np.abs(dz).max()) * peak
+        full = _beyn_reduction(mom[0] / (1j * nq), mom[1] / (1j * nq), term)
+        half = _beyn_reduction(mom[2] / (1j * (nq // 2)), mom[3] / (1j * (nq // 2)), term)
         change = _half_rule_change(full, half, cfg)
         if change > worst[0]:
             worst = (change, block)
@@ -311,8 +318,10 @@ def solve_contour(t_fun, cfg: ContourConfig, blocks, rng=None,
             continue
         lam, vecs, rank = full
         if rank == probe.shape[1]:
-            raise ProbeTooSmallError(
-                f"numerical rank {rank} saturated the probe width; raise probe_columns")
+            hint = ("raise probe_columns" if rank < block.size else
+                    f"the probe spans the {block.parity or 'single'} block of {block.size} "
+                    "DOFs, so use a smaller window or a finer mesh")
+            raise ProbeTooSmallError(f"numerical rank {rank} saturated the probe width; {hint}")
         inside = [j for j, lam_j in enumerate(lam) if cfg.contains(complex(lam_j), tol=1e-12)]
         found.append((block, lam[inside], vecs[:, inside]))
 

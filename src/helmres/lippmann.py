@@ -43,9 +43,8 @@ import numpy as np
 from .assembly import assemble_resonator_mass
 from .eigen import EigenPair, smallest_singular_value
 from .media import MediumProfile
-from .mesh_fe import (BoundaryCondition, MeshedSpace, ParityBlock, QuadratureRule,
-                      build_mesh, build_space, cell_quadrature, evaluate_function,
-                      lagrange_values, locate, parity_blocks)
+from .mesh_fe import (BoundaryCondition, MeshedSpace, ParityBlock, build_mesh, build_space,
+                      cell_quadrature, evaluate_function, parity_blocks)
 
 
 # Below degree 4 the collocation nodes cut a cell into at most three pieces,
@@ -93,7 +92,7 @@ class LsContext:
     def cell_quadrature(self) -> tuple[np.ndarray, np.ndarray]:
         """The Gauss nodes y of every cell, (cells, q), and the table
         phi_l(y) w(y) of the inner rule on each cell's DOFs, (cells, q, p+1)."""
-        nodes, weights, vals, _ = cell_quadrature(self.space, self.quad_order)
+        nodes, weights, vals, _, _ = cell_quadrature(self.space, self.quad_order)
         return nodes, weights[:, :, None] * vals
 
     @functools.cached_property
@@ -248,22 +247,18 @@ class KernelGeometry:
 
 def _kernel_geometry(ctx: LsContext, points, cuts) -> KernelGeometry:
     """The geometry of K(k) at ``points`` on the mesh cut at the points and at
-    ``cuts``, with the context's inner rule on every piece."""
+    ``cuts``: the context's inner rule on every piece, by :func:`cell_quadrature`."""
     space, medium = ctx.space, ctx.medium
     pts = np.atleast_1d(np.asarray(points, dtype=float))
     verts = space.mesh.vertices
     inside = np.clip(pts, verts[0], verts[-1])
     edges = np.union1d(verts, np.clip(np.concatenate((cuts, pts)), verts[0], verts[-1]))
-    cells = locate(space.mesh, edges[:-1])
-    nodes, w = QuadratureRule.gauss_legendre(ctx.quad_order).mapped(edges[:-1, None],
-                                                                    edges[1:, None])
-    loc = 2.0 * (nodes - verts[cells, None]) / np.diff(verts)[cells, None] - 1.0
-    vals = lagrange_values(space.ref_nodes, space.bary_weights, loc.ravel())
-    vals = vals.T.reshape(*nodes.shape, space.degree + 1)
-    table = w[:, :, None] * vals  # phi_l(y) w(y), as in LsContext.cell_quadrature
+    nodes, w, table, _, cells = cell_quadrature(space, ctx.quad_order, edges)
+    table *= w[:, :, None]  # in place: phi_l(y) w(y), as in LsContext.cell_quadrature
+    table *= medium.contrast(nodes)[:, :, None]
     return KernelGeometry(
         n0=medium.n0, points=pts, cut=np.searchsorted(edges, inside), nodes=nodes,
-        weights=np.ascontiguousarray(medium.contrast(nodes)[:, :, None] * table, dtype=complex),
+        weights=np.ascontiguousarray(table, dtype=complex),
         piece_dofs=space.cell_dofs[cells], dof_count=space.dof_count)
 
 
@@ -348,7 +343,8 @@ def pseudospectrum(t, region: tuple[float, float, float, float],
     the list of its diagonal blocks (s_min is the least over them).
 
     Values are absolute (no relative rescaling); grid traversal is row-major over
-    (ny, nx) and bit-reproducible.
+    (ny, nx) and bit-reproducible.  Deep in the lower half plane T(k) can
+    overflow: the ValueError for a T(k) that is not finite names the k.
     """
     re_min, re_max, im_min, im_max = map(float, region)
     nx, ny = map(int, resolution)
@@ -357,7 +353,13 @@ def pseudospectrum(t, region: tuple[float, float, float, float],
     values = np.empty((ny, nx))
     for iy, im in enumerate(np.linspace(im_min, im_max, ny)):
         for ix, re in enumerate(np.linspace(re_min, re_max, nx)):
-            values[iy, ix] = smallest_singular_value(t(complex(re, im)))
+            k = complex(re, im)
+            with np.errstate(over="ignore", invalid="ignore"):
+                blocks = t(k)
+            try:
+                values[iy, ix] = smallest_singular_value(blocks)
+            except ValueError as exc:
+                raise ValueError(f"T(k) at k = {k.real:.6g}{k.imag:+.6g}j: {exc}") from exc
     return PseudospectrumGrid(re_min=re_min, re_max=re_max, im_min=im_min, im_max=im_max,
                               nx=nx, ny=ny, values=values)
 

@@ -4,7 +4,10 @@ The spaces are spanned by Lagrange polynomials on the Gauss-Lobatto points of
 each cell, so every basis function satisfies phi_j(x_i) = delta_ji at the
 global node set.  That nodal property is what lets the same space serve both
 as a Galerkin trial space and as a collocation space for the volume-integral
-formulation.
+formulation.  One routine, :func:`cell_quadrature`, maps a Gauss rule onto
+the cells, or onto intervals that cut them, and evaluates the basis there; the
+basis derivatives are the values times the differentiation matrix (Berrut &
+Trefethen, SIAM Rev. 46, 2004, sec. 9).
 
 On a mesh that is its own mirror image the reflection x -> -x permutes the
 nodes, and so the DOFs.  A matrix that commutes with that permutation is block
@@ -29,30 +32,6 @@ from numpy.polynomial import legendre as npleg
 class BoundaryCondition(enum.Enum):
     NONE = "none"
     DIRICHLET_BOTH_ENDS = "dirichlet_both_ends"
-
-
-@dataclass(frozen=True, eq=False)
-class QuadratureRule:
-    """Gauss-Legendre rule on the reference interval [-1, 1]; ``order`` points
-    integrate polynomials of degree <= 2*order - 1 exactly."""
-
-    points: np.ndarray
-    weights: np.ndarray
-
-    @classmethod
-    def gauss_legendre(cls, order: int) -> "QuadratureRule":
-        if order < 1:
-            raise ValueError(f"quadrature order must be >= 1, got {order}")
-        x, w = npleg.leggauss(order)
-        return cls(points=x, weights=w)
-
-    def mapped(self, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-        """Points and weights transplanted to the physical interval [lo, hi].
-
-        Arrays of bounds broadcast against the rule's points along the last axis.
-        """
-        half = 0.5 * (hi - lo)
-        return lo + half * (self.points + 1.0), half * self.weights
 
 
 def gauss_lobatto_nodes(degree: int) -> np.ndarray:
@@ -108,27 +87,6 @@ def lagrange_values(nodes: np.ndarray, bw: np.ndarray, pts) -> np.ndarray:
         vals[:, hit] = 0.0
         vals[np.argmax(exact[:, hit], axis=0), hit] = 1.0
     return vals
-
-
-def _lagrange_eval(nodes: np.ndarray, bw: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Values and derivatives of all Lagrange cardinal polynomials at ``pts``.
-
-    l'_j = l_j * (T/S - 1/(x-x_j)) with S = sum w_m/(x-x_m),
-    T = sum w_m/(x-x_m)^2.  Points that coincide with a node take their
-    derivatives from the differentiation matrix.  Shapes: (n_nodes, n_pts).
-    """
-    pts = np.atleast_1d(np.asarray(pts, dtype=float))
-    vals = lagrange_values(nodes, bw, pts)
-    diff = pts[None, :] - nodes[:, None]
-    exact = np.abs(diff) < 1e-14
-    safe = np.where(exact, 1.0, diff)
-    s = (bw[:, None] / safe).sum(axis=0)
-    t = (bw[:, None] / safe**2).sum(axis=0)
-    ders = vals * (t / s - 1.0 / safe)
-    hit = np.nonzero(exact.any(axis=0))[0]
-    if hit.size:
-        ders[:, hit] = _differentiation_matrix(nodes, bw)[np.argmax(exact[:, hit], axis=0)].T
-    return vals, ders
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,19 +179,31 @@ def build_space(mesh: Mesh1D, p: int, bc: BoundaryCondition = BoundaryCondition.
                        cell_dofs=dofs)
 
 
-def cell_quadrature(space: MeshedSpace, order: int):
-    """The ``order``-point Gauss rule on every cell with the shape functions at its nodes.
+def cell_quadrature(space: MeshedSpace, order: int, edges=None):
+    """The ``order``-point Gauss rule on every interval between consecutive
+    ``edges``, by default the mesh vertices, with the shape functions there.
 
-    Returns the nodes and weights, (cells, q); the shape-function values,
-    (q, p+1), the same on every cell; and their physical derivatives,
-    (cells, q, p+1).
+    The edges must increase through every mesh vertex, first to last, so that
+    each interval lies in one cell, whose shape functions its nodes take;
+    their derivatives are the values times the differentiation matrix, exact
+    for polynomials of degree p.  Returns the nodes and weights, (intervals,
+    q); the shape-function values and their physical derivatives, (intervals,
+    q, p+1); and the cell of each interval.
     """
-    rule = QuadratureRule.gauss_legendre(order)
     v = space.mesh.vertices
-    nodes, weights = rule.mapped(v[:-1, None], v[1:, None])
-    vals, ders = _lagrange_eval(space.ref_nodes, space.bary_weights, rule.points)
-    ders = ders * (2.0 / np.diff(v))[:, None, None]
-    return nodes, weights, vals.T, ders.transpose(0, 2, 1)
+    edges = v if edges is None else np.asarray(edges, dtype=float)
+    if not (np.array_equal(np.union1d(edges, v), edges) and edges[0] == v[0]
+            and edges[-1] == v[-1]):
+        raise ValueError("edges must increase through every mesh vertex, first to last")
+    x, w = npleg.leggauss(order)
+    half = 0.5 * (edges[1:, None] - edges[:-1, None])
+    nodes, weights = edges[:-1, None] + half * (x + 1.0), half * w
+    cells = locate(space.mesh, edges[:-1])
+    loc = _local_coordinates(space.mesh, cells[:, None], nodes)
+    vals = lagrange_values(space.ref_nodes, space.bary_weights, loc.ravel())
+    vals = vals.T.reshape(*nodes.shape, space.degree + 1)
+    ders = vals @ _differentiation_matrix(space.ref_nodes, space.bary_weights)
+    return nodes, weights, vals, ders * (2.0 / np.diff(v))[cells, None, None], cells
 
 
 def locate(mesh: Mesh1D, points) -> np.ndarray:
@@ -241,6 +211,12 @@ def locate(mesh: Mesh1D, points) -> np.ndarray:
     right, the last vertex and points beyond the ends to the nearest cell."""
     cells = np.searchsorted(mesh.vertices, points, side="right") - 1
     return np.clip(cells, 0, mesh.n_cells - 1)
+
+
+def _local_coordinates(mesh: Mesh1D, cells, points) -> np.ndarray:
+    """The coordinates on [-1, 1] of physical points on the given cells."""
+    v = mesh.vertices
+    return 2.0 * (points - v[cells]) / np.diff(v)[cells] - 1.0
 
 
 def evaluate_function(space: MeshedSpace, coeffs, points) -> np.ndarray:
@@ -253,8 +229,7 @@ def evaluate_function(space: MeshedSpace, coeffs, points) -> np.ndarray:
     if pts.size and (pts.min() < v[0] - 1e-12 or pts.max() > v[-1] + 1e-12):
         raise ValueError("evaluation point outside the mesh")
     cells = locate(space.mesh, pts)
-    lo, hi = v[cells], v[cells + 1]
-    loc = np.clip(2.0 * (pts - lo) / (hi - lo) - 1.0, -1.0, 1.0)
+    loc = np.clip(_local_coordinates(space.mesh, cells, pts), -1.0, 1.0)
     vals = lagrange_values(space.ref_nodes, space.bary_weights, loc)
     # a constrained node's DOF index -1 reads the appended zero
     local = np.append(coeffs, 0)[space.cell_dofs[cells]]

@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 import scipy.integrate
 import scipy.linalg
 
 from helmres import (BoundaryCondition, PmlConfig, air_filled_cavity_profile,
                      assemble_dtn, assemble_pml, assemble_resonator_mass, build_mesh,
                      build_space, bump_profile, sigma_eval, slab_profile)
-from helmres.mesh_fe import _lagrange_eval, cell_quadrature
+from helmres.mesh_fe import cell_quadrature
 
 
 def _space(domain, breakpoints, h, p, bc=BoundaryCondition.NONE):
@@ -131,11 +132,13 @@ def test_pml_ramp_cell_entries_match_adaptive_quadrature(lo):
     cell = int(np.argmin(np.abs(space.mesh.vertices - lo)))
     hi = space.mesh.vertices[cell + 1]
     i, j = space.cell_dofs[cell][1:3]
+    # the cardinal polynomials through the cubic's nodes, column by column
+    coeffs = npoly.polyfit(space.ref_nodes, np.eye(4), 3)
 
     def basis(x):
-        vals, ders = _lagrange_eval(space.ref_nodes, space.bary_weights,
-                                    [2.0 * (x - lo) / (hi - lo) - 1.0])
-        return vals[1:3, 0], ders[1:3, 0] * (2.0 / (hi - lo))
+        t = 2.0 * (x - lo) / (hi - lo) - 1.0
+        return (npoly.polyval(t, coeffs)[1:3],
+                npoly.polyval(t, npoly.polyder(coeffs))[1:3] * (2.0 / (hi - lo)))
 
     def alpha(x):
         return 1.0 + 1j * sigma_eval(_PML, x)
@@ -157,14 +160,14 @@ def test_pml_ramp_cell_entries_match_adaptive_quadrature(lo):
 
 def _cell_loop(space, order, weight):
     """Reference assembly: one cell at a time, into the full node set."""
-    xq, wq, vals, ders = cell_quadrature(space, order)
+    xq, wq, vals, ders, _ = cell_quadrature(space, order)
     n, p = space.degree * space.mesh.n_cells + 1, space.degree
     stiff, mass = np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)
     for c in range(space.mesh.n_cells):
         a_w, m_w = weight(xq[c], wq[c])
         nodes = np.arange(c * p, c * p + p + 1)
         stiff[np.ix_(nodes, nodes)] += (ders[c].T * a_w) @ ders[c]
-        mass[np.ix_(nodes, nodes)] += (vals.T * m_w) @ vals
+        mass[np.ix_(nodes, nodes)] += (vals[c].T * m_w) @ vals[c]
     keep = slice(1, -1) if space.boundary_condition is BoundaryCondition.DIRICHLET_BOTH_ENDS \
         else slice(None)
     return stiff[keep, keep], mass[keep, keep]

@@ -223,6 +223,19 @@ def test_empty_window_writes_header_only(tmp_path):
         == "j,re_k,im_k,epsilon,feasible,ref_match,ref_dist,parity\n"
 
 
+# windows without eigenvalues, where the rounding of the contour moments
+# exceeds 1e-10 but not 1e-10 of their largest quadrature term
+@pytest.mark.parametrize("problem, window", [
+    ("slab", ["0", "4", "0.5", "1.5"]),
+    ("bump", ["0", "4", "0.2", "1"]),
+])
+def test_empty_ls_window_writes_header_only(tmp_path, problem, window):
+    assert main(["solve", "--problem", problem, "--formulation", "ls", "--p", "4",
+                 "--h", "0.5", "--window", *window, "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "eigenvalues.csv").read_text() \
+        == "j,re_k,im_k,epsilon,feasible,ref_match,ref_dist,parity\n"
+
+
 def test_eigenvalues_csv_format(tmp_path):
     cfg = RunConfig(**_SLAB_DTN, out_dir=str(tmp_path))
     written = emit_outputs(run_pipeline(cfg))
@@ -411,6 +424,15 @@ def test_main_pseudospectrum_writes_grid(tmp_path):
     lines = (tmp_path / "pseudospectrum.csv").read_text().strip().splitlines()
     assert len(lines) == 1 + 6
     assert (tmp_path / "pseudospectrum.csv.json").exists()
+
+
+def test_pseudospectrum_names_the_k_where_t_overflows(tmp_path, capsys):
+    rc = main(["pseudospectrum", "--problem", "air_cavity", "--formulation", "ls",
+               "--p", "4", "--h", "0.5", "--window", "0", "8", "-300", "-250",
+               "--pseudo", "3", "3", "--out", str(tmp_path)])
+    assert rc == 1
+    assert ("pipeline stage 'pseudospectrum' failed: T(k) at k = 0-300j: matrix has "
+            "non-finite entries" in capsys.readouterr().err)
 
 
 def test_main_convergence_reports_factors(capsys):

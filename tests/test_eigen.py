@@ -288,10 +288,25 @@ def test_contour_empty_region():
     assert solve_contour(t_fun, cfg, _one_block(2), rng=0) == []
 
 
+def test_contour_empty_region_with_rounding_above_the_absolute_tolerance():
+    # the rounding of A0 exceeds 1e-10, but not 1e-10 of the largest quadrature term
+    t_fun = lambda z: [1e-8 * np.diag([z - 1.0, z + 2.0])]
+    cfg = ContourConfig(center=10.0 + 0j, radius=0.5, probe_columns=2)
+    assert solve_contour(t_fun, cfg, _one_block(2), rng=0) == []
+
+
 def test_contour_probe_saturation():
     t_fun = lambda z: [(z - 1.0) * np.eye(4)]
     cfg = ContourConfig(center=1.0 + 0j, radius=0.5, probe_columns=3)
     with pytest.raises(ProbeTooSmallError):
+        solve_contour(t_fun, cfg, _one_block(4), rng=0)
+
+
+def test_contour_saturating_a_whole_block_asks_for_a_smaller_window():
+    t_fun = lambda z: [(z - 1.0) * np.eye(4)]
+    cfg = ContourConfig(center=1.0 + 0j, radius=0.5, probe_columns=5)
+    with pytest.raises(ProbeTooSmallError, match="spans the single block of 4 DOFs, "
+                                                  "so use a smaller window or a finer mesh"):
         solve_contour(t_fun, cfg, _one_block(4), rng=0)
 
 

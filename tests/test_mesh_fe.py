@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial import legendre as npleg
 
-from helmres import (BoundaryCondition, Mesh1D, QuadratureRule, build_mesh,
-                     build_space, evaluate_function, parity_blocks)
-from helmres.mesh_fe import _lagrange_eval, cell_quadrature, gauss_lobatto_nodes, \
-    lagrange_values
+from helmres import (BoundaryCondition, Mesh1D, build_mesh, build_space,
+                     evaluate_function, parity_blocks)
+from helmres.mesh_fe import cell_quadrature, gauss_lobatto_nodes, lagrange_values
 
 
 def test_uniform_mesh_vertices():
@@ -98,8 +98,8 @@ def test_linear_hats_at_midpoint():
     mesh = build_mesh((0.0, 1.0), [], 1.0)
     space = build_space(mesh, 1)
     # the one-point Gauss rule sits at the midpoint
-    _, _, vals, ders = cell_quadrature(space, 1)
-    np.testing.assert_allclose(vals[0], [0.5, 0.5])
+    _, _, vals, ders, _ = cell_quadrature(space, 1)
+    np.testing.assert_allclose(vals[0, 0], [0.5, 0.5])
     # physical slope of a hat on a unit cell is -+1
     np.testing.assert_allclose(ders[0, 0], [-1.0, 1.0])
 
@@ -109,12 +109,10 @@ def test_nodal_property_and_partition_of_unity():
     space = build_space(mesh, 2)
     vals = lagrange_values(space.ref_nodes, space.bary_weights, space.ref_nodes)
     np.testing.assert_allclose(vals, np.eye(3), atol=1e-14)
-    pts = np.linspace(-1.0, 1.0, 17)
     for p in (1, 3, 6):
-        sp = build_space(mesh, p)
-        v, d = _lagrange_eval(sp.ref_nodes, sp.bary_weights, pts)
-        np.testing.assert_allclose(v.sum(axis=0), 1.0, atol=1e-13)
-        np.testing.assert_allclose(d.sum(axis=0), 0.0, atol=1e-12)
+        _, _, v, d, _ = cell_quadrature(build_space(mesh, p), 9)
+        np.testing.assert_allclose(v.sum(axis=-1), 1.0, atol=1e-13)
+        np.testing.assert_allclose(d.sum(axis=-1), 0.0, atol=1e-12)
 
 
 def test_polynomial_reproduction():
@@ -156,14 +154,36 @@ def test_evaluate_function_on_dirichlet_space_has_zero_ends():
 
 def test_quadrature_moments():
     lo, hi = -0.3, 1.7
+    space = build_space(Mesh1D(np.array([lo, hi])), 1)
     for order in (1, 2, 5, 11):
-        rule = QuadratureRule.gauss_legendre(order)
-        x, w = rule.mapped(lo, hi)
+        x, w, _, _, _ = cell_quadrature(space, order)
         for m in range(2 * order):
             exact = (hi ** (m + 1) - lo ** (m + 1)) / (m + 1)
             assert abs(np.sum(w * x**m) - exact) <= 1e-13 * abs(exact)
     with pytest.raises(ValueError):
-        QuadratureRule.gauss_legendre(0)
+        cell_quadrature(space, 0)
+
+
+def test_quadrature_derivatives_reproduce_legendre_polynomials():
+    p = 16
+    space = build_space(Mesh1D(np.array([-1.0, 1.0])), p)
+    x, _, _, ders, _ = cell_quadrature(space, p + 6)
+    for m in range(p + 1):
+        coeff = np.zeros(m + 1)
+        coeff[-1] = 1.0
+        exact = npleg.legval(x[0], npleg.legder(coeff))
+        err = np.max(np.abs(ders[0] @ npleg.legval(space.node_coords, coeff) - exact))
+        assert err <= 5e-14 * max(1.0, np.max(np.abs(exact)))
+
+
+def test_quadrature_intervals_must_keep_every_vertex():
+    space = build_space(build_mesh((0.0, 2.0), [], 0.5), 2)
+    x, _, vals, _, cells = cell_quadrature(space, 3, [0.0, 0.25, 0.5, 1.0, 1.5, 1.75, 2.0])
+    np.testing.assert_array_equal(cells, [0, 0, 1, 2, 3, 3])
+    np.testing.assert_allclose(vals.sum(axis=-1), 1.0, atol=1e-14)
+    for edges in ([0.0, 0.25, 1.0, 1.5, 2.0], [0.0, 0.5, 1.0, 1.5], [0.0, 1.0, 0.5, 1.5, 2.0]):
+        with pytest.raises(ValueError, match="every"):
+            cell_quadrature(space, 3, edges)
 
 
 def test_parity_blocks_split_only_mirror_images():
