@@ -15,8 +15,8 @@ from .assembly import (DtnMatrices, PmlMatrices, assemble_dtn, assemble_pml,
 from .eigen import (ContourConfig, EigenPair, NewtonConvergenceError,
                     ProbeTooSmallError, SolveDiagnostics, newton_root,
                     smallest_singular_value, solve_contour, solve_dtn, solve_pml)
-from .lippmann import (FilterReport, LsContext, PseudospectrumGrid, apply_kernel,
-                       build_ls_context, collocation_matrix, filter_epsilon, pseudospectrum)
+from .lippmann import (FilterReport, LsContext, apply_kernel, build_ls_context,
+                       collocation_matrix, filter_epsilon, pseudospectrum)
 from .media import (MediumProfile, PmlConfig, air_filled_cavity_profile,
                     bump_profile, critical_angle, sigma_eval, slab_profile)
 from .mesh_fe import (BoundaryCondition, Mesh1D, MeshedSpace, ParityBlock, build_mesh,
@@ -39,7 +39,7 @@ __all__ = [
     "NewtonConvergenceError", "ProbeTooSmallError",
     "solve_dtn", "solve_pml", "newton_root",
     "solve_contour", "smallest_singular_value",
-    "LsContext", "FilterReport", "PseudospectrumGrid",
+    "LsContext", "FilterReport",
     "build_ls_context", "apply_kernel", "collocation_matrix", "filter_epsilon",
     "pseudospectrum",
     "ReferenceSet", "DegenerateRelationError",

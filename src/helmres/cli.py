@@ -1,8 +1,9 @@
 """End-to-end pipelines and the command-line interface.
 
-A run is configured by a :class:`RunConfig`, executed by
-:func:`run_pipeline` (discretize, solve, window, filter, match against
-references, optional s_min grid), and persisted by :func:`emit_outputs`.
+A run is configured by a :class:`RunConfig`, whose field annotations are
+its type checks, executed by :func:`run_pipeline` (discretize, solve, window,
+filter, match against references, optional s_min grid over the configured
+window), and persisted by :func:`emit_outputs`.
 :func:`discretize` is the one place a configuration becomes a mesh and an
 operator: the DtN or PML matrices, or the LS context.  Each operator gives its
 matrix function T(k) as ``t(k)``, the list of its parity blocks, (even, odd)
@@ -35,6 +36,7 @@ import math
 import os
 import sys
 import time
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +44,7 @@ import numpy as np
 from . import __version__
 from .assembly import DtnMatrices, PmlMatrices, assemble_dtn, assemble_pml
 from .eigen import ContourConfig, EigenPair, solve_contour, solve_dtn, solve_pml
-from .lippmann import LsContext, PseudospectrumGrid, build_ls_context, filter_epsilon, \
-    pseudospectrum
+from .lippmann import LsContext, build_ls_context, filter_epsilon, pseudospectrum
 from .media import MediumProfile, PmlConfig, air_filled_cavity_profile, bump_profile, \
     critical_angle, slab_profile
 from .mesh_fe import BoundaryCondition, build_mesh, build_space
@@ -51,33 +52,6 @@ from .reference import ReferenceSet, reference_table, slab_dtn_eigenvalues
 
 _PROBLEMS = ("slab", "air_cavity", "bump")
 _FORMULATIONS = ("dtn", "pml", "ls")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_sequence(value, size: int, item_ok) -> bool:
-    return isinstance(value, (list, tuple)) and len(value) == size and all(map(item_ok, value))
-
-
-# the type of every RunConfig field, as (fields, check, what the check accepts);
-# json.load gives any JSON value, and a Python bool is an int
-_FIELD_TYPES = (
-    (("problem", "formulation", "out_dir"), lambda v: isinstance(v, str), "a string"),
-    (("degree", "refinements", "seed"), _is_int, "an integer"),
-    (("initial_cell_size", "d", "sigma0", "x_c", "ell", "epsilon_threshold"), _is_number,
-     "a number"),
-    (("eta",), lambda v: v is None or _is_number(v), "a number or unset"),
-    (("apply_filter",), lambda v: isinstance(v, bool), "true or false"),
-    (("window",), lambda v: v is None or _is_sequence(v, 4, _is_number), "4 numbers or unset"),
-    (("pseudo_resolution",), lambda v: v is None or _is_sequence(v, 2, _is_int),
-     "2 integers or unset"),
-)
 
 
 class PipelineStageError(RuntimeError):
@@ -90,7 +64,8 @@ class PipelineStageError(RuntimeError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything needed to reproduce a run.  JSON round-trips exactly."""
+    """Everything needed to reproduce a run.  JSON round-trips exactly, and each
+    value, from a flag or from json.load, must fit its field's annotation."""
 
     problem: str
     formulation: str
@@ -110,11 +85,11 @@ class RunConfig:
     epsilon_threshold: float = 1e-2
 
     def __post_init__(self):
-        for names, ok, kind in _FIELD_TYPES:
-            for name in names:
-                value = getattr(self, name)
-                if not ok(value):
-                    raise ValueError(f"{name} must be {kind}, got {value!r}")
+        for name, hint in _FIELD_HINTS.items():
+            value = getattr(self, name)
+            if not _conforms(value, hint):
+                raise ValueError(f"{name} must be {self.__annotations__[name]} (no bool as "
+                                 f"a number, floats finite), got {value!r}")
         if self.problem not in _PROBLEMS:
             raise ValueError(f"problem must be one of {_PROBLEMS}, got {self.problem!r}")
         if self.formulation not in _FORMULATIONS:
@@ -122,20 +97,12 @@ class RunConfig:
                 f"formulation must be one of {_FORMULATIONS}, got {self.formulation!r}")
         if self.degree < 1:
             raise ValueError(f"degree must be >= 1, got {self.degree}")
-        # argparse's float() and json.load both accept nan and infinity
-        for name in ("initial_cell_size", "d", "sigma0", "x_c", "ell", "eta",
-                     "epsilon_threshold"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
         if self.initial_cell_size <= 0:
             raise ValueError("initial_cell_size must be positive")
         if self.refinements < 0:
             raise ValueError("refinements must be >= 0")
         if self.window is not None:
             object.__setattr__(self, "window", tuple(float(v) for v in self.window))
-            if not all(map(math.isfinite, self.window)):
-                raise ValueError(f"window entries must be finite, got {self.window}")
             re_min, re_max, im_min, im_max = self.window
             if not (re_min < re_max and im_min < im_max):
                 raise ValueError(f"window must satisfy re_min < re_max and "
@@ -162,6 +129,26 @@ class RunConfig:
         return cls(**data)
 
 
+def _conforms(value, hint) -> bool:
+    """Whether ``value`` (from json.load or argparse) fits the type ``hint``: a
+    bool is no number, and a float may be given as an int but must be finite."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:  # a fixed length, given as a list in JSON
+        return (isinstance(value, (list, tuple)) and len(value) == len(args)
+                and all(map(_conforms, value, args)))
+    if args:  # X | None
+        return any(_conforms(value, arg) for arg in args)
+    if isinstance(value, bool):  # a Python bool is an int
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    return isinstance(value, hint)
+
+
+# resolved once: typing.get_type_hints evaluates every annotation string on each call
+_FIELD_HINTS = typing.get_type_hints(RunConfig)
+
+
 @dataclass(frozen=True, eq=False)
 class ReportRow:
     index: int
@@ -177,7 +164,8 @@ class ReportRow:
 class RunReport:
     """Pipeline result: one row per windowed eigenvalue, with metadata.
 
-    ``blocks`` lists the (parity, size) of each block the problem was solved on.
+    ``blocks`` lists the (parity, size) of each block the problem was solved on;
+    ``grid`` is the s_min array over ``config.window`` at ``config.pseudo_resolution``.
     """
 
     config: RunConfig
@@ -185,7 +173,7 @@ class RunReport:
     dof_count: int
     pencil_size: int | None
     elapsed_seconds: float
-    grid: PseudospectrumGrid | None
+    grid: np.ndarray | None
     blocks: tuple
 
 
@@ -337,7 +325,7 @@ def _report_stage(disc: Discretization, pairs, epsilons) -> list[ReportRow]:
     return rows
 
 
-def _grid_stage(disc: Discretization) -> PseudospectrumGrid:
+def _grid_stage(disc: Discretization) -> np.ndarray:
     cfg = disc.config
     if cfg.window is None or cfg.pseudo_resolution is None:
         raise ValueError("pseudospectrum needs both --window and --pseudo")
@@ -384,16 +372,19 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def write_grid_csv(grid: PseudospectrumGrid, path, cfg: RunConfig) -> None:
-    """Grid as "re_k,im_k,smin" rows (row-major, Re k fastest) plus a JSON sidecar
-    that records the run's formulation and configuration."""
+def write_grid_csv(smin: np.ndarray, path, cfg: RunConfig) -> None:
+    """The s_min array of :func:`pseudospectrum` over ``cfg.window`` at
+    ``cfg.pseudo_resolution`` as "re_k,im_k,smin" rows (row-major, Re k fastest),
+    plus a JSON sidecar that records the run's formulation and configuration."""
     path = str(path)
+    re_min, re_max, im_min, im_max = cfg.window
+    nx, ny = cfg.pseudo_resolution
     _write_csv(path, "re_k,im_k,smin",
-               ((re, im, grid.values[iy, ix]) for iy, im in enumerate(grid.im_points)
-                for ix, re in enumerate(grid.re_points)))
+               ((re, im, smin[iy, ix]) for iy, im in enumerate(np.linspace(im_min, im_max, ny))
+                for ix, re in enumerate(np.linspace(re_min, re_max, nx))))
     _write_json(path + ".json", {
-        "region": [grid.re_min, grid.re_max, grid.im_min, grid.im_max],
-        "resolution": [grid.nx, grid.ny],
+        "region": list(cfg.window),
+        "resolution": list(cfg.pseudo_resolution),
         "formulation": cfg.formulation,
         "parameters": cfg.to_json_dict(),
     })
@@ -519,10 +510,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_pseudospectrum(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     disc = _stage("setup", discretize, cfg)
-    grid = _stage("pseudospectrum", _grid_stage, disc)
+    smin = _stage("pseudospectrum", _grid_stage, disc)
     path = os.path.join(cfg.out_dir, "pseudospectrum.csv")
-    _stage("output", write_grid_csv, grid, path, cfg)
-    print(f"wrote {path} ({grid.nx} x {grid.ny}, min smin = {grid.values.min():.3e})")
+    _stage("output", write_grid_csv, smin, path, cfg)
+    nx, ny = cfg.pseudo_resolution
+    print(f"wrote {path} ({nx} x {ny}, min smin = {smin.min():.3e})")
     return 0
 
 
@@ -539,13 +531,13 @@ def _required_reference(cfg: RunConfig) -> ReferenceSet:
 def _cmd_reference(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     refs = _required_reference(cfg)
-    entries = [(j, k.real, k.imag) for j, k in refs.entries]
+    entries = [(j, k.real, k.imag) for j, k in enumerate(refs.values.tolist())]
     csv_path = os.path.join(cfg.out_dir, "reference.csv")
     _stage("output", _write_csv, csv_path, "j,re_k,im_k", entries)
     json_path = os.path.join(cfg.out_dir, "reference.json")
     _stage("output", _write_json, json_path, {
         "problem": refs.problem, "provenance": refs.provenance, "entries": entries})
-    print(f"wrote {csv_path} and {json_path} ({len(refs.entries)} values, "
+    print(f"wrote {csv_path} and {json_path} ({len(refs.values)} values, "
           f"{refs.provenance})")
     return 0
 

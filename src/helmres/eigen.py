@@ -254,7 +254,7 @@ def _half_rule_change(full, half, cfg: ContourConfig) -> float:
     return worst / max(cfg.semi_axes)
 
 
-def solve_contour(t_fun, cfg: ContourConfig, blocks, rng=None,
+def solve_contour(t_fun, cfg: ContourConfig, blocks, rng,
                   space: MeshedSpace | None = None):
     """Beyn contour-integral eigensolver for analytic matrix functions T(z).
 
@@ -262,7 +262,8 @@ def solve_contour(t_fun, cfg: ContourConfig, blocks, rng=None,
     entry of ``blocks``, whose ``unfold`` maps block eigenvectors back into the
     DOF vectors of ``space``; a T(z) whose blocks do not match ``blocks`` in
     number and sizes is rejected.  Per block, trapezoid moments on the ellipse
-    with random probe V,
+    with a random probe V drawn from ``rng`` (a seed or a numpy Generator, so that
+    equal inputs give bit-identical output),
 
         A0 = (1/2 pi i) oint T(z)^-1 V dz,   A1 = (1/2 pi i) oint z T(z)^-1 V dz,
 
@@ -279,6 +280,8 @@ def solve_contour(t_fun, cfg: ContourConfig, blocks, rng=None,
     sec. 5), and one warning names the block where they differ most, if by
     more than sqrt(1e-10) of the contour's size.
     """
+    if rng is None:  # default_rng(None) would draw fresh entropy from the OS
+        raise TypeError("rng must be a seed or a numpy Generator, not None")
     rng = np.random.default_rng(rng)
     rx, ry = cfg.semi_axes
     nq = cfg.quadrature_nodes
@@ -318,9 +321,12 @@ def solve_contour(t_fun, cfg: ContourConfig, blocks, rng=None,
             continue
         lam, vecs, rank = full
         if rank == probe.shape[1]:
-            hint = ("raise probe_columns" if rank < block.size else
-                    f"the probe spans the {block.parity or 'single'} block of {block.size} "
-                    "DOFs, so use a smaller window or a finer mesh")
+            name = block.parity or "single"
+            hint = (f"the probe of {rank} columns is narrower than the {name} block of "
+                    f"{block.size} DOFs, so use a smaller window or raise probe_columns"
+                    if rank < block.size else
+                    f"the probe spans the {name} block of {block.size} DOFs, so use a "
+                    "smaller window or a finer mesh")
             raise ProbeTooSmallError(f"numerical rank {rank} saturated the probe width; {hint}")
         inside = [j for j, lam_j in enumerate(lam) if cfg.contains(complex(lam_j), tol=1e-12)]
         found.append((block, lam[inside], vecs[:, inside]))

@@ -1,5 +1,5 @@
 """The volume-integral (Lippmann-Schwinger) operator, the spurious-solution
-filter, and pseudospectrum grids.
+filter, and s_min arrays over a k-grid (pseudospectra).
 
 The operator acts on functions over the minimal domain
 Omega_r = supp(n^2 - n0^2):
@@ -138,27 +138,6 @@ class FilterReport:
     """The filter value eps of an eigenpair."""
 
     epsilon: float
-
-
-@dataclass(frozen=True, eq=False)
-class PseudospectrumGrid:
-    """s_min values on a rectangular k-grid, row-major with Re k varying fastest."""
-
-    re_min: float
-    re_max: float
-    im_min: float
-    im_max: float
-    nx: int
-    ny: int
-    values: np.ndarray
-
-    @property
-    def re_points(self) -> np.ndarray:
-        return np.linspace(self.re_min, self.re_max, self.nx)
-
-    @property
-    def im_points(self) -> np.ndarray:
-        return np.linspace(self.im_min, self.im_max, self.ny)
 
 
 def build_ls_context(medium: MediumProfile, degree: int, initial_cell_size: float = 0.5,
@@ -338,13 +317,16 @@ def filter_epsilon(ctx: LsContext, pair: EigenPair) -> FilterReport:
 
 
 def pseudospectrum(t, region: tuple[float, float, float, float],
-                   resolution: tuple[int, int]) -> PseudospectrumGrid:
-    """s_min(t(k)) on a rectangular k-grid for a matrix function ``t`` that returns
-    the list of its diagonal blocks (s_min is the least over them).
+                   resolution: tuple[int, int]) -> np.ndarray:
+    """s_min(t(k)) on a rectangular k-grid as an (ny, nx) array, for a matrix
+    function ``t`` that returns the list of its diagonal blocks (s_min is the
+    least over them).
 
-    Values are absolute (no relative rescaling); grid traversal is row-major over
-    (ny, nx) and bit-reproducible.  Deep in the lower half plane T(k) can
-    overflow: the ValueError for a T(k) that is not finite names the k.
+    Entry (iy, ix) is at k = re[ix] + i im[iy], with re and im the
+    ``np.linspace`` axes of ``region`` at ``resolution = (nx, ny)`` points.
+    Values are absolute (no relative rescaling); grid traversal is row-major and
+    bit-reproducible.  Deep in the lower half plane T(k) can overflow: the
+    ValueError for a T(k) that is not finite names the k.
     """
     re_min, re_max, im_min, im_max = map(float, region)
     nx, ny = map(int, resolution)
@@ -360,6 +342,4 @@ def pseudospectrum(t, region: tuple[float, float, float, float],
                 values[iy, ix] = smallest_singular_value(blocks)
             except ValueError as exc:
                 raise ValueError(f"T(k) at k = {k.real:.6g}{k.imag:+.6g}j: {exc}") from exc
-    return PseudospectrumGrid(re_min=re_min, re_max=re_max, im_min=im_min, im_max=im_max,
-                              nx=nx, ny=ny, values=values)
-
+    return values

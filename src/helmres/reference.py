@@ -6,7 +6,8 @@ solutions, solved by Newton iteration; the bump profile has no usable closed
 form, so its values are embedded as a table.  Implicit relations are
 evaluated in cross-multiplied (determinant) form throughout: the raw fraction
 form has spurious poles where a denominator vanishes, while the determinant
-form has the same zero set without them.
+form has the same zero set without them.  Every set is held sorted by
+|Re k|, and a value's index is its position in that order.
 """
 
 from __future__ import annotations
@@ -28,28 +29,26 @@ class DegenerateRelationError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class ReferenceSet:
-    """Reference eigenvalues sorted by |Re k|, all in the closed fourth quadrant.
+    """Reference eigenvalues, all in the closed fourth quadrant, as a read-only
+    complex array sorted by |Re k|: a value's index is its position.
 
     ``provenance`` is one of "closed_form", "newton", "tabulated".
     """
 
     problem: str
-    entries: tuple[tuple[int, complex], ...]
+    values: np.ndarray
     provenance: str
 
     def __post_init__(self):
-        ordered = tuple(sorted(self.entries, key=lambda e: abs(e[1].real)))
-        object.__setattr__(self, "entries", ordered)
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.array([k for _, k in self.entries], dtype=complex)
+        values = np.array(sorted(self.values, key=lambda k: abs(k.real)), dtype=complex)
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
 
     def nearest(self, k: complex) -> tuple[int, float]:
         """Index and distance of the reference value closest to ``k``."""
-        vals = self.values
-        j = int(np.argmin(np.abs(vals - k)))
-        return self.entries[j][0], float(abs(vals[j] - k))
+        dist = np.abs(self.values - k)
+        j = int(np.argmin(dist))
+        return j, float(dist[j])
 
 
 def slab_dtn_eigenvalues(eta: float, a: float, m_max: int) -> ReferenceSet:
@@ -62,9 +61,8 @@ def slab_dtn_eigenvalues(eta: float, a: float, m_max: int) -> ReferenceSet:
         raise ValueError(f"the slab relation has no solutions for eta <= 1, got {eta}")
     refl = (eta - 1.0) / (eta + 1.0)
     dim = math.log(1.0 / refl) / (2.0 * eta * a)
-    entries = tuple((m, complex(math.pi * m / (2.0 * eta * a), -dim))
-                    for m in range(m_max + 1))
-    return ReferenceSet(problem="slab", entries=entries, provenance="closed_form")
+    values = [complex(math.pi * m / (2.0 * eta * a), -dim) for m in range(m_max + 1)]
+    return ReferenceSet(problem="slab", values=values, provenance="closed_form")
 
 
 def _slab_pml_determinant(k: complex, eta: float, a: float, beta: complex) -> complex:
@@ -86,10 +84,10 @@ def slab_pml_eigenvalues(eta: float, cfg: PmlConfig, m_max: int = 8,
 
         k_m = pi m / (2 (beta + a)),  m = 1, 2, ...
 
-    (the same family follows from the exact solution sin(k (x~ - x~(-ell)))
-    in the stretched coordinate, whose Dirichlet condition quantizes
-    2 k (ell + i sigma0 (ell - x_hat)) = m pi, and beta + a equals
-    ell + i sigma0 (ell - x_hat) for the default length convention).
+    at index m - 1 of the set (the same family follows from the exact solution
+    sin(k (x~ - x~(-ell))) in the stretched coordinate, whose Dirichlet
+    condition quantizes 2 k (ell + i sigma0 (ell - x_hat)) = m pi, and beta + a
+    equals ell + i sigma0 (ell - x_hat) for the default length convention).
     These are exact eigenvalues of the truncated layer yet approximate no
     resonance: the slab relation without the layer has no eta = 1 solutions.
 
@@ -101,8 +99,8 @@ def slab_pml_eigenvalues(eta: float, cfg: PmlConfig, m_max: int = 8,
     beta = cfg.beta()
     a = cfg.a
     if eta == 1.0:
-        entries = tuple((m, math.pi * m / (2.0 * (beta + a))) for m in range(1, m_max + 1))
-        return ReferenceSet(problem="slab_pml", entries=entries, provenance="closed_form")
+        values = [math.pi * m / (2.0 * (beta + a)) for m in range(1, m_max + 1)]
+        return ReferenceSet(problem="slab_pml", values=values, provenance="closed_form")
     if seeds is None:
         seeds = slab_dtn_eigenvalues(eta, a, m_max).values
     roots = []
@@ -116,8 +114,7 @@ def slab_pml_eigenvalues(eta: float, cfg: PmlConfig, m_max: int = 8,
             continue
         if all(abs(root - r) > 1e-10 * (1.0 + abs(root)) for r in roots):
             roots.append(root)
-    entries = tuple(enumerate(sorted(roots, key=lambda z: abs(z.real))))
-    return ReferenceSet(problem="slab_pml", entries=entries, provenance="newton")
+    return ReferenceSet(problem="slab_pml", values=roots, provenance="newton")
 
 
 def general_dtn_relation_residual(psi1, psi2, k: complex, d: float, n0: float = 1.0) -> complex:
@@ -230,6 +227,5 @@ def reference_table(problem: str) -> ReferenceSet:
     tables = {"air_cavity": _AIR_CAVITY_TABLE, "bump": _BUMP_TABLE}
     if problem not in tables:
         raise ValueError(f"no table for problem {problem!r}; choose from {sorted(tables)}")
-    entries = tuple((j, complex(float(re), float(im)))
-                    for j, (re, im) in enumerate(tables[problem]))
-    return ReferenceSet(problem=problem, entries=entries, provenance="tabulated")
+    values = [complex(float(re), float(im)) for re, im in tables[problem]]
+    return ReferenceSet(problem=problem, values=values, provenance="tabulated")

@@ -236,6 +236,19 @@ def test_empty_ls_window_writes_header_only(tmp_path, problem, window):
         == "j,re_k,im_k,epsilon,feasible,ref_match,ref_dist,parity\n"
 
 
+def test_wide_ls_window_asks_for_a_smaller_window(tmp_path, capsys):
+    # the CLI fixes the probe at 24 columns, narrower than the even block of 49 DOFs
+    rc = main(["solve", "--problem", "air_cavity", "--formulation", "ls", "--p", "8",
+               "--h", "0.25", "--window", "0", "40", "-1.5", "0", "--no-filter",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "pipeline stage 'solve' failed" in err
+    assert "the probe of 24 columns is narrower than the even block of 49 DOFs" in err
+    assert "smaller window" in err
+    assert not (tmp_path / "eigenvalues.csv").exists()
+
+
 def test_eigenvalues_csv_format(tmp_path):
     cfg = RunConfig(**_SLAB_DTN, out_dir=str(tmp_path))
     written = emit_outputs(run_pipeline(cfg))
@@ -435,6 +448,31 @@ def test_pseudospectrum_names_the_k_where_t_overflows(tmp_path, capsys):
             "non-finite entries" in capsys.readouterr().err)
 
 
+def test_ref_match_and_convergence_target_index_the_reference_csv(tmp_path, capsys):
+    flags = ["--problem", "air_cavity", "--formulation", "dtn", "--p", "10", "--h", "0.25",
+             "--d", "2", "--window", "0", "13.5", "-2", "0"]
+    assert main(["solve", *flags, "--out", str(tmp_path / "solve")]) == 0
+    assert main(["reference", *flags, "--out", str(tmp_path / "ref")]) == 0
+    refs = [complex(float(re), float(im)) for _, re, im in
+            (line.split(",") for line in
+             (tmp_path / "ref" / "reference.csv").read_text().splitlines()[1:])]
+    rows = [line.split(",") for line in
+            (tmp_path / "solve" / "eigenvalues.csv").read_text().splitlines()[1:]]
+    assert len(rows) >= 8
+    for row in rows:
+        k, j, dist = complex(float(row[1]), float(row[2])), int(row[5]), float(row[6])
+        # both k are written to 12 significant digits
+        assert abs(abs(k - refs[j]) - dist) <= 1e-11 * (1.0 + abs(k))
+        assert j == min(range(len(refs)), key=lambda i: abs(k - refs[i]))
+    j = int(rows[-1][5])
+    capsys.readouterr()
+    assert main(["convergence", *flags, "--sweep", "p", "--start", "4", "--stop", "4",
+                 "--target", str(j)]) == 0
+    target = capsys.readouterr().out.splitlines()[0]
+    assert target == (f"# target k = {refs[j].real:+.12g} {refs[j].imag:+.12g}j "
+                      f"(reference index {j})")
+
+
 def test_main_convergence_reports_factors(capsys):
     rc = main(["convergence", "--problem", "slab", "--formulation", "dtn",
                "--h", "0.5", "--d", "1", "--sweep", "p", "--start", "2",
@@ -548,8 +586,11 @@ def test_main_rejects_non_finite_numbers_as_config_errors(tmp_path, capsys, flag
     {"window": ["0", "4", "-2", "0"]},
     {"d": True},
     {"out_dir": 5},
+    # [] fits no annotation, so every field, a later one too, must reject it itself
+    *({f.name: []} for f in dataclasses.fields(RunConfig)),
 ], ids=["degree-bool", "degree-float", "refinements-float", "seed-float",
-        "apply_filter-string", "pseudo-float", "window-strings", "d-bool", "out_dir-int"])
+        "apply_filter-string", "pseudo-float", "window-strings", "d-bool", "out_dir-int",
+        *(f"{f.name}-list" for f in dataclasses.fields(RunConfig))])
 def test_main_rejects_mistyped_config_values(tmp_path, capsys, monkeypatch, config):
     # json.load gives any JSON value; each of these once ran, or failed only at a later stage
     monkeypatch.chdir(tmp_path)
@@ -557,13 +598,9 @@ def test_main_rejects_mistyped_config_values(tmp_path, capsys, monkeypatch, conf
     path.write_text(json.dumps({"problem": "slab", "formulation": "ls", "degree": 2, "d": 1.0,
                                 "window": [0.0, 4.0, -2.0, 0.0], "out_dir": "out", **config}))
     assert main(["solve", "--config", str(path)]) == 1
-    assert "pipeline stage 'config' failed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "pipeline stage 'config' failed" in err and f"{next(iter(config))} must be" in err
     assert list(tmp_path.iterdir()) == [path]
-
-
-def test_every_config_field_has_a_type_check():
-    checked = [name for names, _, _ in cli._FIELD_TYPES for name in names]
-    assert sorted(checked) == sorted(f.name for f in dataclasses.fields(RunConfig))
 
 
 @pytest.mark.parametrize("eta", ["-2", "0"])

@@ -298,8 +298,33 @@ def test_contour_empty_region_with_rounding_above_the_absolute_tolerance():
 def test_contour_probe_saturation():
     t_fun = lambda z: [(z - 1.0) * np.eye(4)]
     cfg = ContourConfig(center=1.0 + 0j, radius=0.5, probe_columns=3)
-    with pytest.raises(ProbeTooSmallError):
+    with pytest.raises(ProbeTooSmallError, match="the probe of 3 columns is narrower than "
+                       "the single block of 4 DOFs, so use a smaller window or raise "
+                       "probe_columns"):
         solve_contour(t_fun, cfg, _one_block(4), rng=0)
+
+
+def test_contour_probe_needs_an_rng():
+    t_fun = lambda z: [np.diag([z - 1.0, z + 2.0])]
+    cfg = ContourConfig(center=1.0 + 0j, radius=0.5, probe_columns=2)
+    with pytest.raises(TypeError):
+        solve_contour(t_fun, cfg, _one_block(2))
+    with pytest.raises(TypeError, match="rng"):  # None would draw fresh OS entropy
+        solve_contour(t_fun, cfg, _one_block(2), None)
+
+
+def test_contour_with_equal_seeds_is_bit_identical():
+    # two unseeded calls on this contour returned k that differed by 1.2e-12
+    op = discretize(RunConfig(problem="air_cavity", formulation="ls", degree=6,
+                              initial_cell_size=0.25)).operator
+    cfg = ContourConfig(center=4.0 - 0.6j, radius=4.0, radius_im=0.6,
+                        quadrature_nodes=64, probe_columns=24)
+    first, second = (solve_contour(op.t, cfg, op.blocks, 7, space=op.space)
+                     for _ in range(2))
+    assert len(first) >= 5
+    assert [pr.k for pr in first] == [pr.k for pr in second]
+    for a, b in zip(first, second):
+        np.testing.assert_array_equal(a.vector, b.vector)
 
 
 def test_contour_saturating_a_whole_block_asks_for_a_smaller_window():

@@ -394,18 +394,16 @@ def test_filter_reads_its_own_space_as_an_equal_one():
 
 def test_pseudospectrum_identity_for_vanishing_contrast():
     ctx = build_ls_context(slab_profile(1.0, 1.0), 3, 0.5)
-    grid = pseudospectrum(lambda z: collocation_matrix(ctx, z), (0.5, 1.5, -1.0, -0.1),
+    smin = pseudospectrum(lambda z: collocation_matrix(ctx, z), (0.5, 1.5, -1.0, -0.1),
                           (3, 3))
-    np.testing.assert_allclose(grid.values, 1.0, rtol=1e-12)
-    np.testing.assert_allclose(grid.re_points, [0.5, 1.0, 1.5])
-    np.testing.assert_allclose(grid.im_points, [-1.0, -0.55, -0.1])
+    assert smin.shape == (3, 3)
+    np.testing.assert_allclose(smin, 1.0, rtol=1e-12)
 
 
 def test_pseudospectrum_resolvent_grows_into_lower_half_plane():
     disc = discretize(RunConfig(problem="air_cavity", formulation="dtn", degree=6,
                                 initial_cell_size=0.5, d=2.0))
-    grid = pseudospectrum(disc.operator.t, (2.0, 2.0, -3.0, -0.5), (1, 8))
-    col = grid.values[:, 0]
+    col = pseudospectrum(disc.operator.t, (2.0, 2.0, -3.0, -0.5), (1, 8))[:, 0]
     assert np.all(np.diff(col) > 0)  # s_min shrinks as Im k decreases
 
 
@@ -417,11 +415,12 @@ def test_pseudospectrum_validation():
 
 def test_grid_csv_and_sidecar(tmp_path):
     ctx = build_ls_context(slab_profile(2.0, 1.0), 3, 0.5)
-    grid = pseudospectrum(lambda z: collocation_matrix(ctx, z), (0.0, 1.0, -0.5, 0.0),
-                          (3, 2))
+    cfg = RunConfig(problem="slab", formulation="ls", degree=3,
+                    window=(0.0, 1.0, -0.5, 0.0), pseudo_resolution=(3, 2))
+    smin = pseudospectrum(lambda z: collocation_matrix(ctx, z), cfg.window,
+                          cfg.pseudo_resolution)
     path = tmp_path / "grid.csv"
-    cfg = RunConfig(problem="slab", formulation="ls", degree=3)
-    write_grid_csv(grid, path, cfg)
+    write_grid_csv(smin, path, cfg)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "re_k,im_k,smin"
     assert len(lines) == 1 + 6
@@ -433,4 +432,4 @@ def test_grid_csv_and_sidecar(tmp_path):
     assert sidecar["region"] == [0.0, 1.0, -0.5, 0.0]
     assert sidecar["resolution"] == [3, 2]
     assert sidecar["formulation"] == "ls"
-    assert sidecar["parameters"] == cfg.to_json_dict()
+    assert RunConfig.from_json_dict(sidecar["parameters"]) == cfg

@@ -96,7 +96,7 @@ def test_pml_newton_skips_a_seed_whose_determinant_overflows(seed):
 
 def test_pml_newton_deduplicates_seeds():
     refs = slab_pml_eigenvalues(2.0, _CFG, seeds=[0.8 - 0.3j, 0.8 - 0.3j])
-    assert len(refs.entries) == 1
+    assert len(refs.values) == 1
 
 
 def test_general_relation_slab_consistency():
@@ -121,13 +121,13 @@ def _cavity_relation():
 
 def test_cavity_residual_vanishes_at_table():
     relation = _cavity_relation()
-    for _, k in reference_table("air_cavity").entries:
+    for k in reference_table("air_cavity").values:
         assert abs(relation(k)) < 1e-8
 
 
 def test_newton_refinement_barely_moves_table_values():
     relation = _cavity_relation()
-    for _, k in reference_table("air_cavity").entries:
+    for k in reference_table("air_cavity").values:
         root = newton_root(relation, k, tol=1e-13)
         assert abs(root - k) < 1e-9
 
@@ -171,11 +171,11 @@ def test_layered_solutions_basic_identities():
 
 def test_tables():
     cav = reference_table("air_cavity")
-    assert len(cav.entries) == 16
+    assert len(cav.values) == 16
     assert cav.values[0] == -0.8948801287j
     assert cav.values[2] == 1.5955486049 - 0.3950551466j
     bump = reference_table("bump")
-    assert len(bump.entries) == 12
+    assert len(bump.values) == 12
     assert bump.values[1] == 1.1402018812 - 0.4825101535j
     for refs in (cav, bump):
         assert refs.provenance == "tabulated"
