@@ -16,7 +16,7 @@ from .eigen import (ContourConfig, EigenPair, NewtonConvergenceError,
                     ProbeTooSmallError, SolveDiagnostics, newton_root,
                     smallest_singular_value, solve_contour, solve_dtn, solve_pml)
 from .lippmann import (FilterReport, LsContext, apply_kernel, build_ls_context,
-                       collocation_matrix, filter_epsilon, pseudospectrum)
+                       collocation_matrix, filter_epsilon, filter_epsilons, pseudospectrum)
 from .media import (MediumProfile, PmlConfig, air_filled_cavity_profile,
                     bump_profile, critical_angle, sigma_eval, slab_profile)
 from .mesh_fe import (BoundaryCondition, Mesh1D, MeshedSpace, ParityBlock, build_mesh,
@@ -41,7 +41,7 @@ __all__ = [
     "solve_contour", "smallest_singular_value",
     "LsContext", "FilterReport",
     "build_ls_context", "apply_kernel", "collocation_matrix", "filter_epsilon",
-    "pseudospectrum",
+    "filter_epsilons", "pseudospectrum",
     "ReferenceSet", "DegenerateRelationError",
     "slab_dtn_eigenvalues", "slab_pml_eigenvalues",
     "general_dtn_relation_residual", "layered_solutions", "reference_table",

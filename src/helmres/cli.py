@@ -44,7 +44,7 @@ import numpy as np
 from . import __version__
 from .assembly import DtnMatrices, PmlMatrices, assemble_dtn, assemble_pml
 from .eigen import ContourConfig, EigenPair, solve_contour, solve_dtn, solve_pml
-from .lippmann import LsContext, build_ls_context, filter_epsilon, pseudospectrum
+from .lippmann import LsContext, build_ls_context, filter_epsilons, pseudospectrum
 from .media import MediumProfile, PmlConfig, air_filled_cavity_profile, bump_profile, \
     critical_angle, slab_profile
 from .mesh_fe import BoundaryCondition, build_mesh, build_space
@@ -90,6 +90,8 @@ class RunConfig:
             if not _conforms(value, hint):
                 raise ValueError(f"{name} must be {self.__annotations__[name]} (no bool as "
                                  f"a number, floats finite), got {value!r}")
+            if name in _FLOAT_FIELDS and value is not None:
+                object.__setattr__(self, name, float(value))  # a JSON 1 echoes as 1.0
         if self.problem not in _PROBLEMS:
             raise ValueError(f"problem must be one of {_PROBLEMS}, got {self.problem!r}")
         if self.formulation not in _FORMULATIONS:
@@ -147,6 +149,9 @@ def _conforms(value, hint) -> bool:
 
 # resolved once: typing.get_type_hints evaluates every annotation string on each call
 _FIELD_HINTS = typing.get_type_hints(RunConfig)
+# the fields annotated float or float | None, whose ints are stored as floats
+_FLOAT_FIELDS = {name for name, hint in _FIELD_HINTS.items()
+                 if float in (hint, *typing.get_args(hint))}
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,8 +310,8 @@ def _window_stage(cfg: RunConfig, pairs):
 
 
 def _filter_stage(disc: Discretization, pairs) -> list[float]:
-    """eps of every pair; inf where the filter cannot test it."""
-    return [filter_epsilon(disc.ls_context, pair).epsilon for pair in pairs]
+    """eps of every pair, from one batched call; inf where the filter cannot test it."""
+    return filter_epsilons(disc.ls_context, pairs).tolist()
 
 
 def _report_stage(disc: Discretization, pairs, epsilons) -> list[ReportRow]:

@@ -15,16 +15,20 @@ scalar filter value
 
 for a unit-normalized u, which is small exactly when (u, k) is an approximate
 eigenpair of the integral operator, whatever formulation produced it.
+:func:`filter_epsilons` gives eps for every pair of a run in one pass, with
+one k per column of u; :func:`filter_epsilon` is that pass on one pair.
 
 Only exp(i n0 k |x - y|) depends on k, and in 1D it factors on either side
 of x: the semiseparable structure of the Green's function (Greengard &
 Rokhlin, CPAM 44, 1991).  A :class:`KernelGeometry` holds the rest for one
 set of evaluation points on the mesh cut at every point, so that the kink of
-the integrand at y = x falls on a piece edge.  K(k) then costs one exponential
-per Gauss node and per point, and prefix and suffix sums over the pieces.  An
-:class:`LsContext` builds the geometry once at its collocation nodes (T(k))
-and once at its cell Gauss points (the filter), and the filter's L^2
-projection from those points onto the space.
+the integrand at y = x falls on a piece edge.  K(k) then costs exponentials
+per Gauss node and per point, and prefix and suffix sums over the pieces.
+K(k)u for many pairs contracts the weight table with the u first and takes
+one exponential per Gauss node and pair, e^{-i n0 k y}: e^{+i n0 k y} is its
+reciprocal.  An :class:`LsContext` builds the geometry once at its
+collocation nodes (T(k)) and once at its cell Gauss points (the filter), and
+the filter's L^2 projection from those points onto the space.
 
 For an even medium on a mirror-symmetric mesh, T(k) commutes with the mirror
 permutation of the nodes, so its even and odd blocks are all of it: T(k) is
@@ -54,6 +58,10 @@ from .mesh_fe import (BoundaryCondition, MeshedSpace, ParityBlock, build_mesh, b
 # cell at the Gauss-Lobatto nodes of this degree, which keeps it within 2e-13
 # of a rule of three times the order.
 _LOW_DEGREE_CUTS = 6
+
+# KernelGeometry.apply takes its columns in slices, so that no (pieces, q,
+# columns) array outgrows this many bytes however many pairs a filter call has.
+_SLICE_BYTES = 1 << 17
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,13 +108,13 @@ class LsContext:
         """(M^r)^-1 P^T, (dofs, cells * q): the L^2 projection onto the space of a
         function given by its values at the cell Gauss points, in ravelled
         (cell, node) order.  P^T[i, (c, g)] = phi_i(y) w(y) at node g of cell c.
-        Stored complex, so the product with K(k)u casts nothing per call."""
+        Real: the filter multiplies it into K(k)u's real and imaginary parts."""
         _, table = self.cell_quadrature
         cells, q, _ = table.shape
         pt = np.zeros((self.space.dof_count, cells, q))
         pt[self.space.cell_dofs[:, :, None], np.arange(cells)[:, None, None],
            np.arange(q)] = np.swapaxes(table, 1, 2)
-        return np.linalg.solve(self.mass, pt.reshape(self.space.dof_count, -1)).astype(complex)
+        return np.linalg.solve(self.mass, pt.reshape(self.space.dof_count, -1))
 
     @functools.cached_property
     def cuts(self) -> np.ndarray:
@@ -185,21 +193,23 @@ class KernelGeometry:
         plus = np.exp(ikn * self.nodes[lo:])[:, None, :] @ self.weights[lo:]
         return minus[:, 0], plus[:, 0]
 
-    def _sides(self, k: complex, prefix: np.ndarray, suffix: np.ndarray) -> np.ndarray:
+    def _sides(self, k, prefix: np.ndarray, suffix: np.ndarray) -> np.ndarray:
         """pref(k) [e^{ikn x} P[cut] + e^{-ikn x} Q[cut]].  ``prefix`` holds the
         minus moments of the pieces after a zero first row, ``suffix`` the plus
         moments of the pieces from ``lo`` on before a zero last row; both are
-        summed in place into P and Q."""
+        summed in place into P and Q.  ``k`` is a scalar, or an array with one
+        k per column of the moments."""
         np.cumsum(prefix, axis=0, out=prefix)
         reverse = suffix[::-1]
         np.cumsum(reverse, axis=0, out=reverse)
         ikn, pref = 1j * self.n0 * k, 1j * k / (2.0 * self.n0)
-        column = (-1,) + (1,) * (prefix.ndim - 1)
+        phase = np.multiply.outer(self.points, ikn)
+        column = phase.shape + (1,) * (prefix.ndim - phase.ndim)
         # gathered and scaled in place: no (m, dofs) temporary beyond ``right``
         out = prefix[self.cut]
-        out *= (pref * np.exp(ikn * self.points)).reshape(column)
+        out *= (pref * np.exp(phase)).reshape(column)
         right = suffix[self.cut - self.lo]
-        right *= (pref * np.exp(-ikn * self.points)).reshape(column)
+        right *= (pref * np.exp(-phase)).reshape(column)
         out += right
         return out
 
@@ -214,14 +224,43 @@ class KernelGeometry:
         suffix[pieces[lo:] - lo, self.piece_dofs[lo:]] = plus
         return self._sides(k, prefix, suffix)
 
-    def apply(self, k: complex, coeffs: np.ndarray) -> np.ndarray:
-        """K(k)u at the m points for u given by DOF coefficients, without forming K(k)."""
-        minus, plus = self._moments(1j * self.n0 * k)
-        prefix = np.zeros(len(minus) + 1, dtype=complex)
-        suffix = np.zeros(len(plus) + 1, dtype=complex)
-        prefix[1:] = np.sum(minus * coeffs[self.piece_dofs], axis=1)
-        suffix[:-1] = np.sum(plus * coeffs[self.piece_dofs[self.lo:]], axis=1)
-        return self._sides(k, prefix, suffix)
+    def apply(self, k, coeffs: np.ndarray) -> np.ndarray:
+        """K(k)u at the m points without forming K(k): (m,) for one k and a
+        coefficient vector u, (m, pairs) for one k per column of a (dofs, pairs)
+        array.
+
+        The columns go through :meth:`_apply_slice` in slices of at most
+        ``_SLICE_BYTES`` per (pieces, q, columns) array, so the temporaries do
+        not grow with the number of columns.
+        """
+        cols = coeffs.reshape(self.dof_count, -1)
+        ks = np.broadcast_to(k, cols.shape[1:])
+        width = max(1, _SLICE_BYTES // (16 * self.nodes.size))
+        out = np.empty((len(self.points), len(ks)), dtype=complex)
+        for start in range(0, len(ks), width):
+            part = slice(start, start + width)
+            out[:, part] = self._apply_slice(ks[part], cols[:, part])
+        return out.reshape(out.shape[:1] + coeffs.shape[1:])
+
+    def _apply_slice(self, ks: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """K(k)u with one k per column, (m, columns).
+
+        The weight table is contracted with the columns first, Wu[j, g] =
+        W[j, g] u[piece dofs], so each Gauss node and column costs one
+        exponential, e^{-ikn y}; e^{+ikn y} is its reciprocal.  Where e^{-ikn y}
+        leaves the float range, so does K(k)u: it is then not finite, as with
+        two exponentials.
+        """
+        lo = self.lo
+        wu = self.weights @ cols[self.piece_dofs]
+        minus = np.multiply.outer(self.nodes, -1j * self.n0 * ks)
+        np.exp(minus, out=minus)
+        prefix = np.zeros((len(wu) + 1, len(ks)), dtype=complex)
+        prefix[1:] = np.einsum("jgs,jgs->js", minus, wu)
+        plus = np.reciprocal(minus[lo:], out=minus[lo:])
+        suffix = np.zeros((len(wu) + 1 - lo, len(ks)), dtype=complex)
+        suffix[:-1] = np.einsum("jgs,jgs->js", plus, wu[lo:])
+        return self._sides(ks, prefix, suffix)
 
 
 def _kernel_geometry(ctx: LsContext, points, cuts) -> KernelGeometry:
@@ -275,45 +314,83 @@ def collocation_matrix(ctx: LsContext, k: complex) -> list[np.ndarray]:
     return blocks
 
 
-def filter_epsilon(ctx: LsContext, pair: EigenPair) -> FilterReport:
-    """The pseudomode residual eps = ||u - P K(k)u||_{L^2(Omega_r)} of an eigenpair.
+def filter_epsilons(ctx: LsContext, pairs) -> np.ndarray:
+    """The pseudomode residual eps = ||u - P K(k)u||_{L^2(Omega_r)} of every
+    eigenpair, in pair order.
 
-    The eigenvector is interpolated at the collocation nodes, normalized to
-    unit L^2(Omega_r) norm, K(k)u is evaluated at the cell Gauss points and
-    projected onto the space, eta = (M^r)^-1 b with b_i = int phi_i K(k)u,
-    as one product with the context's cached ``projection``, and
-    eps = sqrt((xi - eta)^* M^r (xi - eta)).  With vanishing contrast K = 0,
-    so eps = 1 for any unit u.  eps depends on (k, u) alone, not on the
-    solver that produced the pair.
+    Each vector is interpolated at the collocation nodes and normalized to unit
+    L^2(Omega_r) norm, K(k)u is evaluated at the cell Gauss points and
+    projected onto the space, eta = (M^r)^-1 b with b_i = int phi_i K(k)u, by
+    the context's cached ``projection``, and eps = sqrt((xi - eta)^* M^r
+    (xi - eta)).  With vanishing contrast K = 0, so eps = 1 for any unit u.
+    eps depends on (k, u) alone, not on the solver that produced the pair.
+
+    The pairs of one space take each step together: one interpolation, one
+    product with M^r to normalize, one :meth:`KernelGeometry.apply` with a k
+    per column, one product with the projection and one with M^r for the
+    norms.
 
     Deep in the lower half plane K(k)u can be finite while its square is not.
     So xi and K(k)u are both scaled by 2^-e before the projection and the
     norm, with e the binary exponent of the largest real or imaginary part of
-    K(k)u when that exceeds 1, and eps is scaled back: a power of two changes
-    no digit.  eps is inf for a pair the filter cannot test: a vector without
-    support on Omega_r, which cannot be a resonance mode, and a k at which
-    K(k)u is not finite in double precision.
+    the pair's K(k)u when that exceeds 1, and eps is scaled back: a power of
+    two changes no digit.  eps is inf for a pair the filter cannot test: a
+    vector without support on Omega_r, which cannot be a resonance mode, and a
+    k at which K(k)u is not finite in double precision.
     """
-    if pair.space is None:
+    pairs = list(pairs)
+    if any(pair.space is None for pair in pairs):
         raise ValueError("eigenpair carries no originating space")
-    # at the nodes of its own space the interpolant hits each node exactly
-    xi = evaluate_function(pair.space, pair.vector, ctx.space.node_coords)
-    mr = ctx.mass
-    nrm2 = float(np.real(xi.conj() @ (mr @ xi)))
-    if nrm2 <= 0 or np.sqrt(nrm2) < 1e-12:
-        return FilterReport(epsilon=math.inf)
-    xi = xi / np.sqrt(nrm2)
+    by_space: dict[MeshedSpace, list[int]] = {}
+    for j, pair in enumerate(pairs):
+        by_space.setdefault(pair.space, []).append(j)
+    eps = np.full(len(pairs), math.inf)
+    for space, rows in by_space.items():
+        eps[rows] = _space_epsilons(ctx, space, [pairs[j] for j in rows])
+    return eps
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        ku = ctx.quadrature_geometry.apply(pair.k, xi)
-    if not np.all(np.isfinite(ku)):
-        return FilterReport(epsilon=math.inf)
+
+def _space_epsilons(ctx: LsContext, space: MeshedSpace, pairs) -> np.ndarray:
+    """eps of pairs that all live on ``space``: see :func:`filter_epsilons`."""
+    eps = np.full(len(pairs), math.inf)
+    # at the nodes of its own space the interpolant hits each node exactly
+    xi = evaluate_function(space, np.stack([pair.vector for pair in pairs], axis=1),
+                           ctx.space.node_coords)
+    nrm = _mass_norms(ctx.mass, xi)
+    tested = np.flatnonzero(nrm >= 1e-12)
+    if not tested.size:
+        return eps
+    xi = xi[:, tested] / nrm[tested]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ku = ctx.quadrature_geometry.apply(np.array([pairs[j].k for j in tested]), xi)
+    finite = np.all(np.isfinite(ku), axis=0)
+    ku[:, ~finite] = 0.0
     # parts rather than moduli: |K(k)u| itself may overflow
-    scale = 2.0 ** -max(math.frexp(float(np.abs(ku.view(float)).max()))[1], 0)
-    diff = scale * xi - ctx.projection @ (scale * ku)
-    # exact, and a float division gives inf beyond the float range
-    eps = math.sqrt(max(float(np.real(diff.conj() @ (mr @ diff))), 0.0)) / scale
-    return FilterReport(epsilon=eps)
+    top = np.maximum(np.abs(ku.real).max(axis=0), np.abs(ku.imag).max(axis=0))
+    scale = np.ldexp(1.0, -np.maximum(np.frexp(top)[1], 0))
+    diff = scale * xi - _real_product(ctx.projection, scale * ku)
+    # exact, and a division beyond the float range gives inf
+    with np.errstate(over="ignore"):
+        eps[tested] = np.where(finite, _mass_norms(ctx.mass, diff) / scale, math.inf)
+    return eps
+
+
+def _real_product(mat: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """mat @ z for a real matrix and complex columns, as one real product over
+    the interleaved real and imaginary parts, without a complex copy of mat."""
+    z = np.ascontiguousarray(z)
+    return (mat @ z.view(float).reshape(len(z), -1)).view(complex)
+
+
+def _mass_norms(mass: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sqrt(z_j^* M z_j) of every column z_j, for a real symmetric M; a quadratic
+    form that rounds below zero gives 0."""
+    return np.sqrt(np.maximum(np.real(np.sum(z.conj() * _real_product(mass, z), axis=0)), 0.0))
+
+
+def filter_epsilon(ctx: LsContext, pair: EigenPair) -> FilterReport:
+    """The eps of one eigenpair: :func:`filter_epsilons` of a one-pair list."""
+    return FilterReport(epsilon=float(filter_epsilons(ctx, [pair])[0]))
 
 
 def pseudospectrum(t, region: tuple[float, float, float, float],

@@ -220,9 +220,11 @@ def _local_coordinates(mesh: Mesh1D, cells, points) -> np.ndarray:
 
 
 def evaluate_function(space: MeshedSpace, coeffs, points) -> np.ndarray:
-    """Evaluate the FE function with the given DOF coefficients at physical points."""
+    """Evaluate the FE function with the given DOF coefficients at physical points:
+    (points,) for a coefficient vector, (points, m) for the m columns of a
+    (dofs, m) array."""
     coeffs = np.asarray(coeffs)
-    if coeffs.shape != (space.dof_count,):
+    if coeffs.ndim not in (1, 2) or coeffs.shape[0] != space.dof_count:
         raise ValueError(f"expected {space.dof_count} coefficients, got shape {coeffs.shape}")
     pts = np.atleast_1d(np.asarray(points, dtype=float))
     v = space.mesh.vertices
@@ -231,9 +233,15 @@ def evaluate_function(space: MeshedSpace, coeffs, points) -> np.ndarray:
     cells = locate(space.mesh, pts)
     loc = np.clip(_local_coordinates(space.mesh, cells, pts), -1.0, 1.0)
     vals = lagrange_values(space.ref_nodes, space.bary_weights, loc)
-    # a constrained node's DOF index -1 reads the appended zero
-    local = np.append(coeffs, 0)[space.cell_dofs[cells]]
-    return np.sum(vals.T * local, axis=1)
+    vals = vals.reshape(vals.shape + (1,) * (coeffs.ndim - 1))
+    # a constrained node's DOF index -1 reads the appended zero row
+    padded = np.concatenate((coeffs, np.zeros((1,) + coeffs.shape[1:], coeffs.dtype)))
+    dofs = space.cell_dofs[cells]
+    # one shape function at a time, so no (points, p+1, m) table is gathered
+    out = vals[0] * padded[dofs[:, 0]]
+    for l in range(1, len(vals)):
+        out += vals[l] * padded[dofs[:, l]]
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helmres import FilterReport, assemble_dtn, solve_dtn, solve_pml
+from helmres import assemble_dtn, solve_dtn, solve_pml
 from helmres import cli
 from helmres.cli import (PipelineStageError, RunConfig, discretize, emit_outputs,
                          load_config, main, run_pipeline)
@@ -280,6 +280,26 @@ def test_run_json_round_trips_through_load_config(tmp_path):
     assert load_config(str(tmp_path / "run.json")) == cfg
 
 
+def test_a_float_field_given_as_a_json_integer_echoes_as_its_flag_does(tmp_path):
+    # "d": 1 in a config file and --d 1 are the same run, so run.json must say so
+    # byte for byte: the two configs compared equal, but the file echoed "d": 1
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"problem": "slab", "formulation": "dtn", "degree": 2,
+                                    "initial_cell_size": 0.5, "d": 1, "sigma0": 5,
+                                    "window": [0, 4, -2, 0]}))
+    assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "file")]) == 0
+    assert main(["solve", "--problem", "slab", "--formulation", "dtn", "--p", "2", "--h", "0.5",
+                 "--d", "1", "--sigma0", "5", "--window", "0", "4", "-2", "0",
+                 "--out", str(tmp_path / "flags")]) == 0
+    texts = []
+    for out in ("file", "flags"):
+        payload = json.loads((tmp_path / out / "run.json").read_text())
+        assert payload["config"].pop("out_dir") == str(tmp_path / out)
+        texts.append(json.dumps(payload, sort_keys=True))
+    assert texts[0] == texts[1]
+    assert '"d": 1.0' in texts[0] and '"sigma0": 5.0' in texts[0]
+
+
 def test_main_solve_writes_outputs(tmp_path, capsys):
     rc = main(["solve", "--problem", "slab", "--formulation", "dtn", "--p", "2",
                "--h", "0.5", "--d", "1", "--window", "0", "4", "-2", "0",
@@ -333,15 +353,15 @@ def test_main_filter_overrides_the_config_file_but_not_no_filter(tmp_path):
 
 def test_pair_without_resonator_support_gets_infinite_eps(tmp_path, capsys, monkeypatch):
     # the filter gives inf for the second row's pair, in the order the rows are filtered
-    real, calls = cli.filter_epsilon, []
+    real, calls = cli.filter_epsilons, []
 
-    def no_support_on_the_second_call(ctx, pair):
-        calls.append(pair)
-        if len(calls) == 2:
-            return FilterReport(epsilon=math.inf)
-        return real(ctx, pair)
+    def no_support_for_the_second_pair(ctx, pairs):
+        calls.append(pairs)
+        eps = real(ctx, pairs)
+        eps[1] = math.inf
+        return eps
 
-    monkeypatch.setattr(cli, "filter_epsilon", no_support_on_the_second_call)
+    monkeypatch.setattr(cli, "filter_epsilons", no_support_for_the_second_pair)
     assert main(["filter", "--problem", "slab", "--formulation", "dtn", "--p", "2",
                  "--h", "0.5", "--d", "1", "--window", "0", "4", "-2", "0",
                  "--out", str(tmp_path)]) == 0
@@ -351,6 +371,7 @@ def test_pair_without_resonator_support_gets_infinite_eps(tmp_path, capsys, monk
     rows = [line.split(",") for line in
             (tmp_path / "eigenvalues.csv").read_text().strip().splitlines()[1:]]
     assert [row[3] == "inf" for row in rows] == [j == 1 for j in range(len(rows))]
+    assert [len(pairs) for pairs in calls] == [len(rows)]  # one call for the whole run
 
 
 # unwindowed PML runs whose deepest pairs reach Im k = -80 (h = 0.5) and -223 (h = 0.25)

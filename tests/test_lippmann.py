@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from scipy.integrate import quad
 from helmres import (BoundaryCondition, ContourConfig, EigenPair, LsContext, MediumProfile,
                      air_filled_cavity_profile, apply_kernel, assemble_dtn, build_ls_context,
                      build_mesh, build_space, collocation_matrix, evaluate_function,
-                     filter_epsilon, pseudospectrum, slab_dtn_eigenvalues, slab_profile,
-                     smallest_singular_value, solve_contour)
+                     filter_epsilon, filter_epsilons, pseudospectrum, slab_dtn_eigenvalues,
+                     slab_profile, smallest_singular_value, solve_contour, solve_dtn)
 from helmres import lippmann
 from helmres.cli import RunConfig, discretize, write_grid_csv
 
@@ -347,7 +348,6 @@ def test_filter_interpolates_from_other_spaces():
     med = slab_profile(2.0, 1.0)
     space = build_space(build_mesh((-2, 2), [-1, 1], 0.25), 6, BoundaryCondition.NONE)
     mats = assemble_dtn(space, med)
-    from helmres import solve_dtn
     pairs, _ = solve_dtn(mats)
     best = min(pairs, key=lambda pr: abs(pr.k - K1))
     ctx = build_ls_context(med, 6, 0.25)
@@ -390,6 +390,81 @@ def test_filter_reads_its_own_space_as_an_equal_one():
             evaluate_function(ctx.space, pair.vector, ctx.space.node_coords), pair.vector)
         moved = EigenPair(k=k, vector=pair.vector, space=twin)
         assert filter_epsilon(ctx, pair).epsilon == filter_epsilon(ctx, moved).epsilon
+
+
+# the discretizations and windows of the benchmark's dtn, pml and ls workloads
+_BENCH_RUNS = {
+    "dtn": dict(problem="air_cavity", formulation="dtn", degree=16, initial_cell_size=0.25,
+                d=2.0, window=(0.0, 13.5, -2.0, 0.0)),
+    "pml": dict(problem="air_cavity", formulation="pml", degree=10, initial_cell_size=0.5,
+                d=2.0, x_c=3.0, ell=5.0, sigma0=5.0, window=(0.0, 13.5, -2.0, 0.0)),
+    "ls": dict(problem="air_cavity", formulation="ls", degree=8, initial_cell_size=0.25,
+               window=(0.0134, 8.0134, -1.2339, -0.0339), seed=1),
+}
+
+
+def _oracle_epsilon(ctx, pair):
+    """eps of one pair with K(k) formed as a matrix at the cell Gauss points."""
+    xi = evaluate_function(pair.space, pair.vector, ctx.space.node_coords)
+    xi = xi / math.sqrt(np.real(xi.conj() @ ctx.mass @ xi))
+    diff = xi - ctx.projection @ (ctx.quadrature_geometry.matrix(pair.k) @ xi)
+    return math.sqrt(np.real(diff.conj() @ ctx.mass @ diff))
+
+
+@pytest.mark.parametrize("run", sorted(_BENCH_RUNS))
+def test_batched_filter_matches_a_per_pair_kernel_matrix(run):
+    disc = discretize(RunConfig(**_BENCH_RUNS[run]))
+    pairs, _ = disc.solve()
+    re_min, re_max, im_min, im_max = disc.config.window
+    pairs = [p for p in pairs if re_min <= p.k.real <= re_max and im_min <= p.k.imag <= im_max]
+    assert len(pairs) > 1
+    eps = filter_epsilons(disc.ls_context, pairs)
+    assert eps.shape == (len(pairs),) and np.all(np.isfinite(eps))
+    for e, pair in zip(eps, pairs):
+        expected = _oracle_epsilon(disc.ls_context, pair)
+        assert abs(e - expected) <= 1e-12 * max(1.0, expected), (pair.k, e, expected)
+
+
+def test_batched_filter_gives_inf_only_to_the_pairs_it_cannot_test(monkeypatch):
+    ctx = build_ls_context(slab_profile(2.0, 1.0), 4, 0.5)
+    wide = build_space(build_mesh((-2, 2), [-1, 1], 0.25), 4, BoundaryCondition.NONE)
+    outside = EigenPair(k=1.0 - 0.1j, vector=np.exp(-((wide.node_coords - 1.75) / 0.03) ** 2),
+                        space=wide)
+    normal = [_unit_pair(ctx, k, seed) for seed, k in
+              enumerate((0.9 - 0.3j, K1, 2.0 - 1.0j, 3.0 - 20.0j, 1.4 - 0.5j))]
+    deep = _unit_pair(ctx, 1.0 - 2000j)
+    pairs = [normal[0], outside, normal[1], deep, *normal[2:]]
+    alone = [filter_epsilon(ctx, pair).epsilon for pair in pairs]
+    # two columns per slice: the overflowing pair shares one with a normal pair
+    monkeypatch.setattr(lippmann, "_SLICE_BYTES", 2 * 16 * ctx.quadrature_geometry.nodes.size)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow stays inside the filter
+        eps = filter_epsilons(ctx, pairs)
+    assert [e == math.inf for e in eps] == [False, True, False, True, False, False, False]
+    finite = [j for j, e in enumerate(eps) if e < math.inf]
+    for j in finite:
+        assert eps[j] == pytest.approx(alone[j], rel=1e-12)
+        assert eps[j] == pytest.approx(_oracle_epsilon(ctx, pairs[j]), rel=1e-12)
+
+
+def test_batched_filter_of_no_pairs_is_empty():
+    ctx = build_ls_context(slab_profile(2.0, 1.0), 4, 0.5)
+    eps = filter_epsilons(ctx, [])
+    assert isinstance(eps, np.ndarray) and eps.shape == (0,)
+
+
+def test_batched_filter_takes_pairs_from_two_spaces_in_one_call():
+    med = slab_profile(2.0, 1.0)
+    ctx = build_ls_context(med, 6, 0.25)
+    space = build_space(build_mesh((-2, 2), [-1, 1], 0.25), 6, BoundaryCondition.NONE)
+    dtn_pairs, _ = solve_dtn(assemble_dtn(space, med))
+    dtn_pairs = sorted(dtn_pairs, key=lambda pr: abs(pr.k - K1))[:3]
+    own = [_unit_pair(ctx, k, seed) for seed, k in enumerate((K1, 1.3 - 0.5j))]
+    pairs = [dtn_pairs[0], own[0], dtn_pairs[1], own[1], dtn_pairs[2]]
+    eps = filter_epsilons(ctx, pairs)
+    for e, pair in zip(eps, pairs):
+        assert e == pytest.approx(_oracle_epsilon(ctx, pair), rel=1e-12)
+    assert eps[0] < 1e-6  # the DtN pair at the slab's resonance K1
 
 
 def test_pseudospectrum_identity_for_vanishing_contrast():
