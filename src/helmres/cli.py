@@ -3,7 +3,8 @@
 A run is configured by a :class:`RunConfig`, whose field annotations are
 its type checks, executed by :func:`run_pipeline` (discretize, solve, window,
 filter, match against references, optional s_min grid over the configured
-window), and persisted by :func:`emit_outputs`.
+window), and persisted by :func:`emit_outputs`.  Each eigenvalue is one
+:class:`ReportRow`, whose fields are the columns of eigenvalues.csv.
 :func:`discretize` is the one place a configuration becomes a mesh and an
 operator: the DtN or PML matrices, or the LS context.  Each operator gives its
 matrix function T(k) as ``t(k)``, the list of its parity blocks, (even, odd)
@@ -11,8 +12,9 @@ for the built-in media, which are all even, and every solve, contour and
 grid runs on them.
 
 This module owns the output format: every file a command writes goes through
-one CSV writer, which prints each number with 12 significant digits and a
-signed zero as 0, and one JSON writer (indented, sorted keys).  A failed write
+one CSV writer, with one rule for every cell (a string as given, a bool as
+true/false, None as empty, a number with 12 significant digits and a signed
+zero as 0), and one JSON writer (indented, sorted keys).  A failed write
 is reported as pipeline stage ``output``.  Subcommands:
 
     solve           full pipeline, writes eigenvalues.csv and run.json, labels
@@ -113,6 +115,8 @@ class RunConfig:
             object.__setattr__(self, "pseudo_resolution", tuple(self.pseudo_resolution))
             if min(self.pseudo_resolution) < 1:
                 raise ValueError("pseudo_resolution entries must be >= 1")
+            if self.window is None:
+                raise ValueError("pseudo_resolution needs a window: the grid spans it")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.epsilon_threshold <= 0:
@@ -156,12 +160,15 @@ _FLOAT_FIELDS = {name for name, hint in _FIELD_HINTS.items()
 
 @dataclass(frozen=True, eq=False)
 class ReportRow:
-    index: int
-    k: complex
+    """One row of eigenvalues.csv: the fields are its columns, in order."""
+
+    j: int
+    re_k: float
+    im_k: float
     epsilon: float | None
     feasible: bool
-    ref_index: int | None
-    ref_distance: float | None
+    ref_match: int | None
+    ref_dist: float | None
     parity: str | None
 
 
@@ -315,24 +322,17 @@ def _filter_stage(disc: Discretization, pairs) -> list[float]:
 
 
 def _report_stage(disc: Discretization, pairs, epsilons) -> list[ReportRow]:
-    angle = disc.critical_angle
-    rows = []
-    for j, pair in enumerate(pairs):
-        eps = None if epsilons is None else epsilons[j]
-        # the PML critical line depends on k alone, not on whether eps was computed
-        feasible = angle is None or bool(np.angle(pair.k) >= angle)
-        if disc.reference is not None:
-            idx, dist = disc.reference.nearest(pair.k)
-        else:
-            idx, dist = None, None
-        rows.append(ReportRow(index=j, k=pair.k, epsilon=eps, feasible=feasible,
-                              ref_index=idx, ref_distance=dist, parity=pair.parity))
-    return rows
+    """One row per pair; feasibility is decided by k alone, eps computed or not."""
+    angle, refs = disc.critical_angle, disc.reference
+    return [ReportRow(j, p.k.real, p.k.imag, None if epsilons is None else epsilons[j],
+                      angle is None or bool(np.angle(p.k) >= angle),
+                      *(refs.nearest(p.k) if refs is not None else (None, None)), p.parity)
+            for j, p in enumerate(pairs)]
 
 
 def _grid_stage(disc: Discretization) -> np.ndarray:
     cfg = disc.config
-    if cfg.window is None or cfg.pseudo_resolution is None:
+    if cfg.pseudo_resolution is None:  # a config with it has a window
         raise ValueError("pseudospectrum needs both --window and --pseudo")
     return pseudospectrum(disc.operator.t, cfg.window, cfg.pseudo_resolution)
 
@@ -357,18 +357,24 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
 
 
 def _fmt(value) -> str:
+    """One CSV cell: a string as given, a bool as true/false, None as empty, and
+    a number with 12 significant digits."""
+    if isinstance(value, str):
+        return value
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
     # adding 0.0 turns -0.0 into 0.0, so a signed zero is written as 0
-    return "" if value is None else f"{value + 0.0:.12g}"
+    return f"{value + 0.0:.12g}"
 
 
-def _write_csv(path: str, header: str, rows) -> None:
-    """``header`` and one line per row, creating the directory; strings are
-    written as given, numbers and None through :func:`_fmt`."""
+def _write_csv(path: str, columns, rows) -> None:
+    """A line of ``columns`` names, then one per row, each cell through :func:`_fmt`."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(v if isinstance(v, str) else _fmt(v) for v in row) + "\n")
+        for line in (columns, *rows):
+            fh.write(",".join(map(_fmt, line)) + "\n")
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -384,7 +390,7 @@ def write_grid_csv(smin: np.ndarray, path, cfg: RunConfig) -> None:
     path = str(path)
     re_min, re_max, im_min, im_max = cfg.window
     nx, ny = cfg.pseudo_resolution
-    _write_csv(path, "re_k,im_k,smin",
+    _write_csv(path, ("re_k", "im_k", "smin"),
                ((re, im, smin[iy, ix]) for iy, im in enumerate(np.linspace(im_min, im_max, ny))
                 for ix, re in enumerate(np.linspace(re_min, re_max, nx))))
     _write_json(path + ".json", {
@@ -398,18 +404,17 @@ def write_grid_csv(smin: np.ndarray, path, cfg: RunConfig) -> None:
 def emit_outputs(report: RunReport) -> list[str]:
     """Write eigenvalues.csv, run.json, and pseudospectrum.csv when the report has a grid.
 
-    eigenvalues.csv ends with the ``parity`` of each row's vector, even or
-    odd, empty when the problem was solved as one block; run.json records the
-    parity and size of each block.  CSV content is a pure function of
+    eigenvalues.csv has one column per :class:`ReportRow` field, named and
+    ordered as the fields; its last, ``parity``, is even or odd, empty when
+    the problem was solved as one block.  run.json records the parity and
+    size of each block.  CSV content is a pure function of
     config + seed, byte-identical across runs; timing stays out of every
     emitted file for that reason.
     """
     cfg = report.config
     path = os.path.join(cfg.out_dir, "eigenvalues.csv")
-    _write_csv(path, "j,re_k,im_k,epsilon,feasible,ref_match,ref_dist,parity",
-               ((row.index, row.k.real, row.k.imag, row.epsilon,
-                 "true" if row.feasible else "false", row.ref_index, row.ref_distance,
-                 row.parity) for row in report.rows))
+    _write_csv(path, [f.name for f in dataclasses.fields(ReportRow)],
+               map(dataclasses.astuple, report.rows))
     written = [path]
 
     path = os.path.join(cfg.out_dir, "run.json")
@@ -434,8 +439,10 @@ def emit_outputs(report: RunReport) -> list[str]:
 def load_config(path: str) -> RunConfig:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
-    if "config" in data and isinstance(data["config"], dict):
+    if isinstance(data, dict) and "config" in data:
         data = data["config"]  # accept a previously emitted run.json
+    if not isinstance(data, dict):
+        raise ValueError(f"a config file must hold a JSON object, got {type(data).__name__}")
     return RunConfig.from_json_dict(data)
 
 
@@ -492,15 +499,15 @@ def _print_report(report: RunReport) -> None:
           f"{report.dof_count} dofs ({size}), {report.elapsed_seconds:.2f}s")
     for row in report.rows:
         # adding 0.0 turns -0.0 into 0.0, as in the CSV files
-        parts = [f"k[{row.index}] = {row.k.real + 0.0:+.12g} {row.k.imag + 0.0:+.12g}j"]
+        parts = [f"k[{row.j}] = {row.re_k + 0.0:+.12g} {row.im_k + 0.0:+.12g}j"]
         if row.epsilon is not None:
             parts.append(f"eps = {row.epsilon:.3e}")
             label = "true" if row.epsilon < cfg.epsilon_threshold and row.feasible else "spurious"
             parts.append(label)
         if not row.feasible:
             parts.append("infeasible")
-        if row.ref_distance is not None:
-            parts.append(f"ref[{row.ref_index}] dist {row.ref_distance:.3e}")
+        if row.ref_dist is not None:
+            parts.append(f"ref[{row.ref_match}] dist {row.ref_dist:.3e}")
         print("  " + "  ".join(parts))
 
 
@@ -538,7 +545,7 @@ def _cmd_reference(args: argparse.Namespace) -> int:
     refs = _required_reference(cfg)
     entries = [(j, k.real, k.imag) for j, k in enumerate(refs.values.tolist())]
     csv_path = os.path.join(cfg.out_dir, "reference.csv")
-    _stage("output", _write_csv, csv_path, "j,re_k,im_k", entries)
+    _stage("output", _write_csv, csv_path, ("j", "re_k", "im_k"), entries)
     json_path = os.path.join(cfg.out_dir, "reference.json")
     _stage("output", _write_json, json_path, {
         "problem": refs.problem, "provenance": refs.provenance, "entries": entries})
@@ -575,7 +582,7 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
             cfg, degree=degree, refinements=refinements, apply_filter=False,
             pseudo_resolution=None))
         rows = run_pipeline(sub).rows
-        err = min((abs(row.k - target) for row in rows), default=math.nan)
+        err = min((abs(complex(r.re_k, r.im_k) - target) for r in rows), default=math.nan)
         note = f"  {rate_name} = {rate(previous / err):.2f}" if previous > 0 and err > 0 else ""
         print(f"{label}  err = {err:.6e}{note}")
         previous = err

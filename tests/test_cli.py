@@ -10,8 +10,8 @@ import scipy.linalg
 
 from helmres import assemble_dtn, solve_dtn, solve_pml
 from helmres import cli
-from helmres.cli import (PipelineStageError, RunConfig, discretize, emit_outputs,
-                         load_config, main, run_pipeline)
+from helmres.cli import (PipelineStageError, ReportRow, RunConfig, RunReport, discretize,
+                         emit_outputs, load_config, main, run_pipeline)
 from helmres.eigen import smallest_singular_value
 from helmres.media import MediumProfile
 
@@ -89,18 +89,20 @@ def test_pml_feasibility_does_not_depend_on_the_filter():
     angle = discretize(cfg).critical_angle
     filtered, unfiltered = (run_pipeline(dataclasses.replace(cfg, apply_filter=on)).rows
                             for on in (True, False))
-    assert [row.k for row in filtered] == [row.k for row in unfiltered]
+    assert ([complex(row.re_k, row.im_k) for row in filtered]
+            == [complex(row.re_k, row.im_k) for row in unfiltered])
     assert all(row.epsilon is None for row in unfiltered)
     assert [row.feasible for row in filtered] == [row.feasible for row in unfiltered]
-    infeasible = [row.index for row in filtered if not row.feasible]
+    infeasible = [row.j for row in filtered if not row.feasible]
     assert infeasible
-    assert infeasible == [row.index for row in filtered if np.angle(row.k) < angle]
+    assert infeasible == [row.j for row in filtered
+                          if np.angle(complex(row.re_k, row.im_k)) < angle]
 
 
 def test_cavity_pipeline_matches_reference():
     report = run_pipeline(RunConfig(**_CAVITY_DTN))
     assert len(report.rows) >= 8
-    assert all(row.ref_distance < 1e-6 for row in report.rows)
+    assert all(row.ref_dist < 1e-6 for row in report.rows)
     assert all(row.epsilon < 1e-2 for row in report.rows)
 
 
@@ -161,7 +163,7 @@ def test_air_cavity_reference_only_at_the_tabulated_eta():
                     d=2.0, eta=2.0, window=(0.0, 4.0, -2.0, 0.0), apply_filter=False)
     report = run_pipeline(cfg)
     assert report.rows
-    assert all(row.ref_index is None and row.ref_distance is None for row in report.rows)
+    assert all(row.ref_match is None and row.ref_dist is None for row in report.rows)
 
 
 def test_signed_zero_is_written_as_zero(tmp_path):
@@ -266,6 +268,18 @@ def test_eigenvalues_csv_format(tmp_path):
         assert fields[7] in ("even", "odd")  # the slab is even
     # the modes alternate in parity, starting from the even fundamental
     assert [line.split(",")[7] for line in lines[1:]] == ["even", "odd"] * 2 + ["even"]
+
+
+def test_eigenvalues_csv_columns_are_the_report_row_fields(tmp_path):
+    rows = (ReportRow(0, -0.0, -0.5, None, False, None, None, None),
+            ReportRow(1, 1.25, -0.0, 0.5, True, 2, 1e-13, "odd"))
+    emit_outputs(RunReport(config=RunConfig(**_SLAB_DTN, out_dir=str(tmp_path)), rows=rows,
+                           dof_count=0, pencil_size=None, elapsed_seconds=0.0, grid=None,
+                           blocks=()))
+    lines = (tmp_path / "eigenvalues.csv").read_text().splitlines()
+    assert lines[0].split(",") == [f.name for f in dataclasses.fields(ReportRow)]
+    # a bool as true/false, None as empty, a signed zero as 0
+    assert lines[1:] == ["0,0,-0.5,,false,,,", "1,1.25,0,0.5,true,2,1e-13,odd"]
 
 
 def test_run_json_round_trips_through_load_config(tmp_path):
@@ -522,15 +536,37 @@ def test_main_rejects_ls_without_window(capsys):
     assert "pipeline stage 'solve' failed" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, grid_flags", [
-    ("solve", ["--pseudo", "3", "3"]),   # a grid without --window
-    ("pseudospectrum", []),              # a grid without --window or --pseudo
-])
-def test_main_grid_errors_are_stage_errors(tmp_path, capsys, command, grid_flags):
-    rc = main([command, "--problem", "slab", "--formulation", "dtn", "--p", "2",
-               "--h", "0.5", "--d", "1", *grid_flags, "--out", str(tmp_path)])
+def test_main_grid_errors_are_stage_errors(tmp_path, capsys):
+    # a grid without --window or --pseudo
+    rc = main(["pseudospectrum", "--problem", "slab", "--formulation", "dtn", "--p", "2",
+               "--h", "0.5", "--d", "1", "--out", str(tmp_path)])
     assert rc == 1
     assert "pipeline stage 'pseudospectrum' failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "pseudospectrum"])
+def test_a_grid_without_a_window_fails_as_config_before_any_output(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    rc = main([command, "--problem", "air_cavity", "--formulation", "dtn", "--p", "16",
+               "--h", "0.25", "--pseudo", "3", "3", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "pipeline stage 'config' failed" in err and "pseudo_resolution" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, got", [
+    ("5", "int"),
+    ('"abc"', "str"),
+    ('{"config": 3, "problem": "slab"}', "int"),
+], ids=["number", "string", "config-number"])
+def test_main_rejects_a_config_file_that_is_no_json_object(tmp_path, capsys, text, got):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "pipeline stage 'config' failed" in err
+    assert f"a JSON object, got {got}" in err
 
 
 @pytest.mark.parametrize("command", ["solve", "filter", "pseudospectrum", "reference"])
@@ -558,6 +594,9 @@ def test_main_output_errors_are_stage_errors(tmp_path, capsys, command):
      "--sweep", "p", "--start", "5", "--stop", "2"],
     ["convergence", "--problem", "slab", "--formulation", "dtn", "--h", "0.5", "--d", "1",
      "--sweep", "h", "--levels", "0"],
+    # a grid without --window
+    ["solve", "--problem", "slab", "--formulation", "dtn", "--p", "2", "--h", "0.5", "--d", "1",
+     "--pseudo", "3", "3"],
 ])
 def test_main_reports_config_errors(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path)]) == 1

@@ -18,7 +18,7 @@ from test_cli import _CAVITY_DTN, _SLAB_DTN
 _SCRIPT = """
 import json, sys
 from helmres.cli import RunConfig, run_pipeline
-rows = {name: [[row.k.real, row.k.imag] for row in run_pipeline(RunConfig(**cfg)).rows]
+rows = {name: [[row.re_k, row.im_k] for row in run_pipeline(RunConfig(**cfg)).rows]
         for name, cfg in json.loads(sys.argv[1]).items()}
 print(json.dumps(rows))
 """
