@@ -10,10 +10,11 @@ import pytest
 from scipy.integrate import quad
 
 from helmres import (BoundaryCondition, ContourConfig, EigenPair, LsContext, MediumProfile,
-                     air_filled_cavity_profile, apply_kernel, assemble_dtn, build_ls_context,
-                     build_mesh, build_space, collocation_matrix, evaluate_function,
-                     filter_epsilon, filter_epsilons, pseudospectrum, slab_dtn_eigenvalues,
-                     slab_profile, smallest_singular_value, solve_contour, solve_dtn)
+                     ParityBlock, air_filled_cavity_profile, apply_kernel, assemble_dtn,
+                     build_ls_context, build_mesh, build_space, collocation_matrix,
+                     evaluate_function, filter_epsilon, filter_epsilons, pseudospectrum,
+                     slab_dtn_eigenvalues, slab_profile, smallest_singular_value, solve_contour,
+                     solve_dtn)
 from helmres import lippmann
 from helmres.cli import RunConfig, discretize, write_grid_csv
 
@@ -177,25 +178,71 @@ def test_kernel_without_split_points_matches_adaptive_quadrature(k):
         np.testing.assert_allclose(apply_kernel(ctx, k, u, pts), expected, rtol=1e-12)
 
 
+def _off_centre_medium():
+    """A slab that is not even, so its context is one block."""
+    return MediumProfile(n=lambda x: np.where((x >= -1.0) & (x <= 0.5), 2.0, 1.0),
+                         n0=1.0, resonator_halfwidth=1.0, breakpoints=(-1.0, 0.5))
+
+
 @pytest.mark.parametrize("degree", [1, 4])
 def test_kernel_matrix_matches_apply(degree):
-    # 12 cells: the piece tables, (pieces, q, p + 1) with pieces <= cells + points,
-    # then stay below points x (cells q) entries, the size of a dense kernel table
+    # 12 and 16 cells: the piece tables, (pieces, q, p + 1) with pieces <= cells +
+    # points, then stay below points x (cells q) entries, the size of a dense
+    # kernel table.  The even medium's every-node geometry takes the mirrored
+    # path of matrix, the off-centre one's the path of every other geometry.
+    even = build_ls_context(air_filled_cavity_profile(1.5, math.sqrt(3.5), math.sqrt(2.5)),
+                            degree, 0.25)
+    off_centre = build_ls_context(_off_centre_medium(), degree, 0.125)
+    for ctx in (even, off_centre):
+        cells, q, n = ctx.space.mesh.n_cells, ctx.quad_order, ctx.space.dof_count
+        rng = np.random.default_rng(6)
+        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        every_node = lippmann._kernel_geometry(ctx, ctx.space.node_coords, ctx.cuts)
+        assert every_node.mirrored == (ctx is even) and not ctx.quadrature_geometry.mirrored
+        for geometry in (every_node, ctx.quadrature_geometry):
+            m = geometry.points.size
+            for field in dataclasses.fields(geometry):
+                value = getattr(geometry, field.name)
+                if isinstance(value, np.ndarray):
+                    assert value.size < m * cells * q, field.name
+            for k in (2.0 - 0.4j, 6.0 - 3.0j, 3.0 - 20.0j, 0.3 + 2.0j):
+                np.testing.assert_allclose(geometry.matrix(k) @ u, geometry.apply(k, u),
+                                           rtol=1e-13)
+
+
+@pytest.mark.parametrize("degree, cell_size", [(1, 0.5), (2, 0.5), (3, 0.5), (8, 0.5),
+                                               (3, 0.7), (5, 0.7)])
+def test_mirrored_kernel_matrix_matches_its_columns(degree, cell_size):
+    # a two-block context's T(k) takes the moments of the right half of the pieces
+    # alone and sums P and Q from the centre; apply takes every piece
     ctx = build_ls_context(air_filled_cavity_profile(1.5, math.sqrt(3.5), math.sqrt(2.5)),
-                           degree, 0.25)
-    cells, q = ctx.space.mesh.n_cells, ctx.quad_order
-    rng = np.random.default_rng(6)
-    u = rng.standard_normal(ctx.space.dof_count) + 1j * rng.standard_normal(ctx.space.dof_count)
+                           degree, cell_size)
+    colloc = ctx.collocation_geometry
     every_node = lippmann._kernel_geometry(ctx, ctx.space.node_coords, ctx.cuts)
-    for geometry in (every_node, ctx.quadrature_geometry):
-        m = geometry.points.size
-        for field in dataclasses.fields(geometry):
-            value = getattr(geometry, field.name)
-            if isinstance(value, np.ndarray):
-                assert value.size < m * cells * q, field.name
-        for k in (2.0 - 0.4j, 6.0 - 3.0j, 3.0 - 20.0j, 0.3 + 2.0j):
-            np.testing.assert_allclose(geometry.matrix(k) @ u, geometry.apply(k, u),
-                                       rtol=1e-13)
+    pieces = len(colloc.piece_dofs)
+    assert len(every_node.piece_dofs) == pieces
+    if cell_size == 0.7:
+        # no node at x = 0, so the first row of T(k) lies off the centre: at p = 3
+        # the cut at x = 0 comes from the Gauss-Lobatto nodes of degree 6, and at
+        # p = 5 the piece around x = 0 is its own mirror
+        assert np.all(ctx.space.node_coords != 0.0)
+        assert (pieces, colloc.cut[0]) == {3: (40, 21), 5: (25, 13)}[degree]
+    eye = np.eye(ctx.space.dof_count)
+    for geometry in (colloc, every_node):
+        assert geometry.mirrored
+        for k in (3.0 - 0.5j, 7.9 - 1.2j, 2.0 - 20.0j, 0.3 + 2.0j, 0.0):
+            np.testing.assert_allclose(geometry.matrix(k), geometry.apply(k, eye), rtol=1e-13)
+
+
+def test_a_two_block_geometry_must_be_a_mirror_image():
+    # parity blocks on a context whose mesh is no mirror image
+    ctx = build_ls_context(_off_centre_medium(), 4, 0.4)
+    assert not np.allclose(ctx.space.mesh.vertices, -ctx.space.mesh.vertices[::-1])
+    n = ctx.space.dof_count
+    ctx.__dict__["blocks"] = (ParityBlock(parity="even", size=(n + 1) // 2, dof_count=n),
+                              ParityBlock(parity="odd", size=n // 2, dof_count=n))
+    with pytest.raises(ValueError, match="no mirror image"):
+        ctx.collocation_geometry
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 8])
@@ -211,9 +258,7 @@ def test_collocation_geometry_is_the_last_rows_of_the_every_node_one(degree):
         assert np.array_equal(ctx.collocation_geometry.matrix(k), every_node.matrix(k)[-size:])
 
     # a medium that is not even is one block, collocated at every node
-    off_centre = MediumProfile(n=lambda x: np.where((x >= -1.0) & (x <= 0.5), 2.0, 1.0),
-                               n0=1.0, resonator_halfwidth=1.0, breakpoints=(-1.0, 0.5))
-    ctx = build_ls_context(off_centre, degree, 0.5)
+    ctx = build_ls_context(_off_centre_medium(), degree, 0.5)
     assert [b.parity for b in ctx.blocks] == [None]
     assert np.array_equal(ctx.collocation_geometry.points, ctx.space.node_coords)
 
