@@ -22,17 +22,17 @@ Only exp(i n0 k |x - y|) depends on k, and in 1D it factors on either side
 of x: the semiseparable structure of the Green's function (Greengard &
 Rokhlin, CPAM 44, 1991).  A :class:`KernelGeometry` holds the rest for one
 set of evaluation points on the mesh cut at every point, so that the kink of
-the integrand at y = x falls on a piece edge.  K(k) then costs exponentials
-per Gauss node and per point, and prefix and suffix sums over the pieces.
-On an even medium the pieces of T(k) are mirror images, so it takes one
-exponential per mirror pair of Gauss nodes, e^{-i n0 k y} at y >= 0, whose
-reciprocal is e^{+i n0 k y} there and e^{-i n0 k y} at the mirror node; its
-sums run over the right half of the pieces and start at the centre.
-K(k)u for many pairs contracts the weight table with the u first and takes
-one exponential per Gauss node and pair, e^{-i n0 k y}: e^{+i n0 k y} is its
-reciprocal.  An :class:`LsContext` builds the geometry once at its
-collocation nodes (T(k)) and once at its cell Gauss points (the filter), and
-the filter's L^2 projection from those points onto the space.
+the integrand at y = x falls on a piece edge.  K(k) then takes one
+exponential per Gauss node, e^{-i n0 k y}, whose reciprocal is e^{+i n0 k y},
+and prefix and suffix sums over the pieces.  On an even medium the pieces of
+T(k) are mirror images, and e^{-i n0 k y} at y >= 0 is e^{+i n0 k y} at the
+mirror node: the same routine then takes one exponential per mirror pair of
+Gauss nodes, and its sums run over the right half of the pieces and start at
+the centre.  K(k)u for many pairs contracts the weight table with the u
+first and takes one exponential per Gauss node and pair, e^{-i n0 k y}:
+e^{+i n0 k y} is its reciprocal.  An :class:`LsContext` builds the geometry
+once at its collocation nodes (T(k)) and once at its cell Gauss points (the
+filter), and the filter's L^2 projection from those points onto the space.
 
 For an even medium on a mirror-symmetric mesh, T(k) commutes with the mirror
 permutation of the nodes, so its even and odd blocks are all of it: T(k) is
@@ -136,7 +136,8 @@ class LsContext:
         so its pieces are those of a geometry at all nodes.  With two blocks
         they are mirror images, and K(k) takes the moments of the right half
         of them alone: its rows are those of the geometry at all nodes, bit
-        for bit, as both sum P and Q from the centre."""
+        for bit, as both sum P and Q from the centre.  With one block it is
+        the geometry at all nodes, and K(k) takes the moments of every piece."""
         return _kernel_geometry(self, self.space.node_coords[-self.blocks[0].size:], self.cuts)
 
     @functools.cached_property
@@ -181,7 +182,8 @@ class KernelGeometry:
     A ``mirrored`` geometry, such as that of T(k) on a context with two parity
     blocks, has pieces, nodes and weights that are exact mirror images (x ->
     -x, DOF d -> dofs - 1 - d), and :meth:`matrix` takes the moments of the
-    right half of the pieces alone.  Every other geometry takes all of them.
+    right half of the pieces alone.  On any other geometry the same routine
+    takes those of every piece; :meth:`apply` always does.
     """
 
     n0: float
@@ -194,87 +196,56 @@ class KernelGeometry:
     mirrored: bool              # piece j and node g mirror piece -1-j and node -1-g
 
     @functools.cached_property
-    def lo(self) -> int:
-        """The first piece right of any point: Q is needed from there on only."""
-        return int(self.cut.min(initial=len(self.piece_dofs)))
-
-    def _moments(self, ikn: complex) -> tuple[np.ndarray, np.ndarray]:
-        """M-[j, l] = sum_g e^{-ikn y_g} W[j, g, l] of every piece, (pieces, p+1),
-        and M+ (e^{+ikn y_g}) of the pieces from ``lo`` on, (pieces - lo, p+1)."""
-        lo = self.lo
-        minus = np.exp(-ikn * self.nodes)[:, None, :] @ self.weights
-        plus = np.exp(ikn * self.nodes[lo:])[:, None, :] @ self.weights[lo:]
-        return minus[:, 0], plus[:, 0]
-
-    def _sides(self, k, prefix: np.ndarray, suffix: np.ndarray) -> np.ndarray:
-        """pref(k) [e^{ikn x} P[cut] + e^{-ikn x} Q[cut]].  ``prefix`` holds the
-        minus moments of the pieces after a zero first row, ``suffix`` the plus
-        moments of the pieces from ``lo`` on before a zero last row; both are
-        summed in place into P and Q.  ``k`` is a scalar, or an array with one
-        k per column of the moments."""
-        np.cumsum(prefix, axis=0, out=prefix)
-        reverse = suffix[::-1]
-        np.cumsum(reverse, axis=0, out=reverse)
-        return _combine(k, self.n0, self.points, prefix[self.cut], suffix[self.cut - self.lo])
-
-    def matrix(self, k: complex) -> np.ndarray:
-        """K(k) as an (m, dofs) matrix."""
-        if self.mirrored:
-            return self._mirrored_matrix(k)
-        lo = self.lo
-        minus, plus = self._moments(1j * self.n0 * k)
-        pieces = np.arange(len(self.piece_dofs))[:, None]
-        prefix = np.zeros((pieces.size + 1, self.dof_count), dtype=complex)
-        suffix = np.zeros((pieces.size + 1 - lo, self.dof_count), dtype=complex)
-        prefix[pieces + 1, self.piece_dofs] = minus
-        suffix[pieces[lo:] - lo, self.piece_dofs[lo:]] = plus
-        return self._sides(k, prefix, suffix)
-
-    @functools.cached_property
-    def _mirror(self) -> "_MirrorPlan":
-        """The :class:`_MirrorPlan` of :meth:`_mirrored_matrix`."""
+    def _plan(self) -> "_MatrixPlan":
+        """The :class:`_MatrixPlan` of :meth:`matrix`."""
         pieces = len(self.piece_dofs)
-        half = pieces // 2
+        half = pieces // 2 if self.mirrored else 0
         dofs = self.piece_dofs[half:]
         first_dof = int(dofs.min())
         right = np.arange(pieces - half)[:, None]
-        flip = 2 * self.cut < pieces
+        flip = self.mirrored & (2 * self.cut < pieces)
         rows = np.where(flip, pieces - self.cut, self.cut) - half
-        return _MirrorPlan(
+        return _MatrixPlan(
             half=half, table=np.ascontiguousarray(np.swapaxes(self.weights[half:].real, 1, 2)),
             first_dof=first_dof, into_p=((right + 1) * self.dof_count + dofs).ravel(),
             into_q=(right * (self.dof_count - first_dof) + dofs - first_dof).ravel(),
             flip=np.flatnonzero(flip), points=np.where(flip, -self.points, self.points),
             rows=None if np.array_equal(rows, np.arange(pieces - half + 1)) else rows)
 
-    def _mirrored_matrix(self, k: complex) -> np.ndarray:
-        """K(k) of a mirrored geometry, from the moments of its right half alone.
+    def matrix(self, k: complex) -> np.ndarray:
+        """K(k) as an (m, dofs) matrix, from the moments of the pieces from
+        ``half`` on: the right half of a mirrored geometry, every piece of any
+        other.
 
-        The right pieces take e^{-ikn y} for their minus moments and its
-        reciprocal for their plus moments: one exponential per mirror pair of
-        Gauss nodes.  Both moments are one real product with the weight table,
-        which is real.  A left piece mirrors a right one, so its minus moments
-        are the DOF-reversed plus moments of that one: the P of all left pieces
-        is the reversed Q of their mirrors.  P starts from it at the centre and
-        Q ends at the last piece, over (right pieces + 1) rows.  Both are summed
-        over the DOFs the right pieces touch only; the rest of P is its first
-        row, and Q is held on those DOFs alone, as it is zero on the rest.  A
-        point left of the centre takes the reversed row of its mirror point.
+        Those pieces take e^{-ikn y} for their minus moments and its reciprocal
+        for their plus moments: one exponential per Gauss node, or per mirror
+        pair of them.  Both moments are one real product with the weight table,
+        which is real.  P starts at the centre from the minus moments of the
+        pieces before ``half``: a left piece mirrors a right one, so its minus
+        moments are the DOF-reversed plus moments of that one, and the P of all
+        left pieces is the reversed Q of their mirrors.  With no mirror there
+        are no left pieces, and P starts from zero.  P and Q have one row more
+        than those pieces, and Q ends at the last piece.  Both are summed over
+        the DOFs those pieces touch only; the rest of P is its first row, and
+        Q is held on those DOFs alone, as it is zero on the rest.  A
+        point left of the centre of a mirrored geometry takes the reversed row
+        of its mirror point.
         """
-        plan = self._mirror
+        plan = self._plan
         right = self.nodes[plan.half:]
         first = plan.first_dof
         terms = np.empty(right.shape + (2,), dtype=complex)
         np.exp(-1j * self.n0 * k * right, out=terms[..., 0])
         np.reciprocal(terms[..., 0], out=terms[..., 1])
-        moments = (plan.table @ terms.view(float)).view(complex)  # (right pieces, p+1, 2)
+        moments = (plan.table @ terms.view(float)).view(complex)  # (pieces, p+1, 2)
         prefix = np.zeros((len(right) + 1, self.dof_count), dtype=complex)
         suffix = np.zeros((len(right) + 1, self.dof_count - first), dtype=complex)
         prefix.ravel()[plan.into_p] = moments[..., 0].ravel()
         suffix.ravel()[plan.into_q] = moments[..., 1].ravel()
         reverse = suffix[::-1]
         np.cumsum(reverse, axis=0, out=reverse)
-        # the mirrors of the left pieces are those from pieces - half on
+        # the mirrors of the left pieces are those from pieces - half on; with
+        # half = 0 that is Q's last row, zero
         prefix[0, :suffix.shape[1]] = suffix[len(self.piece_dofs) - 2 * plan.half, ::-1]
         prefix[1:, :first] = prefix[0, :first]
         np.cumsum(prefix[:, first:], axis=0, out=prefix[:, first:])
@@ -312,32 +283,35 @@ class KernelGeometry:
         leaves the float range, so does K(k)u: it is then not finite, as with
         two exponentials.
         """
-        lo = self.lo
         wu = self.weights @ cols[self.piece_dofs]
-        minus = np.multiply.outer(self.nodes, -1j * self.n0 * ks)
-        np.exp(minus, out=minus)
+        terms = np.multiply.outer(self.nodes, -1j * self.n0 * ks)
+        np.exp(terms, out=terms)
         prefix = np.zeros((len(wu) + 1, len(ks)), dtype=complex)
-        prefix[1:] = np.einsum("jgs,jgs->js", minus, wu)
-        plus = np.reciprocal(minus[lo:], out=minus[lo:])
-        suffix = np.zeros((len(wu) + 1 - lo, len(ks)), dtype=complex)
-        suffix[:-1] = np.einsum("jgs,jgs->js", plus, wu[lo:])
-        return self._sides(ks, prefix, suffix)
+        prefix[1:] = np.einsum("jgs,jgs->js", terms, wu)
+        np.reciprocal(terms, out=terms)
+        suffix = np.zeros_like(prefix)
+        suffix[:-1] = np.einsum("jgs,jgs->js", terms, wu)
+        np.cumsum(prefix, axis=0, out=prefix)
+        reverse = suffix[::-1]
+        np.cumsum(reverse, axis=0, out=reverse)
+        return _combine(ks, self.n0, self.points, prefix[self.cut], suffix[self.cut])
 
 
 @dataclass(frozen=True, eq=False)
-class _MirrorPlan:
-    """The k-independent part of the K(k) of a mirrored geometry.
+class _MatrixPlan:
+    """The k-independent part of :meth:`KernelGeometry.matrix` beyond the geometry.
 
-    The right pieces are those from ``half`` = pieces // 2 on, which takes the
-    piece around x = 0 when that is its own mirror.
+    Its pieces are those from ``half`` on: pieces // 2 on a mirrored geometry,
+    which takes the piece around x = 0 when that is its own mirror, and 0 on
+    any other.
     """
 
     half: int
-    table: np.ndarray           # (right pieces, p+1, q): their weights, real, transposed
+    table: np.ndarray           # (its pieces, p+1, q): their weights, real, transposed
     first_dof: int              # the first DOF they touch
     into_p: np.ndarray          # the flat index of their DOFs in P, one row down
     into_q: np.ndarray          # and in Q, whose columns start at first_dof
-    flip: np.ndarray            # the rows of the points left of the centre
+    flip: np.ndarray            # the rows of the points left of a mirror's centre
     points: np.ndarray          # (m,) where each row is taken: x, or -x to flip
     rows: np.ndarray | None     # (m,) its row of P and Q; None for all, in order
 
@@ -513,9 +487,13 @@ def pseudospectrum(t, region: tuple[float, float, float, float],
     Entry (iy, ix) is at k = re[ix] + i im[iy], with re and im the
     ``np.linspace`` axes of ``region`` at ``resolution = (nx, ny)`` points.
     Values are absolute (no relative rescaling); grid traversal is row-major and
-    bit-reproducible.  Deep in the lower half plane T(k) can overflow, or take
-    the reciprocal of an exponential that underflowed to 0: the ValueError for
-    a T(k) that is not finite names the k.
+    bit-reproducible.  An s_min below n u ||T(k)||_2, with n the order of T(k)
+    and u = 1.1e-16 the unit roundoff, is rounding, and no value is flagged as
+    such: on the air cavity at p = 4, h = 0.5 and k = 2 - 10i, ||T(k)||_2 =
+    5.9e19, so n u ||T(k)||_2 = 1.6e5 while s_min = 8.2e-4.  Deeper in the
+    lower half plane T(k) can overflow, or take the reciprocal of an
+    exponential that underflowed to 0: the ValueError for a T(k) that is not
+    finite names the k.
     """
     re_min, re_max, im_min, im_max = map(float, region)
     nx, ny = map(int, resolution)

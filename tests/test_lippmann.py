@@ -184,12 +184,33 @@ def _off_centre_medium():
                          n0=1.0, resonator_halfwidth=1.0, breakpoints=(-1.0, 0.5))
 
 
+@pytest.mark.parametrize("k", [2.0 - 0.4j, 1.2 - 1.0j, 3.0 - 20.0j, 0.3 + 2.0j])
+def test_one_block_kernel_matches_adaptive_quadrature(k):
+    # the T(k) of a medium that is not even takes the moments of every piece
+    for degree, entries in ((1, {0: range(5), 2: range(5), 4: range(5)}),
+                            (4, {6: (4, 5, 6, 8, 16), 12: (8, 11, 12, 13, 16)})):
+        ctx = build_ls_context(_off_centre_medium(), degree, 0.5)
+        space = ctx.space
+        n = space.dof_count
+        geometry = ctx.collocation_geometry
+        assert not geometry.mirrored and n == 4 * degree + 1
+        gmat = geometry.matrix(k)
+        # at p = 4 node 6 (x = -0.25) lies strictly inside cell 1, node 12 on the
+        # breakpoint x = 0.5
+        for i, columns in entries.items():
+            x = space.node_coords[i]
+            for j in columns:
+                phi_j = _fe_function(space, np.eye(n)[j])
+                assert gmat[i, j] == pytest.approx(_kernel_oracle(ctx, k, x, phi_j), rel=1e-12)
+
+
 @pytest.mark.parametrize("degree", [1, 4])
 def test_kernel_matrix_matches_apply(degree):
     # 12 and 16 cells: the piece tables, (pieces, q, p + 1) with pieces <= cells +
     # points, then stay below points x (cells q) entries, the size of a dense
-    # kernel table.  The even medium's every-node geometry takes the mirrored
-    # path of matrix, the off-centre one's the path of every other geometry.
+    # kernel table.  The even medium's every-node geometry is mirrored, so matrix
+    # takes the moments of the right half of its pieces; the off-centre one's and
+    # the quadrature geometries take those of every piece.
     even = build_ls_context(air_filled_cavity_profile(1.5, math.sqrt(3.5), math.sqrt(2.5)),
                             degree, 0.25)
     off_centre = build_ls_context(_off_centre_medium(), degree, 0.125)
@@ -214,7 +235,8 @@ def test_kernel_matrix_matches_apply(degree):
                                                (3, 0.7), (5, 0.7)])
 def test_mirrored_kernel_matrix_matches_its_columns(degree, cell_size):
     # a two-block context's T(k) takes the moments of the right half of the pieces
-    # alone and sums P and Q from the centre; apply takes every piece
+    # alone and sums P and Q from the centre; apply takes every piece, as does the
+    # T(k) of a one-block context, the same routine with no mirror
     ctx = build_ls_context(air_filled_cavity_profile(1.5, math.sqrt(3.5), math.sqrt(2.5)),
                            degree, cell_size)
     colloc = ctx.collocation_geometry
@@ -232,6 +254,11 @@ def test_mirrored_kernel_matrix_matches_its_columns(degree, cell_size):
         assert geometry.mirrored
         for k in (3.0 - 0.5j, 7.9 - 1.2j, 2.0 - 20.0j, 0.3 + 2.0j, 0.0):
             np.testing.assert_allclose(geometry.matrix(k), geometry.apply(k, eye), rtol=1e-13)
+    one_block = build_ls_context(_off_centre_medium(), degree, cell_size).collocation_geometry
+    assert not one_block.mirrored
+    eye = np.eye(one_block.dof_count)
+    for k in (3.0 - 0.5j, 7.9 - 1.2j, 2.0 - 20.0j, 0.3 + 2.0j, 0.0):
+        np.testing.assert_allclose(one_block.matrix(k), one_block.apply(k, eye), rtol=1e-13)
 
 
 def test_a_two_block_geometry_must_be_a_mirror_image():
