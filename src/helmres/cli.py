@@ -45,7 +45,7 @@ import numpy as np
 
 from . import __version__
 from .assembly import DtnMatrices, PmlMatrices, assemble_dtn, assemble_pml
-from .eigen import ContourConfig, EigenPair, solve_contour, solve_dtn, solve_pml
+from .eigen import ContourConfig, EigenPair, in_window, solve_contour, solve_dtn, solve_pml
 from .lippmann import LsContext, build_ls_context, filter_epsilons, pseudospectrum
 from .media import MediumProfile, PmlConfig, air_filled_cavity_profile, bump_profile, \
     critical_angle, slab_profile
@@ -253,13 +253,18 @@ class Discretization:
         """Eigenpairs sorted by Re k, and the pencil size (None for the contour).
 
         The matrix sets return every pair their solver returns, all with
-        Re k >= 0 and the pencil size summed over the parity blocks; an LS
-        context is solved on the ellipse inscribed in the window, with one
-        probe per block drawn in block order from ``seed``.
+        Re k >= 0 and the pencil size summed over the parity blocks; the DtN
+        solver is given the window and ``seed``, and computes only the pairs
+        inside the window.  An LS context is solved on the ellipse inscribed in
+        the window.  Both contours draw one probe per block, in block order,
+        from ``seed``.
         """
         op, cfg = self.operator, self.config
-        if not isinstance(op, LsContext):
-            pairs, diag = (solve_dtn if isinstance(op, DtnMatrices) else solve_pml)(op)
+        if isinstance(op, DtnMatrices):
+            pairs, diag = solve_dtn(op, window=cfg.window, rng=cfg.seed)
+            return pairs, diag.pencil_size
+        if isinstance(op, PmlMatrices):
+            pairs, diag = solve_pml(op)
             return pairs, diag.pencil_size
         if cfg.window is None:
             raise ValueError("the ls formulation needs --window to place its contour")
@@ -311,9 +316,7 @@ def _stage(name: str, fn, *args):
 def _window_stage(cfg: RunConfig, pairs):
     if cfg.window is None:
         return list(pairs)
-    re_min, re_max, im_min, im_max = cfg.window
-    return [p for p in pairs
-            if re_min <= p.k.real <= re_max and im_min <= p.k.imag <= im_max]
+    return [p for p in pairs if in_window(p.k, cfg.window)]
 
 
 def _filter_stage(disc: Discretization, pairs) -> list[float]:
@@ -470,7 +473,8 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--pseudo", dest="pseudo_resolution", type=int, nargs=2, default=None,
                      metavar=("NX", "NY"))
     sub.add_argument("--out", dest="out_dir", default=None, help="output directory")
-    sub.add_argument("--seed", type=int, default=None, help="probe RNG seed")
+    sub.add_argument("--seed", type=int, default=None,
+                     help="probe RNG seed for the ls and the windowed dtn contours")
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:

@@ -145,6 +145,43 @@ def test_deep_pml_window_reports_every_eigenvalue_of_the_qz_oracle():
     assert len(run_pipeline(cfg).rows) == len(inside)
 
 
+# the benchmark's dtn-cavity call, which gives no --seed
+_DTN_CAVITY_ARGV = ["filter", "--problem", "air_cavity", "--formulation", "dtn", "--p", "16",
+                    "--h", "0.25", "--d", "2", "--window", "0.0", "13.5", "-2.0", "0.0"]
+
+
+def _csv_rows(path):
+    return [line.split(",") for line in path.read_text().strip().splitlines()[1:]]
+
+
+def test_dtn_cavity_rows_hardly_depend_on_the_seed(tmp_path):
+    # the windowed DtN contour draws its probe from --seed, but the rows are polished
+    # roots: the benchmark counts the call as seed-independent
+    runs = []
+    for seed in range(10):
+        out = tmp_path / str(seed)
+        assert main([*_DTN_CAVITY_ARGV, "--seed", str(seed), "--out", str(out)]) == 0
+        runs.append(_csv_rows(out / "eigenvalues.csv"))
+    first = runs[0]
+    assert len(first) == 17
+    for rows in runs[1:]:
+        assert len(rows) == len(first)
+        for row, other in zip(rows, first):
+            assert row[4:6] == other[4:6] and row[7] == other[7]  # feasible, ref, parity
+            k, k0 = (complex(float(r[1]), float(r[2])) for r in (row, other))
+            assert abs(k - k0) <= 1e-10
+            assert abs(float(row[3]) - float(other[3])) <= 1e-10
+
+
+def test_windowed_slab_dtn_rows_are_the_companions(monkeypatch):
+    # the p = 2 blocks are narrower than the probe, so the companion solves them
+    windowed = run_pipeline(RunConfig(**_SLAB_DTN)).rows
+    monkeypatch.setattr(cli, "solve_dtn", lambda op, window, rng: solve_dtn(op))
+    unwindowed = run_pipeline(RunConfig(**_SLAB_DTN)).rows
+    assert windowed and list(map(dataclasses.astuple, windowed)) \
+        == list(map(dataclasses.astuple, unwindowed))
+
+
 def test_main_reports_an_indefinite_dtn_mass_as_a_solve_error(tmp_path, capsys, monkeypatch):
     def flipped_mass(space, medium):
         mats = assemble_dtn(space, medium)
@@ -395,7 +432,7 @@ _DEEP_PML_FILTER = ["filter", "--problem", "air_cavity", "--formulation", "pml",
 
 def _rows_near(path, k):
     """The rows of eigenvalues.csv within 1e-2 of k, once no row has eps = nan."""
-    rows = [line.split(",") for line in path.read_text().strip().splitlines()[1:]]
+    rows = _csv_rows(path)
     assert rows and all(row[3] != "nan" for row in rows)
     return [row for row in rows if abs(complex(float(row[1]), float(row[2])) - k) < 1e-2]
 

@@ -14,6 +14,7 @@ from helmres import (BoundaryCondition, ContourConfig, DtnMatrices, EigenPair, M
                      build_mesh, build_space, collocation_matrix, newton_root, reference_table,
                      slab_dtn_eigenvalues, slab_profile, smallest_singular_value,
                      solve_contour, solve_dtn, solve_pml)
+from helmres import eigen
 from helmres.cli import RunConfig, discretize
 from helmres.eigen import _block_pairs
 from helmres.lippmann import _kernel_geometry
@@ -535,3 +536,105 @@ def test_odd_dtn_block_keeps_its_smallest_eigenvalue():
     assert min(abs(pr.k) for pr in pairs) >= 1e-8
     # one static mode dropped, and the mirror of each pair off the imaginary axis
     assert diag.dropped == 1 + sum(pr.k.real > 0 for pr in pairs)
+
+
+def _is_static(pair):
+    """Whether the pair's vector is the constant, the static mode's (as _static_mode
+    identifies it, by the vector and not by |k|)."""
+    vec = pair.vector
+    return abs(np.sum(vec)) >= (1.0 - 1e-8) * np.sqrt(vec.size) * np.linalg.norm(vec)
+
+
+def _in(k, window):
+    re_min, re_max, im_min, im_max = window
+    return re_min <= k.real <= re_max and im_min <= k.imag <= im_max
+
+
+_WINDOWED_DTN = [
+    ("slab", 8, 0.25, 1.0, (0.0, 4.0, -2.0, 0.0)),
+    ("slab", 10, 0.125, 1.0, (0.0, 10.0, -1.0, 0.0)),
+    ("air_cavity", 8, 0.25, 2.0, (0.0, 13.5, -2.0, 0.0)),
+    ("air_cavity", 14, 0.25, 2.0, (0.0, 13.5, -2.0, 0.0)),
+    ("air_cavity", 16, 0.25, 2.0, (0.0, 13.5, -2.0, 0.0)),
+    ("air_cavity", 16, 0.125, 2.0, (0.0, 13.5, -2.0, 0.0)),
+    ("air_cavity", 16, 0.25, 2.0, (2.0, 9.0, -1.5, -0.2)),  # k = 0 outside the contour
+    # k = 0 inside the contour, outside the window: its root is computed but not returned
+    ("air_cavity", 16, 0.25, 2.0, (0.05, 4.0, -1.0, -0.05)),
+    ("air_cavity", 16, 0.25, 2.0, (-3.0, 6.0, -2.0, 0.0)),  # reaches Re k < 0
+    ("bump", 12, 0.5, 1.5, (0.0, 11.0, -1.5, 0.0)),
+]
+
+
+@pytest.mark.parametrize("problem, p, h, d, window", _WINDOWED_DTN)
+def test_windowed_dtn_solve_matches_the_companion_in_the_window(problem, p, h, d, window):
+    mats = discretize(RunConfig(problem=problem, formulation="dtn", degree=p,
+                                initial_cell_size=h, d=d)).operator
+    expected = [pr for pr in solve_dtn(mats)[0] if _in(pr.k, window)]
+    assert expected
+    if (problem, p, h) == ("slab", 10, 0.125):
+        # a contour there under-resolves one block, which the companion then solves
+        assert len(expected) == 13
+    for seed in range(10):
+        pairs, diag = solve_dtn(mats, window=window, rng=seed)
+        assert len(pairs) == len(expected), seed
+        assert [pr.parity for pr in pairs] == [pr.parity for pr in expected], seed
+        for mine, other in zip(pairs, expected):
+            assert abs(mine.k - other.k) <= 1e-10 * (1.0 + abs(other.k)), seed
+        assert np.max(_dtn_backward_errors(mats, pairs)) <= 1e-13, seed
+        # the eigenvalues outside the window are never computed, and counted as dropped
+        assert len(pairs) + diag.dropped == diag.pencil_size == 2 * mats.a.shape[0]
+        # no pair is the static mode: it was dropped when the window holds k = 0, and
+        # otherwise no other pair was dropped in its place, as the counts agree
+        assert not any(_is_static(pr) for pr in pairs), seed
+
+
+def test_windowed_dtn_keeps_the_axis_mode_on_the_axis():
+    # 0 - 0.8949i lies on the window's Re k = 0 edge: a root that came back without
+    # a mirror partner is set on the axis and polished in real arithmetic
+    mats = discretize(RunConfig(problem="air_cavity", formulation="dtn", degree=16,
+                                initial_cell_size=0.25, d=2.0)).operator
+    for seed in range(10):
+        pairs, _ = solve_dtn(mats, window=(0.0, 13.5, -2.0, 0.0), rng=seed)
+        axis = min(pairs, key=lambda pr: abs(pr.k + 0.8948801287j))
+        assert abs(axis.k + 0.8948801287j) < 1e-9, seed
+        assert axis.k.real == 0.0 and axis.parity == "even", seed
+        assert np.all(axis.vector.imag == 0.0), seed
+
+
+def _assert_same_pairs(pairs, expected):
+    assert [pr.k for pr in pairs] == [pr.k for pr in expected]
+    assert [pr.parity for pr in pairs] == [pr.parity for pr in expected]
+    for mine, other in zip(pairs, expected):
+        np.testing.assert_array_equal(mine.vector, other.vector)
+
+
+def test_windowed_dtn_falls_back_to_the_companion_bit_for_bit(monkeypatch):
+    # p = 2 blocks of 5 and 4 DOFs, narrower than the probe
+    slab = discretize(RunConfig(problem="slab", formulation="dtn", degree=2,
+                                initial_cell_size=0.5, d=1.0)).operator
+    cavity = discretize(RunConfig(problem="air_cavity", formulation="dtn", degree=16,
+                                  initial_cell_size=0.25, d=2.0)).operator
+    # a full E couples every DOF, more than the probe has columns
+    wide = _slab_dtn_mats(8, 0.25)
+    full = DtnMatrices(a=wide.a, m=wide.m, e=wide.e + 0.3, space=wide.space,
+                       blocks=parity_blocks(wide.space, False))
+    assert wide.a.shape[0] > eigen._DTN_PROBE
+    cases = [(slab, (0.0, 4.0, -2.0, 0.0)), (full, (0.0, 4.0, -2.0, 0.0)),
+             # no width with Re k >= 0: the axis roots alone
+             (cavity, (-2.0, 0.0, -2.0, 0.0))]
+    for mats, window in cases:
+        expected = [pr for pr in solve_dtn(mats)[0] if _in(pr.k, window)]
+        assert expected
+        _assert_same_pairs(solve_dtn(mats, window=window, rng=0)[0], expected)
+    # eight nodes under-resolve both blocks' contours: halving them moves the
+    # eigenvalues inside by 0.16 and 0.28 of the contour's size
+    monkeypatch.setattr(eigen, "_DTN_NODES", 8)
+    window = (0.0, 13.5, -2.0, 0.0)
+    expected = [pr for pr in solve_dtn(cavity)[0] if _in(pr.k, window)]
+    _assert_same_pairs(solve_dtn(cavity, window=window, rng=0)[0], expected)
+
+
+def test_windowed_dtn_needs_an_rng():
+    mats = _slab_dtn_mats(3, 0.5)
+    with pytest.raises(TypeError, match="rng"):
+        solve_dtn(mats, window=(0.0, 4.0, -2.0, 0.0))
