@@ -12,9 +12,9 @@ __version__ = "0.1.0"
 
 from .assembly import (DtnMatrices, PmlMatrices, assemble_dtn, assemble_pml,
                        assemble_resonator_mass)
-from .eigen import (ContourConfig, EigenPair, NewtonConvergenceError,
-                    ProbeTooSmallError, SolveDiagnostics, newton_root,
-                    smallest_singular_value, solve_contour, solve_dtn, solve_pml)
+from .eigen import (ContourConfig, EigenPair, NewtonConvergenceError, ProbeTooSmallError,
+                    newton_root, smallest_singular_value, solve_contour, solve_dtn,
+                    solve_pml)
 from .lippmann import (FilterReport, LsContext, apply_kernel, build_ls_context,
                        collocation_matrix, filter_epsilon, filter_epsilons, pseudospectrum)
 from .media import (MediumProfile, PmlConfig, air_filled_cavity_profile,
@@ -35,7 +35,7 @@ __all__ = [
     "sigma_eval", "critical_angle",
     "DtnMatrices", "PmlMatrices",
     "assemble_dtn", "assemble_pml", "assemble_resonator_mass",
-    "EigenPair", "ContourConfig", "SolveDiagnostics",
+    "EigenPair", "ContourConfig",
     "NewtonConvergenceError", "ProbeTooSmallError",
     "solve_dtn", "solve_pml", "newton_root",
     "solve_contour", "smallest_singular_value",

@@ -183,7 +183,6 @@ class RunReport:
     config: RunConfig
     rows: tuple
     dof_count: int
-    pencil_size: int | None
     elapsed_seconds: float
     grid: np.ndarray | None
     blocks: tuple
@@ -249,23 +248,20 @@ class Discretization:
         """The angle of the PML critical line, None without a PML."""
         return None if self.pml is None else critical_angle(self.pml)
 
-    def solve(self) -> tuple[list[EigenPair], int | None]:
-        """Eigenpairs sorted by Re k, and the pencil size (None for the contour).
+    def solve(self) -> list[EigenPair]:
+        """Eigenpairs sorted by (Re k, Im k).
 
         The matrix sets return every pair their solver returns, all with
-        Re k >= 0 and the pencil size summed over the parity blocks; the DtN
-        solver is given the window and ``seed``, and computes only the pairs
-        inside the window.  An LS context is solved on the ellipse inscribed in
-        the window.  Both contours draw one probe per block, in block order,
-        from ``seed``.
+        Re k >= 0; the DtN solver is given the window and ``seed``, and
+        computes only the pairs inside the window.  An LS context is solved on
+        the ellipse inscribed in the window.  Both contours draw one probe per
+        block, in block order, from ``seed``.
         """
         op, cfg = self.operator, self.config
         if isinstance(op, DtnMatrices):
-            pairs, diag = solve_dtn(op, window=cfg.window, rng=cfg.seed)
-            return pairs, diag.pencil_size
+            return solve_dtn(op, window=cfg.window, rng=cfg.seed)
         if isinstance(op, PmlMatrices):
-            pairs, diag = solve_pml(op)
-            return pairs, diag.pencil_size
+            return solve_pml(op)
         if cfg.window is None:
             raise ValueError("the ls formulation needs --window to place its contour")
         re_min, re_max, im_min, im_max = cfg.window
@@ -276,8 +272,7 @@ class Discretization:
             quadrature_nodes=64,
             probe_columns=24,
         )
-        rng = np.random.default_rng(cfg.seed)
-        return solve_contour(op.t, contour, op.blocks, rng, space=op.space), None
+        return solve_contour(op.t, contour, op.blocks, cfg.seed, space=op.space)
 
 
 def _ls_context(cfg: RunConfig, medium: MediumProfile) -> LsContext:
@@ -347,7 +342,7 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
     """
     start = time.perf_counter()
     disc = _stage("setup", discretize, cfg)
-    pairs, pencil = _stage("solve", disc.solve)
+    pairs = _stage("solve", disc.solve)
     pairs = _stage("window", _window_stage, cfg, pairs)
     epsilons = _stage("filter", _filter_stage, disc, pairs) if cfg.apply_filter else None
     rows = _stage("report", _report_stage, disc, pairs, epsilons)
@@ -355,7 +350,7 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
             if cfg.pseudo_resolution is not None else None)
     op = disc.operator
     return RunReport(config=cfg, rows=tuple(rows), dof_count=op.space.dof_count,
-                     pencil_size=pencil, elapsed_seconds=time.perf_counter() - start,
+                     elapsed_seconds=time.perf_counter() - start,
                      grid=grid, blocks=tuple((b.parity, b.size) for b in op.blocks))
 
 
@@ -498,9 +493,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 def _print_report(report: RunReport) -> None:
     """One line per row; a row with eps is labelled at ``epsilon_threshold``."""
     cfg = report.config
-    size = f"pencil {report.pencil_size}" if report.pencil_size else "contour"
     print(f"# {cfg.problem} / {cfg.formulation}: {len(report.rows)} eigenvalue(s), "
-          f"{report.dof_count} dofs ({size}), {report.elapsed_seconds:.2f}s")
+          f"{report.dof_count} dofs, {report.elapsed_seconds:.2f}s")
     for row in report.rows:
         # adding 0.0 turns -0.0 into 0.0, as in the CSV files
         parts = [f"k[{row.j}] = {row.re_k + 0.0:+.12g} {row.im_k + 0.0:+.12g}j"]

@@ -124,21 +124,6 @@ class ProbeTooSmallError(RuntimeError):
     """Numerical rank of the zeroth contour moment saturated the probe width."""
 
 
-@dataclass(frozen=True, eq=False)
-class SolveDiagnostics:
-    """Size of the solved eigenproblem and the eigenvalues not returned.
-
-    ``pencil_size`` is summed over the parity blocks, and
-    ``len(pairs) + dropped == pencil_size``.  ``dropped`` counts the DtN
-    static mode and one member of each conjugate eigenvalue pair of the real
-    DtN companion matrices, and with a window the DtN eigenvalues outside it,
-    which a contour block never computed; it is 0 for the PML.
-    """
-
-    pencil_size: int
-    dropped: int
-
-
 def _block_pairs(found, space) -> list[EigenPair]:
     """The pairs of every block, unfolded into DOF vectors, labelled with the
     block's parity and sorted by (Re k, Im k): ``found`` holds (block, ks,
@@ -307,7 +292,7 @@ def _rayleigh_polish(k, axis, a, m, e, w, mu, g, e_rr):
     return (complex(0.0, lam) if axis else complex(1j * lam)), x
 
 
-def solve_dtn(mats, window=None, rng=None) -> tuple[list[EigenPair], SolveDiagnostics]:
+def solve_dtn(mats, window=None, rng=None) -> list[EigenPair]:
     """Eigenpairs of (lambda^2 M + lambda E + A) xi = 0 with Re k >= 0, but k = 0,
     and with ``window`` (re_min, re_max, im_min, im_max) only those inside it.
 
@@ -347,17 +332,14 @@ def solve_dtn(mats, window=None, rng=None) -> tuple[list[EigenPair], SolveDiagno
     not polish to the root it started from, is solved by its companion
     instead, bit for bit as without a window.
 
-    ``pencil_size`` is 2n summed over the blocks, and
-    ``len(pairs) + dropped == pencil_size``: ``dropped`` counts the static
-    mode, the mirrors, and with a window the eigenvalues outside it, which a
-    contour block never computed.
+    The pairs are sorted by (Re k, Im k).
     """
     if window is not None and rng is None:  # default_rng(None) would draw OS entropy
         raise TypeError("a windowed solve needs rng, a seed or a numpy Generator")
     contour = None if window is None else _window_contour(window)
     if contour is not None:
         rng = np.random.default_rng(rng)
-    found, size = [], 0
+    found = []
     for block, (a, m, e) in zip(mats.blocks, mats.folded):
         n = a.shape[0]
         try:
@@ -375,7 +357,6 @@ def solve_dtn(mats, window=None, rng=None) -> tuple[list[EigenPair], SolveDiagno
             except (np.linalg.LinAlgError, FloatingPointError):
                 roots = None
         found.append((block, *(_dtn_companion(a, m, e) if roots is None else roots)))
-        size += 2 * n
     pairs = _block_pairs(found, mats.space)
     if window is None or in_window(0j, window):
         static = _static_mode(mats.a, pairs)
@@ -383,11 +364,12 @@ def solve_dtn(mats, window=None, rng=None) -> tuple[list[EigenPair], SolveDiagno
             del pairs[static]
     if window is not None:
         pairs = [pr for pr in pairs if in_window(pr.k, window)]
-    return pairs, SolveDiagnostics(pencil_size=size, dropped=size - len(pairs))
+    return pairs
 
 
-def solve_pml(mats) -> tuple[list[EigenPair], SolveDiagnostics]:
-    """All eigenpairs of At xi = lambda Mt xi with k the principal sqrt of lambda.
+def solve_pml(mats) -> list[EigenPair]:
+    """All eigenpairs of At xi = lambda Mt xi with k the principal sqrt of lambda,
+    sorted by (Re k, Im k).
 
     Mt has the SPD Hermitian part int n^2 phi phi (Re alpha = 1), so it is
     invertible, and each parity block is solved as the standard eigenproblem
@@ -400,8 +382,7 @@ def solve_pml(mats) -> tuple[list[EigenPair], SolveDiagnostics]:
     for block, (a_tilde, m_tilde) in zip(mats.blocks, mats.folded):
         lam, vecs = np.linalg.eig(np.linalg.solve(m_tilde, a_tilde))
         found.append((block, np.sqrt(lam.astype(complex)), vecs))
-    size = mats.a_tilde.shape[0]
-    return _block_pairs(found, mats.space), SolveDiagnostics(pencil_size=size, dropped=0)
+    return _block_pairs(found, mats.space)
 
 
 def newton_root(f, guess: complex, tol: float = 1e-12, max_iter: int = 60) -> complex:

@@ -32,7 +32,7 @@ def _verdict(num: int, label: str, ok: bool, detail: str) -> None:
 def test_1_cavity_spectrum_recovered_after_filtering():
     disc = discretize(RunConfig(problem="air_cavity", formulation="dtn", degree=20,
                                 initial_cell_size=0.125, d=2.0))
-    pairs, _ = disc.solve()
+    pairs = disc.solve()
     assert disc.operator.space.dof_count == 641
     windowed = [p for p in pairs if 0 <= p.k.real <= 13.5 and -2 <= p.k.imag <= 0]
     ctx = build_ls_context(_CAVITY, 20, 0.125)
@@ -46,7 +46,7 @@ def test_1_cavity_spectrum_recovered_after_filtering():
 def test_2_bump_spectrum_recovered():
     disc = discretize(RunConfig(problem="bump", formulation="dtn", degree=20,
                                 initial_cell_size=0.125, d=1.5))
-    pairs, _ = disc.solve()
+    pairs = disc.solve()
     assert disc.operator.space.dof_count == 481
     ks = np.array([p.k for p in pairs])
     worst = max(np.abs(ks - t).min() for t in reference_table("bump").values)
@@ -57,8 +57,8 @@ def test_2_bump_spectrum_recovered():
 def test_3_slab_error_decays_under_p_refinement():
     errors = {m: [] for m in range(6)}
     for degree in range(2, 13):
-        pairs, _ = discretize(RunConfig(problem="slab", formulation="dtn", degree=degree,
-                                        initial_cell_size=0.5, d=1.0)).solve()
+        pairs = discretize(RunConfig(problem="slab", formulation="dtn", degree=degree,
+                                     initial_cell_size=0.5, d=1.0)).solve()
         ks = np.array([p.k for p in pairs])
         for m in range(6):
             errors[m].append(np.abs(ks - _SLAB_REFS[m]).min())
@@ -81,9 +81,9 @@ def test_4_slab_h_refinement_order_is_twice_the_degree():
     for degree in (1, 2, 3):
         errs = []
         for level in range(4):
-            pairs, _ = discretize(RunConfig(problem="slab", formulation="dtn",
-                                            degree=degree, initial_cell_size=0.5, d=1.0,
-                                            refinements=level)).solve()
+            pairs = discretize(RunConfig(problem="slab", formulation="dtn",
+                                         degree=degree, initial_cell_size=0.5, d=1.0,
+                                         refinements=level)).solve()
             ks = np.array([p.k for p in pairs])
             errs.append(np.abs(ks - _SLAB_REFS[1]).min())
         orders[degree] = math.log2(errs[0] / errs[3]) / 3.0
@@ -97,7 +97,7 @@ def test_5_absorbing_layer_artifacts_found_flagged_and_absent_from_dtn():
     disc = discretize(RunConfig(formulation="pml", x_c=3.0, ell=5.0, sigma0=5.0, **common))
     medium = disc.medium
     family = slab_pml_eigenvalues(1.0, disc.pml, m_max=3).values
-    pml_pairs, _ = disc.solve()
+    pml_pairs = disc.solve()
 
     matches = []
     for target in family:
@@ -108,7 +108,7 @@ def test_5_absorbing_layer_artifacts_found_flagged_and_absent_from_dtn():
     ctx = build_ls_context(medium, 10, 0.5)
     eps_min = min(filter_epsilon(ctx, pair).epsilon for _, pair in matches)
 
-    dtn_pairs, _ = discretize(RunConfig(formulation="dtn", **common)).solve()
+    dtn_pairs = discretize(RunConfig(formulation="dtn", **common)).solve()
     nontrivial = np.array([p.k for p in dtn_pairs if abs(p.k) > 1e-8])
     gap = min(np.abs(nontrivial - target).min() for target in family)
 
@@ -122,7 +122,7 @@ def test_6_filter_separates_true_modes_from_spurious_by_an_order_of_magnitude():
     disc = discretize(RunConfig(problem="air_cavity", formulation="pml", degree=10,
                                 initial_cell_size=0.5, d=2.0, x_c=3.0, ell=5.0,
                                 sigma0=5.0))
-    pairs, _ = disc.solve()
+    pairs = disc.solve()
     angle = disc.critical_angle
     ctx = build_ls_context(_CAVITY, 10, 0.5)
     near, far = [], []
@@ -193,7 +193,7 @@ def test_9_property_suites_run_in_under_a_minute(tmp_path):
     mats = assemble_dtn(space, _SLAB)
     scale = (np.linalg.norm(mats.a) + np.linalg.norm(mats.e) + np.linalg.norm(mats.m))
     residual_ok = True
-    for pair in solve_dtn(mats)[0]:
+    for pair in solve_dtn(mats):
         lam = -1j * pair.k
         r = (mats.a + lam * mats.e + lam**2 * mats.m) @ pair.vector
         bound = 1e-10 * (np.linalg.norm(mats.a) + abs(lam) * np.linalg.norm(mats.e)

@@ -110,11 +110,12 @@ def test_cavity_pipeline_matches_reference():
 def test_dtn_solve_drops_the_static_mode(config):
     # A 1 = 0, so k = 0 is an eigenvalue of every DtN quadratic but no resonance;
     # rounding puts it on either side of a window's Im k = 0 edge
-    pairs, diag = solve_dtn(discretize(RunConfig(**config)).operator)
+    mats = discretize(RunConfig(**config)).operator
+    pairs = solve_dtn(mats)
     assert min(abs(pr.k) for pr in pairs) >= 1e-8
-    # the static mode, and the mirror of each pair off the imaginary axis
-    assert diag.dropped == 1 + sum(pr.k.real > 0 for pr in pairs)
-    assert len(pairs) + diag.dropped == diag.pencil_size
+    # every eigenvalue of the 2n companion but the static mode, and the mirror of
+    # each pair off the imaginary axis
+    assert len(pairs) == 2 * mats.a.shape[0] - 1 - sum(pr.k.real > 0 for pr in pairs)
 
 
 def test_dtn_map_dips_at_the_static_mode():
@@ -129,10 +130,8 @@ def test_dtn_map_dips_at_the_static_mode():
 @pytest.mark.parametrize("config", [_BENCH_DTN, _BENCH_PML], ids=["dtn", "pml"])
 def test_solve_returns_every_pair_the_solver_does_not_drop(config):
     disc = discretize(RunConfig(**config))
-    pairs, pencil_size = disc.solve()
     solver = solve_dtn if config["formulation"] == "dtn" else solve_pml
-    _, diag = solver(disc.operator)
-    assert len(pairs) + diag.dropped == pencil_size == diag.pencil_size
+    assert [pr.k for pr in disc.solve()] == [pr.k for pr in solver(disc.operator)]
 
 
 def test_deep_pml_window_reports_every_eigenvalue_of_the_qz_oracle():
@@ -311,8 +310,7 @@ def test_eigenvalues_csv_columns_are_the_report_row_fields(tmp_path):
     rows = (ReportRow(0, -0.0, -0.5, None, False, None, None, None),
             ReportRow(1, 1.25, -0.0, 0.5, True, 2, 1e-13, "odd"))
     emit_outputs(RunReport(config=RunConfig(**_SLAB_DTN, out_dir=str(tmp_path)), rows=rows,
-                           dof_count=0, pencil_size=None, elapsed_seconds=0.0, grid=None,
-                           blocks=()))
+                           dof_count=0, elapsed_seconds=0.0, grid=None, blocks=()))
     lines = (tmp_path / "eigenvalues.csv").read_text().splitlines()
     assert lines[0].split(",") == [f.name for f in dataclasses.fields(ReportRow)]
     # a bool as true/false, None as empty, a signed zero as 0
@@ -732,7 +730,7 @@ def test_pml_near_degenerate_pairs_come_out_even_and_odd():
     # acceptance 6's configuration: the layer modes come as near-degenerate pairs,
     # which one solve of the whole pencil returned as mixtures of the two parities
     disc = discretize(RunConfig(**_BENCH_PML))
-    pairs, _ = disc.solve()
+    pairs = disc.solve()
     for pr in pairs:
         sign = {"even": 1.0, "odd": -1.0}[pr.parity]
         np.testing.assert_array_equal(pr.vector[::-1], sign * pr.vector)

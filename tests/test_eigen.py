@@ -65,7 +65,7 @@ def test_quadratic_pencil_residuals():
     full = DtnMatrices(a=assembled.a, m=assembled.m, e=assembled.e + 0.3,
                        space=assembled.space, blocks=parity_blocks(assembled.space, False))
     for mats in (assembled, full):
-        pairs, _ = solve_dtn(mats)
+        pairs = solve_dtn(mats)
         assert pairs
         na = np.linalg.norm(mats.a, 2)
         ne = np.linalg.norm(mats.e, 2)
@@ -78,14 +78,14 @@ def test_quadratic_pencil_residuals():
 
 def test_pencil_eigenvalue_count():
     mats = _slab_dtn_mats(3, 0.5)
-    pairs, diag = solve_dtn(mats)
-    n = mats.a.shape[0]
-    assert diag.pencil_size == 2 * n
-    assert len(pairs) + diag.dropped == 2 * n
+    pairs = solve_dtn(mats)
+    # every eigenvalue of the 2n companion but the static mode, and the mirror of
+    # each pair off the imaginary axis
+    assert len(pairs) == 2 * mats.a.shape[0] - 1 - sum(pr.k.real > 0 for pr in pairs)
 
 
 def test_slab_eigenvalue_high_order():
-    pairs, _ = solve_dtn(_slab_dtn_mats(10, 0.125))
+    pairs = solve_dtn(_slab_dtn_mats(10, 0.125))
     ks = np.array([pr.k for pr in pairs])
     assert np.min(np.abs(ks - K1)) < 1e-8
 
@@ -96,9 +96,8 @@ def test_pml_pencil_residuals_and_count():
     mesh = build_mesh((-5, 5), [-3, -2, -1, 1, 2, 3], 0.5)
     space = build_space(mesh, 3, BoundaryCondition.DIRICHLET_BOTH_ENDS)
     mats = assemble_pml(space, med, cfg)
-    pairs, diag = solve_pml(mats)
-    assert diag.pencil_size == space.dof_count
-    assert len(pairs) + diag.dropped == space.dof_count
+    pairs = solve_pml(mats)
+    assert len(pairs) == space.dof_count
     na = np.linalg.norm(mats.a_tilde, 2)
     nm = np.linalg.norm(mats.m_tilde, 2)
     for pr in pairs:
@@ -142,7 +141,7 @@ _ORACLE_DTN = {
 @pytest.mark.parametrize("name", sorted(_ORACLE_DTN))
 def test_dtn_eigenvalues_match_qz_oracle(name):
     mats = discretize(RunConfig(formulation="dtn", **_ORACLE_DTN[name])).operator
-    pairs, _ = solve_dtn(mats)
+    pairs = solve_dtn(mats)
     ks = np.array([pr.k for pr in pairs])
     oracle = _qz_dtn_ks(mats)
     oracle = np.delete(oracle, np.argmin(np.abs(oracle)))  # the static mode k = 0
@@ -174,7 +173,7 @@ def test_pml_eigenpairs_match_qz_oracle(sigma0):
     mats = discretize(RunConfig(problem="air_cavity", formulation="pml", degree=10,
                                 initial_cell_size=0.5, d=2.0, x_c=3.0, ell=5.0,
                                 sigma0=sigma0)).operator
-    pairs, _ = solve_pml(mats)
+    pairs = solve_pml(mats)
     na = np.linalg.norm(mats.a_tilde, 2)
     nm = np.linalg.norm(mats.m_tilde, 2)
     for pr in pairs:
@@ -205,7 +204,7 @@ _REPORTED = {
 @pytest.mark.parametrize("name", sorted(_REPORTED))
 def test_reported_pairs_solve_t_at_the_reported_k(name):
     disc = discretize(RunConfig(problem="air_cavity", **_REPORTED[name]))
-    pairs, _ = disc.solve()
+    pairs = disc.solve()
     assert pairs
     mats = disc.operator
     # T(k) on the whole space, not its parity blocks: the pairs are unfolded
@@ -231,7 +230,7 @@ def test_pml_weak_absorption_gives_dirichlet_laplacian():
     cfg = PmlConfig(a=1.0, d=2.0, x_c=3.0, ell=5.0, sigma0=1e-300)
     mesh = build_mesh((-5, 5), [-3, -2, -1, 1, 2, 3], 0.5)
     space = build_space(mesh, 4, BoundaryCondition.DIRICHLET_BOTH_ENDS)
-    pairs, _ = solve_pml(assemble_pml(space, med, cfg))
+    pairs = solve_pml(assemble_pml(space, med, cfg))
     ks = np.sort_complex(np.array([pr.k for pr in pairs]))
     exact = np.arange(1, 4) * np.pi / 10.0
     np.testing.assert_allclose(ks[:3].real, exact, rtol=1e-6)
@@ -414,11 +413,11 @@ def _assert_re_im_order(pairs):
 
 def test_solvers_return_pairs_in_re_then_im_order():
     # eigenvalues.csv lists its rows in the order the solvers return them
-    dtn, _ = solve_dtn(_slab_dtn_mats(3, 0.5))
+    dtn = solve_dtn(_slab_dtn_mats(3, 0.5))
     cfg = PmlConfig(a=1.0, d=2.0, x_c=3.0, ell=5.0, sigma0=5.0)
     space = build_space(build_mesh((-5, 5), [-3, -2, -1, 1, 2, 3], 0.5), 2,
                         BoundaryCondition.DIRICHLET_BOTH_ENDS)
-    pml, _ = solve_pml(assemble_pml(space, slab_profile(2.0, 1.0), cfg))
+    pml = solve_pml(assemble_pml(space, slab_profile(2.0, 1.0), cfg))
     # two eigenvalues of equal real part inside the circle
     t_fun = lambda z: [np.diag([z - (1.0 + 0.2j), z + 2.0, z - (1.0 - 0.2j), z - 0.8])]
     contour = solve_contour(t_fun, ContourConfig(center=1.0 + 0j, radius=0.5,
@@ -486,7 +485,7 @@ def test_asymmetric_medium_is_solved_as_one_block_as_before():
     assert len(parity_blocks(space, True)) == 2  # the mesh alone is symmetric
     mats = assemble_dtn(space, medium)
     assert [b.parity for b in mats.blocks] == [None]
-    pairs, diag = solve_dtn(mats)
+    pairs = solve_dtn(mats)
     # the unsplit solve: one companion matrix, static mode = eigenvalue of least modulus
     n = space.dof_count
     companion = np.zeros((2 * n, 2 * n))
@@ -499,7 +498,6 @@ def test_asymmetric_medium_is_solved_as_one_block_as_before():
     expected = sorted((complex(k) for k in 1j * lam[keep]), key=lambda k: (k.real, k.imag))
     assert [pr.k for pr in pairs] == expected
     assert all(pr.parity is None for pr in pairs)
-    assert diag.pencil_size == 2 * n and len(pairs) + diag.dropped == 2 * n
 
     cfg = PmlConfig(a=1.0, d=2.0, x_c=3.0, ell=5.0, sigma0=5.0)
     pml_space = build_space(build_mesh((-5, 5), [-3, -2, -1, 0.5, 2, 3], 0.5), 3,
@@ -508,7 +506,7 @@ def test_asymmetric_medium_is_solved_as_one_block_as_before():
     assert [b.parity for b in pml.blocks] == [None]
     lam = np.linalg.eig(np.linalg.solve(pml.m_tilde, pml.a_tilde))[0]
     expected = sorted((complex(k) for k in np.sqrt(lam)), key=lambda k: (k.real, k.imag))
-    assert [pr.k for pr in solve_pml(pml)[0]] == expected
+    assert [pr.k for pr in solve_pml(pml)] == expected
 
     ctx = build_ls_context(medium, 6, 0.25)
     assert [b.parity for b in ctx.blocks] == [None]
@@ -519,7 +517,7 @@ def test_asymmetric_medium_is_solved_as_one_block_as_before():
 
 def test_odd_dtn_block_keeps_its_smallest_eigenvalue():
     mats = discretize(RunConfig(**_ORACLE_DTN["air_cavity"], formulation="dtn")).operator
-    pairs, diag = solve_dtn(mats)
+    pairs = solve_dtn(mats)
     by_parity = {}
     for block, (a, m, e) in zip(mats.blocks, mats.folded):
         n = a.shape[0]
@@ -534,8 +532,9 @@ def test_odd_dtn_block_keeps_its_smallest_eigenvalue():
     found = [pr.k for pr in pairs if pr.parity == "odd"]
     assert np.min(np.abs(np.array(found) - smallest)) <= 1e-12 * abs(smallest)
     assert min(abs(pr.k) for pr in pairs) >= 1e-8
-    # one static mode dropped, and the mirror of each pair off the imaginary axis
-    assert diag.dropped == 1 + sum(pr.k.real > 0 for pr in pairs)
+    # every eigenvalue but one static mode, and the mirror of each pair off the
+    # imaginary axis
+    assert len(pairs) == 2 * mats.a.shape[0] - 1 - sum(pr.k.real > 0 for pr in pairs)
 
 
 def _is_static(pair):
@@ -569,20 +568,18 @@ _WINDOWED_DTN = [
 def test_windowed_dtn_solve_matches_the_companion_in_the_window(problem, p, h, d, window):
     mats = discretize(RunConfig(problem=problem, formulation="dtn", degree=p,
                                 initial_cell_size=h, d=d)).operator
-    expected = [pr for pr in solve_dtn(mats)[0] if _in(pr.k, window)]
+    expected = [pr for pr in solve_dtn(mats) if _in(pr.k, window)]
     assert expected
     if (problem, p, h) == ("slab", 10, 0.125):
         # a contour there under-resolves one block, which the companion then solves
         assert len(expected) == 13
     for seed in range(10):
-        pairs, diag = solve_dtn(mats, window=window, rng=seed)
+        pairs = solve_dtn(mats, window=window, rng=seed)
         assert len(pairs) == len(expected), seed
         assert [pr.parity for pr in pairs] == [pr.parity for pr in expected], seed
         for mine, other in zip(pairs, expected):
             assert abs(mine.k - other.k) <= 1e-10 * (1.0 + abs(other.k)), seed
         assert np.max(_dtn_backward_errors(mats, pairs)) <= 1e-13, seed
-        # the eigenvalues outside the window are never computed, and counted as dropped
-        assert len(pairs) + diag.dropped == diag.pencil_size == 2 * mats.a.shape[0]
         # no pair is the static mode: it was dropped when the window holds k = 0, and
         # otherwise no other pair was dropped in its place, as the counts agree
         assert not any(_is_static(pr) for pr in pairs), seed
@@ -594,7 +591,7 @@ def test_windowed_dtn_keeps_the_axis_mode_on_the_axis():
     mats = discretize(RunConfig(problem="air_cavity", formulation="dtn", degree=16,
                                 initial_cell_size=0.25, d=2.0)).operator
     for seed in range(10):
-        pairs, _ = solve_dtn(mats, window=(0.0, 13.5, -2.0, 0.0), rng=seed)
+        pairs = solve_dtn(mats, window=(0.0, 13.5, -2.0, 0.0), rng=seed)
         axis = min(pairs, key=lambda pr: abs(pr.k + 0.8948801287j))
         assert abs(axis.k + 0.8948801287j) < 1e-9, seed
         assert axis.k.real == 0.0 and axis.parity == "even", seed
@@ -623,15 +620,15 @@ def test_windowed_dtn_falls_back_to_the_companion_bit_for_bit(monkeypatch):
              # no width with Re k >= 0: the axis roots alone
              (cavity, (-2.0, 0.0, -2.0, 0.0))]
     for mats, window in cases:
-        expected = [pr for pr in solve_dtn(mats)[0] if _in(pr.k, window)]
+        expected = [pr for pr in solve_dtn(mats) if _in(pr.k, window)]
         assert expected
-        _assert_same_pairs(solve_dtn(mats, window=window, rng=0)[0], expected)
+        _assert_same_pairs(solve_dtn(mats, window=window, rng=0), expected)
     # eight nodes under-resolve both blocks' contours: halving them moves the
     # eigenvalues inside by 0.16 and 0.28 of the contour's size
     monkeypatch.setattr(eigen, "_DTN_NODES", 8)
     window = (0.0, 13.5, -2.0, 0.0)
-    expected = [pr for pr in solve_dtn(cavity)[0] if _in(pr.k, window)]
-    _assert_same_pairs(solve_dtn(cavity, window=window, rng=0)[0], expected)
+    expected = [pr for pr in solve_dtn(cavity) if _in(pr.k, window)]
+    _assert_same_pairs(solve_dtn(cavity, window=window, rng=0), expected)
 
 
 def test_windowed_dtn_needs_an_rng():

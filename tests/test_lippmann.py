@@ -420,7 +420,7 @@ def test_filter_interpolates_from_other_spaces():
     med = slab_profile(2.0, 1.0)
     space = build_space(build_mesh((-2, 2), [-1, 1], 0.25), 6, BoundaryCondition.NONE)
     mats = assemble_dtn(space, med)
-    pairs, _ = solve_dtn(mats)
+    pairs = solve_dtn(mats)
     best = min(pairs, key=lambda pr: abs(pr.k - K1))
     ctx = build_ls_context(med, 6, 0.25)
     rep = filter_epsilon(ctx, best)
@@ -486,7 +486,7 @@ def _oracle_epsilon(ctx, pair):
 @pytest.mark.parametrize("run", sorted(_BENCH_RUNS))
 def test_batched_filter_matches_a_per_pair_kernel_matrix(run):
     disc = discretize(RunConfig(**_BENCH_RUNS[run]))
-    pairs, _ = disc.solve()
+    pairs = disc.solve()
     re_min, re_max, im_min, im_max = disc.config.window
     pairs = [p for p in pairs if re_min <= p.k.real <= re_max and im_min <= p.k.imag <= im_max]
     assert len(pairs) > 1
@@ -529,7 +529,7 @@ def test_batched_filter_takes_pairs_from_two_spaces_in_one_call():
     med = slab_profile(2.0, 1.0)
     ctx = build_ls_context(med, 6, 0.25)
     space = build_space(build_mesh((-2, 2), [-1, 1], 0.25), 6, BoundaryCondition.NONE)
-    dtn_pairs, _ = solve_dtn(assemble_dtn(space, med))
+    dtn_pairs = solve_dtn(assemble_dtn(space, med))
     dtn_pairs = sorted(dtn_pairs, key=lambda pr: abs(pr.k - K1))[:3]
     own = [_unit_pair(ctx, k, seed) for seed, k in enumerate((K1, 1.3 - 0.5j))]
     pairs = [dtn_pairs[0], own[0], dtn_pairs[1], own[1], dtn_pairs[2]]
