@@ -199,22 +199,20 @@ def _dtn_contour(a, m, e, chol, cfg: ContourConfig, window, probe):
 
     # T^(z) = W^T T(z) W = D + G C G^T, D = diag(mu - z^2), C = -iz E_RR; by Woodbury
     # T^(z)^-1 P = D^-1 (P - G h) at each node, h = C (I + G^T D^-1 G C)^-1 G^T D^-1 P
-    zs, dz = _ellipse_nodes(cfg)
+    zs, weights = _ellipse_nodes(cfg)
     nq = zs.size
     dinv = 1.0 / (mu - zs[:, None] ** 2)
     gd = g.T * dinv[:, None, :]
     c = -1j * zs[:, None, None] * e_rr
     h = c @ np.linalg.solve(np.eye(rows.size) + gd @ g @ c, gd @ probe)
     # A0, A1 and the half rule's, each the sum over nodes of its weight times D^-1 (P - G h)
-    half = np.arange(nq) % 2 == 0
-    weights = np.stack((dz, dz * zs, dz * half, dz * zs * half))
     moments = (weights @ dinv)[:, :, None] * probe
     for mom, wt in zip(moments, weights):
         coupled = ((dinv * wt[:, None]).T @ h.reshape(nq, -1)).reshape(n, rows.size, cols)
         mom -= np.sum(g[:, :, None] * coupled, axis=1)
     # the scale of their rounding: the largest term summed, each factor at its largest
     bound = np.abs(dinv) * (np.abs(probe).max(axis=1) + np.abs(h).max(axis=2) @ np.abs(g).T)
-    inside, rank, change = _contour_block(moments, np.abs(dz).max() * bound.max(), cfg)
+    inside, rank, change = _contour_block(moments, np.abs(weights[0]).max() * bound.max(), cfg)
     if change > np.sqrt(_RANK_TOLERANCE) or rank == cols:
         return None
     ks = np.empty(0, dtype=complex) if inside is None else inside[0]
@@ -434,12 +432,16 @@ def _half_rule_change(full, half, cfg: ContourConfig) -> float:
 
 
 def _ellipse_nodes(cfg: ContourConfig):
-    """The trapezoid nodes z_j on the contour and dz/dtheta at each."""
+    """The trapezoid nodes z_j on the contour and the (4, nodes) weights of the
+    moments A0, A1 and the half rule's: dz/dtheta and z dz/dtheta at each node,
+    then both at every other node and zero at the rest."""
+    nq = cfg.quadrature_nodes
     rx, ry = cfg.semi_axes
-    theta = 2.0 * np.pi * np.arange(cfg.quadrature_nodes) / cfg.quadrature_nodes
+    theta = 2.0 * np.pi * np.arange(nq) / nq
     zs = cfg.center + rx * np.cos(theta) + 1j * ry * np.sin(theta)
     dz = -rx * np.sin(theta) + 1j * ry * np.cos(theta)
-    return zs, dz
+    half = np.arange(nq) % 2 == 0
+    return zs, np.stack((dz, dz * zs, dz * half, dz * zs * half))
 
 
 def _contour_block(moments, term: float, cfg: ContourConfig):
@@ -488,31 +490,27 @@ def solve_contour(t_fun, cfg: ContourConfig, blocks, rng,
         raise TypeError("rng must be a seed or a numpy Generator, not None")
     rng = np.random.default_rng(rng)
     nq = cfg.quadrature_nodes
-    zs, dz = _ellipse_nodes(cfg)
+    zs, weights = _ellipse_nodes(cfg)
 
-    t0 = t_fun(zs[0])
-    shapes = [t.shape for t in t0]
-    if shapes != [(b.size, b.size) for b in blocks]:
-        raise ValueError(f"T(z) has blocks of shapes {shapes}, but the blocks to unfold "
-                         f"its eigenvectors have sizes {[b.size for b in blocks]}")
-    probes = [rng.standard_normal((t.shape[0], min(cfg.probe_columns, t.shape[0]))) for t in t0]
+    sizes = [b.size for b in blocks]
+    probes = [rng.standard_normal((n, min(cfg.probe_columns, n))) for n in sizes]
     # per block: A0, A1 and the same moments of the half rule
     moments = [np.zeros((4,) + probe.shape, dtype=complex) for probe in probes]
     peaks = [0.0] * len(probes)  # per block: the largest entry of any T(z_j)^-1 V
-    for j, (z, w) in enumerate(zip(zs, dz)):
-        tz = t0 if j == 0 else t_fun(z)
+    for z, wts in zip(zs, weights.T):
+        tz = t_fun(z)
+        shapes = [t.shape for t in tz]
+        if shapes != [(n, n) for n in sizes]:
+            raise ValueError(f"T(z) has blocks of shapes {shapes}, but the blocks to unfold "
+                             f"its eigenvectors have sizes {sizes}")
         for b, (t, probe, mom) in enumerate(zip(tz, probes, moments)):
             sol = np.linalg.solve(t, probe)
             peaks[b] = max(peaks[b], float(np.abs(sol).max()))
-            mom[0] += w * sol
-            mom[1] += (w * z) * sol
-            if j % 2 == 0:
-                mom[2] += w * sol
-                mom[3] += (w * z) * sol
+            mom += wts[:, None, None] * sol
 
     found, worst = [], (0.0, None)
     for block, probe, mom, peak in zip(blocks, probes, moments, peaks):
-        term = float(np.abs(dz).max()) * peak
+        term = float(np.abs(weights[0]).max()) * peak
         inside, rank, change = _contour_block(mom, term, cfg)
         if change > worst[0]:
             worst = (change, block)
