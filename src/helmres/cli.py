@@ -254,8 +254,10 @@ class Discretization:
         The matrix sets return every pair their solver returns, all with
         Re k >= 0; the DtN solver is given the window and ``seed``, and
         computes only the pairs inside the window.  An LS context is solved on
-        the ellipse inscribed in the window.  Both contours draw one probe per
-        block, in block order, from ``seed``.
+        the ellipse inscribed in the window's part with Re k >= 0, as the DtN
+        contour is placed: the mirror image -conj k of each pair there is one
+        too, and a window with no such part has no pairs.  Both contours draw
+        one probe per block, in block order, from ``seed``.
         """
         op, cfg = self.operator, self.config
         if isinstance(op, DtnMatrices):
@@ -265,6 +267,9 @@ class Discretization:
         if cfg.window is None:
             raise ValueError("the ls formulation needs --window to place its contour")
         re_min, re_max, im_min, im_max = cfg.window
+        re_min = max(re_min, 0.0)
+        if re_min >= re_max:
+            return []
         contour = ContourConfig(
             center=complex(0.5 * (re_min + re_max), 0.5 * (im_min + im_max)),
             radius=0.5 * (re_max - re_min),

@@ -1,8 +1,10 @@
 """Pipeline configuration, output files, and the command-line entry point."""
 
 import dataclasses
+import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -272,6 +274,23 @@ def test_empty_ls_window_writes_header_only(tmp_path, problem, window):
                  "--h", "0.5", "--window", *window, "--out", str(tmp_path)]) == 0
     assert (tmp_path / "eigenvalues.csv").read_text() \
         == "j,re_k,im_k,epsilon,feasible,ref_match,ref_dist,parity\n"
+
+
+def test_ls_window_across_the_axis_reports_each_mode_once():
+    # the contour is placed on the window's part with Re k >= 0: on the whole window
+    # it enclosed the mirror image -conj k of each mode as well, and reported it as a
+    # row of its own, far from every table entry
+    cfg = RunConfig(problem="air_cavity", formulation="ls", degree=8, initial_cell_size=0.25,
+                    window=(-3.0, 3.0, -1.2, 0.2), apply_filter=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows = run_pipeline(cfg).rows
+    ks = [complex(row.re_k, row.im_k) for row in rows]
+    assert len(ks) == 3 and all(k.real >= 0 for k in ks), ks
+    assert all(abs(k + np.conj(other)) > 1e-6 for k, other in itertools.combinations(ks, 2))
+    assert all(row.ref_dist <= 1e-9 for row in rows)
+    # a window with no width right of the axis has no pairs
+    assert run_pipeline(dataclasses.replace(cfg, window=(-3.0, 0.0, -1.2, 0.2))).rows == ()
 
 
 def test_wide_ls_window_asks_for_a_smaller_window(tmp_path, capsys):

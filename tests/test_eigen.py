@@ -631,6 +631,26 @@ def test_windowed_dtn_falls_back_to_the_companion_bit_for_bit(monkeypatch):
     _assert_same_pairs(solve_dtn(cavity, window=window, rng=0), expected)
 
 
+def test_windowed_dtn_solves_every_block_on_its_contour(monkeypatch):
+    # the companion's pairs are correct too, so only a count shows that a block
+    # which the contour should solve was handed to the companion instead
+    calls = []
+    companion = eigen._dtn_companion
+
+    def counted(a, m, e):
+        calls.append(a.shape[0])
+        return companion(a, m, e)
+
+    monkeypatch.setattr(eigen, "_dtn_companion", counted)
+    for problem, p, h, d, window in (("air_cavity", 16, 0.25, 2.0, (0.0, 13.5, -2.0, 0.0)),
+                                     ("bump", 12, 0.5, 1.5, (0.0, 11.0, -1.5, 0.0))):
+        mats = discretize(RunConfig(problem=problem, formulation="dtn", degree=p,
+                                    initial_cell_size=h, d=d)).operator
+        for seed in range(10):
+            assert solve_dtn(mats, window=window, rng=seed), (problem, seed)
+            assert calls == [], (problem, seed)
+
+
 def test_windowed_dtn_needs_an_rng():
     mats = _slab_dtn_mats(3, 0.5)
     with pytest.raises(TypeError, match="rng"):
