@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import assemble_resonator_mass
-from .eigen import EigenPair, smallest_singular_value
+from .eigen import EigenPair, _real_product, smallest_singular_value
 from .media import MediumProfile
 from .mesh_fe import (BoundaryCondition, MeshedSpace, ParityBlock, build_mesh, build_space,
                       cell_quadrature, evaluate_function, parity_blocks)
@@ -458,13 +458,6 @@ def _space_epsilons(ctx: LsContext, space: MeshedSpace, pairs) -> np.ndarray:
     with np.errstate(over="ignore"):
         eps[tested] = np.where(finite, _mass_norms(ctx.mass, diff) / scale, math.inf)
     return eps
-
-
-def _real_product(mat: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """mat @ z for a real matrix and complex columns, as one real product over
-    the interleaved real and imaginary parts, without a complex copy of mat."""
-    z = np.ascontiguousarray(z)
-    return (mat @ z.view(float).reshape(len(z), -1)).view(complex)
 
 
 def _mass_norms(mass: np.ndarray, z: np.ndarray) -> np.ndarray:

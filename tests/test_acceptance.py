@@ -13,7 +13,7 @@ import numpy as np
 
 from helmres import (BoundaryCondition, ContourConfig, air_filled_cavity_profile,
                      assemble_dtn, build_ls_context, build_mesh, build_space,
-                     collocation_matrix, filter_epsilon, pseudospectrum,
+                     collocation_matrix, filter_epsilon, filter_epsilons, pseudospectrum,
                      reference_table, slab_dtn_eigenvalues, slab_pml_eigenvalues,
                      slab_profile, solve_contour, solve_dtn)
 from helmres.cli import RunConfig, discretize
@@ -41,6 +41,23 @@ def test_1_cavity_spectrum_recovered_after_filtering():
     worst = max(np.abs(kept - t).min() for t in _CAVITY_TABLE)
     _verdict(1, "air-cavity eigenvalues within 1e-7 after keeping eps < 1e-4",
              worst < 1e-7, f"{len(kept)} kept, worst distance {worst:.3e}")
+
+
+def test_1_windowed_cavity_spectrum_recovered_after_filtering():
+    # acceptance 1's check on the windowed DtN path of every CLI run with --window:
+    # the contour's pairs and their polished vectors must pass the filter too
+    window = (0.0, 13.5, -2.0, 0.0)
+    disc = discretize(RunConfig(problem="air_cavity", formulation="dtn", degree=16,
+                                initial_cell_size=0.25, d=2.0, window=window))
+    pairs = disc.solve()
+    epsilons = filter_epsilons(disc.ls_context, pairs)
+    kept = np.array([p.k for p, eps in zip(pairs, epsilons) if eps < 1e-4])
+    re_min, re_max, im_min, im_max = window
+    table = [t for t in _CAVITY_TABLE if re_min <= t.real <= re_max and im_min <= t.imag <= im_max]
+    assert table
+    worst = max(np.abs(kept - t).min() for t in table)
+    _verdict(1, "windowed air-cavity eigenvalues within 1e-7 after keeping eps < 1e-4",
+             worst < 1e-7, f"{len(kept)} of {len(pairs)} kept, worst distance {worst:.3e}")
 
 
 def test_2_bump_spectrum_recovered():

@@ -623,12 +623,40 @@ def test_windowed_dtn_falls_back_to_the_companion_bit_for_bit(monkeypatch):
         expected = [pr for pr in solve_dtn(mats) if _in(pr.k, window)]
         assert expected
         _assert_same_pairs(solve_dtn(mats, window=window, rng=0), expected)
+
+    # unrefined vectors against a backward error no vector meets: the window holds
+    # one root, 1.5955 - 0.3951i of the even block, and only that block is handed
+    # to the companion, as the odd block's contour holds no root to check
+    calls = []
+    companion = eigen._dtn_companion
+
+    def counted(a, m, e):
+        calls.append(a.shape[0])
+        return companion(a, m, e)
+
+    monkeypatch.setattr(eigen, "_dtn_companion", counted)
+    window = (1.0, 2.0, -0.6, -0.2)
+    expected = [pr for pr in solve_dtn(cavity) if _in(pr.k, window)]
+    assert [pr.parity for pr in expected] == ["even"]
+    calls.clear()
+    assert len(solve_dtn(cavity, window=window, rng=0)) == 1 and calls == []
+    with monkeypatch.context() as patch:
+        patch.setattr(eigen, "_REFINE_STEPS", 0)
+        patch.setattr(eigen, "_BACKWARD_ERROR", 0.0)
+        _assert_same_pairs(solve_dtn(cavity, window=window, rng=0), expected)
+    assert calls == [next(block.size for block in cavity.blocks if block.parity == "even")]
+
     # eight nodes under-resolve both blocks' contours: halving them moves the
     # eigenvalues inside by 0.16 and 0.28 of the contour's size
     monkeypatch.setattr(eigen, "_DTN_NODES", 8)
     window = (0.0, 13.5, -2.0, 0.0)
     expected = [pr for pr in solve_dtn(cavity) if _in(pr.k, window)]
     _assert_same_pairs(solve_dtn(cavity, window=window, rng=0), expected)
+
+
+# the windowed runs of CI: dtn-cavity's configuration and the bump's window
+_CI_WINDOWS = [("air_cavity", 16, 0.25, 2.0, (0.0, 13.5, -2.0, 0.0)),
+               ("bump", 12, 0.5, 1.5, (0.0, 11.0, -1.5, 0.0))]
 
 
 def test_windowed_dtn_solves_every_block_on_its_contour(monkeypatch):
@@ -642,13 +670,24 @@ def test_windowed_dtn_solves_every_block_on_its_contour(monkeypatch):
         return companion(a, m, e)
 
     monkeypatch.setattr(eigen, "_dtn_companion", counted)
-    for problem, p, h, d, window in (("air_cavity", 16, 0.25, 2.0, (0.0, 13.5, -2.0, 0.0)),
-                                     ("bump", 12, 0.5, 1.5, (0.0, 11.0, -1.5, 0.0))):
+    for problem, p, h, d, window in _CI_WINDOWS:
         mats = discretize(RunConfig(problem=problem, formulation="dtn", degree=p,
                                     initial_cell_size=h, d=d)).operator
         for seed in range(10):
             assert solve_dtn(mats, window=window, rng=seed), (problem, seed)
             assert calls == [], (problem, seed)
+
+
+def test_windowed_dtn_backward_errors_stay_at_the_rounding_floor():
+    # each vector comes from the bordered system solved in the eigh basis and refined
+    # on (A, E, M); a dense LU of that system gave at most 1.3e-16 here
+    for problem, p, h, d, window in _CI_WINDOWS:
+        mats = discretize(RunConfig(problem=problem, formulation="dtn", degree=p,
+                                    initial_cell_size=h, d=d)).operator
+        for seed in range(10):
+            pairs = solve_dtn(mats, window=window, rng=seed)
+            assert pairs, (problem, seed)
+            assert np.max(_dtn_backward_errors(mats, pairs)) <= 1e-14, (problem, seed)
 
 
 def test_windowed_dtn_needs_an_rng():
