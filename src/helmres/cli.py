@@ -45,7 +45,7 @@ import numpy as np
 
 from . import __version__
 from .assembly import DtnMatrices, PmlMatrices, assemble_dtn, assemble_pml
-from .eigen import ContourConfig, EigenPair, in_window, solve_contour, solve_dtn, solve_pml
+from .eigen import EigenPair, in_window, solve_contour, solve_dtn, solve_pml, window_contour
 from .lippmann import LsContext, build_ls_context, filter_epsilons, pseudospectrum
 from .media import MediumProfile, PmlConfig, air_filled_cavity_profile, bump_profile, \
     critical_angle, slab_profile
@@ -254,10 +254,11 @@ class Discretization:
         The matrix sets return every pair their solver returns, all with
         Re k >= 0; the DtN solver is given the window and ``seed``, and
         computes only the pairs inside the window.  An LS context is solved on
-        the ellipse inscribed in the window's part with Re k >= 0, as the DtN
-        contour is placed: the mirror image -conj k of each pair there is one
-        too, and a window with no such part has no pairs.  Both contours draw
-        one probe per block, in block order, from ``seed``.
+        the ellipse inscribed in the window's part with Re k >= 0, with 64
+        nodes and 24 probe columns, placed by :func:`~helmres.eigen.window_contour`
+        as the DtN contour is: the mirror image -conj k of each pair there is
+        one too, and a window with no such part has no pairs.  Both contours
+        draw one probe per block, in block order, from ``seed``.
         """
         op, cfg = self.operator, self.config
         if isinstance(op, DtnMatrices):
@@ -266,17 +267,9 @@ class Discretization:
             return solve_pml(op)
         if cfg.window is None:
             raise ValueError("the ls formulation needs --window to place its contour")
-        re_min, re_max, im_min, im_max = cfg.window
-        re_min = max(re_min, 0.0)
-        if re_min >= re_max:
+        contour = window_contour(cfg.window, 1.0, 64, 24)
+        if contour is None:
             return []
-        contour = ContourConfig(
-            center=complex(0.5 * (re_min + re_max), 0.5 * (im_min + im_max)),
-            radius=0.5 * (re_max - re_min),
-            radius_im=0.5 * (im_max - im_min),
-            quadrature_nodes=64,
-            probe_columns=24,
-        )
         return solve_contour(op.t, contour, op.blocks, cfg.seed, space=op.space)
 
 

@@ -43,7 +43,8 @@ _RANK_TOLERANCE = 1e-10
 # the window (0, 13.5, -2, 0), 128 nodes and 32 probe columns returned the 17
 # window roots within 8.3e-12 of the companion's for each of 40 seeds (the
 # companion's own error is 5.9e-12); the zeroth moment has rank 14 in each block,
-# so 32 columns leave room to detect saturation.  A 10% margin keeps every window
+# so 32 columns leave room to detect saturation.  The ellipse inscribed in the
+# window, sqrt(2) wider, passes through its corners, and 10% more keeps every window
 # root that far inside the contour, where the trapezoid rule is accurate.  Every
 # root polished in two Rayleigh steps there and on the other tested windows; one
 # step left a quarter of the blocks to the companion.  Each vector, solved in the
@@ -54,7 +55,7 @@ _RANK_TOLERANCE = 1e-10
 # _BACKWARD_ERROR, a hundred times that, goes to the companion.
 _DTN_NODES = 128
 _DTN_PROBE = 32
-_DTN_MARGIN = 0.1
+_DTN_WIDEN = 1.1 * np.sqrt(2.0)
 _POLISH_STEPS = 4
 _REFINE_STEPS = 1
 _BACKWARD_ERROR = 1e-14
@@ -142,21 +143,6 @@ def _block_pairs(found, space) -> list[EigenPair]:
     return pairs
 
 
-def _static_mode(a: np.ndarray, pairs: list[EigenPair]) -> int | None:
-    """The index of the pair that is the static mode, or None when there is none.
-
-    The static mode is the constant vector, so there is one only when A
-    annihilates the constant; it is the unit eigenvector closest in angle to
-    the constant.  Odd vectors are orthogonal to the constant, so the odd
-    block's eigenvalue of smallest modulus is never taken for it: that is a
-    resonance like any other.
-    """
-    ones = np.ones(a.shape[0])
-    if not pairs or np.linalg.norm(a @ ones) > 1e-10 * np.linalg.norm(a) * np.linalg.norm(ones):
-        return None
-    return int(np.argmax([abs(np.sum(pr.vector)) for pr in pairs]))
-
-
 def in_window(k: complex, window, slack: float = 0.0) -> bool:
     """Whether k lies in the closed rectangle (re_min, re_max, im_min, im_max), each
     side moved out by ``slack``."""
@@ -165,37 +151,40 @@ def in_window(k: complex, window, slack: float = 0.0) -> bool:
             and im_min - slack <= k.imag <= im_max + slack)
 
 
-def _window_contour(window) -> ContourConfig | None:
-    """The DtN contour of a window: the ellipse through the corners of the window's
-    part with Re k >= 0, widened by _DTN_MARGIN; None when that part has no width."""
+def window_contour(window, widen: float, nodes: int, probe: int) -> ContourConfig | None:
+    """The contour of a window: the ellipse inscribed in the window's part with
+    Re k >= 0, its semi-axes times ``widen``, with ``nodes`` quadrature nodes and
+    ``probe`` columns; None when that part has no width."""
     re_min, re_max, im_min, im_max = window
     re_min = max(re_min, 0.0)
     if re_min >= re_max:
         return None
-    half_re, half_im = 0.5 * (re_max - re_min), 0.5 * (im_max - im_min)
-    # the ellipse of the rectangle's aspect through its corners has semi-axes sqrt(2) wider
-    widen = (1.0 + _DTN_MARGIN) * np.sqrt(2.0)
-    return ContourConfig(center=complex(re_min + half_re, im_min + half_im),
-                         radius=widen * half_re, radius_im=widen * half_im,
-                         quadrature_nodes=_DTN_NODES, probe_columns=_DTN_PROBE)
+    return ContourConfig(center=complex(0.5 * (re_min + re_max), 0.5 * (im_min + im_max)),
+                         radius=widen * 0.5 * (re_max - re_min),
+                         radius_im=widen * 0.5 * (im_max - im_min),
+                         quadrature_nodes=nodes, probe_columns=probe)
 
 
-def _dtn_companion(a: np.ndarray, m: np.ndarray, e: np.ndarray):
-    """Every eigenvalue k with Re k >= 0 of one block, and its block vector, from the
-    2n x 2n companion matrix (see :func:`solve_dtn`)."""
+def _dtn_companion(a: np.ndarray, m: np.ndarray, e: np.ndarray, static: bool):
+    """Every eigenvalue k with Re k >= 0 of one block, but the static mode k = 0 when
+    the block holds it (``static``), and its block vector, from the 2n x 2n companion
+    matrix (see :func:`solve_dtn`)."""
     n = a.shape[0]
     companion = np.zeros((2 * n, 2 * n))
     companion[:n, n:] = np.eye(n)
     companion[n:] = -np.linalg.solve(m, np.hstack((a, e)))
     lam, vecs = np.linalg.eig(companion)
     keep = np.flatnonzero(lam.imag <= 0)
+    if static:  # an exact, simple eigenvalue, so the one of least modulus
+        keep = np.delete(keep, np.argmin(np.abs(lam[keep])))
     return 1j * lam[keep], vecs[:n, keep]
 
 
-def _dtn_contour(a, m, e, chol, cfg: ContourConfig, window, probe):
+def _dtn_contour(a, m, e, chol, cfg: ContourConfig, window, probe, static: bool):
     """The eigenvalues k of one block in ``window``, with Re k >= 0, and their block
-    vectors, by Beyn's method on the eigh-reduced T(k); None when the block must be
-    solved by the companion (see :func:`solve_dtn`)."""
+    vectors, by Beyn's method on the eigh-reduced T(k), without the static mode k = 0
+    when the block holds it (``static``); None when the block must be solved by the
+    companion (see :func:`solve_dtn`)."""
     n, cols = probe.shape
     rows = np.flatnonzero(np.any(e != 0.0, axis=1))
     if cols < cfg.probe_columns or not 0 < rows.size <= cols:
@@ -243,6 +232,11 @@ def _dtn_contour(a, m, e, chol, cfg: ContourConfig, window, probe):
         else:
             return None  # a partner the contour should have found is missing
     kept = [(k, on_axis) for k, on_axis in kept if in_window(k, window, slack=tol)]
+    if static:
+        zero = [j for j, (k, _) in enumerate(kept) if abs(k) <= tol]
+        if len(zero) != 1:
+            return None
+        del kept[zero[0]]
     ks = np.array([k for k, _ in kept], dtype=complex)
     axis = np.array([on_axis for _, on_axis in kept], dtype=bool)
     polished = _rayleigh_polish(ks, axis, a, m, rows, e_rr, w, mu)
@@ -385,18 +379,21 @@ def solve_dtn(mats, window=None, rng=None) -> list[EigenPair]:
     finite matrix has no infinite eigenvalues, so all 2n are finite.  The
     parameter is lambda = -ik, so eigenvalues map back through k = i lambda.
     A 1 = 0 makes lambda = 0 an exact, simple eigenvalue (Q'(0) = E and
-    1^T E 1 = 2 n0) of the block that holds the constants, the static mode,
-    which is no resonance: when it lies in the window it is identified by its
-    eigenvector (see :func:`_static_mode`) and dropped.  Each block's matrix
-    is real, so LAPACK returns its complex eigenvalues as exact conjugate
-    pairs {lambda, conj lambda}, that is {k, -conj k}; the member with
+    1^T E 1 = 2 n0) of the block that holds the constants, the even or the one
+    block: the static mode, no resonance.  When the window holds k = 0 (or
+    there is none), that block drops it before any root is polished: the
+    companion its eigenvalue of least modulus, the contour its one kept root
+    within the contour's tolerance of k = 0.  Each block's matrix is real, so
+    LAPACK returns its complex eigenvalues as exact conjugate pairs
+    {lambda, conj lambda}, that is {k, -conj k}; the member with
     Im lambda <= 0 (Re k >= 0) is kept and its mirror dropped, with no
     tolerance involved.
 
     Without a window every block is solved by its companion, all 2n
     eigenvalues.  With one, a block computes only the eigenvalues near the
-    window, by Beyn's contour method (Beyn, LAA 436, 2012) on the ellipse of
-    :func:`_window_contour`.  With M = L L^T and L^-1 A L^-T = V diag(mu) V^T
+    window, by Beyn's contour method (Beyn, LAA 436, 2012) on the ellipse that
+    :func:`window_contour` places, _DTN_WIDEN times the one inscribed in the
+    window's part with Re k >= 0.  With M = L L^T and L^-1 A L^-T = V diag(mu) V^T
     (eigh), W = L^-T V turns T(k) into diag(mu - k^2) - ik G E_RR G^T, where
     R are the rows of E that are not zero (one in a parity block) and
     G = W[R]^T, so Woodbury gives T^-1 at each of the _DTN_NODES nodes in
@@ -412,8 +409,9 @@ def solve_dtn(mats, window=None, rng=None) -> list[EigenPair]:
     refined with residuals on (A, M, E), so no dense T(k) is formed or
     factored.  A block narrower than the probe, one whose E has no nonzero
     row or more than the probe has columns, and one whose contour is
-    under-resolved, saturates the probe, misses a partner, meets a singular
-    or overflowing step, does not polish to the root it started from, or
+    under-resolved, saturates the probe, misses a partner, holds no single
+    root at k = 0 where it holds the static mode, meets a singular or
+    overflowing step, does not polish to the root it started from, or
     leaves a vector with a backward error above _BACKWARD_ERROR, is solved by
     its companion instead, bit for bit as without a window.
 
@@ -421,11 +419,16 @@ def solve_dtn(mats, window=None, rng=None) -> list[EigenPair]:
     """
     if window is not None and rng is None:  # default_rng(None) would draw OS entropy
         raise TypeError("a windowed solve needs rng, a seed or a numpy Generator")
-    contour = None if window is None else _window_contour(window)
+    contour = None if window is None else window_contour(window, _DTN_WIDEN, _DTN_NODES,
+                                                         _DTN_PROBE)
     if contour is not None:
         rng = np.random.default_rng(rng)
+    ones = np.ones(mats.a.shape[0])
+    drop_static = ((window is None or in_window(0j, window)) and np.linalg.norm(mats.a @ ones)
+                   <= 1e-10 * np.linalg.norm(mats.a) * np.linalg.norm(ones))
     found = []
     for block, (a, m, e) in zip(mats.blocks, mats.folded):
+        static = drop_static and block.parity != "odd"  # odd vectors miss the constant
         n = a.shape[0]
         try:
             chol = np.linalg.cholesky(m)
@@ -438,15 +441,11 @@ def solve_dtn(mats, window=None, rng=None) -> list[EigenPair]:
             # overflows: the companion then solves the block
             try:
                 with np.errstate(divide="raise", over="raise", invalid="raise"):
-                    roots = _dtn_contour(a, m, e, chol, contour, window, probe)
+                    roots = _dtn_contour(a, m, e, chol, contour, window, probe, static)
             except (np.linalg.LinAlgError, FloatingPointError):
                 roots = None
-        found.append((block, *(_dtn_companion(a, m, e) if roots is None else roots)))
+        found.append((block, *(_dtn_companion(a, m, e, static) if roots is None else roots)))
     pairs = _block_pairs(found, mats.space)
-    if window is None or in_window(0j, window):
-        static = _static_mode(mats.a, pairs)
-        if static is not None:
-            del pairs[static]
     if window is not None:
         pairs = [pr for pr in pairs if in_window(pr.k, window)]
     return pairs

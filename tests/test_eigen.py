@@ -538,8 +538,8 @@ def test_odd_dtn_block_keeps_its_smallest_eigenvalue():
 
 
 def _is_static(pair):
-    """Whether the pair's vector is the constant, the static mode's (as _static_mode
-    identifies it, by the vector and not by |k|)."""
+    """Whether the pair's vector is the constant, the static mode's: a check on the
+    vector, independent of |k| and of the solver, which drops that mode by its k."""
     vec = pair.vector
     return abs(np.sum(vec)) >= (1.0 - 1e-8) * np.sqrt(vec.size) * np.linalg.norm(vec)
 
@@ -605,6 +605,19 @@ def _assert_same_pairs(pairs, expected):
         np.testing.assert_array_equal(mine.vector, other.vector)
 
 
+def _count_companion_calls(monkeypatch):
+    """The sizes of the blocks handed to the companion from now on."""
+    calls = []
+    companion = eigen._dtn_companion
+
+    def counted(a, *args):
+        calls.append(a.shape[0])
+        return companion(a, *args)
+
+    monkeypatch.setattr(eigen, "_dtn_companion", counted)
+    return calls
+
+
 def test_windowed_dtn_falls_back_to_the_companion_bit_for_bit(monkeypatch):
     # p = 2 blocks of 5 and 4 DOFs, narrower than the probe
     slab = discretize(RunConfig(problem="slab", formulation="dtn", degree=2,
@@ -627,14 +640,7 @@ def test_windowed_dtn_falls_back_to_the_companion_bit_for_bit(monkeypatch):
     # unrefined vectors against a backward error no vector meets: the window holds
     # one root, 1.5955 - 0.3951i of the even block, and only that block is handed
     # to the companion, as the odd block's contour holds no root to check
-    calls = []
-    companion = eigen._dtn_companion
-
-    def counted(a, m, e):
-        calls.append(a.shape[0])
-        return companion(a, m, e)
-
-    monkeypatch.setattr(eigen, "_dtn_companion", counted)
+    calls = _count_companion_calls(monkeypatch)
     window = (1.0, 2.0, -0.6, -0.2)
     expected = [pr for pr in solve_dtn(cavity) if _in(pr.k, window)]
     assert [pr.parity for pr in expected] == ["even"]
@@ -662,20 +668,54 @@ _CI_WINDOWS = [("air_cavity", 16, 0.25, 2.0, (0.0, 13.5, -2.0, 0.0)),
 def test_windowed_dtn_solves_every_block_on_its_contour(monkeypatch):
     # the companion's pairs are correct too, so only a count shows that a block
     # which the contour should solve was handed to the companion instead
-    calls = []
-    companion = eigen._dtn_companion
-
-    def counted(a, m, e):
-        calls.append(a.shape[0])
-        return companion(a, m, e)
-
-    monkeypatch.setattr(eigen, "_dtn_companion", counted)
+    calls = _count_companion_calls(monkeypatch)
     for problem, p, h, d, window in _CI_WINDOWS:
         mats = discretize(RunConfig(problem=problem, formulation="dtn", degree=p,
                                     initial_cell_size=h, d=d)).operator
         for seed in range(10):
             assert solve_dtn(mats, window=window, rng=seed), (problem, seed)
             assert calls == [], (problem, seed)
+
+
+def test_windowed_dtn_solves_a_one_block_medium_on_its_contour(monkeypatch):
+    # one block whose E has two nonzero rows; the first window holds k = 0, whose
+    # root the contour drops before the polish, which meets a pole of the reduction there
+    mats = assemble_dtn(build_space(build_mesh((-2.0, 2.0), [-1.0, 0.5], 0.25), 16),
+                        _off_centre_slab())
+    assert [b.parity for b in mats.blocks] == [None]
+    unwindowed = solve_dtn(mats)
+    calls = _count_companion_calls(monkeypatch)
+    for window in [(0.0, 8.0, -1.5, 0.0), (1.0, 8.0, -1.5, -0.1)]:
+        expected = [pr for pr in unwindowed if _in(pr.k, window)]
+        assert expected
+        for seed in range(5):
+            pairs = solve_dtn(mats, window=window, rng=seed)
+            assert calls == [], (window, seed)
+            assert len(pairs) == len(expected), (window, seed)
+            for mine, other in zip(pairs, expected):
+                assert abs(mine.k - other.k) <= 1e-10 * (1.0 + abs(other.k)), (window, seed)
+            assert np.max(_dtn_backward_errors(mats, pairs)) <= 1e-13, (window, seed)
+            assert not any(_is_static(pr) for pr in pairs), (window, seed)
+
+
+def test_windowed_dtn_drops_the_static_root_before_the_polish(monkeypatch):
+    polished = []
+    polish = eigen._rayleigh_polish
+
+    def recorded(ks, *args):
+        polished.append(ks.copy())
+        return polish(ks, *args)
+
+    monkeypatch.setattr(eigen, "_rayleigh_polish", recorded)
+    for problem, p, h, d, window in _CI_WINDOWS:
+        mats = discretize(RunConfig(problem=problem, formulation="dtn", degree=p,
+                                    initial_cell_size=h, d=d)).operator
+        for seed in range(10):
+            polished.clear()
+            assert solve_dtn(mats, window=window, rng=seed), (problem, seed)
+            assert polished, (problem, seed)
+            # the contour's tolerance is 1.05e-4 on the cavity's window, 8.6e-5 on the bump's
+            assert all(np.all(np.abs(ks) > 1e-4) for ks in polished), (problem, seed)
 
 
 def test_windowed_dtn_backward_errors_stay_at_the_rounding_floor():
