@@ -442,32 +442,35 @@ def load_config(path: str) -> RunConfig:
     return RunConfig.from_json_dict(data)
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    """--config, and one flag per RunConfig field, stored under the field's name."""
-    sub.add_argument("--config", default=None, help="JSON config file; flags override it")
-    sub.add_argument("--problem", choices=_PROBLEMS, default=None)
-    sub.add_argument("--formulation", choices=_FORMULATIONS, default=None)
-    sub.add_argument("--p", dest="degree", type=int, default=None, help="polynomial degree")
-    sub.add_argument("--h", dest="initial_cell_size", type=float, default=None,
-                     help="initial cell size")
-    sub.add_argument("--ref", dest="refinements", type=int, default=None,
-                     help="uniform refinements")
-    sub.add_argument("--sigma0", type=float, default=None, help="absorption strength")
-    sub.add_argument("--d", type=float, default=None, help="truncation half width")
-    sub.add_argument("--xc", dest="x_c", type=float, default=None, help="absorption onset")
-    sub.add_argument("--ell", type=float, default=None, help="outer half width")
-    sub.add_argument("--eta", type=float, default=None, help="refractive index parameter")
-    sub.add_argument("--window", type=float, nargs=4, default=None,
-                     metavar=("RE_MIN", "RE_MAX", "IM_MIN", "IM_MAX"))
-    sub.add_argument("--filter", dest="apply_filter", action=argparse.BooleanOptionalAction,
-                     default=None, help="apply the pseudomode filter")
-    sub.add_argument("--threshold", dest="epsilon_threshold", type=float, default=None,
-                     help="epsilon classification threshold (reporting only)")
-    sub.add_argument("--pseudo", dest="pseudo_resolution", type=int, nargs=2, default=None,
-                     metavar=("NX", "NY"))
-    sub.add_argument("--out", dest="out_dir", default=None, help="output directory")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="probe RNG seed for the ls and the windowed dtn contours")
+def _common_flags() -> argparse.ArgumentParser:
+    """--config, and one flag per RunConfig field but ``apply_filter``, stored under
+    the field's name: the parent parser of every subcommand.  Its actions are
+    shared, so each subcommand adds --filter itself, whose default ``filter``
+    sets."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", default=None, help="JSON config file; flags override it")
+    common.add_argument("--problem", choices=_PROBLEMS, default=None)
+    common.add_argument("--formulation", choices=_FORMULATIONS, default=None)
+    common.add_argument("--p", dest="degree", type=int, default=None, help="polynomial degree")
+    common.add_argument("--h", dest="initial_cell_size", type=float, default=None,
+                        help="initial cell size")
+    common.add_argument("--ref", dest="refinements", type=int, default=None,
+                        help="uniform refinements")
+    common.add_argument("--sigma0", type=float, default=None, help="absorption strength")
+    common.add_argument("--d", type=float, default=None, help="truncation half width")
+    common.add_argument("--xc", dest="x_c", type=float, default=None, help="absorption onset")
+    common.add_argument("--ell", type=float, default=None, help="outer half width")
+    common.add_argument("--eta", type=float, default=None, help="refractive index parameter")
+    common.add_argument("--window", type=float, nargs=4, default=None,
+                        metavar=("RE_MIN", "RE_MAX", "IM_MIN", "IM_MAX"))
+    common.add_argument("--threshold", dest="epsilon_threshold", type=float, default=None,
+                        help="epsilon classification threshold (reporting only)")
+    common.add_argument("--pseudo", dest="pseudo_resolution", type=int, nargs=2, default=None,
+                        metavar=("NX", "NY"))
+    common.add_argument("--out", dest="out_dir", default=None, help="output directory")
+    common.add_argument("--seed", type=int, default=None,
+                        help="probe RNG seed for the ls and the windowed dtn contours")
+    return common
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -585,7 +588,8 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
+    """The command line: five subcommands on the flags of :func:`_common_flags`."""
     parser = argparse.ArgumentParser(
         prog="helmres",
         description="Scattering resonances of the 1D Helmholtz operator: "
@@ -593,15 +597,16 @@ def main(argv=None) -> int:
                     "pseudospectra, and reference eigenvalues.")
     parser.add_argument("--version", action="version", version=f"helmres {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-
+    common = _common_flags()
     for name, fn, blurb in (
             ("solve", _cmd_solve, "run the full pipeline and write outputs"),
             ("filter", _cmd_solve, "solve with the pseudomode filter on by default"),
             ("pseudospectrum", _cmd_pseudospectrum, "compute an s_min grid"),
             ("reference", _cmd_reference, "emit reference eigenvalues"),
             ("convergence", _cmd_convergence, "sweep p or h and report error orders")):
-        sub = subs.add_parser(name, help=blurb)
-        _add_common_flags(sub)
+        sub = subs.add_parser(name, help=blurb, parents=[common])
+        sub.add_argument("--filter", dest="apply_filter", action=argparse.BooleanOptionalAction,
+                         default=None, help="apply the pseudomode filter")
         sub.set_defaults(handler=fn)
         if name == "filter":  # a flag default: beats a config file, loses to --no-filter
             sub.set_defaults(apply_filter=True)
@@ -613,8 +618,11 @@ def main(argv=None) -> int:
             sub.add_argument("--stop", type=int, default=8, help="last degree (p sweep)")
             sub.add_argument("--levels", type=int, default=3,
                              help="refinement levels (h sweep)")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except PipelineStageError as exc:

@@ -16,7 +16,8 @@ scalar filter value
 for a unit-normalized u, which is small exactly when (u, k) is an approximate
 eigenpair of the integral operator, whatever formulation produced it.
 :func:`filter_epsilons` gives eps for every pair of a run in one pass, with
-one k per column of u; :func:`filter_epsilon` is that pass on one pair.
+one k and one parity per column of u; :func:`filter_epsilon` is that pass on
+one pair.
 
 Only exp(i n0 k |x - y|) depends on k, and in 1D it factors on either side
 of x: the semiseparable structure of the Green's function (Greengard &
@@ -24,20 +25,25 @@ Rokhlin, CPAM 44, 1991).  A :class:`KernelGeometry` holds the rest for one
 set of evaluation points on the mesh cut at every point, so that the kink of
 the integrand at y = x falls on a piece edge.  K(k) then takes one
 exponential per Gauss node, e^{-i n0 k y}, whose reciprocal is e^{+i n0 k y},
-and prefix and suffix sums over the pieces.  On an even medium the pieces of
-T(k) are mirror images, and e^{-i n0 k y} at y >= 0 is e^{+i n0 k y} at the
-mirror node: the same routine then takes one exponential per mirror pair of
-Gauss nodes, and its sums run over the right half of the pieces and start at
-the centre.  K(k)u for many pairs contracts the weight table with the u
-first and takes one exponential per Gauss node and pair, e^{-i n0 k y}:
-e^{+i n0 k y} is its reciprocal.  An :class:`LsContext` builds the geometry
-once at its collocation nodes (T(k)) and once at its cell Gauss points (the
-filter), and the filter's L^2 projection from those points onto the space.
+and prefix and suffix sums over the pieces.  On an even medium the pieces
+are mirror images, and a geometry stores the right half of them alone.
+e^{-i n0 k y} at y >= 0 is e^{+i n0 k y} at the mirror node: T(k) then takes
+one exponential per mirror pair of Gauss nodes, and its sums run over the
+right half of the pieces and start at the centre.  K(k)u for many pairs
+contracts the weight table with the u first and takes one exponential per
+Gauss node and pair, e^{-i n0 k y}: e^{+i n0 k y} is its reciprocal.  For a
+u that is even or odd the left pieces add the right ones' moments times its
+parity sign, and K(k)u at a left point is that sign times its value at the
+mirror point, so the right half is all that K(k)u takes too.  An
+:class:`LsContext` builds the geometry once at its collocation nodes (T(k))
+and once at its cell Gauss points (the filter).
 
-For an even medium on a mirror-symmetric mesh, T(k) commutes with the mirror
-permutation of the nodes, so its even and odd blocks are all of it: T(k) is
-collocated only at the nodes with x >= 0, the last ones, and its columns are
-summed with their mirrors' (even) or differenced (odd).
+For an even medium on a mirror-symmetric mesh, T(k) and the resonator mass
+commute with the mirror permutation of the nodes, so their even and odd
+blocks are all of them: T(k) is collocated only at the nodes with x >= 0,
+the last ones, and its columns are summed with their mirrors' (even) or
+differenced (odd), and the filter projects K(k)u onto the block of the pair
+alone, with the block's folded mass.
 """
 
 from __future__ import annotations
@@ -63,8 +69,9 @@ from .mesh_fe import (BoundaryCondition, MeshedSpace, ParityBlock, build_mesh, b
 # of a rule of three times the order.
 _LOW_DEGREE_CUTS = 6
 
-# KernelGeometry.apply takes its columns in slices, so that no (pieces, q,
-# columns) array outgrows this many bytes however many pairs a filter call has.
+# KernelGeometry.apply takes its columns in slices, so that no (stored pieces,
+# q, columns) array outgrows this many bytes however many pairs a filter call
+# has; on a mirrored geometry a column without a parity counts twice.
 _SLICE_BYTES = 1 << 17
 
 
@@ -75,9 +82,8 @@ class LsContext:
     Everything k-independent is derived once per context and cached: the
     parity blocks of T(k), the resonator mass matrix, the kernel geometries at
     the collocation nodes of the first block (the last nodes, which hold the
-    rows of every block) and at the cell Gauss points, and the filter's
-    ``projection`` (M^r)^-1 P^T, so that each filter call projects K(k)u with
-    one matrix-vector product.
+    rows of every block) and at the cell Gauss points, and per block the
+    folded mass and L^2 moments of the filter's projection.
     """
 
     space: MeshedSpace
@@ -108,17 +114,19 @@ class LsContext:
         return nodes, weights[:, :, None] * vals
 
     @functools.cached_property
-    def projection(self) -> np.ndarray:
-        """(M^r)^-1 P^T, (dofs, cells * q): the L^2 projection onto the space of a
-        function given by its values at the cell Gauss points, in ravelled
-        (cell, node) order.  P^T[i, (c, g)] = phi_i(y) w(y) at node g of cell c.
-        Real: the filter multiplies it into K(k)u's real and imaginary parts."""
+    def projection_blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per block, its folded mass M_b = Q_b^T M^r Q_b and Q_b^T P^T, (size,
+        cells * q), both real.  P^T[i, (c, g)] = phi_i(y) w(y) at node g of cell
+        c, so that P^T f is the L^2 moments on the space of a function given by
+        its values at the cell Gauss points, in ravelled (cell, node) order, and
+        M_b^-1 Q_b^T P^T f is the block coordinates of its projection."""
         _, table = self.cell_quadrature
         cells, q, _ = table.shape
         pt = np.zeros((self.space.dof_count, cells, q))
         pt[self.space.cell_dofs[:, :, None], np.arange(cells)[:, None, None],
            np.arange(q)] = np.swapaxes(table, 1, 2)
-        return np.linalg.solve(self.mass, pt.reshape(self.space.dof_count, -1))
+        pt = pt.reshape(self.space.dof_count, -1)
+        return [(block.fold(self.mass), block.coordinates(pt)) for block in self.blocks]
 
     @functools.cached_property
     def cuts(self) -> np.ndarray:
@@ -134,14 +142,17 @@ class LsContext:
     def collocation_geometry(self) -> "KernelGeometry":
         """The geometry at the nodes of the first block; ``cuts`` holds every node,
         so its pieces are those of a geometry at all nodes.  With two blocks
-        they are mirror images, and K(k) takes the moments of the right half
-        of them alone: its rows are those of the geometry at all nodes, bit
-        for bit, as both sum P and Q from the centre.  With one block it is
-        the geometry at all nodes, and K(k) takes the moments of every piece."""
+        they are mirror images, and it holds the right half of them alone:
+        its rows are those of the geometry at all nodes, bit for bit, as both
+        sum P and Q from the centre.  With one block it is the geometry at all
+        nodes, and holds every piece."""
         return _kernel_geometry(self, self.space.node_coords[-self.blocks[0].size:], self.cuts)
 
     @functools.cached_property
     def quadrature_geometry(self) -> "KernelGeometry":
+        """The filter's geometry at the cell Gauss points, which cut the mesh; with
+        two blocks the points and pieces are mirror images, and it holds the
+        right half of the pieces."""
         return _kernel_geometry(self, self.cell_quadrature[0].ravel(), ())
 
     def t(self, k: complex) -> list[np.ndarray]:
@@ -179,111 +190,145 @@ class KernelGeometry:
     moments M-+[j] = sum_g e^{-+i n0 k y_g} W[j, g] on the DOFs of piece j's
     cell, W[j, g, l] = (n^2 - n0^2)(y_g) phi_l(y_g) w_g at its Gauss nodes y.
 
-    A ``mirrored`` geometry, such as that of T(k) on a context with two parity
-    blocks, has pieces, nodes and weights that are exact mirror images (x ->
-    -x, DOF d -> dofs - 1 - d), and :meth:`matrix` takes the moments of the
-    right half of the pieces alone.  On any other geometry the same routine
-    takes those of every piece; :meth:`apply` always does.
+    A ``mirrored`` geometry, such as those of a context with two parity blocks,
+    has pieces, nodes and weights that are exact mirror images (x -> -x, DOF d
+    -> dofs - 1 - d), and every point left of the centre has its mirror point.
+    It stores the right half of its pieces alone, from ``pieces // 2`` on:
+    with an odd count that takes the centre piece, its own mirror.  Any other
+    geometry stores every piece.  :meth:`matrix` and :meth:`apply` take the
+    moments of the stored pieces, and a point left of the centre takes its
+    value from its mirror point.
     """
 
     n0: float
     points: np.ndarray          # (m,)
     cut: np.ndarray             # (m,) pieces left of each point
-    nodes: np.ndarray           # (pieces, q)
-    weights: np.ndarray         # (pieces, q, p+1)
-    piece_dofs: np.ndarray      # (pieces, p+1)
+    pieces: int                 # the pieces of the cut mesh
+    nodes: np.ndarray           # (stored pieces, q)
+    table: np.ndarray           # (stored pieces, p+1, q): W transposed, real
+    piece_dofs: np.ndarray      # (stored pieces, p+1)
     dof_count: int
     mirrored: bool              # piece j and node g mirror piece -1-j and node -1-g
 
     @functools.cached_property
-    def _plan(self) -> "_MatrixPlan":
-        """The :class:`_MatrixPlan` of :meth:`matrix`."""
-        pieces = len(self.piece_dofs)
-        half = pieces // 2 if self.mirrored else 0
-        dofs = self.piece_dofs[half:]
-        first_dof = int(dofs.min())
-        right = np.arange(pieces - half)[:, None]
+    def _plan(self) -> "_Plan":
+        """The :class:`_Plan` of :meth:`matrix` and :meth:`apply`."""
+        pieces = self.pieces
+        half = pieces - len(self.piece_dofs)
+        first_dof = int(self.piece_dofs.min())
+        right = np.arange(len(self.piece_dofs))[:, None]
         flip = self.mirrored & (2 * self.cut < pieces)
-        rows = np.where(flip, pieces - self.cut, self.cut) - half
-        return _MatrixPlan(
-            half=half, table=np.ascontiguousarray(np.swapaxes(self.weights[half:].real, 1, 2)),
-            first_dof=first_dof, into_p=((right + 1) * self.dof_count + dofs).ravel(),
-            into_q=(right * (self.dof_count - first_dof) + dofs - first_dof).ravel(),
-            flip=np.flatnonzero(flip), points=np.where(flip, -self.points, self.points),
-            rows=None if np.array_equal(rows, np.arange(pieces - half + 1)) else rows)
+        own = np.flatnonzero(~flip)
+        rows = self.cut[own] - half
+        take = None
+        if flip.any():
+            # the mirror of the point at edge e is the one at edge pieces - e
+            where = np.full(pieces + 1, -1)
+            where[self.cut[own]] = np.arange(own.size)
+            take = np.empty(self.points.size, dtype=int)
+            take[own] = np.arange(own.size)
+            take[flip] = where[pieces - self.cut[flip]]
+            if np.any(take < 0):
+                raise ValueError("a point left of the centre has no mirror point")
+        return _Plan(
+            half=half, first_dof=first_dof,
+            into_p=((right + 1) * self.dof_count + self.piece_dofs).ravel(),
+            into_q=(right * (self.dof_count - first_dof) + self.piece_dofs - first_dof).ravel(),
+            flip=np.flatnonzero(flip), take=take, points=self.points[own],
+            rows=None if np.array_equal(rows, np.arange(len(right) + 1)) else rows)
 
     def matrix(self, k: complex) -> np.ndarray:
-        """K(k) as an (m, dofs) matrix, from the moments of the pieces from
-        ``half`` on: the right half of a mirrored geometry, every piece of any
-        other.
+        """K(k) as an (m, dofs) matrix, from the moments of the stored pieces.
 
         Those pieces take e^{-ikn y} for their minus moments and its reciprocal
         for their plus moments: one exponential per Gauss node, or per mirror
         pair of them.  Both moments are one real product with the weight table,
         which is real.  P starts at the centre from the minus moments of the
-        pieces before ``half``: a left piece mirrors a right one, so its minus
-        moments are the DOF-reversed plus moments of that one, and the P of all
-        left pieces is the reversed Q of their mirrors.  With no mirror there
-        are no left pieces, and P starts from zero.  P and Q have one row more
-        than those pieces, and Q ends at the last piece.  Both are summed over
-        the DOFs those pieces touch only; the rest of P is its first row, and
-        Q is held on those DOFs alone, as it is zero on the rest.  A
+        pieces before the stored ones: a left piece mirrors a right one, so its
+        minus moments are the DOF-reversed plus moments of that one, and the P
+        of all left pieces is the reversed Q of their mirrors.  With no mirror
+        there are no left pieces, and P starts from zero.  P and Q have one row
+        more than the stored pieces, and Q ends at the last piece.  Both are
+        summed over the DOFs those pieces touch only; the rest of P is its first
+        row, and Q is held on those DOFs alone, as it is zero on the rest.  A
         point left of the centre of a mirrored geometry takes the reversed row
         of its mirror point.
         """
         plan = self._plan
-        right = self.nodes[plan.half:]
         first = plan.first_dof
-        terms = np.empty(right.shape + (2,), dtype=complex)
-        np.exp(-1j * self.n0 * k * right, out=terms[..., 0])
+        terms = np.empty(self.nodes.shape + (2,), dtype=complex)
+        np.exp(-1j * self.n0 * k * self.nodes, out=terms[..., 0])
         np.reciprocal(terms[..., 0], out=terms[..., 1])
-        moments = (plan.table @ terms.view(float)).view(complex)  # (pieces, p+1, 2)
-        prefix = np.zeros((len(right) + 1, self.dof_count), dtype=complex)
-        suffix = np.zeros((len(right) + 1, self.dof_count - first), dtype=complex)
+        moments = (self.table @ terms.view(float)).view(complex)  # (pieces, p+1, 2)
+        prefix = np.zeros((len(self.nodes) + 1, self.dof_count), dtype=complex)
+        suffix = np.zeros((len(self.nodes) + 1, self.dof_count - first), dtype=complex)
         prefix.ravel()[plan.into_p] = moments[..., 0].ravel()
         suffix.ravel()[plan.into_q] = moments[..., 1].ravel()
         reverse = suffix[::-1]
         np.cumsum(reverse, axis=0, out=reverse)
-        # the mirrors of the left pieces are those from pieces - half on; with
-        # half = 0 that is Q's last row, zero
-        prefix[0, :suffix.shape[1]] = suffix[len(self.piece_dofs) - 2 * plan.half, ::-1]
+        # the mirrors of the left pieces are the stored ones from pieces - half
+        # on; with no left pieces that is Q's last row, zero
+        prefix[0, :suffix.shape[1]] = suffix[len(self.nodes) - plan.half, ::-1]
         prefix[1:, :first] = prefix[0, :first]
         np.cumsum(prefix[:, first:], axis=0, out=prefix[:, first:])
         if plan.rows is not None:
             prefix, suffix = prefix[plan.rows], suffix[plan.rows]
         out = _combine(k, self.n0, plan.points, prefix, suffix)
-        if plan.flip.size:
+        if plan.take is not None:
+            out = out[plan.take]
             out[plan.flip] = out[plan.flip, ::-1]
         return out
 
-    def apply(self, k, coeffs: np.ndarray) -> np.ndarray:
+    def apply(self, k, coeffs: np.ndarray, signs=0) -> np.ndarray:
         """K(k)u at the m points without forming K(k): (m,) for one k and a
         coefficient vector u, (m, pairs) for one k per column of a (dofs, pairs)
         array.
 
+        ``signs`` gives the parity of each column under the mirror R, u[::-1] =
+        s u: +1 for an even column, -1 for an odd one and 0 for one without a
+        parity.  A mirrored geometry uses it, and K(k) commutes with R: the left
+        pieces' moments of u are those of R u on the right ones, and K(k)u at a
+        left point is K(k)(R u) at its mirror point.  A column with a parity
+        then costs the stored pieces alone, and one without takes R u along.
         The columns go through :meth:`_apply_slice` in slices of at most
-        ``_SLICE_BYTES`` per (pieces, q, columns) array, so the temporaries do
-        not grow with the number of columns.
+        ``_SLICE_BYTES`` per (stored pieces, q, columns) array, so the
+        temporaries do not grow with the number of columns.
         """
         cols = coeffs.reshape(self.dof_count, -1)
         ks = np.broadcast_to(k, cols.shape[1:])
-        width = max(1, _SLICE_BYTES // (16 * self.nodes.size))
+        signs = np.broadcast_to(signs, ks.shape)
+        doubled = self.mirrored and not np.all(signs)
+        width = max(1, _SLICE_BYTES // (16 * self.nodes.size * (2 if doubled else 1)))
         out = np.empty((len(self.points), len(ks)), dtype=complex)
         for start in range(0, len(ks), width):
             part = slice(start, start + width)
-            out[:, part] = self._apply_slice(ks[part], cols[:, part])
+            out[:, part] = self._apply_slice(ks[part], cols[:, part], signs[part])
         return out.reshape(out.shape[:1] + coeffs.shape[1:])
 
-    def _apply_slice(self, ks: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """K(k)u with one k per column, (m, columns).
+    def _apply_slice(self, ks: np.ndarray, cols: np.ndarray, signs: np.ndarray) -> np.ndarray:
+        """K(k)u with one k and one parity sign per column, (m, columns).
 
         The weight table is contracted with the columns first, Wu[j, g] =
         W[j, g] u[piece dofs], so each Gauss node and column costs one
         exponential, e^{-ikn y}; e^{+ikn y} is its reciprocal.  Where e^{-ikn y}
         leaves the float range, so does K(k)u: it is then not finite, as with
-        two exponentials.
+        two exponentials.  On a mirrored geometry a column without a parity
+        is followed by R u, and ``mirror`` gives each column that of its
+        mirror: itself, times its sign, when it has a parity.
         """
-        wu = self.weights @ cols[self.piece_dofs]
+        plan = self._plan
+        n = len(ks)
+        mirror = np.arange(n)
+        if self.mirrored:
+            lone = np.flatnonzero(signs == 0)
+            cols = np.concatenate((cols, cols[::-1, lone]), axis=1)
+            ks = np.concatenate((ks, ks[lone]))
+            mirror = np.concatenate((mirror, lone))
+            mirror[lone] = n + np.arange(lone.size)
+            signs = np.concatenate((signs, np.zeros(lone.size)))
+            signs[signs == 0] = 1.0  # a column and its mirror R u, both as they are
+        gathered = np.ascontiguousarray(cols[self.piece_dofs], dtype=complex)
+        wu = (np.swapaxes(self.table, 1, 2) @ gathered.view(float)).view(complex)
         terms = np.multiply.outer(self.nodes, -1j * self.n0 * ks)
         np.exp(terms, out=terms)
         prefix = np.zeros((len(wu) + 1, len(ks)), dtype=complex)
@@ -291,29 +336,39 @@ class KernelGeometry:
         np.reciprocal(terms, out=terms)
         suffix = np.zeros_like(prefix)
         suffix[:-1] = np.einsum("jgs,jgs->js", terms, wu)
-        np.cumsum(prefix, axis=0, out=prefix)
         reverse = suffix[::-1]
         np.cumsum(reverse, axis=0, out=reverse)
-        return _combine(ks, self.n0, self.points, prefix[self.cut], suffix[self.cut])
+        if self.mirrored:  # as in matrix, with R u for the reversed DOFs
+            prefix[0] = signs * suffix[len(wu) - plan.half, mirror]
+        np.cumsum(prefix, axis=0, out=prefix)
+        if plan.rows is not None:
+            prefix, suffix = prefix[plan.rows], suffix[plan.rows]
+        values = _combine(ks, self.n0, plan.points, prefix, suffix)
+        if plan.take is None:
+            return values[:, :n]
+        out = values[plan.take, :n]
+        out[plan.flip] = signs[:n] * values[plan.take[plan.flip]][:, mirror[:n]]
+        return out
 
 
 @dataclass(frozen=True, eq=False)
-class _MatrixPlan:
-    """The k-independent part of :meth:`KernelGeometry.matrix` beyond the geometry.
+class _Plan:
+    """The k-independent part of :meth:`KernelGeometry.matrix` and
+    :meth:`KernelGeometry.apply` beyond the geometry.
 
-    Its pieces are those from ``half`` on: pieces // 2 on a mirrored geometry,
-    which takes the piece around x = 0 when that is its own mirror, and 0 on
-    any other.
+    The stored pieces are those from ``half`` on: pieces // 2 on a mirrored
+    geometry and 0 on any other.  The points that take their own values are
+    those right of a mirror's centre, or all of them.
     """
 
     half: int
-    table: np.ndarray           # (its pieces, p+1, q): their weights, real, transposed
-    first_dof: int              # the first DOF they touch
+    first_dof: int              # the first DOF the stored pieces touch
     into_p: np.ndarray          # the flat index of their DOFs in P, one row down
     into_q: np.ndarray          # and in Q, whose columns start at first_dof
-    flip: np.ndarray            # the rows of the points left of a mirror's centre
-    points: np.ndarray          # (m,) where each row is taken: x, or -x to flip
-    rows: np.ndarray | None     # (m,) its row of P and Q; None for all, in order
+    flip: np.ndarray            # the points left of a mirror's centre
+    take: np.ndarray | None     # (m,) each point's own value, or its mirror's; None: all own
+    points: np.ndarray          # the points with their own values
+    rows: np.ndarray | None     # their row of P and Q; None for all, in order
 
 
 def _combine(k, n0: float, points: np.ndarray, prefix: np.ndarray,
@@ -331,9 +386,11 @@ def _combine(k, n0: float, points: np.ndarray, prefix: np.ndarray,
     return prefix
 
 
-def _kernel_geometry(ctx: LsContext, points, cuts) -> KernelGeometry:
+def _kernel_geometry(ctx: LsContext, points, cuts, mirror: bool = True) -> KernelGeometry:
     """The geometry of K(k) at ``points`` on the mesh cut at the points and at
-    ``cuts``: the context's inner rule on every piece, by :func:`cell_quadrature`."""
+    ``cuts``: the context's inner rule on every piece, by :func:`cell_quadrature`.
+    On a context with two parity blocks it is mirrored unless ``mirror`` is
+    false, and the points and cuts must then make a mirror image."""
     space, medium = ctx.space, ctx.medium
     pts = np.atleast_1d(np.asarray(points, dtype=float))
     verts = space.mesh.vertices
@@ -344,25 +401,24 @@ def _kernel_geometry(ctx: LsContext, points, cuts) -> KernelGeometry:
     table *= w[:, :, None]  # in place: phi_l(y) w(y), as in LsContext.cell_quadrature
     table *= medium.contrast(nodes)[:, :, None]
     piece_dofs = space.cell_dofs[cells]
-    # parity blocks mean an even medium on mirror DOFs, whose cuts are a mirror
-    # image; so are the pieces when the points add no edge to those cuts, as
-    # those of T(k) do not
-    mirrored = len(ctx.blocks) == 2 and edges.size == base.size
+    # parity blocks mean an even medium on mirror DOFs
+    mirrored = mirror and len(ctx.blocks) == 2
+    half = 0
     if mirrored:
         if (np.max(np.abs(nodes + nodes[::-1, ::-1])) > 1e-12 * (verts[-1] - verts[0])
                 or not np.array_equal(piece_dofs[::-1, ::-1], space.dof_count - 1 - piece_dofs)):
             raise ValueError("the pieces of a two-block context are no mirror image")
-        # exact mirror images, so that matrix, which takes the left half from
-        # the right one, and apply, which takes both, use one rule: with the
-        # weights as computed, the two differed by up to 1.3e-12 relative in an
-        # entry of K(2 - 20i) at p = 8 on the air cavity, where apply and the
-        # unmirrored matrix agree to 5e-14
+        # exact mirror images, so that the right half stands for the left one:
+        # with the weights as computed, the two differed by up to 1.3e-12
+        # relative in an entry of K(2 - 20i) at p = 8 on the air cavity, where
+        # a geometry over every piece and the unmirrored matrix agree to 5e-14
         nodes = 0.5 * (nodes - nodes[::-1, ::-1])
         table = 0.5 * (table + table[::-1, ::-1, ::-1])
+        half = len(nodes) // 2
     return KernelGeometry(
-        n0=medium.n0, points=pts, cut=np.searchsorted(edges, inside), nodes=nodes,
-        weights=np.ascontiguousarray(table, dtype=complex), piece_dofs=piece_dofs,
-        dof_count=space.dof_count, mirrored=mirrored)
+        n0=medium.n0, points=pts, cut=np.searchsorted(edges, inside), pieces=len(nodes),
+        nodes=nodes[half:], table=np.ascontiguousarray(np.swapaxes(table[half:], 1, 2)),
+        piece_dofs=piece_dofs[half:], dof_count=space.dof_count, mirrored=mirrored)
 
 
 def apply_kernel(ctx: LsContext, k: complex, u, points) -> np.ndarray:
@@ -370,14 +426,14 @@ def apply_kernel(ctx: LsContext, k: complex, u, points) -> np.ndarray:
 
     The geometry is cut where that of T(k) is as well as at ``points``, so that
     its pieces are as short and its rule as accurate deep in the lower half
-    plane; it is built for this call only.
+    plane; it is built for this call only, over every piece.
     """
     coeffs = np.asarray(u, dtype=complex)
     if coeffs.shape != (ctx.space.dof_count,):
         raise ValueError(f"expected {ctx.space.dof_count} coefficients, got {coeffs.shape}")
     if not np.all(np.isfinite(coeffs)):
         raise ValueError("coefficient vector has non-finite entries")
-    return _kernel_geometry(ctx, points, ctx.cuts).apply(k, coeffs)
+    return _kernel_geometry(ctx, points, ctx.cuts, mirror=False).apply(k, coeffs)
 
 
 def collocation_matrix(ctx: LsContext, k: complex) -> list[np.ndarray]:
@@ -405,20 +461,25 @@ def filter_epsilons(ctx: LsContext, pairs) -> np.ndarray:
 
     Each vector is interpolated at the collocation nodes and normalized to unit
     L^2(Omega_r) norm, K(k)u is evaluated at the cell Gauss points and
-    projected onto the space, eta = (M^r)^-1 b with b_i = int phi_i K(k)u, by
-    the context's cached ``projection``, and eps = sqrt((xi - eta)^* M^r
-    (xi - eta)).  With vanishing contrast K = 0, so eps = 1 for any unit u.
-    eps depends on (k, u) alone, not on the solver that produced the pair.
+    projected onto the space, eta = (M^r)^-1 b with b_i = int phi_i K(k)u, and
+    eps = sqrt((xi - eta)^* M^r (xi - eta)).  With vanishing contrast K = 0, so
+    eps = 1 for any unit u.  eps depends on (k, u) alone, not on the solver
+    that produced the pair.
 
-    The pairs of one space take each step together: one interpolation, one
-    product with M^r to normalize, one :meth:`KernelGeometry.apply` with a k
-    per column, one product with the projection and one with M^r for the
-    norms.
+    M^r and K(k) commute with the mirror R on a context with two parity
+    blocks, so eps is taken in block coordinates, with each block's folded
+    mass M_b: a pair with a parity is tested in its block alone, xi_b = Q_b^T
+    xi, and a pair without one in both, eps being the root of the sum of the
+    squares.  A context with one block is the whole space, Q = I.  The pairs of
+    one space take each step together: one interpolation, one
+    :meth:`KernelGeometry.apply` with a k and a parity sign per column, and per
+    block one product with Q_b^T P^T, one solve with M_b and one product with
+    M_b for the norms.
 
     Deep in the lower half plane K(k)u can be finite while its square is not.
     So xi and K(k)u are both scaled by 2^-e before the projection and the
     norm, with e the binary exponent of the largest real or imaginary part of
-    the pair's K(k)u when that exceeds 1, and eps is scaled back: a power of
+    the column's K(k)u when that exceeds 1, and eps is scaled back: a power of
     two changes no digit.  eps is inf for a pair the filter cannot test: a
     vector without support on Omega_r, which cannot be a resonance mode, and a
     k at which K(k)u is not finite in double precision.
@@ -435,35 +496,60 @@ def filter_epsilons(ctx: LsContext, pairs) -> np.ndarray:
     return eps
 
 
+_SIGNS = {"even": 1.0, "odd": -1.0, None: 0.0}
+
+
 def _space_epsilons(ctx: LsContext, space: MeshedSpace, pairs) -> np.ndarray:
     """eps of pairs that all live on ``space``: see :func:`filter_epsilons`."""
-    eps = np.full(len(pairs), math.inf)
     # at the nodes of its own space the interpolant hits each node exactly
     xi = evaluate_function(space, np.stack([pair.vector for pair in pairs], axis=1),
                            ctx.space.node_coords)
-    nrm = _mass_norms(ctx.mass, xi)
-    tested = np.flatnonzero(nrm >= 1e-12)
-    if not tested.size:
+    # the pairs each block tests, by their parity, and their block coordinates
+    cols = [np.array([j for j, pair in enumerate(pairs)
+                      if None in (block.parity, pair.parity) or block.parity == pair.parity],
+                     dtype=int) for block in ctx.blocks]
+    ys = [block.coordinates(xi[:, c]) for block, c in zip(ctx.blocks, cols)]
+    squares = np.zeros(len(pairs))
+    for (mass, _), c, y in zip(ctx.projection_blocks, cols, ys):
+        squares[c] += _mass_squares(mass, y)
+    nrm = np.sqrt(squares)
+    tested = nrm >= 1e-12
+    eps = np.where(tested, 0.0, math.inf)
+    if not tested.any():
         return eps
-    xi = xi[:, tested] / nrm[tested]
+    ys = [y[:, tested[c]] / nrm[c[tested[c]]] for c, y in zip(cols, ys)]
+    cols = [c[tested[c]] for c in cols]
+    # one column of apply per block and pair, a DOF vector of the block's parity
+    u = np.concatenate([block.unfold(y) for block, y in zip(ctx.blocks, ys)], axis=1)
+    ks = np.array([pairs[j].k for c in cols for j in c])
+    signs = np.concatenate([np.full(c.size, _SIGNS[block.parity])
+                            for block, c in zip(ctx.blocks, cols)])
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        ku = ctx.quadrature_geometry.apply(np.array([pairs[j].k for j in tested]), xi)
+        ku = ctx.quadrature_geometry.apply(ks, u, signs)
     finite = np.all(np.isfinite(ku), axis=0)
     ku[:, ~finite] = 0.0
     # parts rather than moduli: |K(k)u| itself may overflow
     top = np.maximum(np.abs(ku.real).max(axis=0), np.abs(ku.imag).max(axis=0))
     scale = np.ldexp(1.0, -np.maximum(np.frexp(top)[1], 0))
-    diff = scale * xi - _real_product(ctx.projection, scale * ku)
-    # exact, and a division beyond the float range gives inf
-    with np.errstate(over="ignore"):
-        eps[tested] = np.where(finite, _mass_norms(ctx.mass, diff) / scale, math.inf)
+    start = 0
+    for (mass, moments), c, y in zip(ctx.projection_blocks, cols, ys):
+        part = slice(start, start + c.size)
+        start += c.size
+        rhs = _real_product(moments, scale[part] * ku[:, part])  # Q_b^T P^T K(k)u
+        eta = np.linalg.solve(mass, rhs.view(float)).view(complex)
+        diff = scale[part] * y - eta
+        # exact, and a division beyond the float range gives inf
+        with np.errstate(over="ignore"):
+            e = np.where(finite[part], np.sqrt(_mass_squares(mass, diff)) / scale[part],
+                         math.inf)
+        eps[c] = np.hypot(eps[c], e)
     return eps
 
 
-def _mass_norms(mass: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """sqrt(z_j^* M z_j) of every column z_j, for a real symmetric M; a quadratic
-    form that rounds below zero gives 0."""
-    return np.sqrt(np.maximum(np.real(np.sum(z.conj() * _real_product(mass, z), axis=0)), 0.0))
+def _mass_squares(mass: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """z_j^* M z_j of every column z_j, for a real symmetric M; a quadratic form
+    that rounds below zero gives 0."""
+    return np.maximum(np.real(np.sum(z.conj() * _real_product(mass, z), axis=0)), 0.0)
 
 
 def filter_epsilon(ctx: LsContext, pair: EigenPair) -> FilterReport:

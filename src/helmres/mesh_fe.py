@@ -23,6 +23,7 @@ their mirrors (the first, reversed).
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +35,15 @@ class BoundaryCondition(enum.Enum):
     DIRICHLET_BOTH_ENDS = "dirichlet_both_ends"
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=None)
 def gauss_lobatto_nodes(degree: int) -> np.ndarray:
-    """The degree+1 Gauss-Lobatto points on [-1, 1].
+    """The degree+1 Gauss-Lobatto points on [-1, 1], computed once per degree
+    and returned read-only.
 
     Interior points are the roots of P'_degree; the companion-matrix roots are
     polished with two Newton steps so that nodes are accurate to machine
@@ -44,7 +52,7 @@ def gauss_lobatto_nodes(degree: int) -> np.ndarray:
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
     if degree == 1:
-        return np.array([-1.0, 1.0])
+        return _read_only(np.array([-1.0, 1.0]))
     coeff = np.zeros(degree + 1)
     coeff[-1] = 1.0
     dcoeff = npleg.legder(coeff)
@@ -52,7 +60,15 @@ def gauss_lobatto_nodes(degree: int) -> np.ndarray:
     d2coeff = npleg.legder(dcoeff)
     for _ in range(2):
         x = x - npleg.legval(x, dcoeff) / npleg.legval(x, d2coeff)
-    return np.concatenate(([-1.0], x, [1.0]))
+    return _read_only(np.concatenate(([-1.0], x, [1.0])))
+
+
+@functools.lru_cache(maxsize=None)
+def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes and weights of the ``order``-point Gauss rule on [-1, 1],
+    ``npleg.leggauss(order)`` computed once per order and returned read-only."""
+    x, w = npleg.leggauss(order)
+    return _read_only(x), _read_only(w)
 
 
 def _barycentric_weights(nodes: np.ndarray) -> np.ndarray:
@@ -195,7 +211,7 @@ def cell_quadrature(space: MeshedSpace, order: int, edges=None):
     if not (np.array_equal(np.union1d(edges, v), edges) and edges[0] == v[0]
             and edges[-1] == v[-1]):
         raise ValueError("edges must increase through every mesh vertex, first to last")
-    x, w = npleg.leggauss(order)
+    x, w = gauss_legendre(order)
     half = 0.5 * (edges[1:, None] - edges[:-1, None])
     nodes, weights = edges[:-1, None] + half * (x + 1.0), half * w
     cells = locate(space.mesh, edges[:-1])
@@ -285,6 +301,26 @@ class ParityBlock:
             out[:, 0] *= np.sqrt(0.5)
         return out
 
+    def _weights(self, ndim: int) -> np.ndarray:
+        """The w_j of the block coordinates, shaped to scale an array of ``ndim``
+        dimensions along its first axis."""
+        weights = np.full(self.size, np.sqrt(0.5))
+        if self._centre:
+            weights[0] = 0.5
+        return weights.reshape((-1,) + (1,) * (ndim - 1))
+
+    def coordinates(self, vectors: np.ndarray) -> np.ndarray:
+        """Q^T z: the block coordinates of DOF vectors, (dofs,) or (dofs, m), as
+        the slice sum w_j (z[d] + s z[m]); Q y for a z in the block."""
+        n = self.size
+        own = vectors[-n:]
+        if self.parity is None:
+            return np.array(own)
+        mirrored = vectors[n - 1::-1]
+        out = own + mirrored if self.parity == "even" else own - mirrored
+        out *= self._weights(out.ndim)
+        return out
+
     def unfold(self, vectors: np.ndarray) -> np.ndarray:
         """Q y: the DOF vectors of block coordinates, (size,) or (size, m)."""
         vectors = np.asarray(vectors)
@@ -294,10 +330,7 @@ class ParityBlock:
         if self.parity is None:
             out[-n:] = vectors
             return out
-        weights = np.full(n, np.sqrt(0.5))
-        if self._centre:
-            weights[0] = 0.5
-        part = weights.reshape((-1,) + (1,) * (vectors.ndim - 1)) * vectors
+        part = self._weights(vectors.ndim) * vectors
         out[-n:] = part
         # the centre is the first of both runs and gets half of its value from each
         if self.parity == "even":

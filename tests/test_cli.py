@@ -732,6 +732,48 @@ def test_main_rejects_a_background_index_that_is_not_positive(tmp_path, capsys, 
                  "--out", str(tmp_path / "out")]) == 0
 
 
+# each RunConfig field's flag, the words given after it, and the value it stores
+_RUN_CONFIG_FLAGS = {
+    "problem": ("--problem", ["bump"], "bump"),
+    "formulation": ("--formulation", ["ls"], "ls"),
+    "degree": ("--p", ["3"], 3),
+    "initial_cell_size": ("--h", ["0.125"], 0.125),
+    "refinements": ("--ref", ["2"], 2),
+    "d": ("--d", ["1.5"], 1.5),
+    "sigma0": ("--sigma0", ["4"], 4.0),
+    "x_c": ("--xc", ["2.5"], 2.5),
+    "ell": ("--ell", ["6"], 6.0),
+    "window": ("--window", ["0", "4", "-2", "0"], [0.0, 4.0, -2.0, 0.0]),
+    "apply_filter": ("--no-filter", [], False),
+    "pseudo_resolution": ("--pseudo", ["3", "2"], [3, 2]),
+    "out_dir": ("--out", ["o"], "o"),
+    "seed": ("--seed", ["7"], 7),
+    "eta": ("--eta", ["2"], 2.0),
+    "epsilon_threshold": ("--threshold", ["0.5"], 0.5),
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "filter", "pseudospectrum", "reference",
+                                     "convergence"])
+def test_every_subcommand_takes_every_run_config_flag(command):
+    # the flags come from one parent parser; filter's default for --filter stays its own
+    assert set(_RUN_CONFIG_FLAGS) == {field.name for field in dataclasses.fields(RunConfig)}
+    parser = cli._parser()
+    defaults = vars(parser.parse_args([command]))
+    assert defaults["apply_filter"] is (True if command == "filter" else None)
+    for dest in {"config", *_RUN_CONFIG_FLAGS} - {"apply_filter"}:
+        assert defaults[dest] is None, dest
+    for dest, (flag, words, value) in _RUN_CONFIG_FLAGS.items():
+        assert getattr(parser.parse_args([command, flag, *words]), dest) == value, flag
+    assert parser.parse_args([command, "--filter"]).apply_filter is True
+    assert parser.parse_args([command, "--config", "c.json"]).config == "c.json"
+    extra = {"sweep": "p", "target": 0, "start": 2, "stop": 8, "levels": 3}
+    if command == "convergence":
+        assert {name: defaults[name] for name in extra} == extra
+    else:
+        assert not set(extra) & set(defaults)
+
+
 def test_main_requires_problem_and_formulation():
     with pytest.raises(SystemExit):
         main(["solve", "--p", "2"])

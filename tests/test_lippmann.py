@@ -16,6 +16,7 @@ from helmres import (BoundaryCondition, ContourConfig, EigenPair, LsContext, Med
                      slab_dtn_eigenvalues, slab_profile, smallest_singular_value, solve_contour,
                      solve_dtn)
 from helmres import lippmann
+from helmres.mesh_fe import cell_quadrature
 from helmres.cli import RunConfig, discretize, write_grid_csv
 
 K1 = math.pi / 4 - 1j * math.log(3.0) / 4
@@ -206,11 +207,10 @@ def test_one_block_kernel_matches_adaptive_quadrature(k):
 
 @pytest.mark.parametrize("degree", [1, 4])
 def test_kernel_matrix_matches_apply(degree):
-    # 12 and 16 cells: the piece tables, (pieces, q, p + 1) with pieces <= cells +
+    # 12 and 16 cells: the piece tables, (pieces, p + 1, q) with pieces <= cells +
     # points, then stay below points x (cells q) entries, the size of a dense
-    # kernel table.  The even medium's every-node geometry is mirrored, so matrix
-    # takes the moments of the right half of its pieces; the off-centre one's and
-    # the quadrature geometries take those of every piece.
+    # kernel table.  The even medium's geometries are mirrored, so they hold the
+    # right half of their pieces; the off-centre medium's hold every piece.
     even = build_ls_context(air_filled_cavity_profile(1.5, math.sqrt(3.5), math.sqrt(2.5)),
                             degree, 0.25)
     off_centre = build_ls_context(_off_centre_medium(), degree, 0.125)
@@ -219,7 +219,7 @@ def test_kernel_matrix_matches_apply(degree):
         rng = np.random.default_rng(6)
         u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         every_node = lippmann._kernel_geometry(ctx, ctx.space.node_coords, ctx.cuts)
-        assert every_node.mirrored == (ctx is even) and not ctx.quadrature_geometry.mirrored
+        assert every_node.mirrored == ctx.quadrature_geometry.mirrored == (ctx is even)
         for geometry in (every_node, ctx.quadrature_geometry):
             m = geometry.points.size
             for field in dataclasses.fields(geometry):
@@ -241,8 +241,8 @@ def test_mirrored_kernel_matrix_matches_its_columns(degree, cell_size):
                            degree, cell_size)
     colloc = ctx.collocation_geometry
     every_node = lippmann._kernel_geometry(ctx, ctx.space.node_coords, ctx.cuts)
-    pieces = len(colloc.piece_dofs)
-    assert len(every_node.piece_dofs) == pieces
+    pieces = colloc.pieces
+    assert every_node.pieces == pieces
     if cell_size == 0.7:
         # no node at x = 0, so the first row of T(k) lies off the centre: at p = 3
         # the cut at x = 0 comes from the Gauss-Lobatto nodes of degree 6, and at
@@ -259,6 +259,41 @@ def test_mirrored_kernel_matrix_matches_its_columns(degree, cell_size):
     eye = np.eye(one_block.dof_count)
     for k in (3.0 - 0.5j, 7.9 - 1.2j, 2.0 - 20.0j, 0.3 + 2.0j, 0.0):
         np.testing.assert_allclose(one_block.matrix(k), one_block.apply(k, eye), rtol=1e-13)
+
+
+@pytest.mark.parametrize("degree, cell_size", [(4, 0.7), (3, 0.7), (16, 0.25), (10, 0.5),
+                                               (8, 0.25)])
+def test_mirrored_apply_matches_a_geometry_over_every_piece(degree, cell_size):
+    # 5 cells at h = 0.7: at p = 4 an even rule leaves the centre piece its own
+    # mirror, at p = 3 an odd one puts a Gauss node at x = 0; then the LS contexts
+    # of the benchmark's dtn, pml and ls discretizations
+    ctx = build_ls_context(air_filled_cavity_profile(1.5, math.sqrt(3.5), math.sqrt(2.5)),
+                           degree, cell_size)
+    mirrored = ctx.quadrature_geometry
+    every_piece = lippmann._kernel_geometry(ctx, mirrored.points, (), mirror=False)
+    assert mirrored.mirrored and not every_piece.mirrored
+    assert len(mirrored.piece_dofs) == mirrored.pieces - mirrored.pieces // 2
+    assert len(every_piece.piece_dofs) == every_piece.pieces == mirrored.pieces
+    if cell_size == 0.7:
+        assert ctx.space.mesh.n_cells == 5
+        assert mirrored.pieces % 2 == (1 if degree == 4 else 0)
+        assert (np.min(np.abs(mirrored.points)) < 1e-15) == (degree == 3)
+    rng = np.random.default_rng(degree)
+    even, odd = ctx.blocks
+    n = ctx.space.dof_count
+    columns = [even.unfold(rng.standard_normal(even.size) + 1j * rng.standard_normal(even.size)),
+               odd.unfold(rng.standard_normal(odd.size) + 1j * rng.standard_normal(odd.size)),
+               rng.standard_normal(n) + 1j * rng.standard_normal(n)]
+    ks = np.repeat([2.0 - 0.4j, 6.0 - 3.0j, 3.0 - 20.0j, 0.3 + 2.0j, 0.0], 3)
+    u = np.stack(columns * 5, axis=1)
+    signs = np.tile([1.0, -1.0, 0.0], 5)
+    got, want = mirrored.apply(ks, u, signs), every_piece.apply(ks, u)
+    assert np.all(np.max(np.abs(got - want), axis=0) <= 1e-13 * np.max(np.abs(want), axis=0))
+    # one call per column, and a column with a parity given none
+    for j in range(u.shape[1]):
+        np.testing.assert_array_equal(mirrored.apply(ks[j], u[:, j], signs[j]), got[:, j])
+        alone = mirrored.apply(ks[j], u[:, j])
+        assert np.max(np.abs(alone - want[:, j])) <= 1e-13 * np.max(np.abs(want[:, j]))
 
 
 def test_a_two_block_geometry_must_be_a_mirror_image():
@@ -476,10 +511,25 @@ _BENCH_RUNS = {
 
 
 def _oracle_epsilon(ctx, pair):
-    """eps of one pair with K(k) formed as a matrix at the cell Gauss points."""
-    xi = evaluate_function(pair.space, pair.vector, ctx.space.node_coords)
+    """eps of one pair over the whole space, with (M^r)^-1 P^T and K(k)u at the
+    cell Gauss points formed here: K(k)u by the context's rule on the mesh cut at
+    those points, one exponential e^{i n0 k |x - y|} per point and node."""
+    space, n0 = ctx.space, ctx.medium.n0
+    x, w, vals, _, _ = cell_quadrature(space, ctx.quad_order)
+    cells, q, _ = vals.shape
+    pt = np.zeros((space.dof_count, cells, q))
+    pt[space.cell_dofs[:, :, None], np.arange(cells)[:, None, None],
+       np.arange(q)] = np.swapaxes(w[:, :, None] * vals, 1, 2)
+    projection = np.linalg.solve(ctx.mass, pt.reshape(space.dof_count, -1))
+    edges = np.union1d(space.mesh.vertices, x.ravel())
+    y, wy, vy, _, cy = cell_quadrature(space, ctx.quad_order, edges)
+    xi = evaluate_function(pair.space, pair.vector, space.node_coords)
     xi = xi / math.sqrt(np.real(xi.conj() @ ctx.mass @ xi))
-    diff = xi - ctx.projection @ (ctx.quadrature_geometry.matrix(pair.k) @ xi)
+    # (n^2 - n0^2) u w at every node y of every piece
+    density = ctx.medium.contrast(y) * wy * np.einsum("jgl,jl->jg", vy, xi[space.cell_dofs[cy]])
+    kernel = np.exp(1j * n0 * pair.k * np.abs(x.reshape(-1, 1) - y.reshape(1, -1)))
+    ku = 1j * pair.k / (2.0 * n0) * (kernel @ density.ravel())
+    diff = xi - projection @ ku
     return math.sqrt(np.real(diff.conj() @ ctx.mass @ diff))
 
 

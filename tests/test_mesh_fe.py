@@ -6,7 +6,7 @@ from numpy.polynomial import legendre as npleg
 
 from helmres import (BoundaryCondition, Mesh1D, build_mesh, build_space,
                      evaluate_function, parity_blocks)
-from helmres.mesh_fe import cell_quadrature, gauss_lobatto_nodes, lagrange_values
+from helmres.mesh_fe import cell_quadrature, gauss_legendre, gauss_lobatto_nodes, lagrange_values
 
 
 def test_uniform_mesh_vertices():
@@ -92,6 +92,23 @@ def test_gauss_lobatto_nodes():
     np.testing.assert_allclose(n9, -n9[::-1], atol=1e-14)
     with pytest.raises(ValueError):
         gauss_lobatto_nodes(0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 22])
+def test_reference_rules_are_computed_once_and_read_only(n):
+    nodes = gauss_lobatto_nodes(n)
+    x, w = gauss_legendre(n)
+    assert gauss_lobatto_nodes(n) is nodes
+    assert build_space(build_mesh((0, 1), [], 0.5), n).ref_nodes is nodes
+    assert gauss_legendre(n)[0] is x and gauss_legendre(n)[1] is w
+    for a in (nodes, x, w):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    np.testing.assert_array_equal(nodes, gauss_lobatto_nodes.__wrapped__(n))
+    fresh = npleg.leggauss(n)
+    np.testing.assert_array_equal(x, fresh[0])
+    np.testing.assert_array_equal(w, fresh[1])
 
 
 def test_linear_hats_at_midpoint():
