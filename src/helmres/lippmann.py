@@ -51,6 +51,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -351,8 +352,7 @@ class KernelGeometry:
         return out
 
 
-@dataclass(frozen=True, eq=False)
-class _Plan:
+class _Plan(NamedTuple):
     """The k-independent part of :meth:`KernelGeometry.matrix` and
     :meth:`KernelGeometry.apply` beyond the geometry.
 
