@@ -15,9 +15,9 @@ diagonal in the orthonormal basis of even and odd DOF pairs (Bossavit, CMAME
 56, 1986).  The DOFs are numbered in ascending x, so the permutation is the
 reversal: :func:`parity_blocks` checks that the DOF coordinates are their own
 reversed mirror image and describes the two blocks, and each
-:class:`ParityBlock` folds matrices into its block and unfolds block vectors
-back into DOF vectors by sums of two slices, its own DOFs (the last) and
-their mirrors (the first, reversed).
+:class:`ParityBlock` folds matrices into its block, takes DOF vectors into its
+coordinates and unfolds block vectors back into DOF vectors by sums of two
+slices, its own DOFs (the last) and their mirrors (the first, reversed).
 """
 
 from __future__ import annotations
@@ -311,7 +311,7 @@ class ParityBlock:
 
     def coordinates(self, vectors: np.ndarray) -> np.ndarray:
         """Q^T z: the block coordinates of DOF vectors, (dofs,) or (dofs, m), as
-        the slice sum w_j (z[d] + s z[m]); Q y for a z in the block."""
+        the slice sum w_j (z[d] + s z[m]); for a z in the block, the y with Q y = z."""
         n = self.size
         own = vectors[-n:]
         if self.parity is None:
