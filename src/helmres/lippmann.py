@@ -26,24 +26,25 @@ set of evaluation points on the mesh cut at every point, so that the kink of
 the integrand at y = x falls on a piece edge.  K(k) then takes one
 exponential per Gauss node, e^{-i n0 k y}, whose reciprocal is e^{+i n0 k y},
 and prefix and suffix sums over the pieces.  On an even medium the pieces
-are mirror images, and a geometry stores the right half of them alone.
-e^{-i n0 k y} at y >= 0 is e^{+i n0 k y} at the mirror node: T(k) then takes
-one exponential per mirror pair of Gauss nodes, and its sums run over the
-right half of the pieces and start at the centre.  K(k)u for many pairs
-contracts the weight table with the u first and takes one exponential per
-Gauss node and pair, e^{-i n0 k y}: e^{+i n0 k y} is its reciprocal.  For a
-u that is even or odd the left pieces add the right ones' moments times its
-parity sign, and K(k)u at a left point is that sign times its value at the
-mirror point, so the right half is all that K(k)u takes too.  An
+are mirror images, and a geometry holds the right half of them and of its
+points alone: K(k) commutes with the mirror, so K(k)u of an even or odd u is
+fixed by its values at x >= 0.  e^{-i n0 k y} at y >= 0 is e^{+i n0 k y} at
+the mirror node: T(k) then takes one exponential per mirror pair of Gauss
+nodes, and its sums run over the right half of the pieces and start at the
+centre.  K(k)u for many pairs contracts the weight table with the u first
+and takes one exponential per Gauss node and pair, e^{-i n0 k y}: e^{+i n0
+k y} is its reciprocal.  Every u it takes on a mirror is even or odd, and
+the left pieces add the right ones' moments times its parity sign.  An
 :class:`LsContext` builds the geometry once at its collocation nodes (T(k))
-and once at its cell Gauss points (the filter).
+and once at its cell Gauss points (the filter), on an even medium at those
+with x >= 0 alone.
 
 For an even medium on a mirror-symmetric mesh, T(k) and the resonator mass
 commute with the mirror permutation of the nodes, so their even and odd
 blocks are all of them: T(k) is collocated only at the nodes with x >= 0,
 the last ones, and its columns are summed with their mirrors' (even) or
 differenced (odd), and the filter projects K(k)u onto the block of the pair
-alone, with the block's folded mass.
+alone, with the block's folded mass, from its values at x >= 0.
 """
 
 from __future__ import annotations
@@ -71,9 +72,10 @@ from .mesh_fe import (BoundaryCondition, MeshedSpace, ParityBlock, build_mesh, b
 _LOW_DEGREE_CUTS = 6
 
 # KernelGeometry.apply takes its columns in slices, so that no (stored pieces,
-# q, columns) array outgrows this many bytes however many pairs a filter call
-# has; on a mirrored geometry a column without a parity counts twice.
+# q, columns) array outgrows this many bytes, however many pairs it takes.
 _SLICE_BYTES = 1 << 17
+
+_SIGNS = {"even": 1.0, "odd": -1.0, None: 0.0}
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,8 +85,9 @@ class LsContext:
     Everything k-independent is derived once per context and cached: the
     parity blocks of T(k), the resonator mass matrix, the kernel geometries at
     the collocation nodes of the first block (the last nodes, which hold the
-    rows of every block) and at the cell Gauss points, and per block the
-    folded mass and L^2 moments of the filter's projection.
+    rows of every block) and at the cell Gauss points, both at x >= 0 alone
+    with two blocks, and per block the folded mass and L^2 moments of the
+    filter's projection.
     """
 
     space: MeshedSpace
@@ -116,18 +119,30 @@ class LsContext:
 
     @functools.cached_property
     def projection_blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per block, its folded mass M_b = Q_b^T M^r Q_b and Q_b^T P^T, (size,
-        cells * q), both real.  P^T[i, (c, g)] = phi_i(y) w(y) at node g of cell
-        c, so that P^T f is the L^2 moments on the space of a function given by
-        its values at the cell Gauss points, in ravelled (cell, node) order, and
-        M_b^-1 Q_b^T P^T f is the block coordinates of its projection."""
+        """Per block, its folded mass M_b = Q_b^T M^r Q_b and Q_b^T P^T, both
+        real.  P^T[i, (c, g)] = phi_i(y) w(y) at node g of cell c, so that P^T f
+        is the L^2 moments on the space of a function given by its values at
+        the m cell Gauss points, in ravelled (cell, node) order, and M_b^-1
+        Q_b^T P^T f is the block coordinates of its projection.  With two blocks
+        f is given at the last ceil(m / 2) points alone, those of
+        ``quadrature_geometry``: point i mirrors point m - 1 - i, where an f of
+        the block's parity s is s times its value, so the column of each right
+        point adds s times its mirror's, and the centre's (m odd) is taken once."""
         _, table = self.cell_quadrature
         cells, q, _ = table.shape
+        m, half = cells * q, cells * q // 2
         pt = np.zeros((self.space.dof_count, cells, q))
         pt[self.space.cell_dofs[:, :, None], np.arange(cells)[:, None, None],
            np.arange(q)] = np.swapaxes(table, 1, 2)
-        pt = pt.reshape(self.space.dof_count, -1)
-        return [(block.fold(self.mass), block.coordinates(pt)) for block in self.blocks]
+        pt = pt.reshape(self.space.dof_count, m)
+        out = []
+        for block in self.blocks:
+            moments = block.coordinates(pt)
+            if block.parity is not None:
+                moments[:, m - half:] += _SIGNS[block.parity] * moments[:, :half][:, ::-1]
+                moments = np.ascontiguousarray(moments[:, half:])
+            out.append((block.fold(self.mass), moments))
+        return out
 
     @functools.cached_property
     def cuts(self) -> np.ndarray:
@@ -143,18 +158,20 @@ class LsContext:
     def collocation_geometry(self) -> "KernelGeometry":
         """The geometry at the nodes of the first block; ``cuts`` holds every node,
         so its pieces are those of a geometry at all nodes.  With two blocks
-        they are mirror images, and it holds the right half of them alone:
-        its rows are those of the geometry at all nodes, bit for bit, as both
-        sum P and Q from the centre.  With one block it is the geometry at all
-        nodes, and holds every piece."""
+        those nodes are the right half, and it holds the right half of the
+        pieces too.  With one block it is the geometry at all nodes, and holds
+        every piece."""
         return _kernel_geometry(self, self.space.node_coords[-self.blocks[0].size:], self.cuts)
 
     @functools.cached_property
     def quadrature_geometry(self) -> "KernelGeometry":
-        """The filter's geometry at the cell Gauss points, which cut the mesh; with
-        two blocks the points and pieces are mirror images, and it holds the
-        right half of the pieces."""
-        return _kernel_geometry(self, self.cell_quadrature[0].ravel(), ())
+        """The filter's geometry at the m cell Gauss points in ravelled (cell,
+        node) order, all of which are ``cuts``.  With two blocks it holds the
+        right half of them, the last ceil(m / 2), and of its pieces, with the
+        values of a geometry at every point, bit for bit."""
+        points = self.cell_quadrature[0].ravel()
+        first = points.size // 2 if len(self.blocks) == 2 else 0
+        return _kernel_geometry(self, points[first:], points)
 
     def t(self, k: complex) -> list[np.ndarray]:
         """The blocks of T(k) = I - K(k), one per ``blocks``: :func:`collocation_matrix`."""
@@ -193,12 +210,11 @@ class KernelGeometry:
 
     A ``mirrored`` geometry, such as those of a context with two parity blocks,
     has pieces, nodes and weights that are exact mirror images (x -> -x, DOF d
-    -> dofs - 1 - d), and every point left of the centre has its mirror point.
-    It stores the right half of its pieces alone, from ``pieces // 2`` on:
-    with an odd count that takes the centre piece, its own mirror.  Any other
-    geometry stores every piece.  :meth:`matrix` and :meth:`apply` take the
-    moments of the stored pieces, and a point left of the centre takes its
-    value from its mirror point.
+    -> dofs - 1 - d), and it is their right half: its points lie at or right
+    of the centre, and it stores its pieces from ``pieces // 2`` on, with an
+    odd count the centre piece, its own mirror, too.  Any other geometry
+    stores every piece.  :meth:`matrix` and :meth:`apply` take the moments of
+    the stored pieces.
     """
 
     n0: float
@@ -214,28 +230,14 @@ class KernelGeometry:
     @functools.cached_property
     def _plan(self) -> "_Plan":
         """The :class:`_Plan` of :meth:`matrix` and :meth:`apply`."""
-        pieces = self.pieces
-        half = pieces - len(self.piece_dofs)
+        half = self.pieces - len(self.piece_dofs)
         first_dof = int(self.piece_dofs.min())
         right = np.arange(len(self.piece_dofs))[:, None]
-        flip = self.mirrored & (2 * self.cut < pieces)
-        own = np.flatnonzero(~flip)
-        rows = self.cut[own] - half
-        take = None
-        if flip.any():
-            # the mirror of the point at edge e is the one at edge pieces - e
-            where = np.full(pieces + 1, -1)
-            where[self.cut[own]] = np.arange(own.size)
-            take = np.empty(self.points.size, dtype=int)
-            take[own] = np.arange(own.size)
-            take[flip] = where[pieces - self.cut[flip]]
-            if np.any(take < 0):
-                raise ValueError("a point left of the centre has no mirror point")
+        rows = self.cut - half
         return _Plan(
             half=half, first_dof=first_dof,
             into_p=((right + 1) * self.dof_count + self.piece_dofs).ravel(),
             into_q=(right * (self.dof_count - first_dof) + self.piece_dofs - first_dof).ravel(),
-            flip=np.flatnonzero(flip), take=take, points=self.points[own],
             rows=None if np.array_equal(rows, np.arange(len(right) + 1)) else rows)
 
     def matrix(self, k: complex) -> np.ndarray:
@@ -251,9 +253,7 @@ class KernelGeometry:
         there are no left pieces, and P starts from zero.  P and Q have one row
         more than the stored pieces, and Q ends at the last piece.  Both are
         summed over the DOFs those pieces touch only; the rest of P is its first
-        row, and Q is held on those DOFs alone, as it is zero on the rest.  A
-        point left of the centre of a mirrored geometry takes the reversed row
-        of its mirror point.
+        row, and Q is held on those DOFs alone, as it is zero on the rest.
         """
         plan = self._plan
         first = plan.first_dof
@@ -274,11 +274,7 @@ class KernelGeometry:
         np.cumsum(prefix[:, first:], axis=0, out=prefix[:, first:])
         if plan.rows is not None:
             prefix, suffix = prefix[plan.rows], suffix[plan.rows]
-        out = _combine(k, self.n0, plan.points, prefix, suffix)
-        if plan.take is not None:
-            out = out[plan.take]
-            out[plan.flip] = out[plan.flip, ::-1]
-        return out
+        return _combine(k, self.n0, self.points, prefix, suffix)
 
     def apply(self, k, coeffs: np.ndarray, signs=0) -> np.ndarray:
         """K(k)u at the m points without forming K(k): (m,) for one k and a
@@ -287,19 +283,22 @@ class KernelGeometry:
 
         ``signs`` gives the parity of each column under the mirror R, u[::-1] =
         s u: +1 for an even column, -1 for an odd one and 0 for one without a
-        parity.  A mirrored geometry uses it, and K(k) commutes with R: the left
-        pieces' moments of u are those of R u on the right ones, and K(k)u at a
-        left point is K(k)(R u) at its mirror point.  A column with a parity
-        then costs the stored pieces alone, and one without takes R u along.
-        The columns go through :meth:`_apply_slice` in slices of at most
+        parity.  A mirrored geometry takes even and odd columns alone, whose
+        left pieces' moments are s times the right ones', so each costs the
+        stored pieces.  The K(k)u of a column without a parity, summed from
+        its even and odd parts, lost its small entries to cancellation deep in
+        the plane (at k = 2 - 20i they came out wrong by their own size), so
+        :func:`filter_epsilons` tests each part in its block apart.  The
+        columns go through :meth:`_apply_slice` in slices of at most
         ``_SLICE_BYTES`` per (stored pieces, q, columns) array, so the
         temporaries do not grow with the number of columns.
         """
         cols = coeffs.reshape(self.dof_count, -1)
         ks = np.broadcast_to(k, cols.shape[1:])
         signs = np.broadcast_to(signs, ks.shape)
-        doubled = self.mirrored and not np.all(signs)
-        width = max(1, _SLICE_BYTES // (16 * self.nodes.size * (2 if doubled else 1)))
+        if self.mirrored and not np.all(signs):
+            raise ValueError("a mirrored geometry takes even or odd columns alone")
+        width = max(1, _SLICE_BYTES // (16 * self.nodes.size))
         out = np.empty((len(self.points), len(ks)), dtype=complex)
         for start in range(0, len(ks), width):
             part = slice(start, start + width)
@@ -313,21 +312,11 @@ class KernelGeometry:
         W[j, g] u[piece dofs], so each Gauss node and column costs one
         exponential, e^{-ikn y}; e^{+ikn y} is its reciprocal.  Where e^{-ikn y}
         leaves the float range, so does K(k)u: it is then not finite, as with
-        two exponentials.  On a mirrored geometry a column without a parity
-        is followed by R u, and ``mirror`` gives each column that of its
-        mirror: itself, times its sign, when it has a parity.
+        two exponentials.  P starts at the centre as in :meth:`matrix`, from the
+        sign times the reversed Q: the left pieces' moments of u are those of
+        R u = s u on their mirrors.
         """
         plan = self._plan
-        n = len(ks)
-        mirror = np.arange(n)
-        if self.mirrored:
-            lone = np.flatnonzero(signs == 0)
-            cols = np.concatenate((cols, cols[::-1, lone]), axis=1)
-            ks = np.concatenate((ks, ks[lone]))
-            mirror = np.concatenate((mirror, lone))
-            mirror[lone] = n + np.arange(lone.size)
-            signs = np.concatenate((signs, np.zeros(lone.size)))
-            signs[signs == 0] = 1.0  # a column and its mirror R u, both as they are
         gathered = np.ascontiguousarray(cols[self.piece_dofs], dtype=complex)
         wu = (np.swapaxes(self.table, 1, 2) @ gathered.view(float)).view(complex)
         terms = np.multiply.outer(self.nodes, -1j * self.n0 * ks)
@@ -339,17 +328,12 @@ class KernelGeometry:
         suffix[:-1] = np.einsum("jgs,jgs->js", terms, wu)
         reverse = suffix[::-1]
         np.cumsum(reverse, axis=0, out=reverse)
-        if self.mirrored:  # as in matrix, with R u for the reversed DOFs
-            prefix[0] = signs * suffix[len(wu) - plan.half, mirror]
+        # with no left pieces that is Q's last row, zero
+        prefix[0] = signs * suffix[len(wu) - plan.half]
         np.cumsum(prefix, axis=0, out=prefix)
         if plan.rows is not None:
             prefix, suffix = prefix[plan.rows], suffix[plan.rows]
-        values = _combine(ks, self.n0, plan.points, prefix, suffix)
-        if plan.take is None:
-            return values[:, :n]
-        out = values[plan.take, :n]
-        out[plan.flip] = signs[:n] * values[plan.take[plan.flip]][:, mirror[:n]]
-        return out
+        return _combine(ks, self.n0, self.points, prefix, suffix)
 
 
 class _Plan(NamedTuple):
@@ -357,18 +341,14 @@ class _Plan(NamedTuple):
     :meth:`KernelGeometry.apply` beyond the geometry.
 
     The stored pieces are those from ``half`` on: pieces // 2 on a mirrored
-    geometry and 0 on any other.  The points that take their own values are
-    those right of a mirror's centre, or all of them.
+    geometry and 0 on any other.
     """
 
     half: int
     first_dof: int              # the first DOF the stored pieces touch
     into_p: np.ndarray          # the flat index of their DOFs in P, one row down
     into_q: np.ndarray          # and in Q, whose columns start at first_dof
-    flip: np.ndarray            # the points left of a mirror's centre
-    take: np.ndarray | None     # (m,) each point's own value, or its mirror's; None: all own
-    points: np.ndarray          # the points with their own values
-    rows: np.ndarray | None     # their row of P and Q; None for all, in order
+    rows: np.ndarray | None     # each point's row of P and Q; None for all, in order
 
 
 def _combine(k, n0: float, points: np.ndarray, prefix: np.ndarray,
@@ -390,7 +370,8 @@ def _kernel_geometry(ctx: LsContext, points, cuts, mirror: bool = True) -> Kerne
     """The geometry of K(k) at ``points`` on the mesh cut at the points and at
     ``cuts``: the context's inner rule on every piece, by :func:`cell_quadrature`.
     On a context with two parity blocks it is mirrored unless ``mirror`` is
-    false, and the points and cuts must then make a mirror image."""
+    false: the cuts and the points must then make a mirror image, and no point
+    may lie left of its centre."""
     space, medium = ctx.space, ctx.medium
     pts = np.atleast_1d(np.asarray(points, dtype=float))
     verts = space.mesh.vertices
@@ -402,12 +383,15 @@ def _kernel_geometry(ctx: LsContext, points, cuts, mirror: bool = True) -> Kerne
     table *= medium.contrast(nodes)[:, :, None]
     piece_dofs = space.cell_dofs[cells]
     # parity blocks mean an even medium on mirror DOFs
+    cut = np.searchsorted(edges, inside)
     mirrored = mirror and len(ctx.blocks) == 2
     half = 0
     if mirrored:
         if (np.max(np.abs(nodes + nodes[::-1, ::-1])) > 1e-12 * (verts[-1] - verts[0])
                 or not np.array_equal(piece_dofs[::-1, ::-1], space.dof_count - 1 - piece_dofs)):
             raise ValueError("the pieces of a two-block context are no mirror image")
+        if np.any(2 * cut < len(nodes)):
+            raise ValueError("a mirrored geometry holds no point left of its centre")
         # exact mirror images, so that the right half stands for the left one:
         # with the weights as computed, the two differed by up to 1.3e-12
         # relative in an entry of K(2 - 20i) at p = 8 on the air cavity, where
@@ -416,7 +400,7 @@ def _kernel_geometry(ctx: LsContext, points, cuts, mirror: bool = True) -> Kerne
         table = 0.5 * (table + table[::-1, ::-1, ::-1])
         half = len(nodes) // 2
     return KernelGeometry(
-        n0=medium.n0, points=pts, cut=np.searchsorted(edges, inside), pieces=len(nodes),
+        n0=medium.n0, points=pts, cut=cut, pieces=len(nodes),
         nodes=nodes[half:], table=np.ascontiguousarray(np.swapaxes(table[half:], 1, 2)),
         piece_dofs=piece_dofs[half:], dof_count=space.dof_count, mirrored=mirrored)
 
@@ -470,8 +454,11 @@ def filter_epsilons(ctx: LsContext, pairs) -> np.ndarray:
     blocks, so eps is taken in block coordinates, with each block's folded
     mass M_b: a pair with a parity is tested in its block alone, xi_b = Q_b^T
     xi, and a pair without one in both, eps being the root of the sum of the
-    squares.  A context with one block is the whole space, Q = I.  The pairs of
-    one space take each step together: one interpolation, one
+    squares, its parts never summed into one K(k)u (see
+    :meth:`KernelGeometry.apply`).  K(k)u is formed at the points of
+    ``quadrature_geometry``, and each block's Q_b^T P^T folds in their
+    mirrors.  A context with one block is the whole space, Q = I.  The pairs
+    of one space take each step together: one interpolation, one
     :meth:`KernelGeometry.apply` with a k and a parity sign per column, and per
     block one product with Q_b^T P^T, one solve with M_b and one product with
     M_b for the norms.
@@ -494,9 +481,6 @@ def filter_epsilons(ctx: LsContext, pairs) -> np.ndarray:
     for space, rows in by_space.items():
         eps[rows] = _space_epsilons(ctx, space, [pairs[j] for j in rows])
     return eps
-
-
-_SIGNS = {"even": 1.0, "odd": -1.0, None: 0.0}
 
 
 def _space_epsilons(ctx: LsContext, space: MeshedSpace, pairs) -> np.ndarray:

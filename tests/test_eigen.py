@@ -218,7 +218,8 @@ def test_reported_pairs_solve_t_at_the_reported_k(name):
         t = lambda k: mats.a_tilde - k**2 * mats.m_tilde
     else:
         ctx = disc.ls_context
-        geometry = _kernel_geometry(ctx, ctx.space.node_coords, ctx.cuts)
+        # K(k) at every node, so not the right half of a mirror
+        geometry = _kernel_geometry(ctx, ctx.space.node_coords, ctx.cuts, mirror=False)
         t = lambda k: np.eye(disc.operator.space.dof_count) - geometry.matrix(k)
         scale = lambda k: np.linalg.norm(t(k), 2)
     worst = max(np.linalg.norm(t(pr.k) @ pr.vector) / scale(pr.k) for pr in pairs)
@@ -456,7 +457,8 @@ def test_block_singular_values_equal_the_full_t(problem, formulation):
     op = disc.operator
     assert [b.parity for b in op.blocks] == ["even", "odd"]
     if formulation == "ls":
-        geometry = _kernel_geometry(op, op.space.node_coords, op.cuts)  # K(k) at every node
+        # K(k) at every node, so not the right half of a mirror
+        geometry = _kernel_geometry(op, op.space.node_coords, op.cuts, mirror=False)
     for k in (0.9 - 0.3j, 2.5 - 0.6j, 4.0 - 1.5j):
         if formulation == "dtn":
             full = op.a - 1j * k * op.e - k**2 * op.m

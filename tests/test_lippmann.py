@@ -136,8 +136,8 @@ def test_kernel_matches_adaptive_quadrature(k):
     space = ctx.space
     n = space.dof_count
     assert space.degree == 4 and space.mesh.has_vertex(0.0)
-    # K(k) at every node
-    gmat = lippmann._kernel_geometry(ctx, space.node_coords, ctx.cuts).matrix(k)
+    # K(k) at every node, so not the right half of a mirror
+    gmat = lippmann._kernel_geometry(ctx, space.node_coords, ctx.cuts, mirror=False).matrix(k)
     # node 6 (x = -0.75) lies strictly inside cell 1, node 12 (x = 0) on a vertex
     for i, columns in ((6, (4, 5, 6, 8, 20)), (12, (8, 11, 12, 13, 16))):
         x = space.node_coords[i]
@@ -160,8 +160,8 @@ def test_kernel_without_split_points_matches_adaptive_quadrature(k):
     space = ctx.space
     n = space.dof_count
     assert np.all([space.mesh.has_vertex(x) for x in space.node_coords])
-    # K(k) at every node
-    gmat = lippmann._kernel_geometry(ctx, space.node_coords, ctx.cuts).matrix(k)
+    # K(k) at every node, so not the right half of a mirror
+    gmat = lippmann._kernel_geometry(ctx, space.node_coords, ctx.cuts, mirror=False).matrix(k)
     for i in (0, 2, n - 1):
         x = space.node_coords[i]
         for j in range(n):
@@ -205,55 +205,69 @@ def test_one_block_kernel_matches_adaptive_quadrature(k):
                 assert gmat[i, j] == pytest.approx(_kernel_oracle(ctx, k, x, phi_j), rel=1e-12)
 
 
+def _times_block(kernel, block):
+    """K Q_b, K's columns summed with or differenced from their mirrors' in
+    pairs: at x = 0 that makes an odd u's K(k)u exactly zero, as apply does,
+    where K @ u, summing every column at once, leaves rounding."""
+    return block.coordinates(kernel.T).T
+
+
 @pytest.mark.parametrize("degree", [1, 4])
 def test_kernel_matrix_matches_apply(degree):
     # 12 and 16 cells: the piece tables, (pieces, p + 1, q) with pieces <= cells +
     # points, then stay below points x (cells q) entries, the size of a dense
     # kernel table.  The even medium's geometries are mirrored, so they hold the
-    # right half of their pieces; the off-centre medium's hold every piece.
+    # right half of their points and pieces, and take even and odd columns; the
+    # off-centre medium's hold every point and piece, and take any column.
     even = build_ls_context(air_filled_cavity_profile(1.5, math.sqrt(3.5), math.sqrt(2.5)),
                             degree, 0.25)
     off_centre = build_ls_context(_off_centre_medium(), degree, 0.125)
     for ctx in (even, off_centre):
-        cells, q, n = ctx.space.mesh.n_cells, ctx.quad_order, ctx.space.dof_count
+        cells, q = ctx.space.mesh.n_cells, ctx.quad_order
         rng = np.random.default_rng(6)
-        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        every_node = lippmann._kernel_geometry(ctx, ctx.space.node_coords, ctx.cuts)
-        assert every_node.mirrored == ctx.quadrature_geometry.mirrored == (ctx is even)
-        for geometry in (every_node, ctx.quadrature_geometry):
+        coords = [rng.standard_normal(block.size) + 1j * rng.standard_normal(block.size)
+                  for block in ctx.blocks]
+        assert len(coords) == (2 if ctx is even else 1)
+        for geometry in (ctx.collocation_geometry, ctx.quadrature_geometry):
+            assert geometry.mirrored == (ctx is even)
+            assert np.all(geometry.points >= 0.0) == (ctx is even)
             m = geometry.points.size
             for field in dataclasses.fields(geometry):
                 value = getattr(geometry, field.name)
                 if isinstance(value, np.ndarray):
                     assert value.size < m * cells * q, field.name
             for k in (2.0 - 0.4j, 6.0 - 3.0j, 3.0 - 20.0j, 0.3 + 2.0j):
-                np.testing.assert_allclose(geometry.matrix(k) @ u, geometry.apply(k, u),
-                                           rtol=1e-13)
+                for block, y in zip(ctx.blocks, coords):
+                    sign = lippmann._SIGNS[block.parity]
+                    np.testing.assert_allclose(_times_block(geometry.matrix(k), block) @ y,
+                                               geometry.apply(k, block.unfold(y), sign),
+                                               rtol=1e-13)
 
 
 @pytest.mark.parametrize("degree, cell_size", [(1, 0.5), (2, 0.5), (3, 0.5), (8, 0.5),
                                                (3, 0.7), (5, 0.7)])
 def test_mirrored_kernel_matrix_matches_its_columns(degree, cell_size):
     # a two-block context's T(k) takes the moments of the right half of the pieces
-    # alone and sums P and Q from the centre; apply takes every piece, as does the
-    # T(k) of a one-block context, the same routine with no mirror
+    # alone and sums P and Q from the centre, at the right half of the nodes; so
+    # does apply, on the even and odd columns of each block, and the T(k) of a
+    # one-block context is the same routine with no mirror, on every column
     ctx = build_ls_context(air_filled_cavity_profile(1.5, math.sqrt(3.5), math.sqrt(2.5)),
                            degree, cell_size)
     colloc = ctx.collocation_geometry
-    every_node = lippmann._kernel_geometry(ctx, ctx.space.node_coords, ctx.cuts)
     pieces = colloc.pieces
-    assert every_node.pieces == pieces
+    assert colloc.mirrored and np.all(colloc.points >= 0.0)
     if cell_size == 0.7:
         # no node at x = 0, so the first row of T(k) lies off the centre: at p = 3
         # the cut at x = 0 comes from the Gauss-Lobatto nodes of degree 6, and at
         # p = 5 the piece around x = 0 is its own mirror
         assert np.all(ctx.space.node_coords != 0.0)
         assert (pieces, colloc.cut[0]) == {3: (40, 21), 5: (25, 13)}[degree]
-    eye = np.eye(ctx.space.dof_count)
-    for geometry in (colloc, every_node):
-        assert geometry.mirrored
+    for block in ctx.blocks:
+        columns = block.unfold(np.eye(block.size))
         for k in (3.0 - 0.5j, 7.9 - 1.2j, 2.0 - 20.0j, 0.3 + 2.0j, 0.0):
-            np.testing.assert_allclose(geometry.matrix(k), geometry.apply(k, eye), rtol=1e-13)
+            np.testing.assert_allclose(_times_block(colloc.matrix(k), block),
+                                       colloc.apply(k, columns, lippmann._SIGNS[block.parity]),
+                                       rtol=1e-13)
     one_block = build_ls_context(_off_centre_medium(), degree, cell_size).collocation_geometry
     assert not one_block.mirrored
     eye = np.eye(one_block.dof_count)
@@ -270,8 +284,10 @@ def test_mirrored_apply_matches_a_geometry_over_every_piece(degree, cell_size):
     ctx = build_ls_context(air_filled_cavity_profile(1.5, math.sqrt(3.5), math.sqrt(2.5)),
                            degree, cell_size)
     mirrored = ctx.quadrature_geometry
-    every_piece = lippmann._kernel_geometry(ctx, mirrored.points, (), mirror=False)
+    every_point = ctx.cell_quadrature[0].ravel()
+    every_piece = lippmann._kernel_geometry(ctx, mirrored.points, every_point, mirror=False)
     assert mirrored.mirrored and not every_piece.mirrored
+    assert np.array_equal(mirrored.points, every_point[every_point.size // 2:])
     assert len(mirrored.piece_dofs) == mirrored.pieces - mirrored.pieces // 2
     assert len(every_piece.piece_dofs) == every_piece.pieces == mirrored.pieces
     if cell_size == 0.7:
@@ -282,18 +298,21 @@ def test_mirrored_apply_matches_a_geometry_over_every_piece(degree, cell_size):
     even, odd = ctx.blocks
     n = ctx.space.dof_count
     columns = [even.unfold(rng.standard_normal(even.size) + 1j * rng.standard_normal(even.size)),
-               odd.unfold(rng.standard_normal(odd.size) + 1j * rng.standard_normal(odd.size)),
-               rng.standard_normal(n) + 1j * rng.standard_normal(n)]
-    ks = np.repeat([2.0 - 0.4j, 6.0 - 3.0j, 3.0 - 20.0j, 0.3 + 2.0j, 0.0], 3)
+               odd.unfold(rng.standard_normal(odd.size) + 1j * rng.standard_normal(odd.size))]
+    ks = np.repeat([2.0 - 0.4j, 6.0 - 3.0j, 3.0 - 20.0j, 0.3 + 2.0j, 0.0], 2)
     u = np.stack(columns * 5, axis=1)
-    signs = np.tile([1.0, -1.0, 0.0], 5)
+    signs = np.tile([1.0, -1.0], 5)
     got, want = mirrored.apply(ks, u, signs), every_piece.apply(ks, u)
     assert np.all(np.max(np.abs(got - want), axis=0) <= 1e-13 * np.max(np.abs(want), axis=0))
-    # one call per column, and a column with a parity given none
+    # one call per column
     for j in range(u.shape[1]):
         np.testing.assert_array_equal(mirrored.apply(ks[j], u[:, j], signs[j]), got[:, j])
-        alone = mirrored.apply(ks[j], u[:, j])
-        assert np.max(np.abs(alone - want[:, j])) <= 1e-13 * np.max(np.abs(want[:, j]))
+    # no column without a parity: sign 0, the default
+    free = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    with pytest.raises(ValueError, match="even or odd"):
+        mirrored.apply(ks[:3], np.stack(columns + [free], axis=1), [1.0, -1.0, 0.0])
+    with pytest.raises(ValueError, match="even or odd"):
+        mirrored.apply(ks[0], u[:, 0])
 
 
 def test_a_two_block_geometry_must_be_a_mirror_image():
@@ -309,15 +328,19 @@ def test_a_two_block_geometry_must_be_a_mirror_image():
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 8])
 def test_collocation_geometry_is_the_last_rows_of_the_every_node_one(degree):
-    # T(k) is collocated at the nodes of the first block, the last ones; cut at
-    # every node either way, the geometry has the same pieces and rounding
+    # T(k) is collocated at the nodes of the first block, the last ones, those
+    # with x >= 0; a mirrored geometry holds no point left of the centre, so
+    # there is no geometry at every node, cut at every node, to match bit for bit
     ctx = _oracle_context(degree)
-    every_node = lippmann._kernel_geometry(ctx, ctx.space.node_coords, ctx.cuts)
     size = ctx.blocks[0].size
     assert [b.parity for b in ctx.blocks] == ["even", "odd"]
     assert ctx.collocation_geometry.points.size == size < ctx.space.dof_count
-    for k in (3.0 - 0.5j, 2.0 - 20.0j):
-        assert np.array_equal(ctx.collocation_geometry.matrix(k), every_node.matrix(k)[-size:])
+    np.testing.assert_array_equal(ctx.collocation_geometry.points,
+                                  ctx.space.node_coords[-size:])
+    with pytest.raises(ValueError, match="left of its centre"):
+        lippmann._kernel_geometry(ctx, ctx.space.node_coords, ctx.cuts)
+    with pytest.raises(ValueError, match="left of its centre"):
+        lippmann._kernel_geometry(ctx, ctx.space.node_coords[:1], ctx.cuts)
 
     # a medium that is not even is one block, collocated at every node
     ctx = build_ls_context(_off_centre_medium(), degree, 0.5)
@@ -509,6 +532,12 @@ _BENCH_RUNS = {
                window=(0.0134, 8.0134, -1.2339, -0.0339), seed=1),
 }
 
+# and two filter contexts of 5 cells at h = 0.7: at p = 3 an odd rule puts a Gauss
+# node at x = 0, and at p = 4 an even one leaves the centre piece its own mirror
+_FILTER_RUNS = {**_BENCH_RUNS, **{
+    f"p{p}-h0.7": dict(problem="air_cavity", formulation="dtn", degree=p, initial_cell_size=0.7,
+                       d=2.0, window=(0.0, 13.5, -2.0, 0.0)) for p in (3, 4)}}
+
 
 def _oracle_epsilon(ctx, pair):
     """eps of one pair over the whole space, with (M^r)^-1 P^T and K(k)u at the
@@ -533,9 +562,9 @@ def _oracle_epsilon(ctx, pair):
     return math.sqrt(np.real(diff.conj() @ ctx.mass @ diff))
 
 
-@pytest.mark.parametrize("run", sorted(_BENCH_RUNS))
+@pytest.mark.parametrize("run", sorted(_FILTER_RUNS))
 def test_batched_filter_matches_a_per_pair_kernel_matrix(run):
-    disc = discretize(RunConfig(**_BENCH_RUNS[run]))
+    disc = discretize(RunConfig(**_FILTER_RUNS[run]))
     pairs = disc.solve()
     re_min, re_max, im_min, im_max = disc.config.window
     pairs = [p for p in pairs if re_min <= p.k.real <= re_max and im_min <= p.k.imag <= im_max]
