@@ -25,19 +25,20 @@ Rokhlin, CPAM 44, 1991).  A :class:`KernelGeometry` holds the rest for one
 set of evaluation points on the mesh cut at every point, so that the kink of
 the integrand at y = x falls on a piece edge.  K(k) then takes one
 exponential per Gauss node, e^{-i n0 k y}, whose reciprocal is e^{+i n0 k y},
-and prefix and suffix sums over the pieces.  On an even medium the pieces
-are mirror images, and a geometry holds the right half of them and of its
-points alone: K(k) commutes with the mirror, so K(k)u of an even or odd u is
-fixed by its values at x >= 0.  e^{-i n0 k y} at y >= 0 is e^{+i n0 k y} at
-the mirror node: T(k) then takes one exponential per mirror pair of Gauss
-nodes, and its sums run over the right half of the pieces and start at the
-centre.  K(k)u for many pairs contracts the weight table with the u first
-and takes one exponential per Gauss node and pair, e^{-i n0 k y}: e^{+i n0
-k y} is its reciprocal.  Every u it takes on a mirror is even or odd, and
-the left pieces add the right ones' moments times its parity sign.  An
-:class:`LsContext` builds the geometry once at its collocation nodes (T(k))
-and once at its cell Gauss points (the filter), on an even medium at those
-with x >= 0 alone.
+and prefix and suffix sums over the pieces.  On an even medium the cut mesh
+is a mirror image, and a geometry holds the right half of its pieces and of
+its points alone: the left pieces are the mirrors of the stored right ones by
+construction and are never evaluated, and K(k) commutes with the mirror, so
+K(k)u of an even or odd u is fixed by its values at x >= 0.  e^{-i n0 k y}
+at y >= 0 is e^{+i n0 k y} at the mirror node: T(k) then takes one
+exponential per mirror pair of Gauss nodes, and its sums run over the right
+half of the pieces and start at the centre.  K(k)u for many pairs contracts
+the weight table with the u first and takes one exponential per Gauss node
+and pair, e^{-i n0 k y}: e^{+i n0 k y} is its reciprocal.  Every u it takes
+on a mirror is even or odd, and the left pieces add the right ones' moments
+times its parity sign.  An :class:`LsContext` builds the geometry once at its
+collocation nodes (T(k)) and once at its cell Gauss points (the filter), on
+an even medium at those with x >= 0 alone.
 
 For an even medium on a mirror-symmetric mesh, T(k) and the resonator mass
 commute with the mirror permutation of the nodes, so their even and odd
@@ -209,12 +210,13 @@ class KernelGeometry:
     cell, W[j, g, l] = (n^2 - n0^2)(y_g) phi_l(y_g) w_g at its Gauss nodes y.
 
     A ``mirrored`` geometry, such as those of a context with two parity blocks,
-    has pieces, nodes and weights that are exact mirror images (x -> -x, DOF d
-    -> dofs - 1 - d), and it is their right half: its points lie at or right
-    of the centre, and it stores its pieces from ``pieces // 2`` on, with an
-    odd count the centre piece, its own mirror, too.  Any other geometry
-    stores every piece.  :meth:`matrix` and :meth:`apply` take the moments of
-    the stored pieces.
+    stands for a cut mesh that is a mirror image, and it is its right half:
+    its points lie at or right of the centre, and it stores its pieces from
+    ``pieces // 2`` on, with an odd count the centre piece, its own mirror,
+    too.  Its left pieces, nodes and weights are the exact mirror images of
+    the stored ones (x -> -x, DOF d -> dofs - 1 - d) by construction, and are
+    never evaluated.  Any other geometry stores every piece.  :meth:`matrix`
+    and :meth:`apply` take the moments of the stored pieces.
     """
 
     n0: float
@@ -368,41 +370,34 @@ def _combine(k, n0: float, points: np.ndarray, prefix: np.ndarray,
 
 def _kernel_geometry(ctx: LsContext, points, cuts, mirror: bool = True) -> KernelGeometry:
     """The geometry of K(k) at ``points`` on the mesh cut at the points and at
-    ``cuts``: the context's inner rule on every piece, by :func:`cell_quadrature`.
-    On a context with two parity blocks it is mirrored unless ``mirror`` is
-    false: the cuts and the points must then make a mirror image, and no point
-    may lie left of its centre."""
+    ``cuts``: the context's inner rule on every stored piece, by
+    :func:`cell_quadrature`.  On a context with two parity blocks it is
+    mirrored unless ``mirror`` is false: the cut mesh must then be a mirror
+    image, and no point may lie left of its centre.  Only its right half is
+    evaluated; the left half is the mirror of it by construction."""
     space, medium = ctx.space, ctx.medium
     pts = np.atleast_1d(np.asarray(points, dtype=float))
     verts = space.mesh.vertices
     inside = np.clip(pts, verts[0], verts[-1])
     base = np.union1d(verts, np.clip(np.asarray(cuts, dtype=float), verts[0], verts[-1]))
     edges = np.union1d(base, inside)
-    nodes, w, table, _, cells = cell_quadrature(space, ctx.quad_order, edges)
-    table *= w[:, :, None]  # in place: phi_l(y) w(y), as in LsContext.cell_quadrature
-    table *= medium.contrast(nodes)[:, :, None]
-    piece_dofs = space.cell_dofs[cells]
-    # parity blocks mean an even medium on mirror DOFs
     cut = np.searchsorted(edges, inside)
+    # parity blocks mean an even medium on mirror DOFs
     mirrored = mirror and len(ctx.blocks) == 2
     half = 0
     if mirrored:
-        if (np.max(np.abs(nodes + nodes[::-1, ::-1])) > 1e-12 * (verts[-1] - verts[0])
-                or not np.array_equal(piece_dofs[::-1, ::-1], space.dof_count - 1 - piece_dofs)):
+        if np.max(np.abs(edges + edges[::-1])) > 1e-12 * (verts[-1] - verts[0]):
             raise ValueError("the pieces of a two-block context are no mirror image")
-        if np.any(2 * cut < len(nodes)):
+        if np.any(2 * cut < len(edges) - 1):
             raise ValueError("a mirrored geometry holds no point left of its centre")
-        # exact mirror images, so that the right half stands for the left one:
-        # with the weights as computed, the two differed by up to 1.3e-12
-        # relative in an entry of K(2 - 20i) at p = 8 on the air cavity, where
-        # a geometry over every piece and the unmirrored matrix agree to 5e-14
-        nodes = 0.5 * (nodes - nodes[::-1, ::-1])
-        table = 0.5 * (table + table[::-1, ::-1, ::-1])
-        half = len(nodes) // 2
+        half = (len(edges) - 1) // 2
+    nodes, w, table, _, cells = cell_quadrature(space, ctx.quad_order, edges[half:])
+    table *= w[:, :, None]  # in place: phi_l(y) w(y), as in LsContext.cell_quadrature
+    table *= medium.contrast(nodes)[:, :, None]
     return KernelGeometry(
-        n0=medium.n0, points=pts, cut=cut, pieces=len(nodes),
-        nodes=nodes[half:], table=np.ascontiguousarray(np.swapaxes(table[half:], 1, 2)),
-        piece_dofs=piece_dofs[half:], dof_count=space.dof_count, mirrored=mirrored)
+        n0=medium.n0, points=pts, cut=cut, pieces=len(edges) - 1, nodes=nodes,
+        table=np.ascontiguousarray(np.swapaxes(table, 1, 2)), piece_dofs=space.cell_dofs[cells],
+        dof_count=space.dof_count, mirrored=mirrored)
 
 
 def apply_kernel(ctx: LsContext, k: complex, u, points) -> np.ndarray:

@@ -199,18 +199,20 @@ def cell_quadrature(space: MeshedSpace, order: int, edges=None):
     """The ``order``-point Gauss rule on every interval between consecutive
     ``edges``, by default the mesh vertices, with the shape functions there.
 
-    The edges must increase through every mesh vertex, first to last, so that
-    each interval lies in one cell, whose shape functions its nodes take;
-    their derivatives are the values times the differentiation matrix, exact
-    for polynomials of degree p.  Returns the nodes and weights, (intervals,
-    q); the shape-function values and their physical derivatives, (intervals,
-    q, p+1); and the cell of each interval.
+    The edges must increase inside the mesh, through every vertex between
+    the first and the last edge, so that each interval lies in one cell,
+    whose shape functions its nodes take; they need not span the mesh.  The
+    derivatives are the values times the differentiation matrix, exact for
+    polynomials of degree p.  Returns the nodes and weights, (intervals, q);
+    the shape-function values and their physical derivatives, (intervals, q,
+    p+1); and the cell of each interval.
     """
     v = space.mesh.vertices
     edges = v if edges is None else np.asarray(edges, dtype=float)
-    if not (np.array_equal(np.union1d(edges, v), edges) and edges[0] == v[0]
-            and edges[-1] == v[-1]):
-        raise ValueError("edges must increase through every mesh vertex, first to last")
+    inner = v[(v > edges[0]) & (v < edges[-1])]
+    if not (np.array_equal(np.union1d(edges, inner), edges) and v[0] <= edges[0]
+            and edges[-1] <= v[-1]):
+        raise ValueError("edges must increase inside the mesh through every vertex between them")
     x, w = gauss_legendre(order)
     half = 0.5 * (edges[1:, None] - edges[:-1, None])
     nodes, weights = edges[:-1, None] + half * (x + 1.0), half * w

@@ -21,6 +21,7 @@ import math
 import pathlib
 import shutil
 import sys
+import tempfile
 
 import pytest
 
@@ -42,16 +43,9 @@ def _rows(path: pathlib.Path) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
-def _within(got: str, want: str, bound) -> bool:
-    if got == want:
-        return True
-    a, b = float(got), float(want)
-    return math.isfinite(a) and math.isfinite(b) and abs(a - b) <= bound(b)
-
-
-def _k_bound(want: dict):
-    scale = 1.0 + abs(complex(float(want["re_k"]), float(want["im_k"])))
-    return lambda _: 1e-10 * scale
+def _close(got: str, want: str, bound: float) -> bool:
+    """Equal as written, or finite and within ``bound``."""
+    return got == want or abs(float(got) - float(want)) <= bound < math.inf
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -65,30 +59,28 @@ def test_golden_outputs(case, tmp_path):
         got, want = _rows(tmp_path / name), _rows(want_path)
         assert len(got) == len(want), name
         for i, (g, w) in enumerate(zip(got, want)):
-            assert list(g) == list(w), name
             where = f"{case}/{name} row {i}"
+            assert list(g) == list(w), where
             for column in EXACT:
-                if column in w:
-                    assert g[column] == w[column], (where, column, g[column], w[column])
-            for column in ("re_k", "im_k"):
-                assert _within(g[column], w[column], _k_bound(w)), (where, column, g, w)
+                assert g.get(column) == w.get(column), (where, column)
+            scale = 1.0 + abs(complex(float(w["re_k"]), float(w["im_k"])))
+            bounds = {"re_k": 1e-10 * scale, "im_k": 1e-10 * scale}
             if "epsilon" in w:
-                assert _within(g["epsilon"], w["epsilon"], lambda e: 1e-10 * max(1.0, e)), \
-                    (where, g["epsilon"], w["epsilon"])
+                bounds["epsilon"] = 1e-10 * max(1.0, float(w["epsilon"]))
             if "smin" in w:
-                assert _within(g["smin"], w["smin"], lambda s: 1e-8 * abs(s)), \
-                    (where, g["smin"], w["smin"])
+                bounds["smin"] = 1e-8 * float(w["smin"])
+            for column, bound in bounds.items():
+                assert _close(g[column], w[column], bound), (where, column, g[column], w[column])
 
 
 def regenerate() -> None:
     """Rewrite every case's output files from its argv at the current code."""
     for case in CASES:
-        out = GOLDEN / case / "out"
-        _run(case, out)
-        for name in OUTPUTS:
-            if (out / name).is_file():
-                shutil.copyfile(out / name, GOLDEN / case / name)
-        shutil.rmtree(out)
+        with tempfile.TemporaryDirectory() as out:
+            _run(case, pathlib.Path(out))
+            for name in OUTPUTS:
+                if (pathlib.Path(out) / name).is_file():
+                    shutil.copyfile(pathlib.Path(out) / name, GOLDEN / case / name)
         print(case, "rewritten")
 
 

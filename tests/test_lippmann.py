@@ -275,12 +275,14 @@ def test_mirrored_kernel_matrix_matches_its_columns(degree, cell_size):
         np.testing.assert_allclose(one_block.matrix(k), one_block.apply(k, eye), rtol=1e-13)
 
 
-@pytest.mark.parametrize("degree, cell_size", [(4, 0.7), (3, 0.7), (16, 0.25), (10, 0.5),
-                                               (8, 0.25)])
+# 5 cells at h = 0.7: at p = 4 an even rule leaves the centre piece its own
+# mirror, at p = 3 an odd one puts a Gauss node at x = 0; then the LS contexts of
+# the benchmark's dtn, pml and ls discretizations
+_MIRROR_CONTEXTS = [(4, 0.7), (3, 0.7), (16, 0.25), (10, 0.5), (8, 0.25)]
+
+
+@pytest.mark.parametrize("degree, cell_size", _MIRROR_CONTEXTS)
 def test_mirrored_apply_matches_a_geometry_over_every_piece(degree, cell_size):
-    # 5 cells at h = 0.7: at p = 4 an even rule leaves the centre piece its own
-    # mirror, at p = 3 an odd one puts a Gauss node at x = 0; then the LS contexts
-    # of the benchmark's dtn, pml and ls discretizations
     ctx = build_ls_context(air_filled_cavity_profile(1.5, math.sqrt(3.5), math.sqrt(2.5)),
                            degree, cell_size)
     mirrored = ctx.quadrature_geometry
@@ -313,6 +315,29 @@ def test_mirrored_apply_matches_a_geometry_over_every_piece(degree, cell_size):
         mirrored.apply(ks[:3], np.stack(columns + [free], axis=1), [1.0, -1.0, 0.0])
     with pytest.raises(ValueError, match="even or odd"):
         mirrored.apply(ks[0], u[:, 0])
+
+
+@pytest.mark.parametrize("degree, cell_size", _MIRROR_CONTEXTS)
+def test_a_mirrored_geometry_evaluates_its_stored_pieces_alone(monkeypatch, degree, cell_size):
+    # the left half of the cut mesh is the mirror of the right one by
+    # construction: the rule and the basis are evaluated on the right half alone,
+    # the centre piece whole when it is its own mirror
+    ctx = build_ls_context(air_filled_cavity_profile(1.5, math.sqrt(3.5), math.sqrt(2.5)),
+                           degree, cell_size)
+    intervals = []
+    real = lippmann.cell_quadrature
+
+    def counted(space, order, edges=None):
+        out = real(space, order, edges)
+        intervals.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(lippmann, "cell_quadrature", counted)
+    for name in ("collocation_geometry", "quadrature_geometry"):
+        geometry = getattr(ctx, name)
+        assert geometry.mirrored
+        assert intervals[-1] == len(geometry.nodes) == geometry.pieces - geometry.pieces // 2
+    assert len(intervals) == 3  # the context's own cell rule, then the two geometries
 
 
 def test_a_two_block_geometry_must_be_a_mirror_image():

@@ -198,7 +198,12 @@ def test_quadrature_intervals_must_keep_every_vertex():
     x, _, vals, _, cells = cell_quadrature(space, 3, [0.0, 0.25, 0.5, 1.0, 1.5, 1.75, 2.0])
     np.testing.assert_array_equal(cells, [0, 0, 1, 2, 3, 3])
     np.testing.assert_allclose(vals.sum(axis=-1), 1.0, atol=1e-14)
-    for edges in ([0.0, 0.25, 1.0, 1.5, 2.0], [0.0, 0.5, 1.0, 1.5], [0.0, 1.0, 0.5, 1.5, 2.0]):
+    # a sub-range of the mesh, as a mirrored kernel geometry's right half asks for
+    _, _, _, _, cells = cell_quadrature(space, 3, [0.0, 0.5, 1.0, 1.5])
+    np.testing.assert_array_equal(cells, [0, 1, 2])
+    # a skipped vertex, inside or in a sub-range; a decreasing edge; one outside
+    for edges in ([0.0, 0.25, 1.0, 1.5, 2.0], [0.5, 1.5, 2.0], [0.0, 1.0, 0.5, 1.5, 2.0],
+                  [-0.5, 0.0, 0.5]):
         with pytest.raises(ValueError, match="every"):
             cell_quadrature(space, 3, edges)
 
