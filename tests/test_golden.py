@@ -4,15 +4,19 @@ and must give its checked-in files, within bounds above the rounding floors.
 A case is a directory holding ``argv.json`` (a CLI argv without ``--out``),
 the ``eigenvalues.csv`` it wrote and, for a run with a grid, its
 ``pseudospectrum.csv``.  The cases are the benchmark's three argv (the LS one
-at seeds 1-3) and a DtN cavity run at p = 4.  Row counts and the integer and
-label columns must be identical; k, eps and s_min may move by rounding:
+at seeds 1-3), a DtN cavity run at p = 4 and an LS run at p = 3, whose T(k)
+is cut at the degree-6 Gauss-Lobatto nodes too.  Row counts and the integer
+and label columns must be identical; k, eps and s_min may move by rounding:
 
 - k within 1e-10 (1 + |k|), above the 4.4e-12 floor of x^T T(k) x;
+- ref_dist within sqrt(2) 1e-10 (1 + |k|), as far as a k within those bounds
+  can move its distance to the reference;
 - eps within 1e-10 max(1, eps), above the 2.2e-11 floor of the DtN axis mode;
 - s_min within 1e-8 relative.
 
-A change that moves an output on purpose rewrites the files with
-``python tests/test_golden.py`` and records their diff.
+``python tests/test_golden.py CASE...`` writes the files of the cases named
+from their argv at the current code, and with no name rewrites every case.  A
+change that moves an output on purpose rewrites them and records their diff.
 """
 
 import csv
@@ -65,6 +69,8 @@ def test_golden_outputs(case, tmp_path):
                 assert g.get(column) == w.get(column), (where, column)
             scale = 1.0 + abs(complex(float(w["re_k"]), float(w["im_k"])))
             bounds = {"re_k": 1e-10 * scale, "im_k": 1e-10 * scale}
+            if "ref_dist" in w:
+                bounds["ref_dist"] = math.sqrt(2.0) * 1e-10 * scale
             if "epsilon" in w:
                 bounds["epsilon"] = 1e-10 * max(1.0, float(w["epsilon"]))
             if "smin" in w:
@@ -73,9 +79,13 @@ def test_golden_outputs(case, tmp_path):
                 assert _close(g[column], w[column], bound), (where, column, g[column], w[column])
 
 
-def regenerate() -> None:
-    """Rewrite every case's output files from its argv at the current code."""
-    for case in CASES:
+def regenerate(names: list[str]) -> None:
+    """Rewrite the output files of the cases named, or of every case when none
+    is, from their argv at the current code.  A named case need only hold its
+    ``argv.json``."""
+    for case in names or CASES:
+        if not (GOLDEN / case / "argv.json").is_file():
+            raise SystemExit(f"no case {case!r}: {GOLDEN / case / 'argv.json'} is missing")
         with tempfile.TemporaryDirectory() as out:
             _run(case, pathlib.Path(out))
             for name in OUTPUTS:
@@ -85,4 +95,4 @@ def regenerate() -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(regenerate())
+    sys.exit(regenerate(sys.argv[1:]))
