@@ -53,7 +53,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -201,46 +200,36 @@ def build_ls_context(medium: MediumProfile, degree: int, initial_cell_size: floa
 class KernelGeometry:
     """The k-independent part of K(k) at a fixed set of m evaluation points x.
 
-    K(k)[i] = pref(k) [e^{i n0 k x_i} P[cut_i] + e^{-i n0 k x_i} Q[cut_i]]
+    K(k)[i] = pref(k) [e^{i n0 k x_i} P[rows_i] + e^{-i n0 k x_i} Q[rows_i]]
 
     with pref(k) = ik / 2n0.  The mesh is cut at every point inside it, so each
-    piece lies wholly on one side of every point; the first ``cut[i]`` pieces lie
-    left of x_i.  P and Q are the prefix and suffix sums over pieces of the
-    moments M-+[j] = sum_g e^{-+i n0 k y_g} W[j, g] on the DOFs of piece j's
-    cell, W[j, g, l] = (n^2 - n0^2)(y_g) phi_l(y_g) w_g at its Gauss nodes y.
+    piece lies wholly on one side of every point; the first ``half + rows[i]``
+    pieces lie left of x_i.  P and Q are the prefix and suffix sums over pieces
+    of the moments M-+[j] = sum_g e^{-+i n0 k y_g} W[j, g] on the DOFs of piece
+    j's cell, W[j, g, l] = (n^2 - n0^2)(y_g) phi_l(y_g) w_g at its Gauss nodes y.
 
-    A ``mirrored`` geometry, such as those of a context with two parity blocks,
-    stands for a cut mesh that is a mirror image, and it is its right half:
-    its points lie at or right of the centre, and it stores its pieces from
-    ``pieces // 2`` on, with an odd count the centre piece, its own mirror,
-    too.  Its left pieces, nodes and weights are the exact mirror images of
-    the stored ones (x -> -x, DOF d -> dofs - 1 - d) by construction, and are
-    never evaluated.  Any other geometry stores every piece.  :meth:`matrix`
-    and :meth:`apply` take the moments of the stored pieces.
+    A geometry with left pieces, ``half > 0``, such as those of a context with
+    two parity blocks, stands for a cut mesh that is a mirror image, and it is
+    its right half: its points lie at or right of the centre, and it stores its
+    pieces from ``half`` = pieces // 2 on, with an odd count the centre piece,
+    its own mirror, too.  Its left pieces, nodes and weights are the exact
+    mirror images of the stored ones (x -> -x, DOF d -> dofs - 1 - d) by
+    construction, and are never evaluated.  Any other geometry stores every
+    piece, ``half = 0``.  :meth:`matrix` and :meth:`apply` take the moments of
+    the stored pieces.
     """
 
     n0: float
     points: np.ndarray          # (m,)
-    cut: np.ndarray             # (m,) pieces left of each point
-    pieces: int                 # the pieces of the cut mesh
+    rows: np.ndarray            # (m,) each point's row of P and Q: stored pieces left of it
     nodes: np.ndarray           # (stored pieces, q)
     table: np.ndarray           # (stored pieces, p+1, q): W transposed, real
     piece_dofs: np.ndarray      # (stored pieces, p+1)
     dof_count: int
-    mirrored: bool              # piece j and node g mirror piece -1-j and node -1-g
-
-    @functools.cached_property
-    def _plan(self) -> "_Plan":
-        """The :class:`_Plan` of :meth:`matrix` and :meth:`apply`."""
-        half = self.pieces - len(self.piece_dofs)
-        first_dof = int(self.piece_dofs.min())
-        right = np.arange(len(self.piece_dofs))[:, None]
-        rows = self.cut - half
-        return _Plan(
-            half=half, first_dof=first_dof,
-            into_p=((right + 1) * self.dof_count + self.piece_dofs).ravel(),
-            into_q=(right * (self.dof_count - first_dof) + self.piece_dofs - first_dof).ravel(),
-            rows=None if np.array_equal(rows, np.arange(len(right) + 1)) else rows)
+    half: int                   # the left pieces, not stored; piece j mirrors piece -1-j
+    first_dof: int              # the first DOF the stored pieces touch
+    into_p: np.ndarray          # the flat index of their DOFs in P, one row down
+    into_q: np.ndarray          # and in Q, whose columns start at first_dof
 
     def matrix(self, k: complex) -> np.ndarray:
         """K(k) as an (m, dofs) matrix, from the moments of the stored pieces.
@@ -257,26 +246,23 @@ class KernelGeometry:
         summed over the DOFs those pieces touch only; the rest of P is its first
         row, and Q is held on those DOFs alone, as it is zero on the rest.
         """
-        plan = self._plan
-        first = plan.first_dof
+        first = self.first_dof
         terms = np.empty(self.nodes.shape + (2,), dtype=complex)
         np.exp(-1j * self.n0 * k * self.nodes, out=terms[..., 0])
         np.reciprocal(terms[..., 0], out=terms[..., 1])
         moments = (self.table @ terms.view(float)).view(complex)  # (pieces, p+1, 2)
         prefix = np.zeros((len(self.nodes) + 1, self.dof_count), dtype=complex)
         suffix = np.zeros((len(self.nodes) + 1, self.dof_count - first), dtype=complex)
-        prefix.ravel()[plan.into_p] = moments[..., 0].ravel()
-        suffix.ravel()[plan.into_q] = moments[..., 1].ravel()
+        prefix.ravel()[self.into_p] = moments[..., 0].ravel()
+        suffix.ravel()[self.into_q] = moments[..., 1].ravel()
         reverse = suffix[::-1]
         np.cumsum(reverse, axis=0, out=reverse)
         # the mirrors of the left pieces are the stored ones from pieces - half
         # on; with no left pieces that is Q's last row, zero
-        prefix[0, :suffix.shape[1]] = suffix[len(self.nodes) - plan.half, ::-1]
+        prefix[0, :suffix.shape[1]] = suffix[len(self.nodes) - self.half, ::-1]
         prefix[1:, :first] = prefix[0, :first]
         np.cumsum(prefix[:, first:], axis=0, out=prefix[:, first:])
-        if plan.rows is not None:
-            prefix, suffix = prefix[plan.rows], suffix[plan.rows]
-        return _combine(k, self.n0, self.points, prefix, suffix)
+        return _combine(k, self.n0, self.points, prefix[self.rows], suffix[self.rows])
 
     def apply(self, k, coeffs: np.ndarray, signs=0) -> np.ndarray:
         """K(k)u at the m points without forming K(k): (m,) for one k and a
@@ -285,9 +271,9 @@ class KernelGeometry:
 
         ``signs`` gives the parity of each column under the mirror R, u[::-1] =
         s u: +1 for an even column, -1 for an odd one and 0 for one without a
-        parity.  A mirrored geometry takes even and odd columns alone, whose
-        left pieces' moments are s times the right ones', so each costs the
-        stored pieces.  The K(k)u of a column without a parity, summed from
+        parity.  A geometry with left pieces takes even and odd columns alone,
+        whose left pieces' moments are s times the right ones', so each costs
+        the stored pieces.  The K(k)u of a column without a parity, summed from
         its even and odd parts, lost its small entries to cancellation deep in
         the plane (at k = 2 - 20i they came out wrong by their own size), so
         :func:`filter_epsilons` tests each part in its block apart.  The
@@ -298,7 +284,7 @@ class KernelGeometry:
         cols = coeffs.reshape(self.dof_count, -1)
         ks = np.broadcast_to(k, cols.shape[1:])
         signs = np.broadcast_to(signs, ks.shape)
-        if self.mirrored and not np.all(signs):
+        if self.half and not np.all(signs):
             raise ValueError("a mirrored geometry takes even or odd columns alone")
         width = max(1, _SLICE_BYTES // (16 * self.nodes.size))
         out = np.empty((len(self.points), len(ks)), dtype=complex)
@@ -318,7 +304,6 @@ class KernelGeometry:
         sign times the reversed Q: the left pieces' moments of u are those of
         R u = s u on their mirrors.
         """
-        plan = self._plan
         gathered = np.ascontiguousarray(cols[self.piece_dofs], dtype=complex)
         wu = (np.swapaxes(self.table, 1, 2) @ gathered.view(float)).view(complex)
         terms = np.multiply.outer(self.nodes, -1j * self.n0 * ks)
@@ -331,34 +316,17 @@ class KernelGeometry:
         reverse = suffix[::-1]
         np.cumsum(reverse, axis=0, out=reverse)
         # with no left pieces that is Q's last row, zero
-        prefix[0] = signs * suffix[len(wu) - plan.half]
+        prefix[0] = signs * suffix[len(wu) - self.half]
         np.cumsum(prefix, axis=0, out=prefix)
-        if plan.rows is not None:
-            prefix, suffix = prefix[plan.rows], suffix[plan.rows]
-        return _combine(ks, self.n0, self.points, prefix, suffix)
-
-
-class _Plan(NamedTuple):
-    """The k-independent part of :meth:`KernelGeometry.matrix` and
-    :meth:`KernelGeometry.apply` beyond the geometry.
-
-    The stored pieces are those from ``half`` on: pieces // 2 on a mirrored
-    geometry and 0 on any other.
-    """
-
-    half: int
-    first_dof: int              # the first DOF the stored pieces touch
-    into_p: np.ndarray          # the flat index of their DOFs in P, one row down
-    into_q: np.ndarray          # and in Q, whose columns start at first_dof
-    rows: np.ndarray | None     # each point's row of P and Q; None for all, in order
+        return _combine(ks, self.n0, self.points, prefix[self.rows], suffix[self.rows])
 
 
 def _combine(k, n0: float, points: np.ndarray, prefix: np.ndarray,
              suffix: np.ndarray) -> np.ndarray:
     """pref(k) [e^{ikn x} P + e^{-ikn x} Q] for the rows P and Q gathered at the
-    points x, scaled in place: no (m, dofs) temporary beyond ``suffix``.  Q may
-    hold the last columns of P only, and is zero on the rest.  ``k`` is a
-    scalar, or an array with one k per column of P and Q."""
+    points x, scaled in place and summed into ``prefix``.  Q may hold the last
+    columns of P only, and is zero on the rest.  ``k`` is a scalar, or an
+    array with one k per column of P and Q."""
     ikn, pref = 1j * n0 * k, 1j * k / (2.0 * n0)
     phase = np.multiply.outer(points, ikn)
     column = phase.shape + (1,) * (prefix.ndim - phase.ndim)
@@ -371,10 +339,11 @@ def _combine(k, n0: float, points: np.ndarray, prefix: np.ndarray,
 def _kernel_geometry(ctx: LsContext, points, cuts, mirror: bool = True) -> KernelGeometry:
     """The geometry of K(k) at ``points`` on the mesh cut at the points and at
     ``cuts``: the context's inner rule on every stored piece, by
-    :func:`cell_quadrature`.  On a context with two parity blocks it is
-    mirrored unless ``mirror`` is false: the cut mesh must then be a mirror
-    image, and no point may lie left of its centre.  Only its right half is
-    evaluated; the left half is the mirror of it by construction."""
+    :func:`cell_quadrature`, and each point's row of P and Q and the indices
+    that scatter the moments into them.  On a context with two parity blocks
+    it has left pieces unless ``mirror`` is false: the cut mesh must then be a
+    mirror image, and no point may lie left of its centre.  Only its right half
+    is evaluated; the left half is the mirror of it by construction."""
     space, medium = ctx.space, ctx.medium
     pts = np.atleast_1d(np.asarray(points, dtype=float))
     verts = space.mesh.vertices
@@ -382,10 +351,9 @@ def _kernel_geometry(ctx: LsContext, points, cuts, mirror: bool = True) -> Kerne
     base = np.union1d(verts, np.clip(np.asarray(cuts, dtype=float), verts[0], verts[-1]))
     edges = np.union1d(base, inside)
     cut = np.searchsorted(edges, inside)
-    # parity blocks mean an even medium on mirror DOFs
-    mirrored = mirror and len(ctx.blocks) == 2
     half = 0
-    if mirrored:
+    # parity blocks mean an even medium on mirror DOFs
+    if mirror and len(ctx.blocks) == 2:
         if np.max(np.abs(edges + edges[::-1])) > 1e-12 * (verts[-1] - verts[0]):
             raise ValueError("the pieces of a two-block context are no mirror image")
         if np.any(2 * cut < len(edges) - 1):
@@ -394,10 +362,15 @@ def _kernel_geometry(ctx: LsContext, points, cuts, mirror: bool = True) -> Kerne
     nodes, w, table, _, cells = cell_quadrature(space, ctx.quad_order, edges[half:])
     table *= w[:, :, None]  # in place: phi_l(y) w(y), as in LsContext.cell_quadrature
     table *= medium.contrast(nodes)[:, :, None]
+    piece_dofs, dofs = space.cell_dofs[cells], space.dof_count
+    first_dof = int(piece_dofs.min())
+    right = np.arange(len(piece_dofs))[:, None]
     return KernelGeometry(
-        n0=medium.n0, points=pts, cut=cut, pieces=len(edges) - 1, nodes=nodes,
-        table=np.ascontiguousarray(np.swapaxes(table, 1, 2)), piece_dofs=space.cell_dofs[cells],
-        dof_count=space.dof_count, mirrored=mirrored)
+        n0=medium.n0, points=pts, rows=cut - half, nodes=nodes,
+        table=np.ascontiguousarray(np.swapaxes(table, 1, 2)), piece_dofs=piece_dofs,
+        dof_count=dofs, half=half, first_dof=first_dof,
+        into_p=((right + 1) * dofs + piece_dofs).ravel(),
+        into_q=(right * (dofs - first_dof) + piece_dofs - first_dof).ravel())
 
 
 def apply_kernel(ctx: LsContext, k: complex, u, points) -> np.ndarray:
@@ -548,10 +521,10 @@ def pseudospectrum(t, region: tuple[float, float, float, float],
     bit-reproducible.  An s_min below n u ||T(k)||_2, with n the order of T(k)
     and u = 1.1e-16 the unit roundoff, is rounding, and no value is flagged as
     such: on the air cavity at p = 4, h = 0.5 and k = 2 - 10i, ||T(k)||_2 =
-    5.9e19, so n u ||T(k)||_2 = 1.6e5 while s_min = 8.2e-4.  Deeper in the
-    lower half plane T(k) can overflow, or take the reciprocal of an
-    exponential that underflowed to 0: the ValueError for a T(k) that is not
-    finite names the k.
+    5.9e19, so n u ||T(k)||_2 = 1.6e5 while s_min is about 1e-3, itself
+    rounding.  Deeper in the lower half plane T(k) can overflow, or take the
+    reciprocal of an exponential that underflowed to 0: the ValueError for a
+    T(k) that is not finite names the k.
     """
     re_min, re_max, im_min, im_max = map(float, region)
     nx, ny = map(int, resolution)

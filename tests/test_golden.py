@@ -84,8 +84,6 @@ def regenerate(names: list[str]) -> None:
     is, from their argv at the current code.  A named case need only hold its
     ``argv.json``."""
     for case in names or CASES:
-        if not (GOLDEN / case / "argv.json").is_file():
-            raise SystemExit(f"no case {case!r}: {GOLDEN / case / 'argv.json'} is missing")
         with tempfile.TemporaryDirectory() as out:
             _run(case, pathlib.Path(out))
             for name in OUTPUTS:

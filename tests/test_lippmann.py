@@ -194,7 +194,7 @@ def test_one_block_kernel_matches_adaptive_quadrature(k):
         space = ctx.space
         n = space.dof_count
         geometry = ctx.collocation_geometry
-        assert not geometry.mirrored and n == 4 * degree + 1
+        assert geometry.half == 0 and n == 4 * degree + 1
         gmat = geometry.matrix(k)
         # at p = 4 node 6 (x = -0.25) lies strictly inside cell 1, node 12 on the
         # breakpoint x = 0.5
@@ -216,9 +216,9 @@ def _times_block(kernel, block):
 def test_kernel_matrix_matches_apply(degree):
     # 12 and 16 cells: the piece tables, (pieces, p + 1, q) with pieces <= cells +
     # points, then stay below points x (cells q) entries, the size of a dense
-    # kernel table.  The even medium's geometries are mirrored, so they hold the
-    # right half of their points and pieces, and take even and odd columns; the
-    # off-centre medium's hold every point and piece, and take any column.
+    # kernel table.  The even medium's geometries have left pieces, so they hold
+    # the right half of their points and pieces, and take even and odd columns;
+    # the off-centre medium's hold every point and piece, and take any column.
     even = build_ls_context(air_filled_cavity_profile(1.5, math.sqrt(3.5), math.sqrt(2.5)),
                             degree, 0.25)
     off_centre = build_ls_context(_off_centre_medium(), degree, 0.125)
@@ -229,7 +229,7 @@ def test_kernel_matrix_matches_apply(degree):
                   for block in ctx.blocks]
         assert len(coords) == (2 if ctx is even else 1)
         for geometry in (ctx.collocation_geometry, ctx.quadrature_geometry):
-            assert geometry.mirrored == (ctx is even)
+            assert (geometry.half > 0) == (ctx is even)
             assert np.all(geometry.points >= 0.0) == (ctx is even)
             m = geometry.points.size
             for field in dataclasses.fields(geometry):
@@ -254,14 +254,14 @@ def test_mirrored_kernel_matrix_matches_its_columns(degree, cell_size):
     ctx = build_ls_context(air_filled_cavity_profile(1.5, math.sqrt(3.5), math.sqrt(2.5)),
                            degree, cell_size)
     colloc = ctx.collocation_geometry
-    pieces = colloc.pieces
-    assert colloc.mirrored and np.all(colloc.points >= 0.0)
+    pieces = colloc.half + len(colloc.nodes)
+    assert colloc.half > 0 and np.all(colloc.points >= 0.0)
     if cell_size == 0.7:
         # no node at x = 0, so the first row of T(k) lies off the centre: at p = 3
         # the cut at x = 0 comes from the Gauss-Lobatto nodes of degree 6, and at
         # p = 5 the piece around x = 0 is its own mirror
         assert np.all(ctx.space.node_coords != 0.0)
-        assert (pieces, colloc.cut[0]) == {3: (40, 21), 5: (25, 13)}[degree]
+        assert (pieces, colloc.half + colloc.rows[0]) == {3: (40, 21), 5: (25, 13)}[degree]
     for block in ctx.blocks:
         columns = block.unfold(np.eye(block.size))
         for k in (3.0 - 0.5j, 7.9 - 1.2j, 2.0 - 20.0j, 0.3 + 2.0j, 0.0):
@@ -269,7 +269,7 @@ def test_mirrored_kernel_matrix_matches_its_columns(degree, cell_size):
                                        colloc.apply(k, columns, lippmann._SIGNS[block.parity]),
                                        rtol=1e-13)
     one_block = build_ls_context(_off_centre_medium(), degree, cell_size).collocation_geometry
-    assert not one_block.mirrored
+    assert one_block.half == 0
     eye = np.eye(one_block.dof_count)
     for k in (3.0 - 0.5j, 7.9 - 1.2j, 2.0 - 20.0j, 0.3 + 2.0j, 0.0):
         np.testing.assert_allclose(one_block.matrix(k), one_block.apply(k, eye), rtol=1e-13)
@@ -288,13 +288,13 @@ def test_mirrored_apply_matches_a_geometry_over_every_piece(degree, cell_size):
     mirrored = ctx.quadrature_geometry
     every_point = ctx.cell_quadrature[0].ravel()
     every_piece = lippmann._kernel_geometry(ctx, mirrored.points, every_point, mirror=False)
-    assert mirrored.mirrored and not every_piece.mirrored
+    pieces = mirrored.half + len(mirrored.piece_dofs)
+    assert mirrored.half == pieces // 2 > 0 and every_piece.half == 0
     assert np.array_equal(mirrored.points, every_point[every_point.size // 2:])
-    assert len(mirrored.piece_dofs) == mirrored.pieces - mirrored.pieces // 2
-    assert len(every_piece.piece_dofs) == every_piece.pieces == mirrored.pieces
+    assert len(every_piece.piece_dofs) == pieces
     if cell_size == 0.7:
         assert ctx.space.mesh.n_cells == 5
-        assert mirrored.pieces % 2 == (1 if degree == 4 else 0)
+        assert pieces % 2 == (1 if degree == 4 else 0)
         assert (np.min(np.abs(mirrored.points)) < 1e-15) == (degree == 3)
     rng = np.random.default_rng(degree)
     even, odd = ctx.blocks
@@ -335,8 +335,9 @@ def test_a_mirrored_geometry_evaluates_its_stored_pieces_alone(monkeypatch, degr
     monkeypatch.setattr(lippmann, "cell_quadrature", counted)
     for name in ("collocation_geometry", "quadrature_geometry"):
         geometry = getattr(ctx, name)
-        assert geometry.mirrored
-        assert intervals[-1] == len(geometry.nodes) == geometry.pieces - geometry.pieces // 2
+        pieces = geometry.half + len(geometry.piece_dofs)
+        assert geometry.half == pieces // 2 > 0
+        assert intervals[-1] == len(geometry.nodes) == pieces - pieces // 2
     assert len(intervals) == 3  # the context's own cell rule, then the two geometries
 
 
