@@ -122,25 +122,24 @@ class LsContext:
         """Per block, its folded mass M_b = Q_b^T M^r Q_b and Q_b^T P^T, both
         real.  P^T[i, (c, g)] = phi_i(y) w(y) at node g of cell c, so that P^T f
         is the L^2 moments on the space of a function given by its values at
-        the m cell Gauss points, in ravelled (cell, node) order, and M_b^-1
-        Q_b^T P^T f is the block coordinates of its projection.  With two blocks
-        f is given at the last ceil(m / 2) points alone, those of
-        ``quadrature_geometry``: point i mirrors point m - 1 - i, where an f of
-        the block's parity s is s times its value, so the column of each right
-        point adds s times its mirror's, and the centre's (m odd) is taken once."""
+        the cell Gauss points of ``quadrature_geometry``, in ravelled (cell,
+        node) order, and M_b^-1 Q_b^T P^T f is the block coordinates of its
+        projection.  With two blocks those are the last ceil(m / 2) of the m
+        points, and an f of the block's parity s is s times its value at the
+        mirror point: P^T's column there is R times the column at the right
+        point, and Q_b^T R = s Q_b^T, so each right column is doubled, and the
+        centre's (m odd), its own mirror, is taken once."""
         _, table = self.cell_quadrature
         cells, q, _ = table.shape
-        m, half = cells * q, cells * q // 2
         pt = np.zeros((self.space.dof_count, cells, q))
         pt[self.space.cell_dofs[:, :, None], np.arange(cells)[:, None, None],
            np.arange(q)] = np.swapaxes(table, 1, 2)
-        pt = pt.reshape(self.space.dof_count, m)
+        pt = pt.reshape(self.space.dof_count, -1)[:, -len(self.quadrature_geometry.points):]
         out = []
         for block in self.blocks:
             moments = block.coordinates(pt)
             if block.parity is not None:
-                moments[:, m - half:] += _SIGNS[block.parity] * moments[:, :half][:, ::-1]
-                moments = np.ascontiguousarray(moments[:, half:])
+                moments[:, cells * q % 2:] *= 2.0
             out.append((block.fold(self.mass), moments))
         return out
 
@@ -411,24 +410,25 @@ def filter_epsilons(ctx: LsContext, pairs) -> np.ndarray:
     """The pseudomode residual eps = ||u - P K(k)u||_{L^2(Omega_r)} of every
     eigenpair, in pair order.
 
-    Each vector is interpolated at the collocation nodes and normalized to unit
-    L^2(Omega_r) norm, K(k)u is evaluated at the cell Gauss points and
-    projected onto the space, eta = (M^r)^-1 b with b_i = int phi_i K(k)u, and
-    eps = sqrt((xi - eta)^* M^r (xi - eta)).  With vanishing contrast K = 0, so
-    eps = 1 for any unit u.  eps depends on (k, u) alone, not on the solver
-    that produced the pair.
+    Each vector is interpolated at the collocation nodes, K(k)u is evaluated at
+    the cell Gauss points and projected onto the space, eta = (M^r)^-1 b with
+    b_i = int phi_i K(k)u, and eps = sqrt((xi - eta)^* M^r (xi - eta)).  eps is
+    taken for u as interpolated and divided by its norm, K(k) and P being
+    linear: it is that of the unit vector.  With vanishing contrast K = 0, so
+    eps = 1 for any u.  eps depends on (k, u) alone, not on the solver that
+    produced the pair.
 
     M^r and K(k) commute with the mirror R on a context with two parity
     blocks, so eps is taken in block coordinates, with each block's folded
     mass M_b: a pair with a parity is tested in its block alone, xi_b = Q_b^T
-    xi, and a pair without one in both, eps being the root of the sum of the
-    squares, its parts never summed into one K(k)u (see
+    xi, and a pair without one in both, eps and the norm being the roots of
+    the sums of the squares, its parts never summed into one K(k)u (see
     :meth:`KernelGeometry.apply`).  K(k)u is formed at the points of
-    ``quadrature_geometry``, and each block's Q_b^T P^T folds in their
-    mirrors.  A context with one block is the whole space, Q = I.  The pairs
-    of one space take each step together: one interpolation, one
+    ``quadrature_geometry``, and each block's Q_b^T P^T takes in their
+    mirrors.  A context with one block is the whole space, Q = I.  All pairs
+    take each step together, with one interpolation per space: one
     :meth:`KernelGeometry.apply` with a k and a parity sign per column, and per
-    block one product with Q_b^T P^T, one solve with M_b and one product with
+    block one product with Q_b^T P^T, one solve with M_b and products with
     M_b for the norms.
 
     Deep in the lower half plane K(k)u can be finite while its square is not.
@@ -436,41 +436,23 @@ def filter_epsilons(ctx: LsContext, pairs) -> np.ndarray:
     norm, with e the binary exponent of the largest real or imaginary part of
     the column's K(k)u when that exceeds 1, and eps is scaled back: a power of
     two changes no digit.  eps is inf for a pair the filter cannot test: a
-    vector without support on Omega_r, which cannot be a resonance mode, and a
-    k at which K(k)u is not finite in double precision.
+    vector without support on Omega_r (a norm below 1e-12), which cannot be a
+    resonance mode, and a k at which K(k)u is not finite in double precision.
     """
     pairs = list(pairs)
     if any(pair.space is None for pair in pairs):
         raise ValueError("eigenpair carries no originating space")
-    by_space: dict[MeshedSpace, list[int]] = {}
-    for j, pair in enumerate(pairs):
-        by_space.setdefault(pair.space, []).append(j)
-    eps = np.full(len(pairs), math.inf)
-    for space, rows in by_space.items():
-        eps[rows] = _space_epsilons(ctx, space, [pairs[j] for j in rows])
-    return eps
-
-
-def _space_epsilons(ctx: LsContext, space: MeshedSpace, pairs) -> np.ndarray:
-    """eps of pairs that all live on ``space``: see :func:`filter_epsilons`."""
     # at the nodes of its own space the interpolant hits each node exactly
-    xi = evaluate_function(space, np.stack([pair.vector for pair in pairs], axis=1),
-                           ctx.space.node_coords)
+    xi = np.empty((ctx.space.dof_count, len(pairs)), dtype=complex)
+    for space in dict.fromkeys(pair.space for pair in pairs):
+        rows = [j for j, pair in enumerate(pairs) if pair.space is space]
+        xi[:, rows] = evaluate_function(space, np.stack([pairs[j].vector for j in rows], axis=1),
+                                        ctx.space.node_coords)
     # the pairs each block tests, by their parity, and their block coordinates
     cols = [np.array([j for j, pair in enumerate(pairs)
                       if None in (block.parity, pair.parity) or block.parity == pair.parity],
                      dtype=int) for block in ctx.blocks]
     ys = [block.coordinates(xi[:, c]) for block, c in zip(ctx.blocks, cols)]
-    squares = np.zeros(len(pairs))
-    for (mass, _), c, y in zip(ctx.projection_blocks, cols, ys):
-        squares[c] += _mass_squares(mass, y)
-    nrm = np.sqrt(squares)
-    tested = nrm >= 1e-12
-    eps = np.where(tested, 0.0, math.inf)
-    if not tested.any():
-        return eps
-    ys = [y[:, tested[c]] / nrm[c[tested[c]]] for c, y in zip(cols, ys)]
-    cols = [c[tested[c]] for c in cols]
     # one column of apply per block and pair, a DOF vector of the block's parity
     u = np.concatenate([block.unfold(y) for block, y in zip(ctx.blocks, ys)], axis=1)
     ks = np.array([pairs[j].k for c in cols for j in c])
@@ -483,6 +465,7 @@ def _space_epsilons(ctx: LsContext, space: MeshedSpace, pairs) -> np.ndarray:
     # parts rather than moduli: |K(k)u| itself may overflow
     top = np.maximum(np.abs(ku.real).max(axis=0), np.abs(ku.imag).max(axis=0))
     scale = np.ldexp(1.0, -np.maximum(np.frexp(top)[1], 0))
+    eps, squares = np.zeros(len(pairs)), np.zeros(len(pairs))
     start = 0
     for (mass, moments), c, y in zip(ctx.projection_blocks, cols, ys):
         part = slice(start, start + c.size)
@@ -495,7 +478,10 @@ def _space_epsilons(ctx: LsContext, space: MeshedSpace, pairs) -> np.ndarray:
             e = np.where(finite[part], np.sqrt(_mass_squares(mass, diff)) / scale[part],
                          math.inf)
         eps[c] = np.hypot(eps[c], e)
-    return eps
+        squares[c] += _mass_squares(mass, y)
+    nrm = np.sqrt(squares)
+    with np.errstate(over="ignore"):
+        return np.divide(eps, nrm, out=np.full(len(pairs), math.inf), where=nrm >= 1e-12)
 
 
 def _mass_squares(mass: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -15,7 +15,8 @@ and label columns must be identical; k, eps and s_min may move by rounding:
 - s_min within 1e-8 relative.
 
 ``python tests/test_golden.py CASE...`` writes the files of the cases named
-from their argv at the current code, and with no name rewrites every case.  A
+from their argv at the current code; with no name it prints its usage and
+rewrites nothing, so rebaselining every case means naming every case.  A
 change that moves an output on purpose rewrites them and records their diff.
 """
 
@@ -79,17 +80,22 @@ def test_golden_outputs(case, tmp_path):
                 assert _close(g[column], w[column], bound), (where, column, g[column], w[column])
 
 
-def regenerate(names: list[str]) -> None:
-    """Rewrite the output files of the cases named, or of every case when none
-    is, from their argv at the current code.  A named case need only hold its
-    ``argv.json``."""
-    for case in names or CASES:
+def regenerate(names: list[str]) -> int:
+    """Rewrite the output files of the cases named from their argv at the
+    current code, and return 0; with none named, print the usage and return 2.
+    A named case need only hold its ``argv.json``."""
+    if not names:
+        print("usage: python tests/test_golden.py CASE...\ncases: " + " ".join(CASES),
+              file=sys.stderr)
+        return 2
+    for case in names:
         with tempfile.TemporaryDirectory() as out:
             _run(case, pathlib.Path(out))
             for name in OUTPUTS:
                 if (pathlib.Path(out) / name).is_file():
                     shutil.copyfile(pathlib.Path(out) / name, GOLDEN / case / name)
         print(case, "rewritten")
+    return 0
 
 
 if __name__ == "__main__":

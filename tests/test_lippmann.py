@@ -630,7 +630,7 @@ def test_batched_filter_of_no_pairs_is_empty():
     assert isinstance(eps, np.ndarray) and eps.shape == (0,)
 
 
-def test_batched_filter_takes_pairs_from_two_spaces_in_one_call():
+def test_batched_filter_takes_pairs_from_two_spaces_in_one_call(monkeypatch):
     med = slab_profile(2.0, 1.0)
     ctx = build_ls_context(med, 6, 0.25)
     space = build_space(build_mesh((-2, 2), [-1, 1], 0.25), 6, BoundaryCondition.NONE)
@@ -638,7 +638,16 @@ def test_batched_filter_takes_pairs_from_two_spaces_in_one_call():
     dtn_pairs = sorted(dtn_pairs, key=lambda pr: abs(pr.k - K1))[:3]
     own = [_unit_pair(ctx, k, seed) for seed, k in enumerate((K1, 1.3 - 0.5j))]
     pairs = [dtn_pairs[0], own[0], dtn_pairs[1], own[1], dtn_pairs[2]]
+    calls = []
+    apply = lippmann.KernelGeometry.apply
+
+    def counted(self, *args):
+        calls.append(self)
+        return apply(self, *args)
+
+    monkeypatch.setattr(lippmann.KernelGeometry, "apply", counted)
     eps = filter_epsilons(ctx, pairs)
+    assert calls == [ctx.quadrature_geometry]  # every pair of both spaces in one pass
     for e, pair in zip(eps, pairs):
         assert e == pytest.approx(_oracle_epsilon(ctx, pair), rel=1e-12)
     assert eps[0] < 1e-6  # the DtN pair at the slab's resonance K1
