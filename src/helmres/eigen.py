@@ -629,7 +629,7 @@ def smallest_singular_value(blocks) -> float:
     for m in blocks:
         if m.size == 0:
             raise ValueError("matrix is empty")
-        if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+        if not np.isfinite(m).all():
             raise ValueError("matrix has non-finite entries")
         values.append(np.linalg.svd(m, compute_uv=False)[-1])
     if not values:

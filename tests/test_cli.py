@@ -8,7 +8,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from helmres import assemble_dtn, solve_dtn, solve_pml
 from helmres import cli
@@ -140,7 +139,8 @@ def test_deep_pml_window_reports_every_eigenvalue_of_the_qz_oracle():
     # the layer modes come as near-degenerate pairs, and both members are reported
     cfg = RunConfig(**_BENCH_PML, window=(0.0, 13.5, -20.0, 0.0), apply_filter=False)
     mats = discretize(cfg).operator
-    oracle = np.sqrt(scipy.linalg.eigvals(mats.a_tilde, mats.m_tilde).astype(complex))
+    eigvals = pytest.importorskip("scipy.linalg").eigvals
+    oracle = np.sqrt(eigvals(mats.a_tilde, mats.m_tilde).astype(complex))
     re_min, re_max, im_min, im_max = cfg.window
     inside = [k for k in oracle if re_min <= k.real <= re_max and im_min <= k.imag <= im_max]
     assert len(run_pipeline(cfg).rows) == len(inside)
@@ -346,6 +346,17 @@ def test_run_json_round_trips_through_load_config(tmp_path):
                                  {"parity": "odd", "size": n // 2}]
     assert set(payload["versions"]) == {"helmres", "numpy", "python"}
     assert load_config(str(tmp_path / "run.json")) == cfg
+    # an ls run with a grid: the tuple fields and the seed go through JSON too, and
+    # its rerun from run.json writes the same files
+    cfg = RunConfig(problem="slab", formulation="ls", degree=4, initial_cell_size=0.5,
+                    window=(0.0, 4.0, -2.0, 0.0), pseudo_resolution=(3, 3), seed=7,
+                    out_dir=str(tmp_path / "ls"))
+    emit_outputs(run_pipeline(cfg))
+    assert load_config(str(tmp_path / "ls" / "run.json")) == cfg
+    assert main(["solve", "--config", str(tmp_path / "ls" / "run.json"),
+                 "--out", str(tmp_path / "rerun")]) == 0
+    for name in ("eigenvalues.csv", "pseudospectrum.csv"):
+        assert (tmp_path / "rerun" / name).read_bytes() == (tmp_path / "ls" / name).read_bytes()
 
 
 def test_a_float_field_given_as_a_json_integer_echoes_as_its_flag_does(tmp_path):
@@ -461,6 +472,7 @@ def test_filter_scales_a_kernel_whose_square_overflows(tmp_path):
     pair = _rows_near(tmp_path / "eigenvalues.csv", 33.286 - 79.987j)
     assert sorted(row[7] for row in pair) == ["even", "odd"]
     assert all(1e150 < float(row[3]) < math.inf for row in pair)
+    assert [f"{float(row[3]):.1e}" for row in pair] == ["5.9e+163"] * 2
 
 
 def test_filter_gives_an_overflowing_kernel_infinite_eps(tmp_path):
@@ -526,6 +538,32 @@ def test_main_pseudospectrum_writes_grid(tmp_path):
     lines = (tmp_path / "pseudospectrum.csv").read_text().strip().splitlines()
     assert len(lines) == 1 + 6
     assert (tmp_path / "pseudospectrum.csv.json").exists()
+
+
+def test_deep_plane_ls_grid_writes_finite_s_min(tmp_path):
+    # T(k) forms e^{+ikny} as 1/e^{-ikny} on the right half of its mirror pieces: an
+    # over- or underflow there must stay inside the grid down to Im k = -30.  The
+    # values themselves are rounding, so only their count and finiteness are pinned
+    assert main(["pseudospectrum", "--problem", "air_cavity", "--formulation", "ls",
+                 "--p", "4", "--h", "0.5", "--window", "0", "6", "-30", "-10",
+                 "--pseudo", "4", "3", "--out", str(tmp_path)]) == 0
+    smin = [float(row[2]) for row in _csv_rows(tmp_path / "pseudospectrum.csv")]
+    assert len(smin) == 12 and all(math.isfinite(s) for s in smin)
+
+
+def test_pseudospectrum_and_solve_write_the_same_grid(tmp_path):
+    flags = ["--problem", "air_cavity", "--formulation", "ls", "--p", "4", "--h", "0.5",
+             "--window", "0", "6", "-2", "0", "--pseudo", "4", "3", "--seed", "2"]
+    grids, sidecars = [], []
+    for command in ("pseudospectrum", "solve"):
+        out = tmp_path / command
+        assert main([command, *flags, "--out", str(out)]) == 0
+        grids.append((out / "pseudospectrum.csv").read_bytes())
+        sidecar = json.loads((out / "pseudospectrum.csv.json").read_text())
+        assert sidecar["parameters"].pop("out_dir") == str(out)
+        sidecars.append(sidecar)
+    assert grids[0] == grids[1]
+    assert sidecars[0] == sidecars[1]
 
 
 def test_pseudospectrum_names_the_k_where_t_overflows(tmp_path, capsys):

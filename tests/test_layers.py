@@ -17,9 +17,8 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "helmres"
 # README's "Modules, bottom to top"
 ORDER = ("mesh_fe", "media", "assembly", "eigen", "reference", "lippmann", "cli")
 FORMULATION_NAMES = {"dtn", "pml", "ls"}
-# one small slab run of each formulation, and a pml grid: with the CI job's dtn
-# pseudospectrum step, every operator's T(k) runs without scipy (the ls one in
-# the solve --pseudo run); that job runs these through test_cli_runs_without_scipy
+# one small slab run of each formulation, and a dtn and a pml grid: every
+# operator's T(k) runs without scipy (the ls one in the solve --pseudo run)
 NUMPY_ONLY_RUNS = (
     ["filter", "--problem", "slab", "--formulation", "dtn", "--p", "4", "--h", "0.5",
      "--d", "1", "--window", "0", "4", "-2", "0"],
@@ -27,6 +26,8 @@ NUMPY_ONLY_RUNS = (
      "--d", "1", "--xc", "2", "--ell", "4", "--window", "0", "4", "-2", "0"],
     ["solve", "--problem", "slab", "--formulation", "ls", "--p", "4", "--h", "0.5",
      "--window", "0", "4", "-2", "0", "--pseudo", "3", "3"],
+    ["pseudospectrum", "--problem", "slab", "--formulation", "dtn", "--p", "4", "--h", "0.5",
+     "--d", "1", "--window", "0", "4", "-2", "0", "--pseudo", "3", "3"],
     ["pseudospectrum", "--problem", "slab", "--formulation", "pml", "--p", "4", "--h", "0.5",
      "--d", "1", "--xc", "2", "--ell", "4", "--window", "0", "4", "-2", "0", "--pseudo", "3", "3"],
 )
@@ -122,13 +123,37 @@ def test_an_ls_run_has_one_ls_context():
     assert disc.ls_context is disc.operator
 
 
-def test_cli_runs_without_scipy(tmp_path):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def _env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+
+
+def test_cli_runs_without_scipy(tmp_path):
     runs = [(argv, str(tmp_path / str(i))) for i, argv in enumerate(NUMPY_ONLY_RUNS)]
     # the interpreter does not read pyproject.toml's filterwarnings, so it is given the policy
     proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c",
                            _NUMPY_ONLY_SCRIPT, json.dumps(runs)],
-                          env=env, capture_output=True, text=True, timeout=300)
+                          env=_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [0] * len(NUMPY_ONLY_RUNS), proc.stderr
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_module_imports_scipy(module):
+    """At any depth, function bodies included: scipy is a test oracle only."""
+    found = [node.lineno for node in ast.walk(_tree(module))
+             if isinstance(node, ast.Import)
+             and any(a.name.split(".")[0] == "scipy" for a in node.names)
+             or isinstance(node, ast.ImportFrom) and node.level == 0
+             and (node.module or "").split(".")[0] == "scipy"]
+    assert found == []
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # run where scipy is installed, so that an import of it would succeed
+    pytest.importorskip("scipy")
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, helmres.cli; print('scipy' in sys.modules)"],
+                          env=_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]

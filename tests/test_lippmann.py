@@ -7,7 +7,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from helmres import (BoundaryCondition, ContourConfig, EigenPair, LsContext, MediumProfile,
                      ParityBlock, air_filled_cavity_profile, apply_kernel, assemble_dtn,
@@ -101,6 +100,7 @@ def _fe_function(space, coeffs):
 def _kernel_oracle(ctx, k, x, density):
     """(ik/2n0) int exp(i n0 k |x - y|) (n^2 - n0^2)(y) density(y) dy by adaptive
     quadrature, split at every vertex and at x so that each piece is smooth."""
+    quad = pytest.importorskip("scipy.integrate").quad
     n0 = ctx.medium.n0
     verts = ctx.space.mesh.vertices
     cuts = np.unique(np.clip(np.append(verts, x), verts[0], verts[-1]))
@@ -599,6 +599,23 @@ def test_batched_filter_matches_a_per_pair_kernel_matrix(run):
     assert eps.shape == (len(pairs),) and np.all(np.isfinite(eps))
     for e, pair in zip(eps, pairs):
         expected = _oracle_epsilon(disc.ls_context, pair)
+        assert abs(e - expected) <= 1e-12 * max(1.0, expected), (pair.k, e, expected)
+
+
+def test_one_block_filter_keeps_the_off_centre_slabs_windowed_dtn_pairs():
+    # no built-in medium is off-centre, so no CLI call filters on a one-block
+    # context: its projection is the whole space and its geometry holds every piece
+    medium = _off_centre_medium()
+    space = build_space(build_mesh((-2, 2), [-1, 0.5], 0.25), 8)
+    pairs = solve_dtn(assemble_dtn(space, medium), window=(0, 8, -1.5, 0), rng=0)
+    ctx = build_ls_context(medium, 8, 0.25)
+    assert [b.parity for b in ctx.blocks] == [None]
+    assert ctx.quadrature_geometry.half == 0
+    eps = filter_epsilons(ctx, pairs)
+    assert len(eps) > 0 and np.all(np.isfinite(eps))
+    assert eps.min() < 1e-6
+    for e, pair in zip(eps, pairs):
+        expected = _oracle_epsilon(ctx, pair)
         assert abs(e - expected) <= 1e-12 * max(1.0, expected), (pair.k, e, expected)
 
 
