@@ -19,10 +19,12 @@ is reported as pipeline stage ``output``.  Subcommands:
 
     solve           full pipeline, writes eigenvalues.csv and run.json, labels
                     each filtered pair true or spurious at --threshold
-    filter          solve with the pseudomode filter on by default
+    filter          solve, with the filter on even where --config turns it off
     pseudospectrum  s_min grid over a k-rectangle, writes pseudospectrum.csv
     reference       emits a reference eigenvalue set as CSV + JSON
-    convergence     sweeps p or h and reports observed eigenvalue-error orders
+    sweep           solve --steps times, raising p or the refinements by one per
+                    step (--over), writes every step's rows to sweep.csv and the
+                    base config, --over and --steps to sweep.json
 
 Configuration may come from a JSON file (--config); explicit flags override
 file values, which override built-in defaults.
@@ -172,6 +174,9 @@ class ReportRow:
     parity: str | None
 
 
+_ROW_COLUMNS = tuple(f.name for f in dataclasses.fields(ReportRow))
+
+
 @dataclass(frozen=True, eq=False)
 class RunReport:
     """Pipeline result: one row per windowed eigenvalue, with metadata.
@@ -205,14 +210,18 @@ def medium_for(cfg: RunConfig) -> MediumProfile:
 def reference_for(cfg: RunConfig, medium: MediumProfile) -> ReferenceSet | None:
     """The reference set of the medium actually solved, or None when there is none.
 
-    Closed form for the slab; the tables otherwise, the air_cavity one only at
-    the eta = sqrt(2.5) it was computed for.
+    Closed form for the slab, from m = 0 up to 40 or past the window's Re k;
+    the tables otherwise, the air_cavity one only at the eta = sqrt(2.5) it
+    was computed for.
     """
     if cfg.problem == "slab":
-        eta = _problem_eta(cfg)
+        eta, a = _problem_eta(cfg), medium.resonator_halfwidth
         if eta <= 1.0:
             return None  # no closed-form resonances to compare against
-        return slab_dtn_eigenvalues(eta, medium.resonator_halfwidth, m_max=40)
+        # Re k_m = pi m / (2 eta a)
+        m_max = 40 if cfg.window is None else max(
+            40, math.floor(2.0 * eta * a * cfg.window[1] / math.pi) + 1)
+        return slab_dtn_eigenvalues(eta, a, m_max=m_max)
     if cfg.problem == "air_cavity" and abs(_problem_eta(cfg) - math.sqrt(2.5)) > 1e-12:
         return None
     return reference_table(cfg.problem)
@@ -409,8 +418,7 @@ def emit_outputs(report: RunReport) -> list[str]:
     """
     cfg = report.config
     path = os.path.join(cfg.out_dir, "eigenvalues.csv")
-    _write_csv(path, [f.name for f in dataclasses.fields(ReportRow)],
-               map(dataclasses.astuple, report.rows))
+    _write_csv(path, _ROW_COLUMNS, map(dataclasses.astuple, report.rows))
     written = [path]
 
     path = os.path.join(cfg.out_dir, "run.json")
@@ -529,19 +537,12 @@ def _cmd_pseudospectrum(args: argparse.Namespace) -> int:
     return 0
 
 
-def _required_reference(cfg: RunConfig) -> ReferenceSet:
-    """The reference set of the configured medium; an invalid medium fails as stage
-    ``setup``, and a medium without a reference set exits."""
+def _cmd_reference(args: argparse.Namespace) -> int:
+    cfg = build_config(args)
     refs = _stage("setup", lambda: reference_for(cfg, medium_for(cfg)))
     if refs is None:
         raise SystemExit(f"error: no reference set for problem {cfg.problem!r} "
                          f"with eta = {_problem_eta(cfg)}")
-    return refs
-
-
-def _cmd_reference(args: argparse.Namespace) -> int:
-    cfg = build_config(args)
-    refs = _required_reference(cfg)
     entries = [(j, k.real, k.imag) for j, k in enumerate(refs.values.tolist())]
     csv_path = os.path.join(cfg.out_dir, "reference.csv")
     _stage("output", _write_csv, csv_path, ("j", "re_k", "im_k"), entries)
@@ -553,38 +554,29 @@ def _cmd_reference(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_convergence(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    """run_pipeline once per step, from the config's own p or refinements up,
+    then every step's rows in sweep.csv after its degree and refinements."""
     cfg = build_config(args)
-    refs = _required_reference(cfg)
-    if not 0 <= args.target < len(refs.values):
-        raise PipelineStageError("config", IndexError(
-            f"--target must be a reference index from 0 to {len(refs.values) - 1}, "
-            f"got {args.target}"))
-    target = refs.values[args.target]
-
-    # (label, degree, refinements) per step, and how successive errors compare
-    if args.sweep == "p":
-        steps = [(f"p = {p:2d}", p, cfg.refinements) for p in range(args.start, args.stop + 1)]
-        rate_name, rate = "factor", lambda ratio: ratio
-    else:
-        steps = [(f"h = {cfg.initial_cell_size / 2 ** r:.6g}", cfg.degree, r)
-                 for r in range(cfg.refinements, cfg.refinements + args.levels)]
-        rate_name, rate = "order", math.log2
-    if not steps:
-        raise PipelineStageError("config", ValueError(
-            "the sweep has no steps: need --start <= --stop (p) or --levels >= 1 (h)"))
-    print(f"# target k = {target.real:+.12g} {target.imag:+.12g}j "
-          f"(reference index {args.target})")
-    previous = math.nan  # compares false, so the first step has no rate
-    for label, degree, refinements in steps:
-        sub = _stage("config", lambda: dataclasses.replace(
-            cfg, degree=degree, refinements=refinements, apply_filter=False,
-            pseudo_resolution=None))
-        rows = run_pipeline(sub).rows
-        err = min((abs(complex(r.re_k, r.im_k) - target) for r in rows), default=math.nan)
-        note = f"  {rate_name} = {rate(previous / err):.2f}" if previous > 0 and err > 0 else ""
-        print(f"{label}  err = {err:.6e}{note}")
-        previous = err
+    if args.steps < 1:
+        raise PipelineStageError("config", ValueError(f"--steps must be >= 1, got {args.steps}"))
+    if cfg.pseudo_resolution is not None:
+        raise PipelineStageError("config", ValueError("a sweep writes no grid: drop --pseudo"))
+    field = {"p": "degree", "h": "refinements"}[args.over]
+    rows = []
+    for i in range(args.steps):
+        step = dataclasses.replace(cfg, **{field: getattr(cfg, field) + i})
+        report = run_pipeline(step)
+        rows += [(step.degree, step.refinements, *dataclasses.astuple(row))
+                 for row in report.rows]
+        print(f"p = {step.degree}  h = {step.initial_cell_size / 2 ** step.refinements:.6g}"
+              f"  {len(report.rows)} row(s)")
+    csv_path = os.path.join(cfg.out_dir, "sweep.csv")
+    _stage("output", _write_csv, csv_path, ("degree", "refinements", *_ROW_COLUMNS), rows)
+    json_path = os.path.join(cfg.out_dir, "sweep.json")
+    _stage("output", _write_json, json_path,
+           {"config": cfg.to_json_dict(), "over": args.over, "steps": args.steps})
+    print(f"wrote {csv_path} and {json_path}")
     return 0
 
 
@@ -600,24 +592,20 @@ def _parser() -> argparse.ArgumentParser:
     common = _common_flags()
     for name, fn, blurb in (
             ("solve", _cmd_solve, "run the full pipeline and write outputs"),
-            ("filter", _cmd_solve, "solve with the pseudomode filter on by default"),
+            ("filter", _cmd_solve, "solve with the filter on, even if --config turns it off"),
             ("pseudospectrum", _cmd_pseudospectrum, "compute an s_min grid"),
             ("reference", _cmd_reference, "emit reference eigenvalues"),
-            ("convergence", _cmd_convergence, "sweep p or h and report error orders")):
+            ("sweep", _cmd_sweep, "solve at successive p or h, all rows in one file")):
         sub = subs.add_parser(name, help=blurb, parents=[common])
         sub.add_argument("--filter", dest="apply_filter", action=argparse.BooleanOptionalAction,
                          default=None, help="apply the pseudomode filter")
         sub.set_defaults(handler=fn)
         if name == "filter":  # a flag default: beats a config file, loses to --no-filter
             sub.set_defaults(apply_filter=True)
-        if name == "convergence":
-            sub.add_argument("--sweep", choices=("p", "h"), default="p")
-            sub.add_argument("--target", type=int, default=0,
-                             help="reference index to track")
-            sub.add_argument("--start", type=int, default=2, help="first degree (p sweep)")
-            sub.add_argument("--stop", type=int, default=8, help="last degree (p sweep)")
-            sub.add_argument("--levels", type=int, default=3,
-                             help="refinement levels (h sweep)")
+        if name == "sweep":
+            sub.add_argument("--over", choices=("p", "h"), default="p",
+                             help="raise the degree or the refinements by one per step")
+            sub.add_argument("--steps", type=int, default=3, help="number of runs")
     return parser
 
 

@@ -16,7 +16,7 @@ from helmres import (BoundaryCondition, ContourConfig, air_filled_cavity_profile
                      collocation_matrix, filter_epsilon, filter_epsilons, pseudospectrum,
                      reference_table, slab_dtn_eigenvalues, slab_pml_eigenvalues,
                      slab_profile, solve_contour, solve_dtn)
-from helmres.cli import RunConfig, discretize
+from helmres.cli import RunConfig, discretize, main
 
 _CAVITY = air_filled_cavity_profile(1.5, math.sqrt(3.5), math.sqrt(2.5))
 _CAVITY_TABLE = reference_table("air_cavity").values
@@ -252,3 +252,27 @@ def test_9_property_suites_run_in_under_a_minute(tmp_path):
     _verdict(9, "residual, quadrature, scaling, determinism properties in < 60 s",
              ok, f"residual {residual_ok}, quadrature {quad_ok}, scaling {eps_ok}, "
                  f"determinism {determinism_ok}, {elapsed:.1f} s")
+
+
+def test_10_dtn_twins_far_from_the_table_carry_large_eps_at_p_2(tmp_path):
+    # the paper's pre-asymptotic regime, read from one sweep: at p = 2 the DtN solve
+    # returns two near-degenerate even/odd twins far from every table entry
+    assert main(["sweep", "--problem", "air_cavity", "--formulation", "dtn", "--h", "0.25",
+                 "--window", "0", "13.5", "-3", "0", "--seed", "1", "--p", "1",
+                 "--over", "p", "--steps", "4", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    assert {row["degree"] for row in rows} == {"1", "2", "3", "4"}
+    at_2 = [row for row in rows if row["degree"] == "2"]
+    found = []
+    for twin in (1.1388 - 2.9693j, 3.515 - 2.129j):
+        near = [row for row in at_2
+                if abs(complex(float(row["re_k"]), float(row["im_k"])) - twin) < 0.01]
+        found.append((sorted(row["parity"] for row in near),
+                      min((float(row["ref_dist"]) for row in near), default=0.0),
+                      min((float(row["epsilon"]) for row in near), default=0.0)))
+    ok = all(parities == ["even", "odd"] and dist >= 1.0 and eps > 1e3
+             for parities, dist, eps in found)
+    _verdict(10, "p = 2 DtN twins at least 1 from the table carry eps above 1e3", ok,
+             "; ".join(f"{'/'.join(parities)} at distance {dist:.2f}, least eps {eps:.2e}"
+                       for parities, dist, eps in found))

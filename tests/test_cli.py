@@ -575,50 +575,112 @@ def test_pseudospectrum_names_the_k_where_t_overflows(tmp_path, capsys):
             "non-finite entries" in capsys.readouterr().err)
 
 
-def test_ref_match_and_convergence_target_index_the_reference_csv(tmp_path, capsys):
+def test_ref_match_and_sweep_index_the_reference_csv(tmp_path):
     flags = ["--problem", "air_cavity", "--formulation", "dtn", "--p", "10", "--h", "0.25",
              "--d", "2", "--window", "0", "13.5", "-2", "0"]
     assert main(["solve", *flags, "--out", str(tmp_path / "solve")]) == 0
     assert main(["reference", *flags, "--out", str(tmp_path / "ref")]) == 0
+    assert main(["sweep", *flags, "--p", "4", "--steps", "2",
+                 "--out", str(tmp_path / "sweep")]) == 0
     refs = [complex(float(re), float(im)) for _, re, im in
-            (line.split(",") for line in
-             (tmp_path / "ref" / "reference.csv").read_text().splitlines()[1:])]
-    rows = [line.split(",") for line in
-            (tmp_path / "solve" / "eigenvalues.csv").read_text().splitlines()[1:]]
-    assert len(rows) >= 8
-    for row in rows:
+            _csv_rows(tmp_path / "ref" / "reference.csv")]
+    rows = _csv_rows(tmp_path / "solve" / "eigenvalues.csv")
+    swept = [row[2:] for row in _csv_rows(tmp_path / "sweep" / "sweep.csv")]
+    assert len(rows) >= 8 and len(swept) >= 8
+    for row in rows + swept:
         k, j, dist = complex(float(row[1]), float(row[2])), int(row[5]), float(row[6])
         # both k are written to 12 significant digits
         assert abs(abs(k - refs[j]) - dist) <= 1e-11 * (1.0 + abs(k))
         assert j == min(range(len(refs)), key=lambda i: abs(k - refs[i]))
-    j = int(rows[-1][5])
-    capsys.readouterr()
-    assert main(["convergence", *flags, "--sweep", "p", "--start", "4", "--stop", "4",
-                 "--target", str(j)]) == 0
-    target = capsys.readouterr().out.splitlines()[0]
-    assert target == (f"# target k = {refs[j].real:+.12g} {refs[j].imag:+.12g}j "
-                      f"(reference index {j})")
 
 
-def test_main_convergence_reports_factors(capsys):
-    rc = main(["convergence", "--problem", "slab", "--formulation", "dtn",
-               "--h", "0.5", "--d", "1", "--sweep", "p", "--start", "2",
-               "--stop", "4", "--target", "1"])
+def test_main_sweep_reports_factors(tmp_path, capsys):
+    # a step's error against reference entry 1 is its least ref_dist among the rows
+    # matched to that entry
+    rc = main(["sweep", "--problem", "slab", "--formulation", "dtn", "--h", "0.5",
+               "--d", "1", "--p", "2", "--over", "p", "--steps", "3", "--out", str(tmp_path)])
     assert rc == 0
-    out = capsys.readouterr().out
-    assert "# target k" in out
-    assert out.count("factor") == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "p = 2  h = 0.5  9 row(s)", "p = 3  h = 0.5  13 row(s)", "p = 4  h = 0.5  17 row(s)",
+        f"wrote {tmp_path / 'sweep.csv'} and {tmp_path / 'sweep.json'}"]
+    rows = _csv_rows(tmp_path / "sweep.csv")
+    errors = [min(float(row[8]) for row in rows if row[0] == str(p) and row[7] == "1")
+              for p in (2, 3, 4)]
+    assert [f"{err:.6e}" for err in errors] == ["2.637625e-04", "1.601031e-06",
+                                                "3.638671e-09"]
+    assert [f"{a / b:.2f}" for a, b in itertools.pairwise(errors)] == ["164.75", "440.00"]
 
 
-def test_main_convergence_rejects_a_negative_target(capsys):
-    # a negative index would silently track an entry counted from the end
-    rc = main(["convergence", "--problem", "slab", "--formulation", "dtn",
-               "--h", "0.5", "--d", "1", "--sweep", "p", "--start", "2",
-               "--stop", "3", "--target", "-1"])
+# the two-step sweeps whose steps must each write the rows of the single run: (argv, over)
+_DTN_SWEEP = ["--problem", "slab", "--formulation", "dtn", "--p", "2", "--h", "0.5", "--d", "1",
+              "--window", "0", "4", "-2", "0", "--seed", "3"]
+_SWEEPS = [
+    (_DTN_SWEEP, "p"),
+    (_DTN_SWEEP, "h"),
+    (["--problem", "slab", "--formulation", "ls", "--p", "4", "--h", "0.5",
+      "--window", "0", "4", "-2", "0", "--seed", "2"], "p"),
+    (["--problem", "slab", "--formulation", "pml", "--p", "4", "--h", "0.5", "--d", "1",
+      "--xc", "2", "--ell", "4"], "h"),
+]
+
+
+@pytest.mark.parametrize("argv, over", _SWEEPS,
+                         ids=["dtn-window-seed-p", "dtn-window-seed-h", "ls-window-seed-p",
+                              "pml-h"])
+def test_each_sweep_step_writes_the_rows_of_its_solve(tmp_path, argv, over):
+    out = tmp_path / "sweep"
+    assert main(["sweep", *argv, "--over", over, "--steps", "2", "--out", str(out)]) == 0
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert lines[0] == ("degree,refinements,j,re_k,im_k,epsilon,feasible,ref_match,ref_dist,"
+                        "parity")
+    expected, base = [], int(argv[argv.index("--p") + 1])
+    for i in range(2):
+        p, ref = (base + i, 0) if over == "p" else (base, i)
+        step = tmp_path / str(i)
+        assert main(["solve", *argv, "--p", str(p), "--ref", str(ref), "--out", str(step)]) == 0
+        solved = (step / "eigenvalues.csv").read_text().splitlines()
+        assert len(solved) > 1
+        expected += [f"{p},{ref},{line}" for line in solved[1:]]
+    assert lines[1:] == expected
+    payload = json.loads((out / "sweep.json").read_text())
+    assert (payload["over"], payload["steps"]) == (over, 2)
+    rerun = tmp_path / "rerun"
+    assert main(["sweep", "--config", str(out / "sweep.json"), "--over", over,
+                 "--steps", "2", "--out", str(rerun)]) == 0
+    assert (rerun / "sweep.csv").read_bytes() == (out / "sweep.csv").read_bytes()
+
+
+def test_a_sweep_whose_step_fails_writes_no_file(tmp_path, capsys, monkeypatch):
+    def failing_at_p_3(cfg):
+        if cfg.degree == 3:
+            raise PipelineStageError("solve", RuntimeError("no pairs"))
+        return run_pipeline(cfg)
+
+    monkeypatch.setattr(cli, "run_pipeline", failing_at_p_3)
+    rc = main(["sweep", "--problem", "slab", "--formulation", "dtn", "--p", "2", "--h", "0.5",
+               "--d", "1", "--steps", "3", "--out", str(tmp_path / "out")])
     assert rc == 1
     captured = capsys.readouterr()
-    assert "pipeline stage 'config' failed" in captured.err
-    assert "# target k" not in captured.out
+    assert "pipeline stage 'solve' failed" in captured.err
+    assert captured.out.splitlines() == ["p = 2  h = 0.5  9 row(s)"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_slab_reference_reaches_past_the_window(tmp_path):
+    # the closed-form set once stopped at m = 40, Re k = 31.4, and matched every
+    # mode past it to that entry
+    flags = ["--problem", "slab", "--formulation", "dtn", "--p", "16", "--h", "0.125",
+             "--d", "1", "--window", "30", "40", "-1", "0", "--no-filter"]
+    assert main(["solve", *flags, "--out", str(tmp_path / "solve")]) == 0
+    assert main(["reference", *flags, "--out", str(tmp_path / "ref")]) == 0
+    rows = _csv_rows(tmp_path / "solve" / "eigenvalues.csv")
+    refs = [complex(float(re), float(im)) for _, re, im in
+            _csv_rows(tmp_path / "ref" / "reference.csv")]
+    assert len(rows) == 12 and len(refs) == 52  # m = 0 to floor(4 * 40 / pi) + 1
+    for row in rows:
+        k, j, dist = complex(float(row[1]), float(row[2])), int(row[5]), float(row[6])
+        assert dist < 1e-10
+        assert abs(k - refs[j]) < 1e-10
 
 
 def test_main_rejects_ls_without_window(capsys):
@@ -661,13 +723,14 @@ def test_main_rejects_a_config_file_that_is_no_json_object(tmp_path, capsys, tex
     assert f"a JSON object, got {got}" in err
 
 
-@pytest.mark.parametrize("command", ["solve", "filter", "pseudospectrum", "reference"])
+@pytest.mark.parametrize("command", ["solve", "filter", "pseudospectrum", "reference", "sweep"])
 def test_main_output_errors_are_stage_errors(tmp_path, capsys, command):
     blocker = tmp_path / "file"
     blocker.write_text("")
+    grid = [] if command == "sweep" else ["--pseudo", "2", "2"]  # a sweep writes no grid
     rc = main([command, "--problem", "slab", "--formulation", "dtn", "--p", "2",
                "--h", "0.5", "--d", "1", "--window", "0", "4", "-2", "0",
-               "--pseudo", "2", "2", "--out", str(blocker / "out")])
+               *grid, "--out", str(blocker / "out")])
     assert rc == 1
     assert "pipeline stage 'output' failed" in capsys.readouterr().err
 
@@ -675,24 +738,28 @@ def test_main_output_errors_are_stage_errors(tmp_path, capsys, command):
 @pytest.mark.parametrize("argv", [
     ["solve", "--problem", "bump", "--formulation", "dtn", "--eta", "3"],
     ["solve", "--problem", "slab", "--formulation", "dtn", "--window", "1", "0", "-1", "0"],
-    ["convergence", "--problem", "air_cavity", "--formulation", "dtn", "--target", "99"],
     ["reference", "--problem", "slab", "--formulation", "dtn", "--eta", "0.5"],
-    ["convergence", "--problem", "slab", "--formulation", "dtn", "--eta", "0.5"],
+    ["sweep", "--problem", "slab", "--formulation", "dtn", "--eta", "0.5"],
     ["solve", "--problem", "slab", "--formulation", "ls", "--window", "0", "4", "-2", "0",
      "--seed", "-1"],
-    ["convergence", "--problem", "slab", "--formulation", "dtn", "--h", "0.5", "--d", "1",
-     "--sweep", "p", "--start", "0", "--stop", "1"],
-    ["convergence", "--problem", "slab", "--formulation", "dtn", "--h", "0.5", "--d", "1",
-     "--sweep", "p", "--start", "5", "--stop", "2"],
-    ["convergence", "--problem", "slab", "--formulation", "dtn", "--h", "0.5", "--d", "1",
-     "--sweep", "h", "--levels", "0"],
+    ["sweep", "--problem", "slab", "--formulation", "dtn", "--h", "0.5", "--d", "1",
+     "--p", "0"],
+    ["sweep", "--problem", "slab", "--formulation", "dtn", "--h", "0.5", "--d", "1",
+     "--over", "p", "--steps", "0"],
+    ["sweep", "--problem", "slab", "--formulation", "dtn", "--h", "0.5", "--d", "1",
+     "--over", "h", "--steps", "0"],
+    # a sweep writes no grid
+    ["sweep", "--problem", "slab", "--formulation", "dtn", "--h", "0.5", "--d", "1",
+     "--window", "0", "4", "-2", "0", "--pseudo", "3", "3"],
     # a grid without --window
     ["solve", "--problem", "slab", "--formulation", "dtn", "--p", "2", "--h", "0.5", "--d", "1",
      "--pseudo", "3", "3"],
 ])
 def test_main_reports_config_errors(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""  # no step of a sweep ran
     assert not (tmp_path / "eigenvalues.csv").exists()
 
 
@@ -792,7 +859,7 @@ _RUN_CONFIG_FLAGS = {
 
 
 @pytest.mark.parametrize("command", ["solve", "filter", "pseudospectrum", "reference",
-                                     "convergence"])
+                                     "sweep"])
 def test_every_subcommand_takes_every_run_config_flag(command):
     # the flags come from one parent parser; filter's default for --filter stays its own
     assert set(_RUN_CONFIG_FLAGS) == {field.name for field in dataclasses.fields(RunConfig)}
@@ -805,11 +872,12 @@ def test_every_subcommand_takes_every_run_config_flag(command):
         assert getattr(parser.parse_args([command, flag, *words]), dest) == value, flag
     assert parser.parse_args([command, "--filter"]).apply_filter is True
     assert parser.parse_args([command, "--config", "c.json"]).config == "c.json"
-    extra = {"sweep": "p", "target": 0, "start": 2, "stop": 8, "levels": 3}
-    if command == "convergence":
+    extra = {"over": "p", "steps": 3}
+    if command == "sweep":
         assert {name: defaults[name] for name in extra} == extra
     else:
         assert not set(extra) & set(defaults)
+    assert set(defaults) <= {"command", "handler", "config", *_RUN_CONFIG_FLAGS, *extra}
 
 
 def test_main_requires_problem_and_formulation():

@@ -17,7 +17,7 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "helmres"
 # README's "Modules, bottom to top"
 ORDER = ("mesh_fe", "media", "assembly", "eigen", "reference", "lippmann", "cli")
 FORMULATION_NAMES = {"dtn", "pml", "ls"}
-# one small slab run of each formulation, and a dtn and a pml grid: every
+# one small slab run of each formulation, a dtn and a pml grid, and a sweep: every
 # operator's T(k) runs without scipy (the ls one in the solve --pseudo run)
 NUMPY_ONLY_RUNS = (
     ["filter", "--problem", "slab", "--formulation", "dtn", "--p", "4", "--h", "0.5",
@@ -30,6 +30,8 @@ NUMPY_ONLY_RUNS = (
      "--d", "1", "--window", "0", "4", "-2", "0", "--pseudo", "3", "3"],
     ["pseudospectrum", "--problem", "slab", "--formulation", "pml", "--p", "4", "--h", "0.5",
      "--d", "1", "--xc", "2", "--ell", "4", "--window", "0", "4", "-2", "0", "--pseudo", "3", "3"],
+    ["sweep", "--problem", "slab", "--formulation", "dtn", "--p", "2", "--h", "0.5", "--d", "1",
+     "--window", "0", "4", "-2", "0", "--over", "h", "--steps", "2"],
 )
 # None in sys.modules makes every import of scipy raise ModuleNotFoundError
 _NUMPY_ONLY_SCRIPT = """
