@@ -37,6 +37,7 @@ import dataclasses
 import functools
 import json
 import math
+import operator
 import os
 import sys
 import time
@@ -175,6 +176,8 @@ class ReportRow:
 
 
 _ROW_COLUMNS = tuple(f.name for f in dataclasses.fields(ReportRow))
+# a row's cells in column order, without the deep copy of dataclasses.astuple
+_row_cells = operator.attrgetter(*_ROW_COLUMNS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,8 +264,10 @@ class Discretization:
         """Eigenpairs sorted by (Re k, Im k).
 
         The matrix sets return every pair their solver returns, all with
-        Re k >= 0; the DtN solver is given the window and ``seed``, and
-        computes only the pairs inside the window.  An LS context is solved on
+        Re k >= 0, and their solvers are given the window: the DtN solver,
+        given ``seed`` too, computes only the pairs inside it, and the PML
+        solver computes every eigenvalue but unfolds the vectors of those
+        inside it alone.  An LS context is solved on
         the ellipse inscribed in the window's part with Re k >= 0, with 64
         nodes and 24 probe columns, placed by :func:`~helmres.eigen.window_contour`
         as the DtN contour is: the mirror image -conj k of each pair there is
@@ -273,7 +278,7 @@ class Discretization:
         if isinstance(op, DtnMatrices):
             return solve_dtn(op, window=cfg.window, rng=cfg.seed)
         if isinstance(op, PmlMatrices):
-            return solve_pml(op)
+            return solve_pml(op, window=cfg.window)
         if cfg.window is None:
             raise ValueError("the ls formulation needs --window to place its contour")
         contour = window_contour(cfg.window, 1.0, 64, 24)
@@ -418,7 +423,7 @@ def emit_outputs(report: RunReport) -> list[str]:
     """
     cfg = report.config
     path = os.path.join(cfg.out_dir, "eigenvalues.csv")
-    _write_csv(path, _ROW_COLUMNS, map(dataclasses.astuple, report.rows))
+    _write_csv(path, _ROW_COLUMNS, map(_row_cells, report.rows))
     written = [path]
 
     path = os.path.join(cfg.out_dir, "run.json")
@@ -567,7 +572,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for i in range(args.steps):
         step = dataclasses.replace(cfg, **{field: getattr(cfg, field) + i})
         report = run_pipeline(step)
-        rows += [(step.degree, step.refinements, *dataclasses.astuple(row))
+        rows += [(step.degree, step.refinements, *_row_cells(row))
                  for row in report.rows]
         print(f"p = {step.degree}  h = {step.initial_cell_size / 2 ** step.refinements:.6g}"
               f"  {len(report.rows)} row(s)")

@@ -11,7 +11,8 @@
   returning every principal root k = sqrt(lambda),
 * a complex Newton scalar root finder,
 * a Beyn-style contour-integral solver for matrix-valued analytic T(k),
-* smallest singular values for pseudospectrum maps.
+* smallest singular values for pseudospectrum maps, a block's SVD skipped
+  where a shifted Cholesky proves its s_min larger than the least so far.
 
 Every solver works on the parity blocks of its matrices (see
 :class:`~helmres.mesh_fe.ParityBlock`): one eigenproblem per block, each about
@@ -133,12 +134,19 @@ class ProbeTooSmallError(RuntimeError):
     """Numerical rank of the zeroth contour moment saturated the probe width."""
 
 
-def _block_pairs(found, space) -> list[EigenPair]:
+def _block_pairs(found, space, window=None) -> list[EigenPair]:
     """The pairs of every block, unfolded into DOF vectors, labelled with the
     block's parity and sorted by (Re k, Im k): ``found`` holds (block, ks,
-    block vectors)."""
-    pairs = [EigenPair(k=complex(k), vector=vec, space=space, parity=block.parity)
-             for block, ks, vecs in found for k, vec in zip(ks, block.unfold(vecs).T)]
+    block vectors).  Given a window, the eigenvalues outside it are dropped
+    before any vector is unfolded."""
+    pairs = []
+    for block, ks, vecs in found:
+        ks = np.asarray(ks)
+        if window is not None:
+            keep = [j for j, k in enumerate(ks) if in_window(complex(k), window)]
+            ks, vecs = ks[keep], vecs[:, keep]
+        pairs += [EigenPair(k=complex(k), vector=vec, space=space, parity=block.parity)
+                  for k, vec in zip(ks, block.unfold(vecs).T)]
     pairs.sort(key=lambda pr: (pr.k.real, pr.k.imag))
     return pairs
 
@@ -445,15 +453,12 @@ def solve_dtn(mats, window=None, rng=None) -> list[EigenPair]:
             except (np.linalg.LinAlgError, FloatingPointError):
                 roots = None
         found.append((block, *(_dtn_companion(a, m, e, static) if roots is None else roots)))
-    pairs = _block_pairs(found, mats.space)
-    if window is not None:
-        pairs = [pr for pr in pairs if in_window(pr.k, window)]
-    return pairs
+    return _block_pairs(found, mats.space, window)
 
 
-def solve_pml(mats) -> list[EigenPair]:
+def solve_pml(mats, window=None) -> list[EigenPair]:
     """All eigenpairs of At xi = lambda Mt xi with k the principal sqrt of lambda,
-    sorted by (Re k, Im k).
+    sorted by (Re k, Im k); given a window, only those inside it.
 
     Mt has the SPD Hermitian part int n^2 phi phi (Re alpha = 1), so it is
     invertible, and each parity block is solved as the standard eigenproblem
@@ -466,7 +471,7 @@ def solve_pml(mats) -> list[EigenPair]:
     for block, (a_tilde, m_tilde) in zip(mats.blocks, mats.folded):
         lam, vecs = np.linalg.eig(np.linalg.solve(m_tilde, a_tilde))
         found.append((block, np.sqrt(lam.astype(complex)), vecs))
-    return _block_pairs(found, mats.space)
+    return _block_pairs(found, mats.space, window)
 
 
 def newton_root(f, guess: complex, tol: float = 1e-12, max_iter: int = 60) -> complex:
@@ -624,14 +629,59 @@ def solve_contour(t_fun, cfg: ContourConfig, blocks, rng,
 
 def smallest_singular_value(blocks) -> float:
     """s_min of a block diagonal complex matrix given as the list of its blocks:
-    the least over the blocks, through dense SVDs."""
-    values = []
+    the least over the blocks, the first taken by a dense SVD and each other
+    one by its own SVD unless :func:`_least_singular_value` proves its s_min
+    larger."""
+    return _least_singular_value(blocks, 0)[0]
+
+
+def _least_singular_value(blocks, first: int) -> tuple[float, int]:
+    """s_min of a block diagonal complex matrix and the block that holds it.
+
+    Block ``first`` gets a dense SVD, and its s_min is the one to beat.  Every
+    other block M, of order n, then gets its SVD only when a Cholesky of
+
+        G = M^H M - (s^2 + delta) I,   delta = 4 n^2 eps ||M||_F^2,
+
+    with s the least s_min so far and eps the machine epsilon, fails, or
+    when s^2 + delta is not finite; the smaller value wins.  The Gram product
+    and the Cholesky have backward errors gamma_n ||M||_F^2 and gamma_{n+1}
+    ||M||_F^2 (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2002, ch. 10), so a Cholesky that succeeds proves s_min(M) - s >
+    (2n^2 - n - 1) u ||M||_F, far above the O(n u ||M||_2) error of the
+    SVD: the SVD of that block would not have come out below s, and the
+    value returned is, bit for bit, the least SVD value over all blocks.
+    Every block is checked to be finite before any SVD.
+    """
+    blocks = list(blocks)
     for m in blocks:
         if m.size == 0:
             raise ValueError("matrix is empty")
         if not np.isfinite(m).all():
             raise ValueError("matrix has non-finite entries")
-        values.append(np.linalg.svd(m, compute_uv=False)[-1])
-    if not values:
+    if not blocks:
         raise ValueError("matrix is empty")
-    return float(min(values))
+    least, held = np.linalg.svd(blocks[first], compute_uv=False)[-1], first
+    for b, m in enumerate(blocks):
+        if b != first and not _above(m, least):
+            value = np.linalg.svd(m, compute_uv=False)[-1]
+            if value < least:
+                least, held = value, b
+    return float(least), held
+
+
+def _above(m: np.ndarray, s: float) -> bool:
+    """Whether a Cholesky of M^H M - (s^2 + delta) I proves s_min(M) above s beyond
+    the rounding of its SVD (see :func:`_least_singular_value`)."""
+    n = max(m.shape)
+    with np.errstate(over="ignore", invalid="ignore"):  # a shift that overflows proves nothing
+        gram = m.conj().T @ m
+        shift = s * s + 4.0 * n * n * np.finfo(float).eps * np.trace(gram).real
+    if not np.isfinite(shift):
+        return False
+    gram.ravel()[::gram.shape[1] + 1] -= shift
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True

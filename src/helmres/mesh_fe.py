@@ -40,6 +40,16 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def sorted_union(*arrays) -> np.ndarray:
+    """The distinct values of the arrays, sorted: what ``np.union1d`` gives for
+    finite floats, without the ``numpy.ma`` import that ``np.unique`` makes on
+    first use."""
+    values = np.sort(np.concatenate([np.ravel(a) for a in arrays]))
+    keep = np.ones(values.size, dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
 @functools.lru_cache(maxsize=None)
 def gauss_lobatto_nodes(degree: int) -> np.ndarray:
     """The degree+1 Gauss-Lobatto points on [-1, 1], computed once per degree
@@ -148,7 +158,7 @@ def build_mesh(domain: tuple[float, float], breakpoints, initial_cell_size: floa
             raise ValueError(f"breakpoint {b} outside domain ({lo}, {hi})")
         if lo < b < hi:
             bps.append(b)
-    anchors = np.unique(np.concatenate(([lo, hi], bps)))
+    anchors = sorted_union([lo, hi], bps)
     verts = [lo]
     for a, b in zip(anchors[:-1], anchors[1:]):
         n = max(1, round((b - a) / initial_cell_size)) * 2**refinements
@@ -210,7 +220,7 @@ def cell_quadrature(space: MeshedSpace, order: int, edges=None):
     v = space.mesh.vertices
     edges = v if edges is None else np.asarray(edges, dtype=float)
     inner = v[(v > edges[0]) & (v < edges[-1])]
-    if not (np.array_equal(np.union1d(edges, inner), edges) and v[0] <= edges[0]
+    if not (np.array_equal(sorted_union(edges, inner), edges) and v[0] <= edges[0]
             and edges[-1] <= v[-1]):
         raise ValueError("edges must increase inside the mesh through every vertex between them")
     x, w = gauss_legendre(order)

@@ -9,6 +9,7 @@ from numpy.polynomial import polynomial as npoly
 from helmres import (BoundaryCondition, PmlConfig, air_filled_cavity_profile,
                      assemble_dtn, assemble_pml, assemble_resonator_mass, build_mesh,
                      build_space, bump_profile, sigma_eval, slab_profile)
+from helmres.assembly import _assemble
 from helmres.mesh_fe import cell_quadrature
 
 
@@ -224,3 +225,27 @@ def test_resonator_mass_on_dirichlet_space_drops_the_ends():
     free = assemble_resonator_mass(build_space(mesh, 4))
     pinned = assemble_resonator_mass(build_space(mesh, 4, BoundaryCondition.DIRICHLET_BOTH_ENDS))
     np.testing.assert_array_equal(pinned, free[1:-1, 1:-1])
+
+
+@pytest.mark.parametrize("case", ["pml", "dtn", "p1"])
+def test_assemble_equals_adding_the_cells_one_by_one(case):
+    # the two-pass scatter against one += per entry of each cell in cell order
+    if case == "pml":
+        space = _space((-5, 5), _PML_BPS, 0.5, 3, BoundaryCondition.DIRICHLET_BOTH_ENDS)
+        xq, wq, _, basis, _ = cell_quadrature(space, 8)
+        weights = wq / (1.0 + 1j * sigma_eval(_PML, xq))
+    else:
+        med = air_filled_cavity_profile(1.5, math.sqrt(3.5), math.sqrt(2.5))
+        space = _space((-2, 2), med.breakpoints, 0.25, 5 if case == "dtn" else 1)
+        xq, wq, basis, _, _ = cell_quadrature(space, 8)
+        weights = wq * med.n(xq) ** 2
+    local = (np.swapaxes(basis, -1, -2) * weights[:, None, :]) @ basis
+    n = space.dof_count
+    expected = np.zeros((n + 1, n + 1), dtype=local.dtype)
+    for dofs, cell in zip(space.cell_dofs, local):
+        for i, row in enumerate(dofs):
+            for j, col in enumerate(dofs):
+                expected[row, col] += cell[i, j]
+    got = _assemble(space, basis, weights)
+    assert got.dtype == local.dtype and np.iscomplexobj(got) == (case == "pml")
+    assert got.tobytes() == expected[:n, :n].tobytes()

@@ -13,7 +13,7 @@ from helmres import assemble_dtn, solve_dtn, solve_pml
 from helmres import cli
 from helmres.cli import (PipelineStageError, ReportRow, RunConfig, RunReport, discretize,
                          emit_outputs, load_config, main, run_pipeline)
-from helmres.eigen import smallest_singular_value
+from helmres.eigen import in_window, smallest_singular_value
 from helmres.media import MediumProfile
 
 K1 = math.pi / 4 - 1j * math.log(3.0) / 4
@@ -132,7 +132,19 @@ def test_dtn_map_dips_at_the_static_mode():
 def test_solve_returns_every_pair_the_solver_does_not_drop(config):
     disc = discretize(RunConfig(**config))
     solver = solve_dtn if config["formulation"] == "dtn" else solve_pml
-    assert [pr.k for pr in disc.solve()] == [pr.k for pr in solver(disc.operator)]
+    pairs = solver(disc.operator, window=disc.config.window)
+    assert [pr.k for pr in disc.solve()] == [pr.k for pr in pairs]
+
+
+def test_a_windowed_pml_solve_unfolds_the_window_pairs_alone():
+    # the same pairs, bit for bit, as every pair filtered afterwards, but only the
+    # vectors of the 47 in the window are unfolded and normalized
+    disc = discretize(RunConfig(**_BENCH_PML, window=(0.0, 13.5, -2.0, 0.0)))
+    every = solve_pml(disc.operator)
+    inside = [pr for pr in every if in_window(pr.k, disc.config.window)]
+    assert (len(every), len(inside)) == (199, 47)
+    assert [(pr.k, pr.parity, pr.vector.tobytes()) for pr in disc.solve()] \
+        == [(pr.k, pr.parity, pr.vector.tobytes()) for pr in inside]
 
 
 def test_deep_pml_window_reports_every_eigenvalue_of_the_qz_oracle():

@@ -450,6 +450,57 @@ def test_smallest_singular_value():
         smallest_singular_value([np.array([[np.nan, 0.0], [0.0, 1.0]])])
 
 
+def _two_block_cases(seed):
+    """Pairs of complex blocks: random ones of spread sizes and scales; pairs with
+    the same singular values in other singular vectors, whose computed s_min
+    agree to about 1e-14 relative; and pairs with a block whose s_min is 0."""
+    rng = np.random.default_rng(seed)
+
+    def gaussian(n):
+        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+    def unitary(n):
+        return np.linalg.qr(gaussian(n))[0]
+
+    cases = []
+    for _ in range(30):
+        sizes = rng.integers(1, 20, size=2)
+        cases.append([10.0 ** rng.uniform(-3, 3) * gaussian(n) for n in sizes])
+    for _ in range(10):
+        n = int(rng.integers(2, 20))
+        values = np.sort(10.0 ** rng.uniform(0, 1, n))[::-1]
+        cases.append([(unitary(n) * values) @ unitary(n), (unitary(n) * values) @ unitary(n)])
+    zero = np.diag(np.array([3.0, 0.0, 1.0, 2.0], dtype=complex))
+    cases += [[zero, gaussian(5)], [gaussian(5), zero], [zero, zero]]
+    return cases
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_least_singular_value_is_the_least_block_svd_bit_for_bit(seed):
+    least, ties = [], 0
+    for blocks in _two_block_cases(seed):
+        svds = [np.linalg.svd(m, compute_uv=False)[-1] for m in blocks]
+        least.append(min(svds))
+        for first in (0, 1):
+            value, held = eigen._least_singular_value(blocks, first)
+            assert value == min(svds) and svds[held] == value
+        assert smallest_singular_value(blocks) == min(svds)
+        if abs(svds[0] - svds[1]) <= 1e-14 * max(svds) and 0.0 not in svds:
+            # a near tie: neither block may be proved larger than the other
+            ties += 1
+            assert not eigen._above(blocks[1], svds[0])
+            assert not eigen._above(blocks[0], svds[1])
+    assert ties >= 8 and 0.0 in least
+
+
+def test_a_block_whose_gram_overflows_gets_its_svd():
+    # ||M||_F^2 is not finite, so nothing is proved and the SVD decides
+    big = np.diag([1e200, 2e200]).astype(complex)
+    assert not eigen._above(big, 1.0)
+    assert smallest_singular_value([np.eye(2), big]) == 1.0
+    assert smallest_singular_value([big, 3e199 * np.eye(2)]) == 3e199
+
+
 @pytest.mark.parametrize("formulation", ["dtn", "pml", "ls"])
 @pytest.mark.parametrize("problem", ["slab", "air_cavity", "bump"])
 def test_block_singular_values_equal_the_full_t(problem, formulation):

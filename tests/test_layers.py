@@ -1,6 +1,6 @@
 """Module layering: imports point down the stack, file I/O and formulation names
 stay in the command-line module, where only ``discretize`` reads the formulation,
-and the package runs on numpy alone."""
+the package runs on numpy alone, and a DtN run does not load ``numpy.ma``."""
 
 import ast
 import json
@@ -17,6 +17,10 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "helmres"
 # README's "Modules, bottom to top"
 ORDER = ("mesh_fe", "media", "assembly", "eigen", "reference", "lippmann", "cli")
 FORMULATION_NAMES = {"dtn", "pml", "ls"}
+# np.unique imports numpy.ma on first use, and np.union1d goes through it (mesh_fe's
+# sorted_union replaces both); np.add.at is the unbuffered scatter that assembly's
+# two passes replace
+SLOW_NUMPY_CALLS = {"np.add.at", "np.unique", "np.union1d"}
 # one small slab run of each formulation, a dtn and a pml grid, and a sweep: every
 # operator's T(k) runs without scipy (the ls one in the solve --pseudo run)
 NUMPY_ONLY_RUNS = (
@@ -159,3 +163,24 @@ def test_importing_the_cli_leaves_scipy_unloaded():
                           env=_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_module_calls_unique_union_or_add_at(module):
+    found = [(node.lineno, ast.unparse(node.func)) for node in ast.walk(_tree(module))
+             if isinstance(node, ast.Call)
+             and ast.unparse(node.func).replace("numpy.", "np.") in SLOW_NUMPY_CALLS]
+    assert found == []
+
+
+def test_a_dtn_solve_leaves_numpy_ma_unloaded(tmp_path):
+    argv = ["solve", "--problem", "air_cavity", "--formulation", "dtn", "--p", "4", "--h", "0.5",
+            "--d", "2", "--window", "0", "6", "-2", "0", "--out", str(tmp_path)]
+    script = ("import io, json, sys, contextlib; from helmres.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = main(json.loads(sys.argv[1]))\n"
+              "print(code, 'numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
+                          env=_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]

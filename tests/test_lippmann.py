@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import pathlib
 import warnings
 
 import numpy as np
@@ -14,11 +15,12 @@ from helmres import (BoundaryCondition, ContourConfig, EigenPair, LsContext, Med
                      evaluate_function, filter_epsilon, filter_epsilons, pseudospectrum,
                      slab_dtn_eigenvalues, slab_profile, smallest_singular_value, solve_contour,
                      solve_dtn)
-from helmres import lippmann
+from helmres import cli, lippmann
 from helmres.mesh_fe import cell_quadrature
 from helmres.cli import RunConfig, discretize, write_grid_csv
 
 K1 = math.pi / 4 - 1j * math.log(3.0) / 4
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def _unit_pair(ctx, k, seed=0):
@@ -683,6 +685,61 @@ def test_pseudospectrum_resolvent_grows_into_lower_half_plane():
                                 initial_cell_size=0.5, d=2.0))
     col = pseudospectrum(disc.operator.t, (2.0, 2.0, -3.0, -0.5), (1, 8))[:, 0]
     assert np.all(np.diff(col) > 0)  # s_min shrinks as Im k decreases
+
+
+def _count_svds(monkeypatch):
+    """The order of every matrix handed to np.linalg.svd from now on."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(m, *args, **kwargs):
+        calls.append(m.shape[0])
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def test_ls_cavity_grid_proves_most_second_blocks_larger(monkeypatch):
+    # the benchmark's seed-1 grid: 108 points of two blocks, where the block that
+    # holds s_min changes with Re k and hardly with Im k
+    argv = json.loads((GOLDEN / "ls-cavity-1" / "argv.json").read_text(encoding="utf-8"))
+    cfg = cli.build_config(cli._parser().parse_args(argv))
+    t = discretize(cfg).operator.t
+    calls = _count_svds(monkeypatch)
+    pseudospectrum(t, cfg.window, cfg.pseudo_resolution)
+    assert len(calls) <= 130
+
+
+def test_deep_plane_grid_takes_every_svd(monkeypatch):
+    # T(k) is rounding there, and no certificate holds: all 12 x 2 blocks get an SVD
+    t = discretize(RunConfig(problem="air_cavity", formulation="ls", degree=4,
+                             initial_cell_size=0.5)).operator.t
+    calls = _count_svds(monkeypatch)
+    pseudospectrum(t, (0.0, 6.0, -30.0, -10.0), (4, 3))
+    assert len(calls) == 24
+
+
+def test_one_block_grid_takes_one_svd_per_point(monkeypatch):
+    ctx = build_ls_context(_off_centre_medium(), 4, 0.5)
+    calls = _count_svds(monkeypatch)
+    pseudospectrum(ctx.t, (0.5, 3.0, -1.0, 0.0), (4, 3))
+    assert calls == [ctx.space.dof_count] * 12
+
+
+def test_pseudospectrum_names_a_non_finite_block_it_would_not_decompose(monkeypatch):
+    # the second block is far from singular, so it is proved larger at every point,
+    # yet a NaN in it is still found and reported with its k
+    def t(k):
+        return [np.diag([1.0, abs(k - 1.5)]).astype(complex),
+                np.full((2, 2), np.nan) if k == 2.0 else 10.0 * np.eye(2)]
+
+    calls = _count_svds(monkeypatch)
+    np.testing.assert_allclose(pseudospectrum(t, (1.0, 3.0, 0.0, 0.0), (2, 1)), [[0.5, 1.0]],
+                               rtol=1e-15)
+    assert len(calls) == 2
+    with pytest.raises(ValueError, match=r"T\(k\) at k = 2\+0j: matrix has non-finite"):
+        pseudospectrum(t, (1.0, 3.0, 0.0, 0.0), (3, 1))
 
 
 def test_pseudospectrum_validation():
