@@ -1,9 +1,9 @@
 """End-to-end pipelines and the command-line interface.
 
 A run is configured by a :class:`RunConfig`, whose field annotations are
-its type checks, executed by :func:`run_pipeline` (discretize, solve, window,
-filter, match against references, optional s_min grid over the configured
-window), and persisted by :func:`emit_outputs`.  Each eigenvalue is one
+its type checks, executed by :func:`run_pipeline` (discretize, solve, filter,
+match against references, optional s_min grid over the configured window), and
+persisted by :func:`emit_outputs`.  Each eigenvalue is one
 :class:`ReportRow`, whose fields are the columns of eigenvalues.csv.
 :func:`discretize` is the one place a configuration becomes a mesh and an
 operator: the DtN or PML matrices, or the LS context.  Each operator gives its
@@ -48,7 +48,7 @@ import numpy as np
 
 from . import __version__
 from .assembly import DtnMatrices, PmlMatrices, assemble_dtn, assemble_pml
-from .eigen import EigenPair, in_window, solve_contour, solve_dtn, solve_pml, window_contour
+from .eigen import EigenPair, solve_contour, solve_dtn, solve_pml
 from .lippmann import LsContext, build_ls_context, filter_epsilons, pseudospectrum
 from .media import MediumProfile, PmlConfig, air_filled_cavity_profile, bump_profile, \
     critical_angle, slab_profile
@@ -263,16 +263,13 @@ class Discretization:
     def solve(self) -> list[EigenPair]:
         """Eigenpairs sorted by (Re k, Im k).
 
-        The matrix sets return every pair their solver returns, all with
-        Re k >= 0, and their solvers are given the window: the DtN solver,
-        given ``seed`` too, computes only the pairs inside it, and the PML
-        solver computes every eigenvalue but unfolds the vectors of those
-        inside it alone.  An LS context is solved on
-        the ellipse inscribed in the window's part with Re k >= 0, with 64
-        nodes and 24 probe columns, placed by :func:`~helmres.eigen.window_contour`
-        as the DtN contour is: the mirror image -conj k of each pair there is
-        one too, and a window with no such part has no pairs.  Both contours
-        draw one probe per block, in block order, from ``seed``.
+        Every solver is given the window and returns only the pairs inside
+        it, all with Re k >= 0: the DtN solver, given ``seed`` too, computes
+        only those, the PML solver computes every eigenvalue but unfolds the
+        vectors of those alone, and an LS context, which needs a window, is
+        solved on the contour that :func:`~helmres.eigen.solve_contour` places
+        in it.  Both contours draw one probe per block, in block order, from
+        ``seed``.
         """
         op, cfg = self.operator, self.config
         if isinstance(op, DtnMatrices):
@@ -281,10 +278,7 @@ class Discretization:
             return solve_pml(op, window=cfg.window)
         if cfg.window is None:
             raise ValueError("the ls formulation needs --window to place its contour")
-        contour = window_contour(cfg.window, 1.0, 64, 24)
-        if contour is None:
-            return []
-        return solve_contour(op.t, contour, op.blocks, cfg.seed, space=op.space)
+        return solve_contour(op.t, op.blocks, cfg.window, cfg.seed, space=op.space)
 
 
 def _ls_context(cfg: RunConfig, medium: MediumProfile) -> LsContext:
@@ -320,12 +314,6 @@ def _stage(name: str, fn, *args):
         raise PipelineStageError(name, exc) from exc
 
 
-def _window_stage(cfg: RunConfig, pairs):
-    if cfg.window is None:
-        return list(pairs)
-    return [p for p in pairs if in_window(p.k, cfg.window)]
-
-
 def _filter_stage(disc: Discretization, pairs) -> list[float]:
     """eps of every pair, from one batched call; inf where the filter cannot test it."""
     return filter_epsilons(disc.ls_context, pairs).tolist()
@@ -348,14 +336,13 @@ def _grid_stage(disc: Discretization) -> np.ndarray:
 
 
 def run_pipeline(cfg: RunConfig) -> RunReport:
-    """discretize -> solve -> window -> filter -> match references -> s_min grid.
+    """discretize -> solve -> filter -> match references -> s_min grid.
 
     The grid stage runs only when ``cfg.pseudo_resolution`` is set.
     """
     start = time.perf_counter()
     disc = _stage("setup", discretize, cfg)
     pairs = _stage("solve", disc.solve)
-    pairs = _stage("window", _window_stage, cfg, pairs)
     epsilons = _stage("filter", _filter_stage, disc, pairs) if cfg.apply_filter else None
     rows = _stage("report", _report_stage, disc, pairs, epsilons)
     grid = (_stage("pseudospectrum", _grid_stage, disc)

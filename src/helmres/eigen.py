@@ -10,7 +10,8 @@
 * dense solve of the PML pencil At xi = lambda Mt xi as that of Mt^-1 At,
   returning every principal root k = sqrt(lambda),
 * a complex Newton scalar root finder,
-* a Beyn-style contour-integral solver for matrix-valued analytic T(k),
+* a Beyn-style contour-integral solver for matrix-valued analytic T(k) on the
+  contour it places in a window, returning the eigenvalues inside the window,
 * smallest singular values for pseudospectrum maps, a block's SVD skipped
   where a shifted Cholesky proves its s_min larger than the least so far.
 
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,6 +63,13 @@ _POLISH_STEPS = 4
 _REFINE_STEPS = 1
 _BACKWARD_ERROR = 1e-14
 
+# The LS contour (see solve_contour): the ellipse inscribed in the window's part
+# with Re k >= 0, not widened.  Every built-in medium is real, so the mirror image
+# -conj k of each mode is one too, which a contour across the axis would report as
+# a row of its own; a window with no width right of the axis has no pairs.
+_LS_NODES = 64
+_LS_PROBE = 24
+
 
 @dataclass(frozen=True, eq=False)
 class EigenPair:
@@ -85,40 +94,19 @@ class EigenPair:
         object.__setattr__(self, "vector", vec / nrm)
 
 
-@dataclass(frozen=True, eq=False)
-class ContourConfig:
-    """Elliptic contour and solver knobs for the contour-integral method.
-
-    ``radius`` is the real semi-axis; ``radius_im`` defaults to a circle.
-    ``quadrature_nodes`` is even: every other node is the half rule that checks
-    the moments.  ``probe_columns`` must be at least the number of eigenvalues
-    expected inside, with slack so that rank saturation is detectable.
-    """
+class _Contour(NamedTuple):
+    """The ellipse of :func:`window_contour`: centre, semi-axes, trapezoid node count
+    (every other node is the half rule that checks the moments) and probe width."""
 
     center: complex
-    radius: float
-    quadrature_nodes: int = 32
-    probe_columns: int = 16
-    radius_im: float | None = None
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError(f"contour radius must be positive, got {self.radius}")
-        if self.radius_im is not None and self.radius_im <= 0:
-            raise ValueError(f"imaginary semi-axis must be positive, got {self.radius_im}")
-        if self.quadrature_nodes < 8 or self.quadrature_nodes % 2:
-            raise ValueError(f"need an even node count >= 8, got {self.quadrature_nodes}")
-        if self.probe_columns < 1:
-            raise ValueError("probe_columns must be positive")
-
-    @property
-    def semi_axes(self) -> tuple[float, float]:
-        return (self.radius, self.radius_im if self.radius_im is not None else self.radius)
+    rx: float
+    ry: float
+    nodes: int
+    probe: int
 
     def contains(self, z: complex, tol: float = 0.0) -> bool:
-        rx, ry = self.semi_axes
         w = z - self.center
-        return (w.real / rx) ** 2 + (w.imag / ry) ** 2 <= 1.0 + tol
+        return (w.real / self.rx) ** 2 + (w.imag / self.ry) ** 2 <= 1.0 + tol
 
 
 class NewtonConvergenceError(RuntimeError):
@@ -159,7 +147,7 @@ def in_window(k: complex, window, slack: float = 0.0) -> bool:
             and im_min - slack <= k.imag <= im_max + slack)
 
 
-def window_contour(window, widen: float, nodes: int, probe: int) -> ContourConfig | None:
+def window_contour(window, widen: float, nodes: int, probe: int) -> _Contour | None:
     """The contour of a window: the ellipse inscribed in the window's part with
     Re k >= 0, its semi-axes times ``widen``, with ``nodes`` quadrature nodes and
     ``probe`` columns; None when that part has no width."""
@@ -167,10 +155,9 @@ def window_contour(window, widen: float, nodes: int, probe: int) -> ContourConfi
     re_min = max(re_min, 0.0)
     if re_min >= re_max:
         return None
-    return ContourConfig(center=complex(0.5 * (re_min + re_max), 0.5 * (im_min + im_max)),
-                         radius=widen * 0.5 * (re_max - re_min),
-                         radius_im=widen * 0.5 * (im_max - im_min),
-                         quadrature_nodes=nodes, probe_columns=probe)
+    return _Contour(complex(0.5 * (re_min + re_max), 0.5 * (im_min + im_max)),
+                    widen * 0.5 * (re_max - re_min), widen * 0.5 * (im_max - im_min),
+                    nodes, probe)
 
 
 def _dtn_companion(a: np.ndarray, m: np.ndarray, e: np.ndarray, static: bool):
@@ -188,14 +175,14 @@ def _dtn_companion(a: np.ndarray, m: np.ndarray, e: np.ndarray, static: bool):
     return 1j * lam[keep], vecs[:n, keep]
 
 
-def _dtn_contour(a, m, e, chol, cfg: ContourConfig, window, probe, static: bool):
+def _dtn_contour(a, m, e, chol, cfg: _Contour, window, probe, static: bool):
     """The eigenvalues k of one block in ``window``, with Re k >= 0, and their block
     vectors, by Beyn's method on the eigh-reduced T(k), without the static mode k = 0
     when the block holds it (``static``); None when the block must be solved by the
     companion (see :func:`solve_dtn`)."""
     n, cols = probe.shape
     rows = np.flatnonzero(np.any(e != 0.0, axis=1))
-    if cols < cfg.probe_columns or not 0 < rows.size <= cols:
+    if cols < cfg.probe or not 0 < rows.size <= cols:
         return None
     linv = np.linalg.inv(chol)
     mu, v = np.linalg.eigh(linv @ a @ linv.T)
@@ -222,7 +209,7 @@ def _dtn_contour(a, m, e, chol, cfg: ContourConfig, window, probe, static: bool)
 
     # the roots of a real block come in mirror pairs {k, -conj k}: keep the member with
     # Re k > 0, and take a root whose mirror is inside but has no partner as on the axis
-    tol = np.sqrt(_RANK_TOLERANCE) * max(cfg.semi_axes)
+    tol = np.sqrt(_RANK_TOLERANCE) * max(cfg.rx, cfg.ry)
     kept = []  # (k, on the axis)
     for j, k in enumerate(ks):
         mirror = -np.conj(k)
@@ -338,8 +325,8 @@ def _polish_group(lam, am, rows, e_rr, w, mu):
         disc = c1 * c1 - 4.0 * c2 * c0
         root = np.sqrt(disc if np.iscomplexobj(disc) else np.maximum(disc, 0.0))
         q = -0.5 * np.where((np.conj(c1) * root).real >= 0, c1 + root, c1 - root)
-        if not (np.all(np.isfinite(q)) and np.all(q != 0) and np.all(np.isfinite(xa))):
-            return None
+        # solve_dtn's errstate must hold: a non-finite xa or q raises where it is
+        # made, and q = 0 at c0 / q, each sending the block to the companion
         near, far = q / c2, c0 / q
         new = np.where(np.abs(near - la) <= np.abs(far - la), near, far)
         step = np.abs(new - la)
@@ -511,7 +498,7 @@ def _beyn_reduction(a0: np.ndarray, a1: np.ndarray, term: float):
     return lam, ur @ svecs, rank
 
 
-def _half_rule_change(full, half, cfg: ContourConfig) -> float:
+def _half_rule_change(full, half, cfg: _Contour) -> float:
     """The largest distance from an eigenvalue of the full rule inside the contour
     to the nearest eigenvalue of the half rule, over the contour's size."""
     if full is None:
@@ -519,15 +506,14 @@ def _half_rule_change(full, half, cfg: ContourConfig) -> float:
     other = np.empty(0) if half is None else half[0]
     worst = max((np.min(np.abs(other - lam), initial=np.inf) for lam in full[0]
                  if cfg.contains(complex(lam), tol=1e-12)), default=0.0)
-    return worst / max(cfg.semi_axes)
+    return worst / max(cfg.rx, cfg.ry)
 
 
-def _ellipse_nodes(cfg: ContourConfig):
+def _ellipse_nodes(cfg: _Contour):
     """The trapezoid nodes z_j on the contour and the (4, nodes) weights of the
     moments A0, A1 and the half rule's: dz/dtheta and z dz/dtheta at each node,
     then both at every other node and zero at the rest."""
-    nq = cfg.quadrature_nodes
-    rx, ry = cfg.semi_axes
+    nq, rx, ry = cfg.nodes, cfg.rx, cfg.ry
     theta = 2.0 * np.pi * np.arange(nq) / nq
     zs = cfg.center + rx * np.cos(theta) + 1j * ry * np.sin(theta)
     dz = -rx * np.sin(theta) + 1j * ry * np.cos(theta)
@@ -535,12 +521,12 @@ def _ellipse_nodes(cfg: ContourConfig):
     return zs, np.stack((dz, dz * zs, dz * half, dz * zs * half))
 
 
-def _contour_block(moments, term: float, cfg: ContourConfig):
+def _contour_block(moments, term: float, cfg: _Contour):
     """One block's step from its moment sums sum_j dz_j z_j^p T(z_j)^-1 V, p = 0, 1,
     over all the contour's nodes and over every other node, to the eigenvalues
     inside the contour and their probe-space vectors (None for a zeroth moment of
     rank 0), the rank, and the half rule's change (see :func:`solve_contour`)."""
-    nq = cfg.quadrature_nodes
+    nq = cfg.nodes
     full = _beyn_reduction(moments[0] / (1j * nq), moments[1] / (1j * nq), term)
     half = _beyn_reduction(moments[2] / (1j * (nq // 2)), moments[3] / (1j * (nq // 2)), term)
     change = _half_rule_change(full, half, cfg)
@@ -551,11 +537,14 @@ def _contour_block(moments, term: float, cfg: ContourConfig):
     return (lam[inside], vecs[:, inside]), rank, change
 
 
-def solve_contour(t_fun, cfg: ContourConfig, blocks, rng,
-                  space: MeshedSpace | None = None):
-    """Beyn contour-integral eigensolver for analytic matrix functions T(z).
+def solve_contour(t_fun, blocks, window, rng, space: MeshedSpace | None = None):
+    """Eigenpairs of an analytic matrix function T(z) in ``window`` (re_min, re_max,
+    im_min, im_max) with Re k >= 0, by Beyn's contour-integral method.
 
-    ``t_fun(z)`` returns the list of the diagonal blocks of T(z), one per
+    The contour is the ellipse inscribed in the window's part with Re k >= 0, with
+    _LS_NODES trapezoid nodes and _LS_PROBE probe columns, placed by
+    :func:`window_contour` as the DtN contour is; a window with no such part has no
+    pairs.  ``t_fun(z)`` returns the list of the diagonal blocks of T(z), one per
     entry of ``blocks``, whose ``unfold`` maps block eigenvectors back into the
     DOF vectors of ``space``; a T(z) whose blocks do not match ``blocks`` in
     number and sizes is rejected.  Per block, trapezoid moments on the ellipse
@@ -566,25 +555,28 @@ def solve_contour(t_fun, cfg: ContourConfig, blocks, rng,
 
     then an SVD rank truncation of A0 at a relative 1e-10 reduces A1 to a
     small matrix whose eigenvalues are the T-eigenvalues inside the contour.
-    Eigenvalues outside are discarded.  A block has none inside when the
-    largest singular value of A0 is at most 1e-10 of the largest quadrature
-    term, max_j |w_j| max |T(z_j)^-1 V|: rounding at that scale is all that a
-    contour without eigenvalues leaves in A0.  The trapezoid rule on a closed
-    contour converges geometrically for analytic integrands, so the error of
-    the full rule is about the square of that of the half rule, every other
-    node.  The eigenvalues of the half rule's moments are compared with the
-    full ones inside the contour (Guettel & Tisseur, Acta Numer. 26, 2017,
-    sec. 5), and one warning names the block where they differ most, if by
-    more than sqrt(1e-10) of the contour's size.
+    Eigenvalues outside the contour or the window are discarded.  A block has
+    none inside when the largest singular value of A0 is at most 1e-10 of the
+    largest quadrature term, max_j |w_j| max |T(z_j)^-1 V|: rounding at that
+    scale is all that a contour without eigenvalues leaves in A0.  The
+    trapezoid rule on a closed contour converges geometrically for analytic
+    integrands, so the error of the full rule is about the square of that of
+    the half rule, every other node.  The eigenvalues of the half rule's
+    moments are compared with the full ones inside the contour (Guettel &
+    Tisseur, Acta Numer. 26, 2017, sec. 5), and one warning names the block
+    where they differ most, if by more than sqrt(1e-10) of the contour's size.
     """
     if rng is None:  # default_rng(None) would draw fresh entropy from the OS
         raise TypeError("rng must be a seed or a numpy Generator, not None")
+    cfg = window_contour(window, 1.0, _LS_NODES, _LS_PROBE)
+    if cfg is None:
+        return []
     rng = np.random.default_rng(rng)
-    nq = cfg.quadrature_nodes
+    nq = cfg.nodes
     zs, weights = _ellipse_nodes(cfg)
 
     sizes = [b.size for b in blocks]
-    probes = [rng.standard_normal((n, min(cfg.probe_columns, n))) for n in sizes]
+    probes = [rng.standard_normal((n, min(cfg.probe, n))) for n in sizes]
     # per block: A0, A1 and the same moments of the half rule
     moments = [np.zeros((4,) + probe.shape, dtype=complex) for probe in probes]
     peaks = [0.0] * len(probes)  # per block: the largest entry of any T(z_j)^-1 V
@@ -610,7 +602,7 @@ def solve_contour(t_fun, cfg: ContourConfig, blocks, rng,
         if rank == probe.shape[1]:
             name = block.parity or "single"
             hint = (f"the probe of {rank} columns is narrower than the {name} block of "
-                    f"{block.size} DOFs, so use a smaller window or raise probe_columns"
+                    f"{block.size} DOFs, so use a smaller window"
                     if rank < block.size else
                     f"the probe spans the {name} block of {block.size} DOFs, so use a "
                     "smaller window or a finer mesh")
@@ -622,9 +614,9 @@ def solve_contour(t_fun, cfg: ContourConfig, blocks, rng,
         name = block.parity or "single"
         warnings.warn(f"contour moments of the {name} block are under-resolved: halving the "
                       f"node count from {nq} to {nq // 2} moved the eigenvalues inside the "
-                      f"contour by {change:.2e} of its size; increase quadrature_nodes",
+                      f"contour by {change:.2e} of its size; use a smaller window",
                       RuntimeWarning, stacklevel=2)
-    return _block_pairs(found, space)
+    return _block_pairs(found, space, window)
 
 
 def smallest_singular_value(blocks) -> float:

@@ -11,11 +11,12 @@ import warnings
 
 import numpy as np
 
-from helmres import (BoundaryCondition, ContourConfig, air_filled_cavity_profile,
+from helmres import (BoundaryCondition, air_filled_cavity_profile,
                      assemble_dtn, build_ls_context, build_mesh, build_space,
                      collocation_matrix, filter_epsilon, filter_epsilons, pseudospectrum,
                      reference_table, slab_dtn_eigenvalues, slab_pml_eigenvalues,
                      slab_profile, solve_contour, solve_dtn)
+from helmres import eigen
 from helmres.cli import RunConfig, discretize, main
 
 _CAVITY = air_filled_cavity_profile(1.5, math.sqrt(3.5), math.sqrt(2.5))
@@ -156,23 +157,25 @@ def test_6_filter_separates_true_modes_from_spurious_by_an_order_of_magnitude():
                        f"{len(far)} far (min eps {min(far):.2e})")
 
 
-def test_7_contour_solver_returns_exact_eigenvalue_counts():
+def test_7_contour_solver_returns_exact_eigenvalue_counts(monkeypatch):
+    # the circle of radius 0.55 about 1.178 - 0.2747i, with 96 nodes and 16 columns
+    monkeypatch.setattr(eigen, "_LS_NODES", 96)
+    monkeypatch.setattr(eigen, "_LS_PROBE", 16)
     ctx = build_ls_context(_SLAB, 8, 0.25)
-    cfg = ContourConfig(center=1.178 - 0.2747j, radius=0.55, quadrature_nodes=96)
-    pairs = solve_contour(lambda z: collocation_matrix(ctx, z), cfg, rng=0,
-                          space=ctx.space, blocks=ctx.blocks)
+    pairs = solve_contour(lambda z: collocation_matrix(ctx, z), ctx.blocks,
+                          (0.628, 1.728, -0.8247, 0.2753), rng=0, space=ctx.space)
     slab_worst = max(min(abs(p.k - r) for r in _SLAB_REFS[1:3]) for p in pairs)
     slab_ok = len(pairs) == 2 and slab_worst < 1e-7
 
+    # the ellipse about 3.19125 - 0.3986i with semi-axes 1.70 and 0.09, with 64 nodes
     cavity_ctx = build_ls_context(_CAVITY, 12, 0.25)
-    cavity_cfg = ContourConfig(center=complex(3.19125, -0.3986), radius=1.70,
-                               radius_im=0.09, quadrature_nodes=64, probe_columns=16)
+    monkeypatch.setattr(eigen, "_LS_NODES", 64)
     # eigenvalues sit close to this flat contour, yet the half rule finds them too
     with warnings.catch_warnings():
         warnings.filterwarnings("error", message="contour moments")
         cavity_pairs = solve_contour(lambda z: collocation_matrix(cavity_ctx, z),
-                                     cavity_cfg, rng=7, space=cavity_ctx.space,
-                                     blocks=cavity_ctx.blocks)
+                                     cavity_ctx.blocks, (1.49125, 4.89125, -0.4886, -0.3086),
+                                     rng=7, space=cavity_ctx.space)
     targets = sorted(int(np.abs(_CAVITY_TABLE - p.k).argmin()) for p in cavity_pairs)
     cavity_worst = max(np.abs(_CAVITY_TABLE - p.k).min() for p in cavity_pairs)
     cavity_ok = len(cavity_pairs) == 2 and targets == [2, 6] and cavity_worst < 1e-6

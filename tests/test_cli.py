@@ -189,7 +189,9 @@ def test_dtn_cavity_rows_hardly_depend_on_the_seed(tmp_path):
 def test_windowed_slab_dtn_rows_are_the_companions(monkeypatch):
     # the p = 2 blocks are narrower than the probe, so the companion solves them
     windowed = run_pipeline(RunConfig(**_SLAB_DTN)).rows
-    monkeypatch.setattr(cli, "solve_dtn", lambda op, window, rng: solve_dtn(op))
+    # the stand-in returns only the companion's pairs in the window: no later stage filters
+    monkeypatch.setattr(cli, "solve_dtn", lambda op, window, rng: [
+        pr for pr in solve_dtn(op) if in_window(pr.k, window)])
     unwindowed = run_pipeline(RunConfig(**_SLAB_DTN)).rows
     assert windowed and list(map(dataclasses.astuple, windowed)) \
         == list(map(dataclasses.astuple, unwindowed))

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helmres import (BoundaryCondition, ContourConfig, DtnMatrices, EigenPair, MediumProfile,
+from helmres import (BoundaryCondition, DtnMatrices, EigenPair, MediumProfile,
                      NewtonConvergenceError, ParityBlock, PmlConfig, ProbeTooSmallError,
                      assemble_dtn, assemble_pml, build_ls_context,
                      build_mesh, build_space, collocation_matrix, newton_root, reference_table,
@@ -27,6 +27,18 @@ def _one_block(n):
     return (ParityBlock(parity=None, size=n, dof_count=n),)
 
 
+def _square(center, radius):
+    """The window whose inscribed ellipse is the circle of ``center`` and ``radius``."""
+    return (center.real - radius, center.real + radius,
+            center.imag - radius, center.imag + radius)
+
+
+def _ls_counts(monkeypatch, probe, nodes=32):
+    """The LS contour's probe and node counts for the rest of a test."""
+    monkeypatch.setattr(eigen, "_LS_NODES", nodes)
+    monkeypatch.setattr(eigen, "_LS_PROBE", probe)
+
+
 def _slab_dtn_mats(p, h, d=1.0):
     med = slab_profile(2.0, 1.0)
     bps = [-1.0, 1.0] if d > 1.0 else []
@@ -42,20 +54,13 @@ def test_eigenpair_normalizes_vector():
         EigenPair(k=1.0 + 0j, vector=np.zeros(2))
 
 
-def test_contour_config_validation():
-    with pytest.raises(ValueError):
-        ContourConfig(center=0j, radius=0.0)
-    with pytest.raises(ValueError):
-        ContourConfig(center=0j, radius=1.0, quadrature_nodes=4)
-    with pytest.raises(ValueError, match="even"):
-        ContourConfig(center=0j, radius=1.0, quadrature_nodes=33)
-    with pytest.raises(ValueError, match="imaginary semi-axis"):
-        ContourConfig(center=0j, radius=1.0, radius_im=0.0)
-    with pytest.raises(ValueError):
-        ContourConfig(center=0j, radius=1.0, probe_columns=0)
-    cfg = ContourConfig(center=1.0 + 0j, radius=2.0, radius_im=0.5)
-    assert cfg.contains(1.0 + 0.49j)
-    assert not cfg.contains(1.0 + 0.51j)
+def test_window_contour_is_the_ellipse_inscribed_in_the_right_half_of_the_window():
+    for window in [(0.0, 2.0, -0.5, 0.5), (-3.0, 2.0, -0.5, 0.5)]:
+        contour = eigen.window_contour(window, 1.0, 64, 24)
+        assert contour.contains(1.0 + 0.49j)
+        assert not contour.contains(1.0 + 0.51j)
+        assert eigen.window_contour(window, 1.1, 64, 24).contains(1.0 + 0.51j)
+    assert eigen.window_contour((-3.0, 0.0, -0.5, 0.5), 1.0, 64, 24) is None
 
 
 def test_quadratic_pencil_residuals():
@@ -276,52 +281,58 @@ def test_newton_failures():
     assert err.value.residual > 0
 
 
-def test_contour_diagonal_case():
+def test_newton_stops_on_a_step_below_rounding():
+    # |f| never reaches tol = 0, so the step size ends the iteration
+    root = newton_root(lambda k: k * k - 2.0, 1.0, tol=0.0)
+    assert abs(root - math.sqrt(2.0)) <= 4 * np.finfo(float).eps
+
+
+def test_contour_diagonal_case(monkeypatch):
+    _ls_counts(monkeypatch, probe=2)
     t_fun = lambda z: [np.diag([z - 1.0, z + 2.0])]
-    cfg = ContourConfig(center=1.0 + 0j, radius=0.5, probe_columns=2)
-    pairs = solve_contour(t_fun, cfg, _one_block(2), rng=0)
+    pairs = solve_contour(t_fun, _one_block(2), _square(1.0, 0.5), rng=0)
     assert len(pairs) == 1
     assert abs(pairs[0].k - 1.0) < 1e-12
 
 
-def test_contour_empty_region():
+def test_contour_empty_region(monkeypatch):
+    _ls_counts(monkeypatch, probe=2)
     t_fun = lambda z: [np.diag([z - 1.0, z + 2.0])]
-    cfg = ContourConfig(center=10.0 + 0j, radius=0.5, probe_columns=2)
-    assert solve_contour(t_fun, cfg, _one_block(2), rng=0) == []
+    assert solve_contour(t_fun, _one_block(2), _square(10.0, 0.5), rng=0) == []
+    # a window with no width right of the axis places no contour
+    assert solve_contour(t_fun, _one_block(2), (-3.0, 0.0, -1.0, 1.0), rng=0) == []
 
 
-def test_contour_empty_region_with_rounding_above_the_absolute_tolerance():
+def test_contour_empty_region_with_rounding_above_the_absolute_tolerance(monkeypatch):
     # the rounding of A0 exceeds 1e-10, but not 1e-10 of the largest quadrature term
+    _ls_counts(monkeypatch, probe=2)
     t_fun = lambda z: [1e-8 * np.diag([z - 1.0, z + 2.0])]
-    cfg = ContourConfig(center=10.0 + 0j, radius=0.5, probe_columns=2)
-    assert solve_contour(t_fun, cfg, _one_block(2), rng=0) == []
+    assert solve_contour(t_fun, _one_block(2), _square(10.0, 0.5), rng=0) == []
 
 
-def test_contour_probe_saturation():
+def test_contour_probe_saturation(monkeypatch):
+    _ls_counts(monkeypatch, probe=3)
     t_fun = lambda z: [(z - 1.0) * np.eye(4)]
-    cfg = ContourConfig(center=1.0 + 0j, radius=0.5, probe_columns=3)
     with pytest.raises(ProbeTooSmallError, match="the probe of 3 columns is narrower than "
-                       "the single block of 4 DOFs, so use a smaller window or raise "
-                       "probe_columns"):
-        solve_contour(t_fun, cfg, _one_block(4), rng=0)
+                       "the single block of 4 DOFs, so use a smaller window$"):
+        solve_contour(t_fun, _one_block(4), _square(1.0, 0.5), rng=0)
 
 
 def test_contour_probe_needs_an_rng():
     t_fun = lambda z: [np.diag([z - 1.0, z + 2.0])]
-    cfg = ContourConfig(center=1.0 + 0j, radius=0.5, probe_columns=2)
     with pytest.raises(TypeError):
-        solve_contour(t_fun, cfg, _one_block(2))
-    with pytest.raises(TypeError, match="rng"):  # None would draw fresh OS entropy
-        solve_contour(t_fun, cfg, _one_block(2), None)
+        solve_contour(t_fun, _one_block(2), _square(1.0, 0.5))
+    # None would draw fresh OS entropy, and is rejected before any window is read
+    for window in [_square(1.0, 0.5), (-3.0, 0.0, -1.0, 1.0)]:
+        with pytest.raises(TypeError, match="rng"):
+            solve_contour(t_fun, _one_block(2), window, None)
 
 
 def test_contour_with_equal_seeds_is_bit_identical():
     # two unseeded calls on this contour returned k that differed by 1.2e-12
     op = discretize(RunConfig(problem="air_cavity", formulation="ls", degree=6,
                               initial_cell_size=0.25)).operator
-    cfg = ContourConfig(center=4.0 - 0.6j, radius=4.0, radius_im=0.6,
-                        quadrature_nodes=64, probe_columns=24)
-    first, second = (solve_contour(op.t, cfg, op.blocks, 7, space=op.space)
+    first, second = (solve_contour(op.t, op.blocks, (0.0, 8.0, -1.2, 0.0), 7, space=op.space)
                      for _ in range(2))
     assert len(first) >= 5
     assert [pr.k for pr in first] == [pr.k for pr in second]
@@ -329,39 +340,38 @@ def test_contour_with_equal_seeds_is_bit_identical():
         np.testing.assert_array_equal(a.vector, b.vector)
 
 
-def test_contour_saturating_a_whole_block_asks_for_a_smaller_window():
+def test_contour_saturating_a_whole_block_asks_for_a_smaller_window(monkeypatch):
+    _ls_counts(monkeypatch, probe=5)
     t_fun = lambda z: [(z - 1.0) * np.eye(4)]
-    cfg = ContourConfig(center=1.0 + 0j, radius=0.5, probe_columns=5)
     with pytest.raises(ProbeTooSmallError, match="spans the single block of 4 DOFs, "
                                                   "so use a smaller window or a finer mesh"):
-        solve_contour(t_fun, cfg, _one_block(4), rng=0)
+        solve_contour(t_fun, _one_block(4), _square(1.0, 0.5), rng=0)
 
 
-def test_contour_warns_when_under_resolved():
+def test_contour_warns_when_under_resolved(monkeypatch):
     # the eigenvector of the eigenvalue 1 inside also belongs to 1.9, just outside;
     # the rank-1 moments mix the two by weights that 8 trapezoid nodes cannot resolve
+    _ls_counts(monkeypatch, nodes=8, probe=2)
     t_fun = lambda z: [np.diag([(z - 1.0) * (z - 1.9), z + 1e6])]
-    cfg = ContourConfig(center=1.4 + 0j, radius=0.45, quadrature_nodes=8,
-                        probe_columns=2)
     with pytest.warns(RuntimeWarning, match=r"^contour moments of the single block are "
                       r"under-resolved: halving the node count from 8 to 4 moved the "
-                      r"eigenvalues inside the contour by 2\.04e-01 of its size;"):
-        solve_contour(t_fun, cfg, _one_block(2), rng=0)
+                      r"eigenvalues inside the contour by 2\.04e-01 of its size; "
+                      r"use a smaller window$"):
+        solve_contour(t_fun, _one_block(2), _square(1.4, 0.45), rng=0)
 
 
-def test_contour_does_not_warn_about_a_pole_near_it():
+def test_contour_does_not_warn_about_a_pole_near_it(monkeypatch):
     # one simple pole 0.05 inside: A0 changes by 62% when the nodes are halved, but
     # the trapezoid rule's eigenvalue is exact at any node count
+    _ls_counts(monkeypatch, nodes=8, probe=2)
     t_fun = lambda z: [np.diag([z - 1.0, z + 1e6])]
-    cfg = ContourConfig(center=1.4 + 0j, radius=0.45, quadrature_nodes=8,
-                        probe_columns=2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        pairs = solve_contour(t_fun, cfg, _one_block(2), rng=0)
+        pairs = solve_contour(t_fun, _one_block(2), _square(1.4, 0.45), rng=0)
     assert len(pairs) == 1 and abs(pairs[0].k - 1.0) < 1e-14
 
 
-def test_contour_warns_once_and_names_the_block():
+def test_contour_warns_once_and_names_the_block(monkeypatch):
     # nodes -1, -0.5, 0, 0.5, 1: the even block has 3 DOFs, the odd one 2
     blocks = parity_blocks(build_space(build_mesh((-1.0, 1.0), [], 0.5), 1), True)
     assert [b.size for b in blocks] == [3, 2]
@@ -370,9 +380,9 @@ def test_contour_warns_once_and_names_the_block():
     # by 1.7e-1), and that is the block the one warning names
     t_fun = lambda z: [np.diag([(z - 1.0) * (z - 1.95), z + 1e6, z + 2e6]),
                        np.diag([(z - 1.0) * (z - 1.88), z + 3e6])]
-    cfg = ContourConfig(center=1.4 + 0j, radius=0.45, quadrature_nodes=8, probe_columns=2)
+    _ls_counts(monkeypatch, nodes=8, probe=2)
     with pytest.warns(RuntimeWarning) as caught:
-        pairs = solve_contour(t_fun, cfg, rng=0, blocks=blocks)
+        pairs = solve_contour(t_fun, blocks, _square(1.4, 0.45), rng=0)
     assert len(caught) == 1
     assert str(caught[0].message).startswith("contour moments of the even block are "
                                              "under-resolved: halving the node count "
@@ -383,27 +393,27 @@ def test_contour_warns_once_and_names_the_block():
         assert pr.vector.shape == (5,)
 
 
-def test_contour_rejects_blocks_that_do_not_match_t():
+def test_contour_rejects_blocks_that_do_not_match_t(monkeypatch):
     # the even block has 3 DOFs and the eigenvalue 1, the odd one 2 DOFs and 1.1
+    _ls_counts(monkeypatch, probe=2)
     blocks = parity_blocks(build_space(build_mesh((-1.0, 1.0), [], 0.5), 1), True)
     t_fun = lambda z: [np.diag([z - 1.0, z + 2.0, z + 3.0]), np.diag([z - 1.1, z + 2.0])]
-    cfg = ContourConfig(center=1.0 + 0j, radius=0.5, probe_columns=2)
-    pairs = solve_contour(t_fun, cfg, blocks, rng=0)
+    pairs = solve_contour(t_fun, blocks, _square(1.0, 0.5), rng=0)
     np.testing.assert_allclose([pr.k for pr in pairs], [1.0, 1.1], atol=1e-12)
     assert [pr.parity for pr in pairs] == ["even", "odd"]
     # too few blocks would lose k = 1.1, and swapped ones would unfold into the wrong DOFs
     for wrong in (blocks[:1], blocks[::-1]):
         with pytest.raises(ValueError, match=r"^T\(z\) has blocks of shapes "):
-            solve_contour(t_fun, cfg, wrong, rng=0)
+            solve_contour(t_fun, wrong, _square(1.0, 0.5), rng=0)
 
 
-def test_contour_matches_closed_form_on_integral_formulation():
+def test_contour_matches_closed_form_on_integral_formulation(monkeypatch):
+    _ls_counts(monkeypatch, probe=8)
     ctx = build_ls_context(slab_profile(2.0, 1.0), 8, 0.25)
-    cfg = ContourConfig(center=K1, radius=0.3, probe_columns=8)
-    pairs = solve_contour(lambda z: collocation_matrix(ctx, z), cfg, rng=0,
-                          blocks=ctx.blocks)
+    pairs = solve_contour(lambda z: collocation_matrix(ctx, z), ctx.blocks, _square(K1, 0.3),
+                          rng=0)
     refs = slab_dtn_eigenvalues(2.0, 1.0, 6).values
-    inside = [k for k in refs if cfg.contains(k)]
+    inside = [k for k in refs if abs(k - K1) <= 0.3]
     assert len(pairs) == len(inside) == 1
     assert abs(pairs[0].k - K1) < 1e-7
 
@@ -413,7 +423,7 @@ def _assert_re_im_order(pairs):
     assert keys == sorted(keys)
 
 
-def test_solvers_return_pairs_in_re_then_im_order():
+def test_solvers_return_pairs_in_re_then_im_order(monkeypatch):
     # eigenvalues.csv lists its rows in the order the solvers return them
     dtn = solve_dtn(_slab_dtn_mats(3, 0.5))
     cfg = PmlConfig(a=1.0, d=2.0, x_c=3.0, ell=5.0, sigma0=5.0)
@@ -422,9 +432,8 @@ def test_solvers_return_pairs_in_re_then_im_order():
     pml = solve_pml(assemble_pml(space, slab_profile(2.0, 1.0), cfg))
     # two eigenvalues of equal real part inside the circle
     t_fun = lambda z: [np.diag([z - (1.0 + 0.2j), z + 2.0, z - (1.0 - 0.2j), z - 0.8])]
-    contour = solve_contour(t_fun, ContourConfig(center=1.0 + 0j, radius=0.5,
-                                                 quadrature_nodes=64, probe_columns=4),
-                            _one_block(4), rng=0)
+    _ls_counts(monkeypatch, nodes=64, probe=4)
+    contour = solve_contour(t_fun, _one_block(4), _square(1.0, 0.5), rng=0)
     np.testing.assert_allclose(sorted((pr.k for pr in contour), key=lambda k: k.imag),
                                [1.0 - 0.2j, 0.8, 1.0 + 0.2j], atol=1e-12)
     for pairs in (dtn, pml, contour):
@@ -444,8 +453,9 @@ def test_smallest_singular_value():
     rng = np.random.default_rng(5)
     q, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
     assert smallest_singular_value([q]) == pytest.approx(1.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        smallest_singular_value([np.empty((0, 0))])
+    for empty in ([np.empty((0, 0))], []):
+        with pytest.raises(ValueError, match="matrix is empty"):
+            smallest_singular_value(empty)
     with pytest.raises(ValueError):
         smallest_singular_value([np.array([[np.nan, 0.0], [0.0, 1.0]])])
 
@@ -712,6 +722,64 @@ def test_windowed_dtn_falls_back_to_the_companion_bit_for_bit(monkeypatch):
     window = (0.0, 13.5, -2.0, 0.0)
     expected = [pr for pr in solve_dtn(cavity) if _in(pr.k, window)]
     _assert_same_pairs(solve_dtn(cavity, window=window, rng=0), expected)
+
+
+def _raising(exc):
+    def stub(*args):
+        raise exc("stub")
+    return stub
+
+
+def _one_root_without_partner(contour_block):
+    """One root at 0.3 + i Im(centre): its mirror lies inside the contour, with no
+    partner, and 0.3 is far off the axis."""
+    def stub(moments, term, cfg):
+        _, rank, change = contour_block(moments, term, cfg)
+        return (np.array([complex(0.3, cfg.center.imag)]), None), rank, change
+    return stub
+
+
+def _without_the_static_root(contour_block):
+    """The roots but the one at k = 0, which the block that holds the constants
+    must return once."""
+    def stub(moments, term, cfg):
+        inside, rank, change = contour_block(moments, term, cfg)
+        keep = np.abs(inside[0]) > 1e-6
+        return (inside[0][keep], inside[1][:, keep]), rank, change
+    return stub
+
+
+def _zero_product(mat, z):
+    return np.zeros((mat.shape[0],) + z.shape[1:], dtype=np.result_type(mat, z))
+
+
+@pytest.mark.parametrize("name, stub, handed", [
+    # one step settles the odd block's roots but not the even block's; with no steps
+    # the backward error check would send both blocks to the companion as well
+    ("_POLISH_STEPS", lambda _: 1, ("even",)),
+    ("_woodbury", lambda _: _raising(FloatingPointError), ("even", "odd")),
+    ("_woodbury", lambda _: _raising(np.linalg.LinAlgError), ("even", "odd")),
+    ("_contour_block", _one_root_without_partner, ("even", "odd")),
+    ("_contour_block", _without_the_static_root, ("even",)),
+    # c0 = c1 = c2 = q = 0: the errstate raises at q / c2
+    ("_real_product", lambda _: _zero_product, ("even", "odd")),
+], ids=["polish-does-not-settle", "woodbury-overflows", "woodbury-singular",
+        "missing-partner", "no-static-root", "zero-rayleigh-quotient"])
+def test_each_windowed_dtn_fallback_gives_the_companion_bit_for_bit(monkeypatch, name, stub,
+                                                                    handed):
+    cavity = discretize(RunConfig(problem="air_cavity", formulation="dtn", degree=16,
+                                  initial_cell_size=0.25, d=2.0)).operator
+    window = (0.0, 13.5, -2.0, 0.0)
+    companion = [pr for pr in solve_dtn(cavity) if _in(pr.k, window)]
+    contour = solve_dtn(cavity, window=window, rng=0)
+    calls = _count_companion_calls(monkeypatch)
+    monkeypatch.setattr(eigen, name, stub(getattr(eigen, name)))
+    pairs = solve_dtn(cavity, window=window, rng=0)
+    assert calls == [block.size for block in cavity.blocks if block.parity in handed]
+    for parity in ("even", "odd"):
+        _assert_same_pairs([pr for pr in pairs if pr.parity == parity],
+                           [pr for pr in (companion if parity in handed else contour)
+                            if pr.parity == parity])
 
 
 # the windowed runs of CI: dtn-cavity's configuration and the bump's window

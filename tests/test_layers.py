@@ -1,6 +1,7 @@
 """Module layering: imports point down the stack, file I/O and formulation names
 stay in the command-line module, where only ``discretize`` reads the formulation,
-the package runs on numpy alone, and a DtN run does not load ``numpy.ma``."""
+contours are placed and windows applied in ``eigen`` alone, the package runs on
+numpy alone, and a DtN run does not load ``numpy.ma``."""
 
 import ast
 import json
@@ -17,6 +18,8 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "helmres"
 # README's "Modules, bottom to top"
 ORDER = ("mesh_fe", "media", "assembly", "eigen", "reference", "lippmann", "cli")
 FORMULATION_NAMES = {"dtn", "pml", "ls"}
+# the contour placement and the window filter, whose one home is eigen
+WINDOW_HELPERS = {"window_contour", "in_window"}
 # np.unique imports numpy.ma on first use, and np.union1d goes through it (mesh_fe's
 # sorted_union replaces both); np.add.at is the unbuffered scatter that assembly's
 # two passes replace
@@ -93,6 +96,14 @@ def test_only_cli_names_formulations(module):
     names = [(node.lineno, node.value) for node in ast.walk(_tree(module + ".py"))
              if isinstance(node, ast.Constant) and node.value in FORMULATION_NAMES]
     assert names == []
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py") if p.name != "eigen.py"))
+def test_only_eigen_places_contours_or_applies_windows(module):
+    calls = [(node.lineno, ast.unparse(node.func)) for node in ast.walk(_tree(module))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) in WINDOW_HELPERS]
+    assert calls == []
 
 
 @pytest.mark.parametrize("module", [m for m in ORDER if m != "cli"])

@@ -9,13 +9,13 @@ import warnings
 import numpy as np
 import pytest
 
-from helmres import (BoundaryCondition, ContourConfig, EigenPair, LsContext, MediumProfile,
+from helmres import (BoundaryCondition, EigenPair, LsContext, MediumProfile,
                      ParityBlock, air_filled_cavity_profile, apply_kernel, assemble_dtn,
                      build_ls_context, build_mesh, build_space, collocation_matrix,
                      evaluate_function, filter_epsilon, filter_epsilons, pseudospectrum,
                      slab_dtn_eigenvalues, slab_profile, smallest_singular_value, solve_contour,
                      solve_dtn)
-from helmres import cli, lippmann
+from helmres import cli, eigen, lippmann
 from helmres.mesh_fe import cell_quadrature
 from helmres.cli import RunConfig, discretize, write_grid_csv
 
@@ -443,11 +443,14 @@ def test_filter_is_one_for_vanishing_contrast():
     assert rep.epsilon == pytest.approx(1.0, rel=1e-10)
 
 
-def test_filter_is_exact_on_collocation_eigenpairs():
+def test_filter_is_exact_on_collocation_eigenpairs(monkeypatch):
+    # the circle of radius 0.3 about K1, with 32 nodes and 8 probe columns
+    monkeypatch.setattr(eigen, "_LS_NODES", 32)
+    monkeypatch.setattr(eigen, "_LS_PROBE", 8)
     ctx = build_ls_context(slab_profile(2.0, 1.0), 8, 0.25)
-    cfg = ContourConfig(center=K1, radius=0.3, probe_columns=8)
-    pairs = solve_contour(lambda z: collocation_matrix(ctx, z), cfg, rng=0,
-                          space=ctx.space, blocks=ctx.blocks)
+    window = (K1.real - 0.3, K1.real + 0.3, K1.imag - 0.3, K1.imag + 0.3)
+    pairs = solve_contour(lambda z: collocation_matrix(ctx, z), ctx.blocks, window, rng=0,
+                          space=ctx.space)
     assert len(pairs) == 1
     rep = filter_epsilon(ctx, pairs[0])
     cond = np.linalg.cond(ctx.mass)
